@@ -137,9 +137,8 @@ ForkServer::Verdict
 ForkServer::corruptEncoding(std::uint64_t seq,
                             std::uint64_t mask) const
 {
-    isa::Executor executor(_program);
     const isa::ExecCheckpoint &cp = checkpointAtOrBefore(seq);
-    executor.restore(cp);
+    isa::Executor executor(_program, cp);
     executor.setCorruption(seq, mask);
     return runFork(executor, cp.steps, seq);
 }
@@ -148,9 +147,8 @@ ForkServer::Verdict
 ForkServer::corruptRegister(std::uint64_t step, RegClass file,
                             int reg, int bit) const
 {
-    isa::Executor executor(_program);
     const isa::ExecCheckpoint &cp = checkpointAtOrBefore(step);
-    executor.restore(cp);
+    isa::Executor executor(_program, cp);
     while (executor.steps() < step) {
         isa::Termination term = executor.step();
         if (term != isa::Termination::Running) {

@@ -8,6 +8,13 @@
  * each injection by forking from the last checkpoint at or before
  * the strike — so an injection pays only its post-strike suffix.
  *
+ * Checkpoints and forks share memory pages copy-on-write (see
+ * isa::SparseMemory): a checkpoint costs the page table plus the
+ * pages the golden run writes before the next one, a fork start
+ * costs the page table, and a fork clones only the pages it writes.
+ * The convergence check below skips every page the fork still
+ * shares with the golden checkpoint without reading it.
+ *
  * A fork terminates early in either direction:
  *
  *  - Convergence: at a (post-strike) checkpoint boundary the forked
@@ -74,11 +81,15 @@ class ForkServer
         return _goldenOutput;
     }
     std::size_t numCheckpoints() const { return _checkpoints.size(); }
+    const std::vector<isa::ExecCheckpoint> &checkpoints() const
+    {
+        return _checkpoints;
+    }
 
     /**
      * Counterfactual: XOR the encoding of the instruction fetched at
-     * dynamic step 'seq' with 'mask'. Thread-safe (const, forks its
-     * own executor).
+     * dynamic step 'seq' with 'mask'. Thread-safe (const: forks its
+     * own executor, which only reads the shared checkpoint pages).
      */
     Verdict corruptEncoding(std::uint64_t seq,
                             std::uint64_t mask) const;

@@ -14,7 +14,7 @@
  * Programs round-trip through StaticInst::encode()/decode(): the
  * canonical 64-bit encoding word is the only per-instruction state,
  * so equal-content programs encode to equal bytes (matching
- * RunCache::programHash's content addressing).
+ * isa::Program::contentHash's content addressing).
  *
  * kSchemaVersion must be bumped whenever any serialized struct
  * changes shape; the disk cache folds it into the blob header so a

@@ -328,38 +328,8 @@ approxBytes(const faults::CampaignOutcome &outcome)
            convergence;
 }
 
-std::uint64_t
-RunCache::programHash(const isa::Program &program)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(program.size());
-    for (std::size_t i = 0; i < program.size(); ++i)
-        mix(program.inst(i).encode());
-    mix(program.dataInits().size());
-    for (const isa::DataInit &init : program.dataInits()) {
-        mix(init.addr);
-        mix(init.value);
-    }
-    mix(program.entry());
-    return h;
-}
-
 std::string
 RunCache::simKey(const isa::Program &program,
-                 const ExperimentConfig &config,
-                 const cpu::PipelineParams &p)
-{
-    return simKey(programHash(program), config, p);
-}
-
-std::string
-RunCache::simKey(std::uint64_t program_hash,
                  const ExperimentConfig &config,
                  const cpu::PipelineParams &p)
 {
@@ -370,7 +340,7 @@ RunCache::simKey(std::uint64_t program_hash,
            << ',' << c.hitLatency;
     };
     std::ostringstream os;
-    os << std::hex << program_hash << std::dec
+    os << std::hex << program.contentHash() << std::dec
        << "|warmup=" << config.warmupInsts
        << "|trigger=" << config.triggerLevel << '/'
        << config.triggerAction

@@ -187,13 +187,9 @@ class RunCache
         const std::function<faults::CampaignOutcome()> &compute,
         CacheOutcome *outcome = nullptr);
 
-    /** FNV-1a over the canonical encoding of every instruction, the
-     * data initialisers and the entry point: equal-content programs
-     * hash equal regardless of object identity. */
-    static std::uint64_t programHash(const isa::Program &program);
-
     /**
-     * The sim-section key: program content plus every parameter that
+     * The sim-section key: program content (isa::Program::
+     * contentHash, memoized on the program) plus every parameter that
      * can change the timing trace (effective_params must be the
      * post-adjustment PipelineParams the pipeline actually runs
      * with). Post-commit knobs — petSize, attributionTopN,
@@ -201,16 +197,6 @@ class RunCache
      * point of the cache.
      */
     static std::string simKey(const isa::Program &program,
-                              const ExperimentConfig &config,
-                              const cpu::PipelineParams &
-                                  effective_params);
-
-    /** Same key from a precomputed programHash(): lets a caller that
-     * probes many configs of one program (the sweep daemon) hash the
-     * program image once instead of per request — the hash walks
-     * every data initialiser, which for large-working-set surrogates
-     * is millions of entries. */
-    static std::string simKey(std::uint64_t program_hash,
                               const ExperimentConfig &config,
                               const cpu::PipelineParams &
                                   effective_params);

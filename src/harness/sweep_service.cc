@@ -96,9 +96,9 @@ SweepService::postSweep(const std::string &body)
     if (!parseSpec(body, &spec, &err))
         return errorResponse(400, err);
 
-    BuiltProgram built =
+    std::shared_ptr<const isa::Program> prog =
         program(spec.benchmark, spec.config.dynamicTarget);
-    const std::string answer_key = specKey(spec, built.hash);
+    const std::string answer_key = specKey(spec, *prog);
 
     // Fastest tier: this exact spec was already answered by this
     // process — replay the stored manifest (one map lookup; the
@@ -123,7 +123,7 @@ SweepService::postSweep(const std::string &body)
         }
     }
 
-    const bool warm = isWarm(spec, built.hash);
+    const bool warm = isWarm(spec, *prog);
 
     auto ticket = std::make_shared<Ticket>();
     ticket->benchmark = spec.benchmark;
@@ -139,7 +139,7 @@ SweepService::postSweep(const std::string &body)
         // tier), so this completes inline without simulating.
         double ipc = 0.0;
         std::string manifest =
-            runManifest(spec, std::move(built.program), &ipc);
+            runManifest(spec, std::move(prog), &ipc);
         TelemetryServer *server;
         {
             std::lock_guard<std::mutex> guard(_lock);
@@ -158,8 +158,7 @@ SweepService::postSweep(const std::string &body)
     }
 
     // Cold: schedule on the pool; the client polls GET /sweep/<id>.
-    _pool.submit([this, ticket, spec, prog = built.program,
-                  answer_key] {
+    _pool.submit([this, ticket, spec, prog, answer_key] {
         {
             std::lock_guard<std::mutex> guard(_lock);
             ticket->state = "running";
@@ -325,7 +324,7 @@ SweepService::parseSpec(const std::string &body, SweepSpec *spec,
                   {"squash", "throttle", "both"});
 }
 
-SweepService::BuiltProgram
+std::shared_ptr<const isa::Program>
 SweepService::program(const std::string &benchmark,
                       std::uint64_t insts)
 {
@@ -338,10 +337,8 @@ SweepService::program(const std::string &benchmark,
     // Built outside the lock (generation is pure); a racing build of
     // the same point is wasted work, not a correctness problem —
     // first insert wins.
-    BuiltProgram built;
-    built.program = std::make_shared<const isa::Program>(
+    auto built = std::make_shared<const isa::Program>(
         workloads::buildBenchmark(benchmark, insts));
-    built.hash = RunCache::programHash(*built.program);
     std::lock_guard<std::mutex> guard(_lock);
     return _programs.emplace(std::make_pair(benchmark, insts), built)
         .first->second;
@@ -349,7 +346,7 @@ SweepService::program(const std::string &benchmark,
 
 std::string
 SweepService::specKey(const SweepSpec &spec,
-                      std::uint64_t program_hash)
+                      const isa::Program &program)
 {
     // The sim key already folds in the program content, warmup,
     // trigger policy and interval grid; the PET size is the one
@@ -357,13 +354,13 @@ SweepService::specKey(const SweepSpec &spec,
     cpu::PipelineParams params = spec.config.pipeline;
     if (params.maxInsts < spec.config.dynamicTarget * 2)
         params.maxInsts = spec.config.dynamicTarget * 2;
-    return RunCache::simKey(program_hash, spec.config, params) +
+    return RunCache::simKey(program, spec.config, params) +
            "|pet=" + std::to_string(spec.config.petSize);
 }
 
 bool
 SweepService::isWarm(const SweepSpec &spec,
-                     std::uint64_t program_hash)
+                     const isa::Program &program)
 {
     RunCache &cache = RunCache::instance();
     if (!cache.enabled())
@@ -374,7 +371,7 @@ SweepService::isWarm(const SweepSpec &spec,
     if (params.maxInsts < spec.config.dynamicTarget * 2)
         params.maxInsts = spec.config.dynamicTarget * 2;
     std::string key =
-        RunCache::simKey(program_hash, spec.config, params);
+        RunCache::simKey(program, spec.config, params);
     if (cache.hasSim(key))
         return true;
     DiskCache &disk = DiskCache::instance();

@@ -130,32 +130,23 @@ class SweepService
     static bool parseSpec(const std::string &body, SweepSpec *spec,
                           std::string *err);
 
-    /** A memoized surrogate build plus its content hash — hashed
-     * once at build time, because programHash() walks every data
-     * initialiser (millions of entries for the large-working-set
-     * surrogates) and the daemon needs it on every request. */
-    struct BuiltProgram
-    {
-        std::shared_ptr<const isa::Program> program;
-        std::uint64_t hash = 0;  ///< RunCache::programHash
-    };
-
-    /** Memoized surrogate build. */
-    BuiltProgram program(const std::string &benchmark,
-                         std::uint64_t insts);
+    /** Memoized surrogate build; the program memoizes its own
+     * content hash, which every request's keys need. */
+    std::shared_ptr<const isa::Program>
+    program(const std::string &benchmark, std::uint64_t insts);
 
     /** The full-spec response key: the sim key plus every
      * post-commit knob the manifest depends on. Two specs with equal
      * keys produce byte-identical manifests, so the daemon replays
      * the first answer. */
     static std::string specKey(const SweepSpec &spec,
-                               std::uint64_t program_hash);
+                               const isa::Program &program);
 
     /** True when the spec's sim key would hit the in-process map or
      * the disk tier — i.e. POST can answer inline without
      * simulating. */
     static bool isWarm(const SweepSpec &spec,
-                       std::uint64_t program_hash);
+                       const isa::Program &program);
 
     /** Run the spec (on whichever thread) and serialize its
      * manifest; fills *ipc for the /runs publish hook. */
@@ -176,7 +167,8 @@ class SweepService
     std::uint64_t _nextId = 1;
     std::uint64_t _warmAnswers = 0;
     std::uint64_t _coldAnswers = 0;
-    std::map<std::pair<std::string, std::uint64_t>, BuiltProgram>
+    std::map<std::pair<std::string, std::uint64_t>,
+             std::shared_ptr<const isa::Program>>
         _programs;
 
     /** Completed answers by specKey(): a repeat POST of an

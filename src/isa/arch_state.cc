@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "sim/compiler.hh"
 #include "sim/logging.hh"
 
 namespace ser
@@ -15,31 +16,35 @@ SparseMemory::findPage(std::uint64_t addr) const
 {
     const std::uint64_t page = addr / pageBytes;
     if (page == _lastPage)
-        return &_pageStore[_lastSlot];
+        return _pageStore[_lastSlot].get();
     const std::uint32_t *slot = _pageTable.find(page);
     if (!slot)
         return nullptr;
     _lastPage = page;
     _lastSlot = *slot;
-    return &_pageStore[*slot];
+    return _pageStore[*slot].get();
 }
 
 SparseMemory::Page &
 SparseMemory::getPage(std::uint64_t addr)
 {
     const std::uint64_t page = addr / pageBytes;
-    if (page == _lastPage)
-        return _pageStore[_lastSlot];
-    std::uint32_t *slot = _pageTable.find(page);
-    if (!slot) {
-        slot = &_pageTable[page];
-        *slot = static_cast<std::uint32_t>(_pageStore.size());
-        _pageStore.emplace_back();
-        _pageStore.back().fill(0);
+    if (page != _lastPage) {
+        std::uint32_t *slot = _pageTable.find(page);
+        if (!slot) {
+            slot = &_pageTable[page];
+            *slot = static_cast<std::uint32_t>(_pageStore.size());
+            _pageStore.push_back(std::make_shared<Page>());
+        }
+        _lastPage = page;
+        _lastSlot = *slot;
     }
-    _lastPage = page;
-    _lastSlot = *slot;
-    return _pageStore[*slot];
+    // The ownership check runs on memo hits too: a copy taken since
+    // the memo was set shares the page.
+    std::shared_ptr<Page> &held = _pageStore[_lastSlot];
+    if (SER_UNLIKELY(held.use_count() > 1))
+        held = std::make_shared<Page>(*held);
+    return *held;
 }
 
 std::uint8_t
@@ -120,14 +125,16 @@ SparseMemory::equals(const SparseMemory &other) const
     _pageTable.forEach([&](std::uint64_t index, std::uint32_t slot) {
         if (!equal)
             return;
-        const Page &page = _pageStore[slot];
+        const Page &page = *_pageStore[slot];
         const std::uint32_t *theirs = other._pageTable.find(index);
         if (!theirs) {
             if (!zero(page))
                 equal = false;
-        } else if (page != other._pageStore[*theirs]) {
-            equal = false;
+            return;
         }
+        const Page &their_page = *other._pageStore[*theirs];
+        if (&page != &their_page && page != their_page)
+            equal = false;
     });
     if (!equal)
         return false;
@@ -136,7 +143,7 @@ SparseMemory::equals(const SparseMemory &other) const
             if (!equal)
                 return;
             if (!_pageTable.contains(index) &&
-                !zero(other._pageStore[slot]))
+                !zero(*other._pageStore[slot]))
                 equal = false;
         });
     return equal;

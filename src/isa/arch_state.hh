@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "isa/isa.hh"
@@ -27,12 +28,19 @@ namespace isa
  * Sparse byte-addressable memory backed by 4 KiB pages.
  *
  * The page table is a flat open-addressing map from page index to a
- * slot in a contiguous page store (sim/flat_hash.hh), not a
- * node-based unordered_map: the oracle does one table probe per
- * load/store, making this the hottest map in the simulator. A
- * one-entry memo of the last page touched short-circuits the probe
- * entirely for the common run of consecutive accesses to the same
- * stack or heap page.
+ * slot in the page store (sim/flat_hash.hh), not a node-based
+ * unordered_map: the oracle does one table probe per load/store,
+ * making this the hottest map in the simulator. A one-entry memo of
+ * the last page touched short-circuits the probe entirely for the
+ * common run of consecutive accesses to the same stack or heap page.
+ *
+ * Pages are shared copy-on-write: copying a SparseMemory copies the
+ * page table and one pointer per page, and a write clones its page
+ * first only while another copy still holds it. A memory that is
+ * never copied (the timing model's oracle) owns every page outright
+ * and pays one reference-count load per store. Copies that share
+ * pages may live on different threads: a shared page is only ever
+ * read, since every writer clones it first.
  */
 class SparseMemory
 {
@@ -62,7 +70,8 @@ class SparseMemory
      * Content equality. A page present on one side only counts as
      * equal when it is all zeroes, since untouched memory reads as
      * zero — two states that merely differ in which zero pages were
-     * materialized are architecturally identical.
+     * materialized are architecturally identical. Pages the two
+     * sides still share are equal without being read.
      */
     bool equals(const SparseMemory &other) const;
 
@@ -72,13 +81,14 @@ class SparseMemory
     static constexpr std::uint64_t noPage = ~std::uint64_t{0};
 
     const Page *findPage(std::uint64_t addr) const;
+    /** The page holding 'addr', materialized and exclusively owned. */
     Page &getPage(std::uint64_t addr);
 
     /** Page index -> slot in _pageStore. Page indices are addresses
      * shifted down by 12 bits, so the flat map's ~0 sentinel is
      * unreachable. */
     sim::FlatHashMap<std::uint32_t> _pageTable;
-    std::vector<Page> _pageStore;
+    std::vector<std::shared_ptr<Page>> _pageStore;
 
     // Last-page memo (mutable: reads warm it too).
     mutable std::uint64_t _lastPage = noPage;

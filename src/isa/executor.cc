@@ -17,6 +17,14 @@ Executor::Executor(const Program &program) : _program(program)
     reset();
 }
 
+Executor::Executor(const Program &program,
+                   const ExecCheckpoint &checkpoint)
+    : _program(program), _state(checkpoint.state),
+      _pc(checkpoint.pc), _steps(checkpoint.steps),
+      _callDepth(checkpoint.callDepth)
+{
+}
+
 void
 Executor::reset()
 {
@@ -30,15 +38,6 @@ ExecCheckpoint
 Executor::snapshot() const
 {
     return ExecCheckpoint{_state, _pc, _steps, _callDepth};
-}
-
-void
-Executor::restore(const ExecCheckpoint &checkpoint)
-{
-    _state = checkpoint.state;
-    _pc = checkpoint.pc;
-    _steps = checkpoint.steps;
-    _callDepth = checkpoint.callDepth;
 }
 
 void

@@ -61,10 +61,13 @@ struct StepInfo
 /**
  * A resumable snapshot of an execution in flight: the architectural
  * state plus the executor's own position (pc, step count, call
- * depth). Restoring one is equivalent to replaying the program from
- * the entry for 'steps' instructions, at the cost of one ArchState
- * copy — the checkpoint/fork primitive the fault-injection campaign
- * engine uses to pay only an injection's post-strike suffix.
+ * depth). Forking an Executor from one is equivalent to replaying
+ * the program from the entry for 'steps' instructions — the
+ * checkpoint/fork primitive the fault-injection campaign engine uses
+ * to pay only an injection's post-strike suffix. Memory pages are
+ * shared copy-on-write (SparseMemory), so taking a snapshot or
+ * forking from one copies the registers, the output stream and the
+ * page table, and the fork pays for a page only when it writes it.
  */
 struct ExecCheckpoint
 {
@@ -80,18 +83,18 @@ class Executor
   public:
     explicit Executor(const Program &program);
 
+    /**
+     * Resume from a checkpoint of a run of 'program'. The step
+     * counter resumes too, so a setCorruption keyed on an absolute
+     * dynamic seq still fires at the right instruction.
+     */
+    Executor(const Program &program, const ExecCheckpoint &checkpoint);
+
     /** Restart from the program entry with fresh state. */
     void reset();
 
     /** Capture the current execution position and state. */
     ExecCheckpoint snapshot() const;
-
-    /**
-     * Resume from a checkpoint. The step counter is restored too, so
-     * a pending setCorruption keyed on an absolute dynamic seq still
-     * fires at the right instruction after a restore.
-     */
-    void restore(const ExecCheckpoint &checkpoint);
 
     /**
      * Corrupt the instruction fetched at dynamic step 'seq' by XORing

@@ -13,6 +13,7 @@ std::size_t
 Program::append(const StaticInst &inst)
 {
     _insts.push_back(inst);
+    _hash.clear();
     return _insts.size() - 1;
 }
 
@@ -43,6 +44,33 @@ void
 Program::addData(std::uint64_t addr, std::uint64_t value)
 {
     _data.push_back({addr, value});
+    _hash.clear();
+}
+
+std::uint64_t
+Program::contentHash() const
+{
+    std::uint64_t h = _hash.value.load(std::memory_order_relaxed);
+    if (h)
+        return h;
+    h = 14695981039346656037ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(_insts.size());
+    for (const StaticInst &inst : _insts)
+        mix(inst.encode());
+    mix(_data.size());
+    for (const DataInit &init : _data) {
+        mix(init.addr);
+        mix(init.value);
+    }
+    mix(_entry);
+    _hash.value.store(h, std::memory_order_relaxed);
+    return h;
 }
 
 void

@@ -11,6 +11,7 @@
 #ifndef SER_ISA_PROGRAM_HH
 #define SER_ISA_PROGRAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -63,11 +64,14 @@ class Program
             instOutOfRange(index);
         return _insts[index];
     }
+    /** Writable access (the assembler's label fixups); drops the
+     * contentHash() memo, since the caller may rewrite it. */
     StaticInst &
     inst(std::size_t index)
     {
         if (index >= _insts.size())
             instOutOfRange(index);
+        _hash.clear();
         return _insts[index];
     }
 
@@ -83,7 +87,24 @@ class Program
 
     /** Entry point (instruction index); defaults to 0. */
     std::size_t entry() const { return _entry; }
-    void setEntry(std::size_t index) { _entry = index; }
+    void
+    setEntry(std::size_t index)
+    {
+        _entry = index;
+        _hash.clear();
+    }
+
+    /**
+     * FNV-1a over the canonical encoding of every instruction, the
+     * data initialisers and the entry point: equal-content programs
+     * hash equal regardless of object identity (the run cache's
+     * content address). The walk reads every data word — millions on
+     * the large-working-set surrogates — so the result is memoized:
+     * every mutator drops the memo, a copy starts without one, and
+     * concurrent first callers on one shared program are race-free
+     * (they at worst compute it twice).
+     */
+    std::uint64_t contentHash() const;
 
     /** Address <-> instruction-index mapping. */
     static std::uint64_t indexToAddr(std::size_t index)
@@ -97,12 +118,39 @@ class Program
     std::string disassemble() const;
 
   private:
+    /** The contentHash() memo; 0 means not computed, so a program
+     * whose hash is 0 recomputes it on every call. Copies and moves
+     * never carry it over, and a move drops the source's too. */
+    struct HashMemo
+    {
+        HashMemo() = default;
+        HashMemo(const HashMemo &) {}
+        HashMemo(HashMemo &&other) noexcept { other.clear(); }
+        HashMemo &
+        operator=(const HashMemo &)
+        {
+            clear();
+            return *this;
+        }
+        HashMemo &
+        operator=(HashMemo &&other) noexcept
+        {
+            clear();
+            other.clear();
+            return *this;
+        }
+        void clear() { value.store(0, std::memory_order_relaxed); }
+
+        std::atomic<std::uint64_t> value{0};
+    };
+
     [[noreturn]] void instOutOfRange(std::size_t index) const;
 
     std::vector<StaticInst> _insts;
     std::map<std::string, std::size_t> _labels;
     std::vector<DataInit> _data;
     std::size_t _entry = 0;
+    mutable HashMemo _hash;
 };
 
 } // namespace isa

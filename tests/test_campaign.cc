@@ -24,7 +24,9 @@
 #include "harness/run_cache.hh"
 #include "isa/assembler.hh"
 #include "isa/executor.hh"
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "workloads/suite.hh"
 
 using namespace ser;
 using namespace ser::faults;
@@ -176,6 +178,137 @@ TEST(ForkServer, VerdictMatchesFullRerun)
         }
     }
     EXPECT_GT(reran, 0) << "sites never exercised the re-run path";
+}
+
+namespace
+{
+
+/** Stores walk ten pages (the first one straddles a page boundary)
+ * and a second pass reads every stored word back: a fork that wrote
+ * through a page it still shared with a checkpoint would change what
+ * later forks from that checkpoint load. */
+const char *kPagesSrc = R"(
+    movi r5 = 0x10000
+    movi r4 = 48
+    movi r2 = 17
+    fill:
+    ld8 r6 = [r5, -700]
+    mul r2 = r2, r2
+    add r2 = r2, r6
+    addi r2 = r2, 13
+    st8 [r5, 0] = r2
+    st8 [r5, 4092] = r2
+    addi r5 = r5, 700
+    addi r4 = r4, -1
+    cmplt p3 = r0, r4
+    (p3) br fill
+    movi r5 = 0x10000
+    movi r4 = 48
+    sum:
+    ld8 r6 = [r5, 0]
+    xor r7 = r7, r6
+    ld8 r6 = [r5, 4092]
+    add r7 = r7, r6
+    addi r5 = r5, 700
+    addi r4 = r4, -1
+    cmplt p3 = r0, r4
+    (p3) br sum
+    out r2
+    out r7
+    halt
+)";
+
+/** The full-rerun verdict: finish 'ex' (already struck) from where it
+ * stands to the fork server's absolute step budget. */
+bool
+replayChanges(isa::Executor &ex, std::uint64_t budget,
+              const std::vector<std::uint64_t> &golden)
+{
+    return ex.run(budget - ex.steps()) != isa::Termination::Halted ||
+           ex.state().output() != golden;
+}
+
+/**
+ * Keyed encoding and register strikes on 'program', forked on four
+ * threads that share the checkpoints (as a campaign shards them):
+ * every fork verdict must equal a serial full replay's, and afterwards
+ * every checkpoint must still equal a fresh replay to its step.
+ */
+void
+expectForksMatchReplays(const isa::Program &program, std::size_t sites)
+{
+    ForkServer fork(program, 0, 8);
+    const std::vector<std::uint64_t> &golden = fork.goldenOutput();
+    const std::uint64_t budget = 2 * fork.goldenSteps() + 10000;
+    struct Strike
+    {
+        std::uint64_t step = 0;
+        int bit = 0;
+        int reg = 0;
+        bool encodingChanged = false;
+        bool registerChanged = false;
+    };
+    std::vector<Strike> strikes(sites);
+    for (std::size_t i = 0; i < sites; ++i) {
+        Rng rng = Rng::keyed(0xC0, i);
+        strikes[i].step = rng.range(fork.goldenSteps());
+        strikes[i].bit = static_cast<int>(rng.range(64));
+        strikes[i].reg = 1 + static_cast<int>(rng.range(7));
+    }
+    ser::parallelFor(sites, 4, [&](std::size_t i) {
+        Strike &s = strikes[i];
+        s.encodingChanged =
+            fork.corruptEncoding(s.step, 1ULL << s.bit).changed;
+        s.registerChanged =
+            fork.corruptRegister(s.step, RegClass::Int, s.reg, s.bit)
+                .changed;
+    });
+
+    std::size_t changed = 0;
+    for (const Strike &s : strikes) {
+        isa::Executor enc(program);
+        enc.setCorruption(s.step, 1ULL << s.bit);
+        EXPECT_EQ(s.encodingChanged, replayChanges(enc, budget, golden))
+            << "encoding bit " << s.bit << " at step " << s.step;
+
+        isa::Executor flip(program);
+        flip.run(s.step);
+        flip.state().writeInt(
+            s.reg, flip.state().readInt(s.reg) ^ (1ULL << s.bit));
+        EXPECT_EQ(s.registerChanged, replayChanges(flip, budget, golden))
+            << "r" << s.reg << " bit " << s.bit << " after step "
+            << s.step;
+        changed += s.encodingChanged + s.registerChanged;
+    }
+    EXPECT_GT(changed, 0u) << "no strike changed the output";
+    EXPECT_LT(changed, 2 * sites) << "every strike changed the output";
+
+    isa::Executor fresh(program);
+    for (const isa::ExecCheckpoint &cp : fork.checkpoints()) {
+        fresh.run(cp.steps - fresh.steps());
+        EXPECT_EQ(fresh.pc(), cp.pc);
+        EXPECT_EQ(fresh.callDepth(), cp.callDepth);
+        EXPECT_TRUE(fresh.state().equals(cp.state))
+            << "a fork changed the checkpoint at step " << cp.steps;
+    }
+}
+
+} // namespace
+
+TEST(ForkServer, MemoryForksMatchFullRerun)
+{
+    // VerdictMatchesFullRerun's loop never touches memory; these
+    // programs store across (and straddle) the pages that forks share
+    // copy-on-write with the checkpoints.
+    {
+        SCOPED_TRACE("page-walking stores");
+        expectForksMatchReplays(isa::assembleOrDie(kPagesSrc), 200);
+    }
+    {
+        SCOPED_TRACE("mcf surrogate");
+        expectForksMatchReplays(workloads::buildBenchmark("mcf", 3000),
+                                32);
+    }
 }
 
 TEST(CampaignEngine, ShardInvariantAcrossJobs)

@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
 #include "isa/executor.hh"
@@ -252,6 +258,116 @@ TEST(ArchState, SparseMemoryWordAccess)
     // Unaligned, page-straddling access.
     mem.writeWord(4096 - 3, 0xAABBCCDDEEFF0011ULL);
     EXPECT_EQ(mem.readWord(4096 - 3), 0xAABBCCDDEEFF0011ULL);
+}
+
+TEST(SparseMemory, CopyAndSourceDivergeAfterWritesOnEitherSide)
+{
+    SparseMemory a;
+    a.writeWord(0x5000, 1);  // a's one-page memo now holds page 5
+    SparseMemory b = a;
+
+    // Hits a's memo right after the copy: must clone, not write the
+    // page b still shares.
+    a.writeWord(0x5008, 2);
+    EXPECT_EQ(a.readWord(0x5008), 2u);
+    EXPECT_EQ(b.readWord(0x5008), 0u);
+
+    // b inherited the memo with the copy; its writes stay its own.
+    b.writeWord(0x5000, 3);
+    EXPECT_EQ(b.readWord(0x5000), 3u);
+    EXPECT_EQ(a.readWord(0x5000), 1u);
+
+    // So do pages either side materializes after the copy.
+    b.writeWord(0x9000, 4);
+    a.writeWord(0xA000, 5);
+    EXPECT_EQ(a.readWord(0x9000), 0u);
+    EXPECT_EQ(b.readWord(0xA000), 0u);
+    EXPECT_EQ(a.numPages(), 2u);
+    EXPECT_EQ(b.numPages(), 2u);
+}
+
+TEST(SparseMemory, StraddlingStoreClonesBothSharedPages)
+{
+    SparseMemory a;
+    a.writeWord(0x1ff8, 0x1111111111111111ULL);
+    a.writeWord(0x2000, 0x2222222222222222ULL);
+    SparseMemory b = a;
+    b.writeWord(0x1ffc, 0xAABBCCDDEEFF0011ULL);  // 4 bytes per page
+    EXPECT_EQ(b.readWord(0x1ffc), 0xAABBCCDDEEFF0011ULL);
+    EXPECT_EQ(a.readWord(0x1ff8), 0x1111111111111111ULL);
+    EXPECT_EQ(a.readWord(0x2000), 0x2222222222222222ULL);
+    EXPECT_FALSE(a.equals(b));
+}
+
+TEST(SparseMemory, EqualsOnSharedClonedAndOneSidedZeroPages)
+{
+    SparseMemory a;
+    a.writeWord(0x3000, 42);
+    SparseMemory b = a;
+    EXPECT_TRUE(a.equals(b));  // shared: equal without a read
+
+    b.writeWord(0x3000, 42);  // cloned, still byte-equal
+    EXPECT_TRUE(a.equals(b));
+    EXPECT_TRUE(b.equals(a));
+
+    b.writeWord(0x7000, 0);  // an all-zero page on b only
+    EXPECT_TRUE(a.equals(b));
+    EXPECT_TRUE(b.equals(a));
+
+    b.writeWord(0x7000, 1);
+    EXPECT_FALSE(a.equals(b));
+    EXPECT_FALSE(b.equals(a));
+
+    b.writeWord(0x7000, 0);
+    b.writeWord(0x3008, 1);  // the cloned page now differs
+    EXPECT_FALSE(a.equals(b));
+    EXPECT_FALSE(b.equals(a));
+}
+
+TEST(Program, ContentHashFollowsEveryMutator)
+{
+    const char *src = ".data 0x2000\n.word 7\nmovi r4 = 1\nout r4\nhalt\n";
+    // After each edit the memo must be gone: the hash equals that of
+    // a program given the same edits and hashed only once, and moves.
+    const std::function<void(Program &)> edits[] = {
+        [](Program &q) {
+            q.append(StaticInst(Opcode::Nop, 0, 0, 0, 0, 0));
+        },
+        [](Program &q) { q.addData(0x2008, 9); },
+        [](Program &q) { q.setEntry(1); },
+        // The assembler's label fixups write through inst().
+        [](Program &q) {
+            q.inst(0) = StaticInst(Opcode::Movi, 0, 4, 0, 0, 2);
+        },
+    };
+    Program p = assembleOrDie(src);
+    // Pinned: run-cache keys and disk-tier blob names derive from
+    // this value, so the FNV walk must never change.
+    EXPECT_EQ(p.contentHash(), 0x7941d6405c691cc6ULL);
+    std::set<std::uint64_t> seen = {p.contentHash()};
+    for (std::size_t k = 0; k < std::size(edits); ++k) {
+        edits[k](p);
+        Program fresh = assembleOrDie(src);
+        for (std::size_t j = 0; j <= k; ++j)
+            edits[j](fresh);
+        EXPECT_EQ(p.contentHash(), fresh.contentHash()) << "edit " << k;
+        EXPECT_TRUE(seen.insert(p.contentHash()).second) << "edit " << k;
+    }
+}
+
+TEST(Program, ContentHashIsRaceFreeOnASharedProgram)
+{
+    // Concurrent runProgram calls hash one shared program; the first
+    // callers race to fill the memo (TSan builds check the race).
+    const Program p = assembleOrDie(".data 0x2000\n.word 7\nhalt\n");
+    std::uint64_t seen[4] = {};
+    std::vector<std::thread> threads;
+    for (std::uint64_t &h : seen)
+        threads.emplace_back([&p, &h] { h = p.contentHash(); });
+    for (std::thread &t : threads)
+        t.join();
+    for (std::uint64_t h : seen)
+        EXPECT_EQ(h, seen[0]);
 }
 
 namespace

@@ -210,8 +210,7 @@ TEST_F(RunCacheTest, ContentEqualProgramsShareOneSimulation)
     auto p1 = buildShared("mcf", 5000);
     auto p2 = buildShared("mcf", 5000);
     ASSERT_NE(p1.get(), p2.get());
-    EXPECT_EQ(harness::RunCache::programHash(*p1),
-              harness::RunCache::programHash(*p2));
+    EXPECT_EQ(p1->contentHash(), p2->contentHash());
 
     harness::ExperimentConfig cfg = smallConfig();
     auto r1 = harness::runProgram(p1, cfg, "mcf");
