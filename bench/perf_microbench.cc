@@ -9,11 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <thread>
-#include <vector>
 
 #include "avf/avf.hh"
 #include "avf/deadness.hh"
@@ -24,12 +20,10 @@
 #include "harness/disk_cache.hh"
 #include "harness/experiment.hh"
 #include "harness/suite_runner.hh"
-#include "harness/sweep_service.hh"
 #include "isa/assembler.hh"
 #include "isa/executor.hh"
 #include "avf/attribution.hh"
 #include "memory/hierarchy.hh"
-#include "sim/mpmc_queue.hh"
 #include "sim/prof.hh"
 #include "sim/rng.hh"
 #include "sim/trace_event.hh"
@@ -420,7 +414,7 @@ BM_RunCacheDiskHit(benchmark::State &state)
     // End-to-end harness::runProgram when the in-process map is
     // empty but every section is on disk: mmap + CRC-64 verify +
     // codec decode for all four sections, per iteration (the warm
-    // path a daemon restart or a second sweep process takes). The
+    // path a second sweep process takes). The
     // gap to BM_RunProgramCacheHit is the disk tier's decode cost;
     // the gap to a cold run is what the blob store saves.
     char dirTemplate[] = "/tmp/ser_bench_disk_XXXXXX";
@@ -453,91 +447,6 @@ BM_RunCacheDiskHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RunCacheDiskHit);
-
-void
-BM_MpmcQueueThroughput(benchmark::State &state)
-{
-    // Raw ring handoff rate, 2 producers x 2 consumers on a ring
-    // far smaller than the element count (both the full and the
-    // empty backoff paths run). Guards the lock-free dispatch
-    // substrate parallelFor and the daemon pool stand on.
-    constexpr int kProducers = 2;
-    constexpr int kConsumers = 2;
-    constexpr std::uint64_t kPerProducer = 100000;
-    for (auto _ : state) {
-        MpmcQueue<std::uint64_t> queue(256);
-        std::atomic<std::uint64_t> sum{0};
-        std::vector<std::thread> threads;
-        for (int c = 0; c < kConsumers; ++c) {
-            threads.emplace_back([&] {
-                std::uint64_t value, local = 0;
-                while (queue.pop(&value))
-                    local += value;
-                sum.fetch_add(local);
-            });
-        }
-        std::vector<std::thread> producers;
-        for (int p = 0; p < kProducers; ++p) {
-            producers.emplace_back([&] {
-                for (std::uint64_t i = 1; i <= kPerProducer; ++i)
-                    queue.push(i);
-            });
-        }
-        for (auto &t : producers)
-            t.join();
-        queue.close();
-        for (auto &t : threads)
-            t.join();
-        benchmark::DoNotOptimize(sum.load());
-    }
-    state.SetItemsProcessed(state.iterations() * kProducers *
-                            kPerProducer);
-}
-// Real time, not CPU time: the work runs on spawned producer and
-// consumer threads, so the main thread's CPU clock sees almost
-// nothing.
-BENCHMARK(BM_MpmcQueueThroughput)->UseRealTime();
-
-void
-BM_SweepWarmCache(benchmark::State &state)
-{
-    // The daemon's repeat-query path: SweepService::handle() on a
-    // spec this service has already answered — one response-memo
-    // lookup plus ticket serialization, no simulation, no analysis
-    // replay. This is the "<1 ms cached query" acceptance as a
-    // tracked number (daemon_query_identical asserts the bound).
-    static harness::SweepService *service = [] {
-        auto *s = new harness::SweepService(1);
-        return s;
-    }();
-    const std::string spec =
-        "{\"benchmark\": \"gzip\", \"insts\": 5000, "
-        "\"warmup\": 500}";
-    // First answer pays for the simulation once, outside the loop
-    // (polling the ticket, not re-POSTing, so no duplicate cold runs
-    // are scheduled while it is in flight).
-    auto first = service->handle("POST", "/sweep", spec);
-    if (first.status != 200 && first.status != 202) {
-        state.SkipWithError("priming POST failed");
-        return;
-    }
-    while (first.status == 202) {
-        auto poll = service->handle("GET", "/sweep/1", "");
-        if (poll.body.find("\"done\"") != std::string::npos)
-            break;
-        if (poll.body.find("\"failed\"") != std::string::npos) {
-            state.SkipWithError("priming run failed");
-            return;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    for (auto _ : state) {
-        auto r = service->handle("POST", "/sweep", spec);
-        benchmark::DoNotOptimize(r.body.size());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SweepWarmCache);
 
 } // namespace
 

@@ -203,18 +203,6 @@ RunCache::getSim(const std::string &key,
     return get<SimProducts>(_sim, key, compute, outcome);
 }
 
-bool
-RunCache::hasSim(const std::string &key) const
-{
-    std::lock_guard<std::mutex> guard(_sim.lock);
-    auto it = _sim.map.find(key);
-    // source is stored (seq_cst) after the once-lambda publishes the
-    // value, so a nonzero source means the entry is fully resolved.
-    return it != _sim.map.end() &&
-           it->second->source.load() !=
-               static_cast<int>(CacheOutcome::Off);
-}
-
 std::shared_ptr<const avf::DeadnessResult>
 RunCache::getDeadness(const std::string &key,
                       const std::function<avf::DeadnessResult()> &

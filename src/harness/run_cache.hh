@@ -36,9 +36,8 @@
  * in the process-local map falls through to the content-addressed
  * blob store (harness/disk_cache.hh) before computing, and every
  * computed value is published back. Warm re-runs of an identical
- * sweep then skip simulation entirely across *processes* — the tier
- * the sweep daemon answers repeat queries from. Outputs are
- * byte-identical with the tier cold, warm, or absent.
+ * sweep then skip simulation entirely across *processes*. Outputs
+ * are byte-identical with the tier cold, warm, or absent.
  *
  * Escape hatch: `--no-run-cache` (BenchOptions) disables the cache
  * process-wide; outputs are byte-identical either way, which
@@ -164,12 +163,6 @@ class RunCache
     getSim(const std::string &key,
            const std::function<SimProducts()> &compute,
            CacheOutcome *outcome = nullptr);
-
-    /** Warm probe: true when the sim section's map already holds a
-     * *resolved* entry for 'key' (the sweep daemon answers such
-     * queries inline instead of scheduling them). Never blocks on an
-     * in-flight computation. */
-    bool hasSim(const std::string &key) const;
 
     std::shared_ptr<const avf::DeadnessResult>
     getDeadness(const std::string &key,

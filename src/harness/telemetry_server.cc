@@ -1,6 +1,5 @@
 #include "telemetry_server.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -192,34 +191,21 @@ TelemetryServer::loop()
                 if (n > 0) {
                     conn.buffer.append(buf,
                                        static_cast<std::size_t>(n));
-                    bool headComplete =
-                        conn.buffer.find("\r\n\r\n") !=
-                            std::string::npos ||
-                        conn.buffer.find("\n\n") !=
-                            std::string::npos;
-                    if ((!headComplete &&
-                         conn.buffer.size() > maxHeaderBytes) ||
-                        conn.buffer.size() >
-                            maxHeaderBytes + maxBodyBytes)
-                    {
-                        // Oversized header/body: drop silently.
+                    std::string method, target;
+                    int parsed =
+                        parseRequest(conn.buffer, &method, &target);
+                    if (parsed != 0) {
+                        Response response =
+                            parsed < 0
+                                ? Response{400,
+                                           "text/plain; charset=utf-8",
+                                           "bad request\n"}
+                                : handle(method, target);
+                        sendResponse(conn.fd, response);
                         close_it = true;
-                    } else {
-                        std::string method, target, body;
-                        int parsed = parseRequest(conn.buffer,
-                                                  &method, &target,
-                                                  &body);
-                        if (parsed != 0) {
-                            Response response =
-                                parsed < 0
-                                    ? Response{400,
-                                               "text/plain; "
-                                               "charset=utf-8",
-                                               "bad request\n"}
-                                    : handle(method, target, body);
-                            sendResponse(conn.fd, response);
-                            close_it = true;
-                        }
+                    } else if (conn.buffer.size() > maxHeaderBytes) {
+                        // Oversized head: drop silently.
+                        close_it = true;
                     }
                 } else if (n == 0 ||
                            (errno != EAGAIN && errno != EWOULDBLOCK &&
@@ -272,25 +258,14 @@ TelemetryServer::sendResponse(int fd, const Response &response)
 int
 TelemetryServer::parseRequest(const std::string &buffer,
                               std::string *method,
-                              std::string *target,
-                              std::string *body)
+                              std::string *target)
 {
     // The head is complete once the header terminator arrives.
-    std::size_t headEnd = buffer.find("\r\n\r\n");
-    std::size_t bodyStart;
-    if (headEnd != std::string::npos) {
-        bodyStart = headEnd + 4;
-    } else {
-        headEnd = buffer.find("\n\n");
-        if (headEnd == std::string::npos)
-            return 0;
-        bodyStart = headEnd + 2;
-    }
+    if (buffer.find("\r\n\r\n") == std::string::npos &&
+        buffer.find("\n\n") == std::string::npos)
+        return 0;
 
-    std::size_t eol = buffer.find('\n');
-    if (eol == std::string::npos)
-        return -1;
-    std::string line = buffer.substr(0, eol);
+    std::string line = buffer.substr(0, buffer.find('\n'));
     if (!line.empty() && line.back() == '\r')
         line.pop_back();
 
@@ -302,90 +277,23 @@ TelemetryServer::parseRequest(const std::string &buffer,
     if (version.rfind("HTTP/", 0) != 0 || t.empty() || t[0] != '/')
         return -1;
 
-    // Content-Length decides how much body to wait for (the only
-    // body framing we speak — no chunked encoding).
-    std::size_t contentLength = 0;
-    std::size_t pos = eol + 1;
-    while (pos < headEnd) {
-        std::size_t lineEnd = buffer.find('\n', pos);
-        if (lineEnd == std::string::npos || lineEnd > headEnd)
-            lineEnd = headEnd;
-        std::string header = buffer.substr(pos, lineEnd - pos);
-        if (!header.empty() && header.back() == '\r')
-            header.pop_back();
-        pos = lineEnd + 1;
-        std::size_t colon = header.find(':');
-        if (colon == std::string::npos)
-            continue;
-        std::string name = header.substr(0, colon);
-        for (char &c : name)
-            c = static_cast<char>(std::tolower(
-                static_cast<unsigned char>(c)));
-        if (name != "content-length")
-            continue;
-        std::string value = header.substr(colon + 1);
-        char *end = nullptr;
-        unsigned long long parsed =
-            std::strtoull(value.c_str(), &end, 10);
-        if (!end || end == value.c_str())
-            return -1;
-        while (*end == ' ')
-            ++end;
-        if (*end != '\0')
-            return -1;
-        if (parsed > maxBodyBytes)
-            return -1;
-        contentLength = static_cast<std::size_t>(parsed);
-    }
-    if (buffer.size() - bodyStart < contentLength)
-        return 0;
-
     *method = std::move(m);
     *target = std::move(t);
-    if (body)
-        *body = buffer.substr(bodyStart, contentLength);
     return 1;
-}
-
-void
-TelemetryServer::setRequestHandler(RequestHandler handler)
-{
-    std::lock_guard<std::mutex> guard(_handlerLock);
-    _handler = std::move(handler);
 }
 
 TelemetryServer::Response
 TelemetryServer::handle(std::string_view method,
                         std::string_view target) const
 {
-    return handle(method, target, std::string());
-}
+    if (method != "GET")
+        return {405, "text/plain; charset=utf-8",
+                "method not allowed\n"};
 
-TelemetryServer::Response
-TelemetryServer::handle(std::string_view method,
-                        std::string_view target,
-                        const std::string &body) const
-{
     // Drop any query string: /status?pretty == /status.
     std::size_t query = target.find('?');
     std::string path(target.substr(
         0, query == std::string_view::npos ? target.size() : query));
-
-    if (method != "GET") {
-        // Only a mounted handler speaks non-GET methods.
-        RequestHandler handler;
-        {
-            std::lock_guard<std::mutex> guard(_handlerLock);
-            handler = _handler;
-        }
-        if (handler) {
-            Response response = handler(method, path, body);
-            if (response.status != 0)
-                return response;
-        }
-        return {405, "text/plain; charset=utf-8",
-                "method not allowed\n"};
-    }
 
     if (path == "/healthz")
         return {200, "text/plain; charset=utf-8", "ok\n"};
@@ -433,18 +341,6 @@ TelemetryServer::handle(std::string_view method,
         }
         return {200, "application/json; charset=utf-8",
                 os.str() + "\n"};
-    }
-    // Unclaimed GET path: offer it to the mounted handler before
-    // falling back to 404.
-    RequestHandler handler;
-    {
-        std::lock_guard<std::mutex> guard(_handlerLock);
-        handler = _handler;
-    }
-    if (handler) {
-        Response response = handler(method, path, body);
-        if (response.status != 0)
-            return response;
     }
     return {404, "text/plain; charset=utf-8", "not found\n"};
 }

@@ -1,9 +1,7 @@
 /**
  * @file
  * The embedded live-telemetry HTTP server (--serve PORT): continuous
- * queryable introspection of a running sweep, and the substrate the
- * ROADMAP item-2 persistent sweep service will mount its request
- * handlers on.
+ * queryable introspection of a running sweep.
  *
  * Endpoints (all GET, HTTP/1.1, Connection: close per request):
  *
@@ -27,20 +25,11 @@
  * million-run sweep holds a bounded window instead of every
  * manifest.
  *
- * Mounting: a process can install one RequestHandler
- * (setRequestHandler) that is consulted for any request the
- * built-in routes do not claim — including non-GET methods — which
- * is how the sweep daemon (harness/sweep_service.hh) mounts its
- * POST /sweep API on this poll loop without the server knowing
- * about sweeps.
- *
  * Implementation: dependency-free POSIX sockets, bound to 127.0.0.1
  * only, one poll(2)-driven thread owned by the server, a bounded
- * connection table, an 8 KiB request-header cap and a 1 MiB body
- * cap (oversized requests are dropped), GET-only unless a handler
- * claims the method (405 otherwise), 400 on malformed request
- * lines, 404 on unknown paths. POST bodies are read to the
- * Content-Length before dispatch.
+ * connection table, an 8 KiB request-head cap (a connection whose
+ * head outgrows it is closed without an answer), 405 on any method
+ * but GET, 400 on malformed request lines, 404 on unknown paths.
  *
  * Determinism contract: the server only ever *reads* snapshots taken
  * under the owning components' existing locks (MetricsRegistry's
@@ -63,7 +52,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -96,10 +84,9 @@ class TelemetryServer
     /** Most published runs /runs retains (FIFO by submission
      * index); older manifests evict and are counted in /status. */
     static constexpr std::size_t runsRingCapacity = 256;
-    /** Request-header cap: connections that exceed it are closed. */
+    /** Request-head cap: a connection that buffers more without a
+     * complete head is closed without an answer. */
     static constexpr std::size_t maxHeaderBytes = 8192;
-    /** Request-body cap (Content-Length beyond it answers 400). */
-    static constexpr std::size_t maxBodyBytes = 1 << 20;
     /** Concurrent-connection bound (excess connects wait in the
      * listen backlog). */
     static constexpr std::size_t maxConnections = 16;
@@ -140,35 +127,18 @@ class TelemetryServer
         std::string body;
     };
 
-    /**
-     * Mounted request handler: consulted (query string stripped)
-     * for any request the built-in routes do not claim, including
-     * non-GET methods. Return status 0 to decline, and the server
-     * answers 404/405 as if no handler were mounted. The handler
-     * runs on the poll thread and must not block indefinitely.
-     */
-    using RequestHandler = std::function<Response(
-        std::string_view method, std::string_view path,
-        const std::string &body)>;
-    void setRequestHandler(RequestHandler handler);
-
     Response handle(std::string_view method,
                     std::string_view target) const;
-    Response handle(std::string_view method, std::string_view target,
-                    const std::string &body) const;
 
     /**
-     * Parse one buffered request. Returns 1 and fills method/target
-     * (and *body, when requested, with exactly Content-Length
-     * bytes) once a complete, well-formed request is present; 0
-     * when more bytes are needed (incomplete head or body); -1 when
-     * malformed or over the body cap (the caller answers 400).
-     * Exposed for the unit tests.
+     * Parse one buffered request head. Returns 1 and fills
+     * method/target once a complete, well-formed head is present; 0
+     * when more bytes are needed; -1 when malformed (the caller
+     * answers 400). Exposed for the unit tests.
      */
     static int parseRequest(const std::string &buffer,
                             std::string *method,
-                            std::string *target,
-                            std::string *body = nullptr);
+                            std::string *target);
 
   private:
     struct Connection
@@ -214,9 +184,6 @@ class TelemetryServer
     std::deque<CampaignSample> _campaignRing;
     std::uint64_t _campaignSeq = 0;
     std::uint64_t _campaignDropped = 0;
-
-    mutable std::mutex _handlerLock;
-    RequestHandler _handler;
 };
 
 } // namespace harness

@@ -1,8 +1,11 @@
 #include "parallel.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 namespace ser
 {
@@ -18,17 +21,12 @@ parallelFor(std::size_t n, unsigned jobs,
         return;
     }
 
-    // Indices flow caller -> workers through the bounded MPMC ring.
-    // The ring is deliberately small: a full ring just blocks the
-    // producer, and fn's results are indexed by i, so scheduling
-    // never affects aggregation order.
-    MpmcQueue<std::size_t> queue(std::min<std::size_t>(n, 1024));
+    std::atomic<std::size_t> next{0};
     std::exception_ptr error;
     std::mutex errorLock;
 
-    auto consume = [&] {
-        std::size_t i;
-        while (queue.pop(&i)) {
+    auto work = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
             try {
                 fn(i);
             } catch (...) {
@@ -39,47 +37,18 @@ parallelFor(std::size_t n, unsigned jobs,
         }
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w)
-        pool.emplace_back(consume);
-
-    for (std::size_t i = 0; i < n; ++i)
-        queue.push(i);
-    queue.close();
-    consume();  // the calling thread drains the tail as worker 0
-
-    for (auto &thread : pool)
-        thread.join();
+    {
+        // jthread joins on scope exit, so the workers never outlive
+        // the counter and error slot they share, even if spawning a
+        // later worker throws.
+        std::vector<std::jthread> pool;
+        pool.reserve(workers - 1);
+        for (std::size_t w = 1; w < workers; ++w)
+            pool.emplace_back(work);
+        work();  // the calling thread is worker 0
+    }
     if (error)
         std::rethrow_exception(error);
-}
-
-WorkerPool::WorkerPool(unsigned threads, std::size_t queueCapacity)
-    : _queue(queueCapacity)
-{
-    unsigned count = threads ? threads : 1;
-    _threads.reserve(count);
-    for (unsigned t = 0; t < count; ++t) {
-        _threads.emplace_back([this] {
-            std::function<void()> job;
-            while (_queue.pop(&job))
-                job();
-        });
-    }
-}
-
-WorkerPool::~WorkerPool()
-{
-    _queue.close();
-    for (auto &thread : _threads)
-        thread.join();
-}
-
-void
-WorkerPool::submit(std::function<void()> job)
-{
-    _queue.push(std::move(job));
 }
 
 } // namespace ser

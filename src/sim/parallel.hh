@@ -1,28 +1,24 @@
 /**
  * @file
- * The shared worker-pool primitives.
+ * The one work-dispatch primitive: parallelFor.
  *
  * parallelFor: run fn(i) for every i in [0, n) on up to 'jobs'
- * threads (the calling thread is one of them). This used to live in
- * harness/suite_runner; it is re-homed here so layers below the
- * harness (the fault-injection campaign engine shards its
- * Monte-Carlo batches with it) can fan out without a dependency
- * cycle. harness::parallelFor remains as a thin wrapper that adds
+ * threads (the calling thread is one of them). It lives in sim/ so
+ * layers below the harness (the fault-injection campaign engine
+ * shards its Monte-Carlo batches with it) can fan out without a
+ * dependency cycle; harness::parallelFor is a thin wrapper that adds
  * the SER_JOBS default resolution.
  *
- * Since PR 10 the index handoff runs through the bounded lock-free
- * MPMC queue (sim/mpmc_queue.hh) instead of a shared claim counter:
- * the caller produces indices while workers consume, the same
- * dispatch shape the sweep daemon uses to feed cold misses from many
- * HTTP producers into one worker shard pool.
+ * The workers are a fixed thread set for the call; each claims its
+ * next index from one shared atomic counter until the range is
+ * exhausted. Callers index results by i, so which worker ran an
+ * index never affects aggregation order.
  *
- * fn must be safe to call concurrently for distinct indices. An
- * exception thrown by fn is re-thrown on the calling thread after
- * all workers drain. jobs == 0 or 1 runs serially inline.
- *
- * WorkerPool: a resident pool for long-lived processes (the daemon).
- * Jobs submitted from any thread are executed FIFO-ish by the pool;
- * the destructor drains outstanding jobs and joins.
+ * fn must be safe to call concurrently for distinct indices. Every
+ * index runs exactly once even if fn throws; the first exception is
+ * re-thrown on the calling thread after all workers drain.
+ * jobs == 0 or 1 runs serially inline, where an exception
+ * propagates at once.
  */
 
 #ifndef SER_SIM_PARALLEL_HH
@@ -30,43 +26,12 @@
 
 #include <cstddef>
 #include <functional>
-#include <thread>
-#include <vector>
-
-#include "sim/mpmc_queue.hh"
 
 namespace ser
 {
 
 void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)> &fn);
-
-class WorkerPool
-{
-  public:
-    explicit WorkerPool(unsigned threads,
-                        std::size_t queueCapacity = 256);
-    ~WorkerPool();
-
-    WorkerPool(const WorkerPool &) = delete;
-    WorkerPool &operator=(const WorkerPool &) = delete;
-
-    /**
-     * Enqueue a job; blocks if the bounded queue is full (natural
-     * backpressure on the producer). A job must not throw — the
-     * pool has nowhere to deliver the exception, so it terminates.
-     */
-    void submit(std::function<void()> job);
-
-    unsigned threads() const
-    {
-        return static_cast<unsigned>(_threads.size());
-    }
-
-  private:
-    MpmcQueue<std::function<void()>> _queue;
-    std::vector<std::thread> _threads;
-};
 
 } // namespace ser
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared manifest-comparison helpers for the standalone checkers
- * (check_determinism, check_daemon): the canonical masking of the
- * two documented run-to-run-variable manifest fields, and a
- * structural JSON equality with a breadcrumb to the first mismatch.
+ * Manifest-comparison helpers for check_determinism: the canonical
+ * masking of the two documented run-to-run-variable manifest fields,
+ * and a structural JSON equality with a breadcrumb to the first
+ * mismatch.
  *
  * Masking contract (the determinism fixtures' definition of
  * "identical"): every value inside a "timings_seconds" object is

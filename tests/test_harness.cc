@@ -50,13 +50,15 @@ parseArgs(std::vector<std::string> args)
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
-    constexpr std::size_t n = 100;
-    std::vector<std::atomic<int>> hits(n);
-    harness::parallelFor(n, 4, [&](std::size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    // The large n makes each worker claim over a thousand indices.
+    for (std::size_t n : {std::size_t{100}, std::size_t{5000}}) {
+        std::vector<std::atomic<int>> hits(n);
+        harness::parallelFor(n, 4, [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "n " << n << " index " << i;
+    }
 }
 
 TEST(ParallelFor, MoreJobsThanWork)
@@ -73,13 +75,20 @@ TEST(ParallelFor, MoreJobsThanWork)
 
 TEST(ParallelFor, RethrowsWorkerException)
 {
+    std::vector<std::atomic<int>> hits(8);
     EXPECT_THROW(
         harness::parallelFor(8, 4,
                              [&](std::size_t i) {
+                                 hits[i].fetch_add(
+                                     1, std::memory_order_relaxed);
                                  if (i == 5)
                                      throw std::runtime_error("boom");
                              }),
         std::runtime_error);
+    // The throw stops no other index: the rethrow comes only after
+    // every worker drains.
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(DefaultJobs, IsAtLeastOne)
