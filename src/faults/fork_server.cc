@@ -13,43 +13,37 @@ ForkServer::ForkServer(const isa::Program &program,
                        std::uint64_t budget, unsigned checkpoints)
     : _program(program), _budget(budget)
 {
-    unsigned target = std::max(1u, checkpoints);
-    isa::Executor executor(_program);
-    _checkpoints.push_back(executor.snapshot());  // step 0
-
-    // Single golden pass with stride doubling: capture every
-    // 'stride' steps, and when the capture count reaches twice the
-    // target, drop every other checkpoint and double the stride. The
-    // final count lands in [target, 2*target) without knowing the
-    // run length in advance.
-    std::uint64_t stride = 1;
-    std::uint64_t limit = _budget ? _budget : (1ULL << 26);
-    isa::Termination term = isa::Termination::Running;
-    while (executor.steps() < limit) {
-        term = executor.step();
-        if (term != isa::Termination::Running)
-            break;
-        if (executor.steps() % stride == 0) {
-            _checkpoints.push_back(executor.snapshot());
-            if (_checkpoints.size() >= 2 * target) {
-                std::vector<isa::ExecCheckpoint> kept;
-                kept.reserve(target + 1);
-                for (std::size_t i = 0; i < _checkpoints.size();
-                     i += 2)
-                    kept.push_back(std::move(_checkpoints[i]));
-                _checkpoints = std::move(kept);
-                stride *= 2;
-            }
-        }
-    }
-    if (term != isa::Termination::Halted) {
+    // Pass 1 learns the golden length N and output. No snapshots: a
+    // snapshot copies the page table, thousands of pages on the
+    // large-working-set surrogates.
+    const std::uint64_t limit = _budget ? _budget : (1ULL << 26);
+    isa::Executor golden(_program);
+    if (golden.run(limit) != isa::Termination::Halted) {
         SER_PANIC("ForkServer: golden run did not halt within {} "
                   "steps", limit);
     }
-    _goldenSteps = executor.steps();
-    _goldenOutput = executor.state().output();
+    _goldenSteps = golden.steps();
+    _goldenOutput = golden.state().output();
     if (!_budget)
         _budget = 2 * _goldenSteps + 10000;
+
+    // Pass 2 snapshots step 0 and every multiple of the stride s
+    // before the halting step, where s is the smallest power of two
+    // with (2T - 1) * s >= N: 1 + floor((N - 1) / s) checkpoints,
+    // within [T, 2T) for any run of at least T steps. The checkpoint
+    // steps fix every fork's rerun length, which the campaign tables
+    // print, so this set must not move.
+    const std::uint64_t target = std::max(1u, checkpoints);
+    std::uint64_t stride = 1;
+    while ((2 * target - 1) * stride < _goldenSteps)
+        stride *= 2;
+    isa::Executor executor(_program);
+    _checkpoints.push_back(executor.snapshot());
+    for (std::uint64_t step = stride; step < _goldenSteps;
+         step += stride) {
+        executor.run(step - executor.steps());
+        _checkpoints.push_back(executor.snapshot());
+    }
 }
 
 const isa::ExecCheckpoint &

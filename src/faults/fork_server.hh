@@ -4,9 +4,10 @@
  *
  * A full counterfactual re-run replays the program from the entry
  * point for every injection. The ForkServer instead runs the golden
- * program once, capturing evenly spaced ExecCheckpoints, and serves
- * each injection by forking from the last checkpoint at or before
- * the strike — so an injection pays only its post-strike suffix.
+ * program twice, once to learn its length and once more to capture
+ * evenly spaced ExecCheckpoints, and serves each injection by forking
+ * from the last checkpoint at or before the strike — so an injection
+ * pays only its post-strike suffix.
  *
  * Checkpoints and forks share memory pages copy-on-write (see
  * isa::SparseMemory): a checkpoint costs the page table plus the
@@ -64,9 +65,10 @@ class ForkServer
      * @param program the program to serve forks of
      * @param budget absolute step budget for golden and forked runs
      *        (0 derives one later from the golden length: 2x + 10000)
-     * @param checkpoints target number of checkpoints (>= 1); the
-     *        actual count stays within [checkpoints, 2*checkpoints)
-     *        via stride doubling during the single golden pass
+     * @param checkpoints target number of checkpoints T (>= 1): step
+     *        0 and every multiple of the smallest power-of-two stride
+     *        s with (2T - 1) * s >= golden length, so the count lies
+     *        in [T, 2T) for any golden run of at least T steps
      *
      * Panics if the golden run does not halt within the budget — a
      * campaign against a non-terminating golden run has no baseline

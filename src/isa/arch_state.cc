@@ -163,10 +163,8 @@ ArchState::reset(const Program &program)
     _fpRegs[1] = std::bit_cast<std::uint64_t>(1.0);
     _predRegs.fill(false);
     _predRegs[0] = true;
-    _mem.clear();
+    _mem = program.dataImage();
     _output.clear();
-    for (const auto &init : program.dataInits())
-        _mem.writeWord(init.addr, init.value);
 }
 
 std::uint64_t

@@ -36,11 +36,13 @@ namespace isa
  *
  * Pages are shared copy-on-write: copying a SparseMemory copies the
  * page table and one pointer per page, and a write clones its page
- * first only while another copy still holds it. A memory that is
- * never copied (the timing model's oracle) owns every page outright
- * and pays one reference-count load per store. Copies that share
- * pages may live on different threads: a shared page is only ever
- * read, since every writer clones it first.
+ * first only while another copy still holds it. Every run starts as
+ * such a copy of its program's data image (Program::dataImage), so
+ * even the timing model's oracle clones each data page on its first
+ * store to it; a page the run materializes itself is owned outright,
+ * and a store to an owned page pays one reference-count load. Copies
+ * that share pages may live on different threads: a shared page is
+ * only ever read, since every writer clones it first.
  */
 class SparseMemory
 {
@@ -56,15 +58,6 @@ class SparseMemory
 
     /** Number of pages ever touched (for footprint statistics). */
     std::size_t numPages() const { return _pageStore.size(); }
-
-    void
-    clear()
-    {
-        _pageTable.clear();
-        _pageStore.clear();
-        _lastPage = noPage;
-        _lastSlot = 0;
-    }
 
     /**
      * Content equality. A page present on one side only counts as
@@ -101,7 +94,9 @@ class ArchState
   public:
     ArchState();
 
-    /** Reset registers/memory/output and load a program's data. */
+    /** Reset registers and output, and start memory as a copy of
+     * the program's data image: a page table plus one pointer per
+     * page, shared until written. */
     void reset(const Program &program);
 
     // Register accessors enforce the hardwired conventions.

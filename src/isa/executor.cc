@@ -12,9 +12,11 @@ namespace ser
 namespace isa
 {
 
-Executor::Executor(const Program &program) : _program(program)
+Executor::Executor(const Program &program)
+    : _program(program),
+      _pc(static_cast<std::uint32_t>(program.entry()))
 {
-    reset();
+    _state.reset(program);
 }
 
 Executor::Executor(const Program &program,
@@ -23,15 +25,6 @@ Executor::Executor(const Program &program,
       _pc(checkpoint.pc), _steps(checkpoint.steps),
       _callDepth(checkpoint.callDepth)
 {
-}
-
-void
-Executor::reset()
-{
-    _state.reset(_program);
-    _pc = static_cast<std::uint32_t>(_program.entry());
-    _steps = 0;
-    _callDepth = 0;
 }
 
 ExecCheckpoint

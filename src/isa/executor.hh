@@ -90,9 +90,6 @@ class Executor
      */
     Executor(const Program &program, const ExecCheckpoint &checkpoint);
 
-    /** Restart from the program entry with fresh state. */
-    void reset();
-
     /** Capture the current execution position and state. */
     ExecCheckpoint snapshot() const;
 

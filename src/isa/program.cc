@@ -1,7 +1,9 @@
 #include "program.hh"
 
+#include <memory>
 #include <sstream>
 
+#include "isa/arch_state.hh"
 #include "sim/logging.hh"
 
 namespace ser
@@ -45,6 +47,7 @@ Program::addData(std::uint64_t addr, std::uint64_t value)
 {
     _data.push_back({addr, value});
     _hash.clear();
+    _image.clear();
 }
 
 std::uint64_t
@@ -71,6 +74,32 @@ Program::contentHash() const
     mix(_entry);
     _hash.value.store(h, std::memory_order_relaxed);
     return h;
+}
+
+const SparseMemory &
+Program::dataImage() const
+{
+    if (const SparseMemory *image =
+            _image.value.load(std::memory_order_acquire))
+        return *image;
+    auto built = std::make_unique<SparseMemory>();
+    for (const DataInit &init : _data)
+        built->writeWord(init.addr, init.value);
+    // Publish with release so a thread that loads the pointer sees
+    // the finished pages; a racing builder that lost keeps the
+    // winner's image and frees its own.
+    const SparseMemory *expected = nullptr;
+    if (_image.value.compare_exchange_strong(
+            expected, built.get(), std::memory_order_acq_rel,
+            std::memory_order_acquire))
+        return *built.release();
+    return *expected;
+}
+
+void
+Program::ImageMemo::destroy(const SparseMemory *image)
+{
+    delete image;
 }
 
 void

@@ -24,6 +24,8 @@ namespace ser
 namespace isa
 {
 
+class SparseMemory;
+
 /** One 8-byte initialised data word. */
 struct DataInit
 {
@@ -106,6 +108,19 @@ class Program
      */
     std::uint64_t contentHash() const;
 
+    /**
+     * The initial data segment as a memory image: every dataInits()
+     * word written in order, so a repeated address holds its last
+     * value. ArchState::reset copies it, sharing its pages
+     * copy-on-write, instead of replaying millions of words per run.
+     * Memoized like contentHash(): addData drops the memo, a copy
+     * starts without one, and concurrent first callers on one shared
+     * program are race-free (they at worst build it twice). Read it
+     * through a copy: an in-place read warms the image's page memo,
+     * which no two threads may do at once.
+     */
+    const SparseMemory &dataImage() const;
+
     /** Address <-> instruction-index mapping. */
     static std::uint64_t indexToAddr(std::size_t index)
     {
@@ -144,6 +159,47 @@ class Program
         std::atomic<std::uint64_t> value{0};
     };
 
+    /** The dataImage() memo, owned; null means not built. Copies
+     * and moves never carry it over, as with HashMemo. clear() takes
+     * no lock and no atomic read-modify-write, keeping addData's
+     * per-word cost a plain load: a program being mutated is never
+     * shared. */
+    struct ImageMemo
+    {
+        ImageMemo() = default;
+        ImageMemo(const ImageMemo &) {}
+        ImageMemo(ImageMemo &&other) noexcept { other.clear(); }
+        ImageMemo &
+        operator=(const ImageMemo &)
+        {
+            clear();
+            return *this;
+        }
+        ImageMemo &
+        operator=(ImageMemo &&other) noexcept
+        {
+            clear();
+            other.clear();
+            return *this;
+        }
+        ~ImageMemo() { clear(); }
+        /** Inline: addData runs it once per data word, millions of
+         * times per surrogate, and almost never finds an image. */
+        void
+        clear()
+        {
+            if (const SparseMemory *image =
+                    value.load(std::memory_order_relaxed)) {
+                value.store(nullptr, std::memory_order_relaxed);
+                destroy(image);
+            }
+        }
+        /** Out of line: SparseMemory is incomplete here. */
+        static void destroy(const SparseMemory *image);
+
+        std::atomic<const SparseMemory *> value{nullptr};
+    };
+
     [[noreturn]] void instOutOfRange(std::size_t index) const;
 
     std::vector<StaticInst> _insts;
@@ -151,6 +207,7 @@ class Program
     std::vector<DataInit> _data;
     std::size_t _entry = 0;
     mutable HashMemo _hash;
+    mutable ImageMemo _image;
 };
 
 } // namespace isa

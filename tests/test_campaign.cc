@@ -26,6 +26,7 @@
 #include "isa/executor.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
+#include "workloads/random_program.hh"
 #include "workloads/suite.hh"
 
 using namespace ser;
@@ -186,8 +187,16 @@ namespace
 /** Stores walk ten pages (the first one straddles a page boundary)
  * and a second pass reads every stored word back: a fork that wrote
  * through a page it still shared with a checkpoint would change what
- * later forks from that checkpoint load. */
+ * later forks from that checkpoint load. The first load and the first
+ * two stores hit data words, so runs also write pages they share with
+ * the program's data image. */
 const char *kPagesSrc = R"(
+    .data 0xfd44
+    .word 5
+    .data 0x10000
+    .word 6
+    .data 0x10ffc
+    .word 7
     movi r5 = 0x10000
     movi r4 = 48
     movi r2 = 17
@@ -291,6 +300,74 @@ expectForksMatchReplays(const isa::Program &program, std::size_t sites)
         EXPECT_TRUE(fresh.state().equals(cp.state))
             << "a fork changed the checkpoint at step " << cp.steps;
     }
+
+    // The fresh replay starts from the program's data image, so it
+    // would agree with a checkpoint that a fork corrupted through a
+    // page all three share; rebuild the image word by word instead.
+    isa::SparseMemory reference;
+    for (const isa::DataInit &init : program.dataInits())
+        reference.writeWord(init.addr, init.value);
+    EXPECT_TRUE(program.dataImage().equals(reference))
+        << "a fork wrote into the program's data image";
+}
+
+/** The checkpoint set as a single golden pass with stride doubling
+ * captures it: snapshot every 'stride' steps, and when the count
+ * reaches 2T drop every other one and double the stride. ForkServer
+ * must keep exactly these steps. */
+struct StrideDoublingReference
+{
+    std::vector<std::uint64_t> checkpointSteps;
+    std::uint64_t goldenSteps = 0;
+    std::vector<std::uint64_t> goldenOutput;
+};
+
+StrideDoublingReference
+strideDoublingReference(const isa::Program &program, unsigned target)
+{
+    StrideDoublingReference ref;
+    ref.checkpointSteps.push_back(0);
+    isa::Executor executor(program);
+    std::uint64_t stride = 1;
+    isa::Termination term = isa::Termination::Running;
+    while (executor.steps() < (1ULL << 26)) {
+        term = executor.step();
+        if (term != isa::Termination::Running)
+            break;
+        if (executor.steps() % stride == 0) {
+            ref.checkpointSteps.push_back(executor.steps());
+            if (ref.checkpointSteps.size() >= 2 * target) {
+                std::vector<std::uint64_t> kept;
+                for (std::size_t i = 0;
+                     i < ref.checkpointSteps.size(); i += 2)
+                    kept.push_back(ref.checkpointSteps[i]);
+                ref.checkpointSteps = std::move(kept);
+                stride *= 2;
+            }
+        }
+    }
+    EXPECT_EQ(term, isa::Termination::Halted);
+    ref.goldenSteps = executor.steps();
+    ref.goldenOutput = executor.state().output();
+    return ref;
+}
+
+void
+expectCheckpointsMatchStrideDoubling(const isa::Program &program)
+{
+    for (unsigned target : {1u, 2u, 3u, 8u, 32u}) {
+        const StrideDoublingReference ref =
+            strideDoublingReference(program, target);
+        const ForkServer fork(program, 0, target);
+        std::vector<std::uint64_t> steps;
+        for (const isa::ExecCheckpoint &cp : fork.checkpoints())
+            steps.push_back(cp.steps);
+        EXPECT_EQ(steps, ref.checkpointSteps) << "T = " << target;
+        EXPECT_EQ(fork.goldenSteps(), ref.goldenSteps)
+            << "T = " << target;
+        EXPECT_EQ(fork.goldenOutput(), ref.goldenOutput)
+            << "T = " << target;
+    }
 }
 
 } // namespace
@@ -308,6 +385,27 @@ TEST(ForkServer, MemoryForksMatchFullRerun)
         SCOPED_TRACE("mcf surrogate");
         expectForksMatchReplays(workloads::buildBenchmark("mcf", 3000),
                                 32);
+    }
+}
+
+TEST(ForkServer, CheckpointsMatchStrideDoubling)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("random program " + std::to_string(seed));
+        expectCheckpointsMatchStrideDoubling(
+            workloads::randomProgram(seed));
+    }
+    {
+        // 5 steps: shorter than 2T - 1 for T = 8 and 32, exactly
+        // 2T - 1 for T = 3.
+        SCOPED_TRACE("five-step program");
+        expectCheckpointsMatchStrideDoubling(isa::assembleOrDie(
+            "movi r4 = 1\nout r4\naddi r4 = r4, 1\nout r4\nhalt\n"));
+    }
+    for (const char *bench : {"gzip", "mcf"}) {
+        SCOPED_TRACE(bench);
+        expectCheckpointsMatchStrideDoubling(
+            workloads::buildBenchmark(bench, 60000));
     }
 }
 

@@ -20,6 +20,7 @@
 #include "isa/isa.hh"
 #include "isa/program.hh"
 #include "sim/rng.hh"
+#include "workloads/suite.hh"
 
 using namespace ser;
 using namespace ser::isa;
@@ -324,11 +325,60 @@ TEST(SparseMemory, EqualsOnSharedClonedAndOneSidedZeroPages)
     EXPECT_FALSE(b.equals(a));
 }
 
+namespace
+{
+
+/** The memory a run of 'p' starts from, written word by word from
+ * dataInits() and never read from Program::dataImage(). */
+SparseMemory
+referenceImage(const Program &p)
+{
+    SparseMemory mem;
+    for (const DataInit &init : p.dataInits())
+        mem.writeWord(init.addr, init.value);
+    return mem;
+}
+
+/** The whole state a run of 'p' starts from, by the same route. */
+ArchState
+referenceStart(const Program &p)
+{
+    ArchState st;
+    st.memory() = referenceImage(p);
+    return st;
+}
+
+/** Data words with a repeated address (the later value wins) and an
+ * unaligned word straddling pages 3 and 4; the code stores over both
+ * before printing what it loaded. */
+Program
+overlappingDataProgram()
+{
+    Program p = assembleOrDie(R"(
+        movi r5 = 0x3000
+        ld8 r2 = [r5, 0]
+        ld8 r3 = [r5, 4092]
+        st8 [r5, 8] = r2
+        st8 [r5, 4092] = r2
+        out r2
+        out r3
+        halt
+    )");
+    p.addData(0x3000, 1);
+    p.addData(0x3008, 2);
+    p.addData(0x3000, 3);
+    p.addData(0x3ffc, 0x1122334455667788ULL);
+    return p;
+}
+
+} // namespace
+
 TEST(Program, ContentHashFollowsEveryMutator)
 {
     const char *src = ".data 0x2000\n.word 7\nmovi r4 = 1\nout r4\nhalt\n";
     // After each edit the memo must be gone: the hash equals that of
     // a program given the same edits and hashed only once, and moves.
+    // The data image follows the same contract.
     const std::function<void(Program &)> edits[] = {
         [](Program &q) {
             q.append(StaticInst(Opcode::Nop, 0, 0, 0, 0, 0));
@@ -344,6 +394,7 @@ TEST(Program, ContentHashFollowsEveryMutator)
     // Pinned: run-cache keys and disk-tier blob names derive from
     // this value, so the FNV walk must never change.
     EXPECT_EQ(p.contentHash(), 0x7941d6405c691cc6ULL);
+    EXPECT_TRUE(p.dataImage().equals(referenceImage(p)));
     std::set<std::uint64_t> seen = {p.contentHash()};
     for (std::size_t k = 0; k < std::size(edits); ++k) {
         edits[k](p);
@@ -352,7 +403,75 @@ TEST(Program, ContentHashFollowsEveryMutator)
             edits[j](fresh);
         EXPECT_EQ(p.contentHash(), fresh.contentHash()) << "edit " << k;
         EXPECT_TRUE(seen.insert(p.contentHash()).second) << "edit " << k;
+        EXPECT_TRUE(p.dataImage().equals(referenceImage(fresh)))
+            << "edit " << k;
     }
+
+    // A copy builds its own image, equal to the source's; editing the
+    // copy leaves the source's alone.
+    Program copy = p;
+    EXPECT_NE(&copy.dataImage(), &p.dataImage());
+    EXPECT_TRUE(copy.dataImage().equals(p.dataImage()));
+    copy.addData(0x2000, 8);
+    EXPECT_TRUE(copy.dataImage().equals(referenceImage(copy)));
+    EXPECT_TRUE(p.dataImage().equals(referenceImage(p)));
+    EXPECT_FALSE(p.dataImage().equals(copy.dataImage()));
+}
+
+TEST(Program, DataImageEqualsTheWordByWordState)
+{
+    const Program p = overlappingDataProgram();
+    const ArchState ref = referenceStart(p);
+    EXPECT_EQ(ref.memory().readWord(0x3000), 3u);
+    EXPECT_EQ(ref.memory().readWord(0x3ffc), 0x1122334455667788ULL);
+
+    Executor ex(p);
+    EXPECT_TRUE(ex.state().equals(ref));
+    EXPECT_EQ(ex.state().memory().numPages(), ref.memory().numPages());
+    EXPECT_TRUE(p.dataImage().equals(ref.memory()));
+}
+
+TEST(Program, StoresNeverReachTheDataImage)
+{
+    // Executors share the image's pages; a store must clone its page
+    // first, whether the other executor was built before or after.
+    const Program p = overlappingDataProgram();
+    const ArchState ref = referenceStart(p);
+    Executor before(p);
+    Executor writer(p);
+    ASSERT_EQ(writer.run(100), Termination::Halted);
+    EXPECT_EQ(writer.state().output(),
+              (std::vector<std::uint64_t>{3, 0x1122334455667788ULL}));
+    EXPECT_EQ(writer.state().memory().readWord(0x3008), 3u);
+    EXPECT_EQ(writer.state().memory().readWord(0x3ffc), 3u);
+
+    Executor after(p);
+    EXPECT_TRUE(before.state().equals(ref));
+    EXPECT_TRUE(after.state().equals(ref));
+    EXPECT_TRUE(p.dataImage().equals(ref.memory()));
+}
+
+TEST(Program, DataImageIsRaceFreeOnASharedProgram)
+{
+    // Eight executors start at once on one shared program, so their
+    // first callers race to build the image (TSan builds check the
+    // race), and then run side by side on its shared pages.
+    const Program p = workloads::buildBenchmark("gzip", 5000);
+    std::vector<std::uint64_t> outputs[8];
+    std::vector<std::thread> threads;
+    for (std::vector<std::uint64_t> &out : outputs) {
+        threads.emplace_back([&p, &out] {
+            Executor ex(p);
+            EXPECT_EQ(ex.run(1000000), Termination::Halted);
+            out = ex.state().output();
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_FALSE(outputs[0].empty());
+    for (const std::vector<std::uint64_t> &out : outputs)
+        EXPECT_EQ(out, outputs[0]);
+    EXPECT_TRUE(p.dataImage().equals(referenceImage(p)));
 }
 
 TEST(Program, ContentHashIsRaceFreeOnASharedProgram)
