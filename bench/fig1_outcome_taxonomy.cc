@@ -31,7 +31,6 @@
 #include "harness/progress.hh"
 #include "harness/reporting.hh"
 #include "harness/suite_runner.hh"
-#include "harness/telemetry_server.hh"
 #include "isa/executor.hh"
 #include "sim/config.hh"
 #include "sim/prof.hh"
@@ -90,14 +89,9 @@ main(int argc, char **argv)
     // --jobs worker pool. Each campaign seeds its own RNG from the
     // config, so results are independent of scheduling. This bench
     // bypasses SuiteRunner, so it drives the --progress reporter
-    // (and the --serve /runs ledger) itself; /status works because
-    // the telemetry server reads the same Progress state.
+    // itself.
     harness::Progress &progress = harness::Progress::instance();
     progress.beginSweep(4, "fig1_outcome_taxonomy");
-    harness::TelemetryServer &server =
-        harness::TelemetryServer::instance();
-    static const char *kVariants[] = {"none", "parity", "ecc",
-                                      "parity+pi"};
     faults::CampaignResult unprot, parity, ecc, tracked;
     harness::parallelFor(4, opts.jobs, [&](std::size_t i) {
         SER_PROF_SCOPE("campaign");
@@ -128,10 +122,6 @@ main(int argc, char **argv)
           }
         }
         progress.runCompleted();
-        if (server.running())
-            server.publishRun(i,
-                              std::string("campaign/") + kVariants[i],
-                              trace.ipc(), "");
     });
     progress.endSweep();
 

@@ -17,16 +17,14 @@
  * (faults::ConvergencePoint): the convergence table below shows how
  * many samples each campaign needed to reach --ci-target, and
  * --convergence-out streams the full series as JSONL for plotting
- * time-to-CI-target (scripts/bench_compare.py-style tooling). With
- * --serve PORT the same series is queryable live at /campaign while
- * the sweep runs.
+ * time-to-CI-target (scripts/bench_compare.py-style tooling).
  *
  * Usage: fig_campaign [insts=N] [samples=N] [benchmarks=a,b]
  *                     [protections=none,parity,ecc]
  *                     [structures=iq,regfile] [cseed=N] [batch=N]
  *                     [checkpoints=N] [--ci-target X] [--topn N]
  *                     [--jobs N] [--json PATH] [--csv]
- *                     [--convergence-out F] [--serve PORT]
+ *                     [--convergence-out F]
  */
 
 #include <iostream>
@@ -221,7 +219,7 @@ main(int argc, char **argv)
     // CI half-width shrank, and (when --ci-target is set) how many
     // samples it took to cross it. The series itself is a campaign
     // result (deterministic), so this table is byte-identical across
-    // --jobs / cache / --serve variants.
+    // --jobs and cache variants.
     Table conv({"benchmark", "protection", "batches", "samples",
                 "final CI half-width", "samples to target",
                 "early stop"});

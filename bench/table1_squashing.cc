@@ -300,8 +300,7 @@ main(int argc, char **argv)
         if (!opts.jsonPath.empty())
             report.addTable("campaign_reconciliation", recon);
     }
-    // Per-batch campaign convergence series (plot time-to-CI-target;
-    // live view at /campaign with --serve).
+    // Per-batch campaign convergence series (plot time-to-CI-target).
     if (!opts.convergenceOutPath.empty())
         harness::writeConvergenceJsonl(opts.convergenceOutPath,
                                        runs);

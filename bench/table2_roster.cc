@@ -21,7 +21,6 @@
 #include "harness/progress.hh"
 #include "harness/reporting.hh"
 #include "harness/suite_runner.hh"
-#include "harness/telemetry_server.hh"
 #include "sim/config.hh"
 #include "sim/prof.hh"
 #include "workloads/profile.hh"
@@ -52,13 +51,9 @@ main(int argc, char **argv)
     const auto &suite = workloads::specSuite();
     std::vector<avf::DeadnessResult> deadness(suite.size());
     // Bare parallelFor (no SuiteRunner), so this bench drives the
-    // --progress reporter (and the --serve /runs ledger) itself;
-    // /status works because the telemetry server reads the same
-    // Progress state.
+    // --progress reporter itself.
     harness::Progress &progress = harness::Progress::instance();
     progress.beginSweep(suite.size(), "table2_roster");
-    harness::TelemetryServer &server =
-        harness::TelemetryServer::instance();
     harness::parallelFor(
         suite.size(), opts.jobs, [&](std::size_t i) {
             SER_PROF_SCOPE("roster_point");
@@ -71,9 +66,6 @@ main(int argc, char **argv)
             trace.program = &program;
             deadness[i] = avf::analyzeDeadness(trace);
             progress.runCompleted();
-            if (server.running())
-                server.publishRun(i, suite[i].name, trace.ipc(),
-                                  "");
         });
     progress.endSweep();
 

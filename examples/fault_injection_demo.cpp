@@ -12,7 +12,7 @@
  * Usage: fault_injection_demo [benchmark=crafty] [insts=40000]
  *        [samples=2000] [structures=iq] [--ci-target X]
  *        [--progress] [--jobs N] [--json PATH]
- *        [--convergence-out F] [--serve PORT]
+ *        [--convergence-out F]
  */
 
 #include <iostream>

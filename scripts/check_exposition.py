@@ -4,8 +4,7 @@
 Usage:
     scripts/check_exposition.py FILE [FILE...]
 
-Validates the invariants the --metrics-out snapshots and the live
-/metrics endpoint both promise:
+Validates the invariants every --metrics-out snapshot promises:
 
   - metric and label names match the Prometheus charset
     ([a-zA-Z_:][a-zA-Z0-9_:]* and [a-zA-Z_][a-zA-Z0-9_]*)
@@ -14,16 +13,16 @@ Validates the invariants the --metrics-out snapshots and the live
   - # TYPE values come from the known set
   - families appear in sorted order (the registry iterates a sorted
     map; an unsorted exposition means samples leaked out of
-    renderExposition()/writeSnapshot())
+    writePrometheus())
   - sample names belong to the most recent family (plus the _bucket/
     _sum/_count children of histogram and summary families)
   - label blocks parse, with \\\\ \\" \\n escapes, and no series
     (name + label set) appears twice
   - sample values parse as floats (+Inf/-Inf/NaN allowed)
 
-Exits nonzero listing every violation. Used by ctest over both the
-file snapshot (metrics_* fixtures) and a live /metrics scrape saved
-by check_telemetry (telemetry fixtures).
+Exits nonzero listing every violation. Used by ctest over a fig3
+sweep's snapshot (metrics_* fixtures) and a campaign sweep's, which
+adds the ser_campaign_* families (campaign_* fixtures).
 """
 
 import re

@@ -1,5 +1,6 @@
 #include "regfile_avf.hh"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 #include <vector>
@@ -25,10 +26,14 @@ struct Window
     bool dead = false;
 };
 
+/** Folds one file's value windows, clipped to the measurement
+ * window [lo, hi) the IQ fold and the campaign's sampler use. */
 class FileAccum
 {
   public:
-    FileAccum(std::uint64_t regs, std::uint64_t bits)
+    FileAccum(std::uint64_t regs, std::uint64_t bits,
+              std::uint64_t window_lo, std::uint64_t window_hi)
+        : lo(window_lo), hi(window_hi)
     {
         result.regs = regs;
         result.bitsPerReg = bits;
@@ -70,34 +75,48 @@ class FileAccum
             // Dead values (or values never read before overwrite):
             // the whole window is un-ACE — and is exactly what the
             // pi-per-register bit proves false.
-            result.deadValue += (end - w.defCycle) * bits;
+            result.deadValue += clipped(w.defCycle, end) * bits;
         } else {
             std::uint64_t last =
                 std::min(std::max(w.lastReadCycle, w.defCycle), end);
-            result.ace += (last - w.defCycle) * bits;
-            result.exAce += (end - last) * bits;
+            result.ace += clipped(w.defCycle, last) * bits;
+            result.exAce += clipped(last, end) * bits;
         }
         w.open = false;
     }
 
     void
-    finish(std::uint64_t end_cycle, std::uint64_t window_cycles)
+    finish()
     {
         for (std::size_t r = 0; r < windows.size(); ++r)
-            close(r, end_cycle);
+            close(r, hi);
         result.totalBitCycles =
-            result.regs * result.bitsPerReg * window_cycles;
+            result.regs * result.bitsPerReg * (hi - lo);
+        // A register holds one value at a time, so its clipped
+        // windows tile at most [lo, hi).
         std::uint64_t used =
             result.ace + result.exAce + result.deadValue;
-        result.unwritten =
-            used > result.totalBitCycles
-                ? 0
-                : result.totalBitCycles - used;
+        if (used > result.totalBitCycles)
+            SER_PANIC("computeRegFileAvf: {} classified bit-cycles "
+                      "exceed the {}-bit-cycle window", used,
+                      result.totalBitCycles);
+        result.unwritten = result.totalBitCycles - used;
     }
 
     RegFileAvf result;
 
   private:
+    /** Cycles of [a, b) inside [lo, hi). */
+    std::uint64_t
+    clipped(std::uint64_t a, std::uint64_t b) const
+    {
+        a = std::max(a, lo);
+        b = std::min(b, hi);
+        return b > a ? b - a : 0;
+    }
+
+    std::uint64_t lo;
+    std::uint64_t hi;
     std::vector<Window> windows;
 };
 
@@ -121,9 +140,11 @@ computeRegFileAvf(const cpu::SimTrace &trace,
             commit_cycle[inc.oracleSeq] = inc.evictCycle;
     }
 
-    FileAccum int_file(isa::numIntRegs, 64);
-    FileAccum fp_file(isa::numFpRegs, 64);
-    FileAccum pred_file(isa::numPredRegs, 1);
+    const std::uint64_t lo = trace.startCycle;
+    const std::uint64_t hi = trace.endCycle;
+    FileAccum int_file(isa::numIntRegs, 64, lo, hi);
+    FileAccum fp_file(isa::numFpRegs, 64, lo, hi);
+    FileAccum pred_file(isa::numPredRegs, 1, lo, hi);
 
     auto file_for = [&](isa::RegClass rc) -> FileAccum * {
         switch (rc) {
@@ -158,11 +179,10 @@ computeRegFileAvf(const cpu::SimTrace &trace,
         }
     }
 
-    std::uint64_t window = trace.endCycle - trace.startCycle;
     RegFileAvfResult out;
-    int_file.finish(trace.endCycle, window);
-    fp_file.finish(trace.endCycle, window);
-    pred_file.finish(trace.endCycle, window);
+    int_file.finish();
+    fp_file.finish();
+    pred_file.finish();
     out.intFile = int_file.result;
     out.fpFile = fp_file.result;
     out.predFile = pred_file.result;

@@ -15,7 +15,9 @@
  *
  * Timing comes from the committed stream: a value is charged from
  * its producer's commit cycle to its consumers' commit cycles (a
- * writeback-to-read approximation of register-file residency).
+ * writeback-to-read approximation of register-file residency). Like
+ * the IQ fold, every window is clipped to the measurement window
+ * [startCycle, endCycle), so warm-up residency charges nothing.
  */
 
 #ifndef SER_AVF_REGFILE_AVF_HH

@@ -209,8 +209,7 @@ struct CampaignOutcome
 
     /** Per-batch convergence time-series (one point per folded
      * batch, in fold order) — what `--convergence-out` streams to
-     * JSONL and the telemetry server's /campaign endpoint shows
-     * live. Deterministic: see ConvergencePoint. */
+     * JSONL. Deterministic: see ConvergencePoint. */
     std::vector<ConvergencePoint> convergence;
 
     /** Mean forked cost per re-run as a fraction of a full golden

@@ -10,7 +10,6 @@
 #include "harness/run_cache.hh"
 #include "harness/shutdown.hh"
 #include "harness/suite_runner.hh"
-#include "harness/telemetry_server.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 #include "sim/prof.hh"
@@ -68,11 +67,6 @@ printUsage(const char *argv0, const std::string &usage)
                  "                   also enables sim::prof)\n"
               << "  --progress       live one-line sweep progress on "
                  "stderr\n"
-              << "  --serve PORT     live-telemetry HTTP server on "
-                 "127.0.0.1:PORT\n"
-                 "                   (GET /metrics /status /runs "
-                 "/campaign /healthz;\n"
-                 "                   0 picks an ephemeral port)\n"
               << "  --ci-target X    fault-injection campaigns stop "
                  "early once every 95% CI\n"
                  "                   half-width falls below X "
@@ -209,16 +203,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             if (opts.convergenceOutPath.empty())
                 SER_FATAL("{}: --convergence-out needs a path",
                           argv[0]);
-        } else if (token == "--serve" ||
-                   token.rfind("--serve=", 0) == 0) {
-            std::string text =
-                optionValue(argc, argv, i, "--serve", token);
-            std::uint64_t port =
-                parseCount(argv[0], "--serve", text);
-            if (port > 65535)
-                SER_FATAL("{}: --serve port {} out of range",
-                          argv[0], port);
-            opts.servePort = static_cast<int>(port);
         } else if (token == "--progress") {
             opts.progress = true;
             Progress::instance().setEnabled(true);
@@ -274,22 +258,9 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
         // Terminating signals never unwind through atexit; a
         // dedicated sigwait watcher flushes the final snapshot on
         // SIGINT/SIGTERM instead (harness/shutdown.hh). parse()
-        // still runs before any worker/server thread exists, so the
+        // still runs before any worker thread exists, so the
         // blocked-signal mask is inherited everywhere.
         installShutdownFlush();
-    }
-    // The HTTP server starts after every option is parsed (a --help
-    // or usage error never leaves a live socket) and before any
-    // simulation work, so a scraper can watch the sweep from run 0.
-    if (opts.servePort >= 0) {
-        TelemetryServer &server = TelemetryServer::instance();
-        server.start(static_cast<std::uint16_t>(opts.servePort));
-        // The announce goes to stderr, not SER_INFORM (stdout):
-        // stdout must stay byte-identical with --serve on vs off.
-        std::cerr << "info: telemetry: serving http://127.0.0.1:"
-                  << server.port()
-                  << "/ (/metrics /status /runs /campaign "
-                     "/healthz)\n";
     }
     return opts;
 }

@@ -37,10 +37,6 @@
  *   --progress       live one-line sweep progress on stderr
  *                    (completed/total, runs/s, cache hit rate,
  *                    campaign CI convergence, ETA)
- *   --serve PORT     embedded live-telemetry HTTP server on
- *                    127.0.0.1:PORT (/metrics /status /runs
- *                    /campaign /healthz); read-only, so output stays
- *                    byte-identical with the server on or off
  *   --ci-target X    adaptive early stop for fault-injection
  *                    campaigns: stop sampling once every 95% CI
  *                    half-width is below X (campaign benches only)
@@ -111,12 +107,6 @@ struct BenchOptions
     /** True after --progress (parse() also arms the process-wide
      * harness::Progress reporter). */
     bool progress = false;
-
-    /** --serve PORT: parse() starts the process-wide
-     * harness::TelemetryServer on 127.0.0.1:PORT before returning,
-     * so the endpoints answer for the binary's whole lifetime.
-     * -1 = off; 0 picks an ephemeral port (announced on stderr). */
-    int servePort = -1;
 
     /** --convergence-out F; empty = off. Benches that run campaigns
      * stream the per-batch convergence time-series (recorded in

@@ -8,7 +8,6 @@
 #include "cpu/pipeline.hh"
 #include "harness/metrics.hh"
 #include "harness/progress.hh"
-#include "harness/telemetry_server.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/prof.hh"
@@ -188,29 +187,21 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
     }
     if (config.campaign.samples) {
         ScopedTimer timer(out.timings, "campaign");
-        // Live-telemetry fan-out rides on the onConvergence hook:
-        // every folded batch updates the --progress CI segment and
-        // the telemetry server's /campaign ring. Hooks are
-        // non-semantic (excluded from cacheKey), and like the
-        // ser_campaign_* counters below they fire on the miss path
-        // only — a cache hit re-runs nothing, so there is nothing
-        // live to report.
+        // Every folded batch updates the --progress CI segment
+        // through the onConvergence hook. Hooks are non-semantic
+        // (excluded from cacheKey), and like the ser_campaign_*
+        // counters below they fire on the miss path only — a cache
+        // hit re-runs nothing, so there is nothing live to report.
         faults::CampaignSpec spec = config.campaign;
         {
             auto inner = spec.onConvergence;
-            std::string benchmark = out.benchmark;
-            std::string protection =
-                faults::protectionName(spec.protection);
             double ci_target = spec.ciTarget;
             spec.onConvergence =
-                [inner, benchmark, protection,
-                 ci_target](const faults::ConvergencePoint &point) {
+                [inner, ci_target](const faults::ConvergencePoint &point) {
                     if (inner)
                         inner(point);
                     Progress::instance().campaignTick(
                         point.worstHalfWidth, ci_target);
-                    TelemetryServer::instance().publishCampaignPoint(
-                        benchmark, protection, point);
                 };
         }
         auto compute = [&] {
@@ -306,11 +297,6 @@ runProgram(std::shared_ptr<const isa::Program> program,
     }
     metrics.add("ser_runs_total", 1,
                 "Experiment runs by final status.", "status", "ok");
-    for (const auto &phase : out.timings.phases)
-        metrics.addSeconds(
-            "ser_run_phase_seconds_total", phase.second,
-            "Wall-clock seconds per experiment phase.", "phase",
-            phase.first);
     metrics.maxGauge(
         "ser_dyninst_pool_high_water", out.poolHighWater,
         "Largest in-flight DynInst pool size observed in any run.");
@@ -328,14 +314,6 @@ runProgram(std::shared_ptr<const isa::Program> program,
 void
 prependTimings(PhaseTimings head, RunArtifacts &run)
 {
-    // Phases recorded outside runProgram (the one-time program
-    // build) reach the metrics registry here — called exactly once
-    // per build, so nothing double-counts.
-    for (const auto &phase : head.phases)
-        MetricsRegistry::instance().addSeconds(
-            "ser_run_phase_seconds_total", phase.second,
-            "Wall-clock seconds per experiment phase.", "phase",
-            phase.first);
     head.phases.insert(head.phases.end(),
                        run.timings.phases.begin(),
                        run.timings.phases.end());
@@ -349,6 +327,7 @@ runBenchmark(const workloads::BenchmarkProfile &profile,
     PhaseTimings build_timings;
     auto program = [&] {
         ScopedTimer timer(build_timings, "build");
+        SER_PROF_SCOPE("build");
         return std::make_shared<const isa::Program>(
             workloads::buildBenchmark(profile,
                                       config.dynamicTarget));

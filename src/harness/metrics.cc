@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -222,15 +221,6 @@ MetricsRegistry::writePrometheus(std::ostream &os) const
             os << "\n";
         }
     }
-}
-
-std::string
-MetricsRegistry::renderExposition()
-{
-    collectProcessMetrics();
-    std::ostringstream os;
-    writePrometheus(os);
-    return os.str();
 }
 
 void

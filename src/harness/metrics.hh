@@ -7,8 +7,8 @@
  * The registry unifies three sources:
  *
  *  - harness-level run accounting pushed by runProgram() and
- *    SuiteRunner (runs completed/failed, per-phase wall time,
- *    skipped cycles, DynInst pool high-water, trace events);
+ *    SuiteRunner (runs completed/failed, sweeps, DynInst pool
+ *    high-water, campaign work, trace events);
  *  - the RunCache's section counters (hits / misses / evictions /
  *    cached bytes), pulled at snapshot time;
  *  - the sim::prof layer's counters and hierarchical scope timers
@@ -16,9 +16,9 @@
  *
  * `--metrics-out FILE` (BenchOptions) arms the registry: a snapshot
  * is written on every sweep epoch (every MetricsRegistry::epochRuns
- * completed runs of a SuiteRunner sweep, so a watcher — or the
- * future server mode's /metrics endpoint — sees live progress) and
- * once at process exit, atomically (write-to-temp + rename), so a
+ * completed runs of a SuiteRunner sweep, so a watcher sees live
+ * progress), once at process exit, and on SIGINT/SIGTERM
+ * (harness/shutdown.hh), atomically (write-to-temp + rename), so a
  * concurrent reader never sees a torn file.
  *
  * Determinism contract (extends DESIGN.md §7's): every metric value
@@ -99,18 +99,6 @@ class MetricsRegistry
      */
     void writePrometheus(std::ostream &os) const;
 
-    /** collectProcessMetrics() + writePrometheus() into a string: a
-     * complete, self-consistent exposition document rendered under
-     * the registry lock — what the telemetry server's /metrics
-     * endpoint serves on every pull, instead of a stale file
-     * snapshot. */
-    std::string renderExposition();
-
-    /** Import the RunCache counters, the sim::prof snapshot, and the
-     * ser_build_info gauge into the registry (absolute sets — their
-     * sources already hold process totals). */
-    void collectProcessMetrics();
-
     /** collectProcessMetrics() + atomic write to the armed path.
      * Returns false (and does nothing) when no path is armed. */
     bool writeSnapshot();
@@ -119,6 +107,11 @@ class MetricsRegistry
     void clear();
 
   private:
+    /** Import the RunCache counters, the sim::prof snapshot, and the
+     * ser_build_info gauge into the registry (absolute sets — their
+     * sources already hold process totals). */
+    void collectProcessMetrics();
+
     enum class Kind { Counter, Gauge, Seconds };
 
     struct Series

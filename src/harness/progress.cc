@@ -50,14 +50,11 @@ Progress::instance()
 void
 Progress::beginSweep(std::size_t total, std::string label)
 {
-    // State is recorded even when drawing is off, so the telemetry
-    // server's /status snapshot works without --progress.
     _total.store(total);
     _done.store(0);
     _lastDrawNs.store(0);
     _ciHalfWidthPpb.store(kNoCi);
     _ciTargetPpb.store(0);
-    _everBegan.store(true);
     {
         std::lock_guard<std::mutex> guard(_metaLock);
         _start = std::chrono::steady_clock::now();
@@ -114,42 +111,6 @@ Progress::endSweep()
     if (!enabled() || _total.load() == 0)
         return;
     draw(true);
-}
-
-Progress::Snapshot
-Progress::snapshot() const
-{
-    Snapshot snap;
-    snap.active = _everBegan.load();
-    if (!snap.active)
-        return snap;
-    snap.done = _done.load();
-    snap.total = _total.load();
-    {
-        std::lock_guard<std::mutex> guard(_metaLock);
-        snap.label = _label;
-        snap.elapsedSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - _start).count();
-    }
-    snap.runsPerSec = snap.elapsedSeconds > 0
-                          ? static_cast<double>(snap.done) /
-                                snap.elapsedSeconds
-                          : 0.0;
-    snap.etaSeconds =
-        snap.runsPerSec > 0
-            ? static_cast<double>(snap.total - snap.done) /
-                  snap.runsPerSec
-            : -1.0;
-    std::uint64_t half_width = _ciHalfWidthPpb.load();
-    if (half_width != kNoCi) {
-        snap.campaignActive = true;
-        snap.campaignHalfWidth =
-            static_cast<double>(half_width) * 1e-9;
-        snap.campaignTarget =
-            static_cast<double>(_ciTargetPpb.load()) * 1e-9;
-    }
-    return snap;
 }
 
 void

@@ -40,11 +40,8 @@ namespace harness
 {
 
 /** Live progress over a fixed number of runs; see file comment.
- *
- * Sweep state (done/total/label/clock) is recorded unconditionally —
- * the atomics cost nothing next to a run — so the telemetry server's
- * /status endpoint can report a sweep even when the stderr line is
- * not armed; only *drawing* is gated on --progress. */
+ * Callers drive it unconditionally: recording the sweep state costs
+ * a few atomics per run, and only drawing is gated on --progress. */
 class Progress
 {
   public:
@@ -73,22 +70,6 @@ class Progress
      * most recent batch, which is all a live ticker promises. */
     void campaignTick(double ci_half_width, double ci_target);
 
-    /** A read-only copy of the sweep state for /status. */
-    struct Snapshot
-    {
-        bool active = false;  ///< a sweep has begun this process
-        std::string label;
-        std::uint64_t done = 0;
-        std::uint64_t total = 0;
-        double elapsedSeconds = 0.0;
-        double runsPerSec = 0.0;
-        double etaSeconds = -1.0;  ///< < 0 = unknown
-        bool campaignActive = false;
-        double campaignHalfWidth = 1.0;
-        double campaignTarget = 0.0;
-    };
-    Snapshot snapshot() const;
-
   private:
     Progress() = default;
 
@@ -104,10 +85,9 @@ class Progress
     static constexpr std::uint64_t kNoCi = ~0ull;
     std::atomic<std::uint64_t> _ciHalfWidthPpb{kNoCi};
     std::atomic<std::uint64_t> _ciTargetPpb{0};
-    std::atomic<bool> _everBegan{false};
-    /** Guards _start/_label against the telemetry thread's
-     * snapshot() racing a beginSweep(). */
-    mutable std::mutex _metaLock;
+    /** Guards _start/_label, which beginSweep() writes and draw()
+     * reads on whichever worker thread claims the redraw. */
+    std::mutex _metaLock;
     std::chrono::steady_clock::time_point _start;
     std::string _label;
 };

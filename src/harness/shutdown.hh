@@ -13,7 +13,7 @@
  * from a handler) undefined: the registry takes mutexes and
  * allocates. Instead, installShutdownFlush() *blocks* SIGINT/SIGTERM
  * in the calling thread — BenchOptions::parse runs before any worker
- * or server thread spawns, so every later thread inherits the mask —
+ * thread spawns, so every later thread inherits the mask —
  * and parks a dedicated watcher thread in sigwait(2). The watcher
  * runs in a normal thread context, so it can safely take the
  * registry's locks, write the snapshot with the usual temp+rename

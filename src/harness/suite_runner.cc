@@ -2,15 +2,12 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <sstream>
 
-#include "harness/manifest.hh"
 #include "harness/metrics.hh"
 #include "harness/progress.hh"
-#include "harness/telemetry_server.hh"
-#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
+#include "sim/prof.hh"
 #include "workloads/suite.hh"
 
 namespace ser
@@ -111,6 +108,7 @@ SuiteRunner::run()
             SharedProgram &shared = *_programs[job.programId];
             std::call_once(shared.built, [&] {
                 ScopedTimer timer(shared.buildTimings, "build");
+                SER_PROF_SCOPE("build");
                 shared.program =
                     std::make_shared<const isa::Program>(
                         workloads::buildBenchmark(
@@ -121,22 +119,6 @@ SuiteRunner::run()
             results[i].seed = shared.profile.seed;
         }
         progress.runCompleted();
-        // Publish the completed run to the telemetry server (/runs).
-        // Read-only with respect to the sweep: the manifest bytes
-        // are the same ones JsonReport would serialize, so --serve
-        // cannot perturb any output the fixtures compare.
-        TelemetryServer &server = TelemetryServer::instance();
-        if (server.running()) {
-            std::string manifest;
-            if (!job.fn && results[i].trace && results[i].avf) {
-                std::ostringstream os;
-                json::JsonWriter jw(os);
-                writeRunManifest(jw, results[i], job.config);
-                manifest = os.str();
-            }
-            server.publishRun(i, results[i].benchmark,
-                              results[i].ipc, std::move(manifest));
-        }
         // The sweep epoch: a live exposition snapshot every
         // epochRuns completions, so a watcher sees the sweep move.
         std::uint64_t done = completed.fetch_add(1) + 1;

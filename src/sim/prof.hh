@@ -55,7 +55,7 @@ extern std::atomic<bool> enabledFlag;
 } // namespace detail
 
 /** Master switch. Off by default; BenchOptions flips it on when
- * --metrics-out (or --progress) asks for telemetry. */
+ * --metrics-out asks for telemetry. */
 void setEnabled(bool on);
 
 inline bool

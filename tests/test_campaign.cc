@@ -3,9 +3,9 @@
  * Tests for the statistical campaign engine: counter-keyed sampling
  * (shard invariance), window-edge sampling, checkpoint/fork verdict
  * equivalence against full re-execution, register-file
- * classification, run-cache key completeness, Wilson edge cases, and
- * the measured-vs-analytical coverage property on real workload
- * surrogates.
+ * classification, run-cache key completeness, Wilson edge cases, the
+ * convergence series and its hook, and the measured-vs-analytical
+ * coverage property on real workload surrogates.
  */
 
 #include <gtest/gtest.h>
@@ -447,6 +447,56 @@ TEST(CampaignEngine, CountsSumAndEarlyStop)
     for (auto c : out.structures[0].tally.counts)
         sum += c;
     EXPECT_EQ(sum, out.samplesRun);
+}
+
+// The convergence series is a campaign *result*: attaching the
+// onConvergence hook (which drives the --progress CI segment) must
+// not change anything about the outcome, and the series must agree
+// with the outcome's own totals.
+TEST(Convergence, HookDoesNotPerturbOutcome)
+{
+    EngineRun r = makeRun(kLoopSrc);
+    faults::CampaignSpec spec;
+    spec.samples = 2000;
+    spec.batchSamples = 256;
+    spec.structures = faults::structIq | faults::structRegFile;
+
+    faults::CampaignOutcome plain = faults::runCampaignEngine(
+        r.program, r.trace, r.deadness, r.avf, spec);
+
+    std::vector<faults::ConvergencePoint> seen;
+    spec.onConvergence =
+        [&seen](const faults::ConvergencePoint &point) {
+            seen.push_back(point);
+        };
+    faults::CampaignOutcome hooked = faults::runCampaignEngine(
+        r.program, r.trace, r.deadness, r.avf, spec);
+
+    EXPECT_EQ(plain.samplesRun, hooked.samplesRun);
+    EXPECT_EQ(plain.ciHalfWidth, hooked.ciHalfWidth);
+    ASSERT_EQ(plain.convergence.size(), hooked.convergence.size());
+    ASSERT_EQ(seen.size(), hooked.convergence.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i].batch, hooked.convergence[i].batch);
+        EXPECT_EQ(seen[i].samples, hooked.convergence[i].samples);
+        EXPECT_EQ(seen[i].worstHalfWidth,
+                  hooked.convergence[i].worstHalfWidth);
+        EXPECT_EQ(plain.convergence[i].worstHalfWidth,
+                  hooked.convergence[i].worstHalfWidth);
+    }
+
+    // One point per batch, cumulative sample counts, and the final
+    // point agrees with the outcome's own totals.
+    std::uint64_t batches =
+        (spec.samples + spec.batchSamples - 1) / spec.batchSamples;
+    EXPECT_EQ(hooked.convergence.size(), batches);
+    for (std::size_t i = 1; i < hooked.convergence.size(); ++i)
+        EXPECT_GT(hooked.convergence[i].samples,
+                  hooked.convergence[i - 1].samples);
+    const faults::ConvergencePoint &last =
+        hooked.convergence.back();
+    EXPECT_EQ(last.samples, hooked.samplesRun);
+    EXPECT_EQ(last.worstHalfWidth, hooked.ciHalfWidth);
 }
 
 TEST(CampaignEngine, RegfileClassification)

@@ -30,13 +30,14 @@ struct Ctx
 };
 
 Ctx
-makeCtx(const std::string &src)
+makeCtx(const std::string &src, std::uint64_t warmup_insts = 0)
 {
     Ctx c;
     c.program = isa::assembleOrDie(src);
     cpu::PipelineParams params;
     params.maxInsts = 2000000;
     cpu::InOrderPipeline pipe(c.program, params);
+    pipe.setWarmupInsts(warmup_insts);
     c.trace = pipe.run();
     c.trace.program = &c.program;
     c.deadness = avf::analyzeDeadness(c.trace);
@@ -114,6 +115,24 @@ TEST(RegFileAvf, PredicateFileIsOneBitWide)
     auto rf = avf::computeRegFileAvf(c.trace, c.deadness);
     EXPECT_EQ(rf.predFile.bitsPerReg, 1u);
     EXPECT_GT(rf.predFile.ace, 0u);  // p2 read as a qp
+}
+
+// The fold charges only the measurement window, as the IQ fold and
+// the campaign's sampler do: r4 is defined and last read inside a
+// two-instruction warm-up, so none of its residency is ACE.
+TEST(RegFileAvf, WarmupWindowsChargeNothing)
+{
+    std::string src = "movi r4 = 7\nout r4\n";
+    for (int i = 0; i < 40; ++i)
+        src += "nop\n";
+    src += "halt\n";
+    Ctx c = makeCtx(src, 2);
+    ASSERT_GT(c.trace.startCycle, 0u);
+    auto rf = avf::computeRegFileAvf(c.trace, c.deadness);
+    EXPECT_EQ(rf.intFile.ace, 0u);
+    EXPECT_EQ(rf.intFile.ace + rf.intFile.exAce +
+                  rf.intFile.deadValue + rf.intFile.unwritten,
+              rf.intFile.totalBitCycles);
 }
 
 TEST(RegFileAvf, RandomProgramsTile)
