@@ -1,8 +1,8 @@
 /**
  * @file
- * Reproduces the paper's Figure 1 as a measurement: classifies a
- * Monte-Carlo fault-injection campaign into the possible outcomes of
- * a single-bit fault —
+ * Reproduces the paper's Figure 1 as a measurement: labels the sites
+ * of one fault-injection campaign with the possible outcomes of a
+ * single-bit fault —
  *
  *   1  benign: no bit affected / fault-free state
  *   2  benign: bit read-protected (squashed or never read again)
@@ -11,30 +11,29 @@
  *   5  false DUE (detection, error would have been benign)
  *   6  true DUE  (detection, error affects the outcome)
  *
- * and cross-validates the injected SDC/DUE rates against the
- * analytical (ACE) AVF — the injection rate must sit at or below the
- * conservative analytical bound.
+ * under four schemes: unprotected, parity, parity plus the pi
+ * machinery, and ECC. Protection changes only how a strike is
+ * reported, so one campaign (payload bits of the IQ, no protection)
+ * supplies every column: each sampled site's verdict is labelled
+ * four ways. The injected SDC/DUE rates are then cross-validated
+ * against the analytical (ACE) AVF — the injection rate must sit at
+ * or below the conservative analytical bound.
  *
  * Usage: fig1_outcome_taxonomy [benchmark=gzip] [insts=N]
- *        [samples=800] [seed=S]
+ *        [samples=800] [seed=S] [--jobs N] [--json PATH]
+ *        [--trace-events FILE] [--topn N]
  */
 
 #include <iostream>
 
-#include "avf/avf.hh"
-#include "avf/deadness.hh"
 #include "core/tracked_injection.hh"
-#include "cpu/pipeline.hh"
-#include "faults/campaign.hh"
+#include "faults/campaign_engine.hh"
 #include "harness/bench_options.hh"
 #include "harness/manifest.hh"
-#include "harness/progress.hh"
 #include "harness/reporting.hh"
 #include "harness/suite_runner.hh"
-#include "isa/executor.hh"
 #include "sim/config.hh"
 #include "sim/prof.hh"
-#include "workloads/suite.hh"
 
 using namespace ser;
 using harness::Table;
@@ -45,33 +44,46 @@ main(int argc, char **argv)
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv,
         "Figure 1: fault-injection outcome taxonomy");
-    harness::TraceExport::warnUnsupported(opts);
     Config &config = opts.config;
     std::string benchmark = config.getString("benchmark", "gzip");
     std::uint64_t insts = config.getUint("insts", 60000);
     std::uint64_t samples = config.getUint("samples", 800);
     std::uint64_t seed = config.getUint("seed", 0xFA117);
 
-    isa::Program program =
-        workloads::buildBenchmark(benchmark, insts);
+    harness::ExperimentConfig cfg;
+    cfg.dynamicTarget = insts;
+    cfg.warmupInsts = 0;
+    cfg.pipeline.maxInsts = insts * 3;
+    cfg.campaign.samples = samples;
+    cfg.campaign.seed = seed;
+    cfg.campaign.structures = faults::structIq;
+    cfg.campaign.payloadOnly = true;
+    cfg.campaign.protection = faults::Protection::None;
+    cfg.campaign.jobs = opts.jobs;
 
-    isa::Executor golden(program);
-    if (golden.run(insts * 3) != isa::Termination::Halted) {
-        std::cerr << "golden run did not halt\n";
-        return 1;
+    harness::SuiteRunner runner(opts.jobs);
+    runner.setLabel("fig1_outcome_taxonomy");
+    harness::TraceExport trace_export(opts);
+    trace_export.configure(cfg);
+    runner.submit(runner.addProgram(benchmark, insts), cfg);
+    std::vector<harness::RunArtifacts> runs = runner.run();
+    SER_PROF_SCOPE("aggregate");
+    const harness::RunArtifacts &run = runs.front();
+    const avf::AvfResult &avf = *run.avf;
+
+    // Parity plus the full pi machinery (tracked to the store
+    // buffer, the paper's option 3): deferred detections that prove
+    // harmless become benign.
+    core::PiMachine machine(*run.trace,
+                            core::TrackingLevel::PiStoreBuffer);
+    faults::CampaignResult unprot, parity, tracked, ecc;
+    for (const faults::SiteRecord &rec : run.campaign->sites) {
+        unprot.add(faults::label(rec.verdict, faults::Protection::None));
+        parity.add(
+            faults::label(rec.verdict, faults::Protection::Parity));
+        tracked.add(core::labelTracked(rec, *run.trace, machine));
+        ecc.add(faults::label(rec.verdict, faults::Protection::Ecc));
     }
-
-    cpu::PipelineParams params;
-    params.maxInsts = insts * 3;
-    cpu::InOrderPipeline pipe(program, params);
-    cpu::SimTrace trace = pipe.run();
-    trace.program = &program;
-
-    avf::DeadnessResult dead = avf::analyzeDeadness(trace);
-    avf::AvfResult avf = avf::computeAvf(trace, dead);
-
-    faults::FaultInjector injector(program, trace,
-                                   golden.state().output());
 
     harness::printHeading(
         std::cout, "Figure 1: outcome taxonomy (" + benchmark +
@@ -80,51 +92,6 @@ main(int argc, char **argv)
 
     Table table({"outcome", "unprotected", "parity", "parity+pi",
                  "ECC"});
-    faults::CampaignConfig cfg;
-    cfg.samples = samples;
-    cfg.seed = seed;
-
-    // The four campaigns share the injector and trace read-only
-    // (FaultInjector::classify is const), so they fan out on the
-    // --jobs worker pool. Each campaign seeds its own RNG from the
-    // config, so results are independent of scheduling. This bench
-    // bypasses SuiteRunner, so it drives the --progress reporter
-    // itself.
-    harness::Progress &progress = harness::Progress::instance();
-    progress.beginSweep(4, "fig1_outcome_taxonomy");
-    faults::CampaignResult unprot, parity, ecc, tracked;
-    harness::parallelFor(4, opts.jobs, [&](std::size_t i) {
-        SER_PROF_SCOPE("campaign");
-        faults::CampaignConfig c = cfg;
-        switch (i) {
-          case 0:
-            c.protection = faults::Protection::None;
-            unprot = faults::runCampaign(injector, trace, c);
-            break;
-          case 1:
-            c.protection = faults::Protection::Parity;
-            parity = faults::runCampaign(injector, trace, c);
-            break;
-          case 2:
-            c.protection = faults::Protection::Ecc;
-            ecc = faults::runCampaign(injector, trace, c);
-            break;
-          case 3: {
-            // Parity plus the full pi machinery (tracked to the
-            // store buffer, the paper's option 3): deferred
-            // detections that prove harmless become benign.
-            core::PiMachine machine(
-                trace, core::TrackingLevel::PiStoreBuffer);
-            c.protection = faults::Protection::Parity;
-            tracked = core::runTrackedCampaign(injector, trace,
-                                               machine, c);
-            break;
-          }
-        }
-        progress.runCompleted();
-    });
-    progress.endSweep();
-
     for (int o = 0; o < faults::numOutcomes; ++o) {
         auto oc = static_cast<faults::Outcome>(o);
         table.addRow({faults::outcomeName(oc),
@@ -170,6 +137,8 @@ main(int argc, char **argv)
                        "bound)"
                      : "FAIL")
               << "\n";
+
+    trace_export.emit(std::cout, runs);
 
     if (!opts.jsonPath.empty()) {
         harness::JsonReport report;

@@ -6,8 +6,8 @@
  * surrogate benchmark through the experiment harness, prints the
  * Figure-1 outcome distribution under each protection scheme next
  * to the analytical band the measured rates must cover, and tells a
- * few concrete fault stories (which instruction was hit, in which
- * field, and what happened).
+ * few concrete fault stories from the parity campaign's sampled sites
+ * (which instruction was hit, in which field, and what happened).
  *
  * Usage: fault_injection_demo [benchmark=crafty] [insts=40000]
  *        [samples=2000] [structures=iq] [--ci-target X]
@@ -25,9 +25,7 @@
 #include "harness/progress.hh"
 #include "harness/reporting.hh"
 #include "isa/encoding.hh"
-#include "isa/executor.hh"
 #include "sim/config.hh"
-#include "sim/rng.hh"
 #include "workloads/suite.hh"
 
 using namespace ser;
@@ -68,7 +66,7 @@ main(int argc, char **argv)
                                          " samples per protection)");
     Table outcomes(
         {"protection", "outcome", "count", "rate", "lo95", "hi95"});
-    harness::RunArtifacts run;
+    harness::RunArtifacts run, parity;
     std::vector<harness::RunArtifacts> all_runs;
     for (auto prot :
          {faults::Protection::None, faults::Protection::Parity,
@@ -93,6 +91,8 @@ main(int argc, char **argv)
                                                         insts)),
             run_cfg, benchmark);
         progress.endSweep();
+        if (prot == faults::Protection::Parity)
+            parity = run;
         if (!opts.jsonPath.empty())
             report.addRun(run, run_cfg);
         if (!opts.convergenceOutPath.empty())
@@ -119,44 +119,33 @@ main(int argc, char **argv)
     else
         outcomes.print(std::cout);
 
-    const cpu::SimTrace &trace = *run.trace;
-    isa::Executor golden(*run.program);
-    if (golden.run(insts * 3) != isa::Termination::Halted) {
-        std::cerr << "golden run failed\n";
-        return 1;
-    }
-    faults::FaultInjector injector(*run.program, trace,
-                                   golden.state().output());
-
+    // The stories are the parity campaign's own sites: the first few
+    // that struck an occupied IQ entry (idle entries make dull
+    // stories).
     harness::printHeading(std::cout, "a few fault stories");
-    Rng rng(0xbead);
+    const cpu::SimTrace &trace = *parity.trace;
     int stories = 0;
-    while (stories < 6) {
-        faults::FaultSite site;
-        site.entry =
-            static_cast<std::uint16_t>(rng.range(trace.iqEntries));
-        site.bit =
-            static_cast<std::uint8_t>(rng.range(faults::payloadBits));
-        site.cycle = faults::sampleWindowCycle(rng, trace.startCycle,
-                                               trace.endCycle);
-        auto fr = injector.classify(site, faults::Protection::Parity);
-        if (fr.incarnationIndex < 0)
-            continue;  // idle entries make dull stories
+    for (const faults::SiteRecord &rec : parity.campaign->sites) {
+        if (stories == 6)
+            break;
+        if (rec.site.structure != faults::Structure::Iq ||
+            rec.verdict.residency < 0)
+            continue;
         const auto &inc = trace.incarnations[static_cast<std::size_t>(
-            fr.incarnationIndex)];
-        const isa::StaticInst &inst = run.program->inst(inc.staticIdx);
-        std::cout << "cycle " << site.cycle << ", entry "
-                  << site.entry << ", bit " << int(site.bit) << " ("
-                  << isa::fieldName(isa::fieldForBit(site.bit))
+            rec.verdict.residency)];
+        const isa::StaticInst &inst = parity.program->inst(inc.staticIdx);
+        std::cout << "cycle " << rec.site.cycle << ", entry "
+                  << rec.site.entry << ", bit " << int(rec.site.bit)
+                  << " ("
+                  << isa::fieldName(isa::fieldForBit(rec.site.bit))
                   << " field of `" << inst.toString() << "`"
-                  << ((inc.flags & cpu::incWrongPath)
-                          ? ", wrong path"
+                  << (rec.verdict.wrongPath ? ", wrong path" : "")
+                  << ") -> " << faults::outcomeName(rec.outcome)
+                  << (rec.verdict.reRan
+                          ? (rec.verdict.outputChanged
+                                 ? " [re-run diverged]"
+                                 : " [re-run identical]")
                           : "")
-                  << ") -> " << faults::outcomeName(fr.outcome)
-                  << (fr.reRan ? (fr.outputChanged
-                                      ? " [re-run diverged]"
-                                      : " [re-run identical]")
-                               : "")
                   << "\n";
         ++stories;
     }

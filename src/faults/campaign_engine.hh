@@ -1,9 +1,7 @@
 /**
  * @file
- * The statistical fault-injection campaign engine.
- *
- * Promotes the demo-grade runCampaign() loop into a first-class
- * measured-AVF pipeline (ROADMAP item 1):
+ * The statistical fault-injection campaign engine: every fault
+ * injection in the repository goes through runCampaignEngine().
  *
  *  - Sites are sampled over (structure, entry, bit, cycle) with
  *    counter-based per-sample RNG keying: sample i's site depends
@@ -13,14 +11,19 @@
  *    vector and folded sequentially — byte-identical results at any
  *    job count.
  *
- *  - Classification covers the instruction queue (FaultInjector) and
- *    the three architectural register files, whose windows mirror
- *    the analytical avf/regfile_avf walk exactly.
+ *  - Classification covers the instruction queue and the three
+ *    architectural register files: the FaultInjector turns each
+ *    site into a protection-free Verdict (register sites read the
+ *    same value windows the avf/regfile_avf fold sums), and
+ *    faults::label() maps it to the outcome under spec.protection.
+ *    The per-site records are part of the result, so callers can
+ *    label the same sites under other schemes without re-running.
  *
  *  - Counterfactual re-runs are served by a ForkServer: each
  *    injection forks from the nearest golden checkpoint and pays
  *    only its post-strike suffix (with convergence/divergence early
- *    exits) instead of a full replay.
+ *    exits) instead of a full replay. ECC labels never need one, so
+ *    an ECC campaign never forks.
  *
  *  - Adaptive early stop: after each batch the engine evaluates the
  *    95% Wilson CI half-widths of the per-structure SDC and DUE
@@ -44,6 +47,7 @@
 #ifndef SER_FAULTS_CAMPAIGN_ENGINE_HH
 #define SER_FAULTS_CAMPAIGN_ENGINE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -52,25 +56,82 @@
 #include "avf/avf.hh"
 #include "avf/deadness.hh"
 #include "cpu/trace.hh"
-#include "faults/campaign.hh"
 #include "faults/fault.hh"
+#include "faults/injector.hh"
 #include "isa/program.hh"
+#include "sim/rng.hh"
 
 namespace ser
 {
 namespace faults
 {
 
-/** Structures a campaign can strike. */
-enum class Structure : std::uint8_t
+/** A two-sided Wilson confidence interval. */
+struct Interval
 {
-    Iq,
-    IntRegFile,
-    FpRegFile,
-    PredRegFile,
+    double lo = 0.0;
+    double hi = 0.0;
 };
 
-const char *structureName(Structure structure);
+/** 95% Wilson score interval for k successes out of n. */
+Interval wilson(std::uint64_t k, std::uint64_t n);
+
+/**
+ * Uniform strike cycle within the half-open measurement window
+ * [start_cycle, end_cycle). endCycle is one past the last occupied
+ * cycle, so the last occupied cycle (end_cycle - 1) is sampleable
+ * and end_cycle itself never is. A degenerate (empty or reversed)
+ * window pins every sample to start_cycle instead of feeding
+ * Rng::range() a zero bound, which panics.
+ */
+std::uint64_t sampleWindowCycle(Rng &rng, std::uint64_t start_cycle,
+                                std::uint64_t end_cycle);
+
+/** Tallied outcomes. */
+struct CampaignResult
+{
+    std::uint64_t samples = 0;
+    std::array<std::uint64_t, numOutcomes> counts{};  ///< by Outcome
+
+    void add(Outcome o)
+    {
+        ++samples;
+        ++counts[static_cast<std::size_t>(o)];
+    }
+    std::uint64_t count(Outcome o) const
+    {
+        return counts[static_cast<std::size_t>(o)];
+    }
+    double rate(Outcome o) const
+    {
+        return samples ? static_cast<double>(count(o)) /
+                             static_cast<double>(samples)
+                       : 0.0;
+    }
+    Interval interval(Outcome o) const
+    {
+        return wilson(count(o), samples);
+    }
+
+    /** SDC-rate estimate (== SDC AVF for payload-only sampling). */
+    double sdcRate() const { return rate(Outcome::Sdc); }
+    /** DUE-rate estimate (true + false). */
+    double dueRate() const
+    {
+        return rate(Outcome::TrueDue) + rate(Outcome::FalseDue);
+    }
+};
+
+/** One sampled site: where it struck, what the strike does, and its
+ * outcome under the campaign's protection. */
+struct SiteRecord
+{
+    FaultSite site{};
+    Verdict verdict;
+    Outcome outcome = Outcome::BenignNoBit;
+
+    bool operator==(const SiteRecord &) const = default;
+};
 
 // Structure-set bitmask values for CampaignSpec::structures.
 constexpr unsigned structIq = 1u << 0;
@@ -82,9 +143,6 @@ constexpr unsigned structRegFile =
 
 /** Parse a csv like "iq,regfile" / "iq,int,fp,pred" into a mask. */
 unsigned parseStructures(const std::string &csv);
-
-/** Render a structure mask back to the canonical csv form. */
-std::string structuresToString(unsigned mask);
 
 /**
  * One point of the campaign convergence time-series: the state of
@@ -212,6 +270,9 @@ struct CampaignOutcome
      * JSONL. Deterministic: see ConvergencePoint. */
     std::vector<ConvergencePoint> convergence;
 
+    /** Every sampled site, in sample order (samplesRun of them). */
+    std::vector<SiteRecord> sites;
+
     /** Mean forked cost per re-run as a fraction of a full golden
      * replay — the checkpoint/fork win (< 1 means forking pays). */
     double meanRerunFraction() const
@@ -222,8 +283,6 @@ struct CampaignOutcome
                           static_cast<double>(goldenSteps))
                    : 0.0;
     }
-
-    const StructureCampaign *find(Structure structure) const;
 
     std::string summary() const;
 };

@@ -1,12 +1,14 @@
 /**
  * @file
- * Fault-site definitions for single-bit upsets in the IQ.
+ * Fault-site definitions for single-bit upsets.
  *
- * A fault site is (physical queue entry, bit, cycle). Bits 0..63 are
- * the instruction payload (see isa/encoding.hh for the field map);
- * the metadata bits model the entry's valid bit, its parity bit, and
- * the pi bit the paper adds — the paper notes that a strike on the
- * pi bit itself is a false DUE event.
+ * A fault site is (structure, unit, bit, cycle). In the instruction
+ * queue the unit is a physical entry: bits 0..63 are the instruction
+ * payload (see isa/encoding.hh for the field map), and the metadata
+ * bits model the entry's valid bit, its parity bit, and the pi bit
+ * the paper adds — the paper notes that a strike on the pi bit
+ * itself is a false DUE event. In a register file the unit is an
+ * architectural register and every bit is payload.
  */
 
 #ifndef SER_FAULTS_FAULT_HH
@@ -26,17 +28,30 @@ constexpr int parityBit = 65;
 constexpr int piBit = 66;
 constexpr int entryBits = 67;  ///< payload + valid + parity + pi
 
+/** Structures a fault can strike. */
+enum class Structure : std::uint8_t
+{
+    Iq,
+    IntRegFile,
+    FpRegFile,
+    PredRegFile,
+};
+
+const char *structureName(Structure structure);
+
 /** One single-bit upset. */
 struct FaultSite
 {
-    std::uint16_t entry;  ///< physical queue entry
-    std::uint8_t bit;     ///< 0..66
+    std::uint16_t entry;  ///< queue entry, or register number
+    std::uint8_t bit;     ///< 0..66 in the IQ, 0..63 in a register
     std::uint64_t cycle;  ///< when the strike lands
+    Structure structure = Structure::Iq;
 
     bool isPayload() const { return bit < payloadBits; }
+    bool operator==(const FaultSite &) const = default;
 };
 
-/** Protection configured on the queue. */
+/** Protection configured on the struck structure. */
 enum class Protection : std::uint8_t
 {
     None,    ///< unprotected: strikes can cause SDC
@@ -62,14 +77,6 @@ constexpr int numOutcomes = static_cast<int>(Outcome::NumOutcomes);
 const char *outcomeName(Outcome outcome);
 
 const char *protectionName(Protection protection);
-
-/** Is the outcome an error the user observes? */
-inline bool
-isErrorOutcome(Outcome o)
-{
-    return o == Outcome::Sdc || o == Outcome::FalseDue ||
-           o == Outcome::TrueDue;
-}
 
 } // namespace faults
 } // namespace ser

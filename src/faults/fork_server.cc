@@ -138,7 +138,7 @@ ForkServer::corruptEncoding(std::uint64_t seq,
 }
 
 ForkServer::Verdict
-ForkServer::corruptRegister(std::uint64_t step, RegClass file,
+ForkServer::corruptRegister(std::uint64_t step, isa::RegClass file,
                             int reg, int bit) const
 {
     const isa::ExecCheckpoint &cp = checkpointAtOrBefore(step);
@@ -155,16 +155,18 @@ ForkServer::corruptRegister(std::uint64_t step, RegClass file,
 
     isa::ArchState &state = executor.state();
     switch (file) {
-      case RegClass::Int:
+      case isa::RegClass::Int:
         state.writeInt(reg, state.readInt(reg) ^ (1ULL << bit));
         break;
-      case RegClass::Fp:
+      case isa::RegClass::Fp:
         state.writeFpBits(reg,
                           state.readFpBits(reg) ^ (1ULL << bit));
         break;
-      case RegClass::Pred:
+      case isa::RegClass::Pred:
         state.writePred(reg, !state.readPred(reg));
         break;
+      case isa::RegClass::None:
+        SER_PANIC("corruptRegister: not a register file");
     }
     return runFork(executor, cp.steps, step);
 }

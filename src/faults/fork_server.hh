@@ -39,15 +39,13 @@
 #include <vector>
 
 #include "isa/executor.hh"
+#include "isa/isa.hh"
 #include "isa/program.hh"
 
 namespace ser
 {
 namespace faults
 {
-
-/** Which register file a register strike lands in. */
-enum class RegClass : std::uint8_t { Int, Fp, Pred };
 
 class ForkServer
 {
@@ -101,7 +99,7 @@ class ForkServer
      * the state reached after 'step' dynamic instructions, i.e. the
      * next reader of the register sees the flipped value.
      */
-    Verdict corruptRegister(std::uint64_t step, RegClass file,
+    Verdict corruptRegister(std::uint64_t step, isa::RegClass file,
                             int reg, int bit) const;
 
   private:

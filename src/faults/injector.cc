@@ -26,6 +26,18 @@ outcomeName(Outcome outcome)
 }
 
 const char *
+structureName(Structure structure)
+{
+    switch (structure) {
+      case Structure::Iq: return "iq";
+      case Structure::IntRegFile: return "int-regfile";
+      case Structure::FpRegFile: return "fp-regfile";
+      case Structure::PredRegFile: return "pred-regfile";
+    }
+    return "?";
+}
+
+const char *
 protectionName(Protection protection)
 {
     switch (protection) {
@@ -76,6 +88,100 @@ ResidencyIndex::find(std::uint16_t entry, std::uint64_t cycle) const
                : noIncarnation;
 }
 
+Outcome
+label(const Verdict &verdict, Protection protection)
+{
+    if (verdict.residency < 0)
+        return Outcome::BenignNoBit;  // nothing held there: outcome 1
+    if (protection == Protection::Ecc) {
+        // SECDED corrects any single-bit upset in the protected
+        // block on read (the check bits included): outcome 2.
+        return verdict.readAfter ? Outcome::Corrected
+                                 : Outcome::BenignNotRead;
+    }
+    const bool parity = protection == Protection::Parity;
+    switch (verdict.role) {
+      case BitRole::Pi:
+        // A spuriously set pi bit is examined only if the
+        // instruction reaches the retire unit on the correct path;
+        // there it signals a false error (Section 4.2).
+        return verdict.committed ? Outcome::FalseDue
+                                 : Outcome::BenignNotRead;
+      case BitRole::Parity:
+        if (!parity)
+            return Outcome::BenignNoBit;
+        // Detected on read; the payload is actually fine.
+        return verdict.readAfter ? Outcome::FalseDue
+                                 : Outcome::BenignNotRead;
+      case BitRole::Valid:
+        // Losing the valid bit of a correct-path instruction that
+        // had yet to issue drops it from the program: SDC. Any
+        // other case just frees (or resurrects-to-garbage) an entry
+        // whose content no longer matters for the committed stream.
+        return verdict.readAfter && verdict.committed &&
+                       !verdict.wrongPath
+                   ? Outcome::Sdc
+                   : Outcome::BenignNotRead;
+      case BitRole::Payload:
+        break;
+    }
+    if (!verdict.readAfter) {
+        // Struck after the last read (Ex-ACE) or in a residency
+        // that was squashed before issue: the refetch or eviction
+        // wipes the strike. Outcome 2.
+        return Outcome::BenignNotRead;
+    }
+    if (verdict.wrongPath) {
+        // The corrupted instruction issues but its results never
+        // commit.
+        return parity ? Outcome::FalseDue : Outcome::BenignNoError;
+    }
+    if (!verdict.reRan)
+        SER_PANIC("label: a read payload strike needs its re-run to "
+                  "be labelled under {}", protectionName(protection));
+    if (parity)
+        return verdict.outputChanged ? Outcome::TrueDue
+                                     : Outcome::FalseDue;
+    return verdict.outputChanged ? Outcome::Sdc
+                                 : Outcome::BenignNoError;
+}
+
+namespace
+{
+
+BitRole
+roleOf(int bit)
+{
+    switch (bit) {
+      case validBit: return BitRole::Valid;
+      case parityBit: return BitRole::Parity;
+      case piBit: return BitRole::Pi;
+    }
+    return BitRole::Payload;
+}
+
+isa::RegClass
+regClassOf(Structure structure)
+{
+    switch (structure) {
+      case Structure::IntRegFile: return isa::RegClass::Int;
+      case Structure::FpRegFile: return isa::RegClass::Fp;
+      case Structure::PredRegFile: return isa::RegClass::Pred;
+      case Structure::Iq: break;
+    }
+    SER_PANIC("regClassOf: not a register file structure");
+}
+
+void
+recordRerun(Verdict &verdict, const ForkServer::Verdict &rerun)
+{
+    verdict.reRan = true;
+    verdict.outputChanged = rerun.changed;
+    verdict.rerunSteps = rerun.steps;
+}
+
+} // namespace
+
 FaultInjector::FaultInjector(const isa::Program &program,
                              const cpu::SimTrace &trace,
                              std::vector<std::uint64_t> golden_output,
@@ -87,13 +193,6 @@ FaultInjector::FaultInjector(const isa::Program &program,
                        : trace.commits.size() * 2 + 10000),
       _index(trace)
 {
-}
-
-bool
-FaultInjector::corruptionChangesOutput(std::uint64_t oracle_seq,
-                                       int bit) const
-{
-    return rerunWithCorruption(oracle_seq, bit).changed;
 }
 
 ForkServer::Verdict
@@ -111,94 +210,83 @@ FaultInjector::rerunWithCorruption(std::uint64_t oracle_seq,
     return {executor.state().output() != _golden, executor.steps()};
 }
 
-FaultResult
+Verdict
 FaultInjector::classify(const FaultSite &site,
-                        Protection protection) const
+                        bool counterfactual) const
 {
-    FaultResult result{Outcome::BenignNoBit, -1, false, false};
+    return site.structure == Structure::Iq
+               ? classifyIq(site, counterfactual)
+               : classifyRegister(site, counterfactual);
+}
 
+std::uint32_t
+FaultInjector::struckInst(const FaultSite &site,
+                          const Verdict &verdict) const
+{
+    if (verdict.residency < 0)
+        return cpu::noSeq32;
+    const auto idx = static_cast<std::size_t>(verdict.residency);
+    if (site.structure == Structure::Iq)
+        return _trace.incarnations[idx].staticIdx;
+    const avf::RegWindow &w =
+        _regs->windows(regClassOf(site.structure), site.entry)[idx];
+    return _trace.commits[w.defCommit].staticIdx;
+}
+
+Verdict
+FaultInjector::classifyIq(const FaultSite &site,
+                          bool counterfactual) const
+{
+    Verdict verdict;
     const std::int64_t idx = _index.find(site.entry, site.cycle);
     if (idx == ResidencyIndex::noIncarnation)
-        return result;  // idle entry: outcome 1
+        return verdict;
 
     const cpu::IncarnationRecord rec =
         _trace.incarnations[static_cast<std::size_t>(idx)];
-    result.incarnationIndex = idx;
-    const bool issued = rec.issueCycle != cpu::noCycle32;
-    const bool read_after = issued && site.cycle < rec.issueCycle;
-    const bool wrong_path = rec.flags & cpu::incWrongPath;
-    const bool committed = rec.flags & cpu::incCommitted;
+    verdict.residency = idx;
+    verdict.role = roleOf(site.bit);
+    verdict.readAfter = rec.issueCycle != cpu::noCycle32 &&
+                        site.cycle < rec.issueCycle;
+    verdict.wrongPath = rec.flags & cpu::incWrongPath;
+    verdict.committed = rec.flags & cpu::incCommitted;
+    if (counterfactual && verdict.needsRerun())
+        recordRerun(verdict,
+                    rerunWithCorruption(rec.oracleSeq, site.bit));
+    return verdict;
+}
 
-    if (protection == Protection::Ecc) {
-        // SECDED corrects any single-bit upset in the protected
-        // block on read (the check bits included): outcome 2.
-        result.outcome = read_after ? Outcome::Corrected
-                                    : Outcome::BenignNotRead;
-        return result;
-    }
+Verdict
+FaultInjector::classifyRegister(const FaultSite &site,
+                                bool counterfactual) const
+{
+    if (!_regs)
+        SER_PANIC("FaultInjector: a {} strike needs register windows",
+                  structureName(site.structure));
+    const isa::RegClass file = regClassOf(site.structure);
+    Verdict verdict;
+    const std::int64_t idx = _regs->find(file, site.entry, site.cycle);
+    if (idx == avf::RegFileWindows::noWindow)
+        return verdict;  // unwritten / between value windows
 
-    if (site.bit == piBit) {
-        // A spuriously set pi bit is examined only if the
-        // instruction reaches the retire unit on the correct path;
-        // there it signals a false error (Section 4.2).
-        result.outcome =
-            committed ? Outcome::FalseDue : Outcome::BenignNotRead;
-        return result;
+    const avf::RegWindow &w = _regs->windows(
+        file, site.entry)[static_cast<std::size_t>(idx)];
+    verdict.residency = idx;
+    verdict.committed = true;  // the committed stream defines it
+    // A strike at the last-read cycle lands after that read (the
+    // analytical fold charges ACE over [def, lastRead)), so
+    // read-after is strict.
+    verdict.readAfter = w.read && site.cycle < w.lastReadCycle;
+    if (counterfactual && verdict.needsRerun()) {
+        if (!_fork)
+            SER_PANIC("FaultInjector: register re-runs need a fork "
+                      "server");
+        recordRerun(verdict,
+                    _fork->corruptRegister(_regs->stepFor(site.cycle),
+                                           file, site.entry,
+                                           site.bit));
     }
-    if (site.bit == parityBit) {
-        if (protection != Protection::Parity) {
-            result.outcome = Outcome::BenignNoBit;
-        } else if (read_after) {
-            // Detected on read; the payload is actually fine.
-            result.outcome = Outcome::FalseDue;
-        } else {
-            result.outcome = Outcome::BenignNotRead;
-        }
-        return result;
-    }
-    if (site.bit == validBit) {
-        // Losing the valid bit of a correct-path instruction that
-        // had yet to issue drops it from the program: SDC. Any
-        // other case just frees (or resurrects-to-garbage) an entry
-        // whose content no longer matters for the committed stream.
-        if (read_after && committed && !wrong_path)
-            result.outcome = Outcome::Sdc;
-        else
-            result.outcome = Outcome::BenignNotRead;
-        return result;
-    }
-
-    // Payload bit.
-    if (!read_after) {
-        // Struck after the last read (Ex-ACE) or in a residency
-        // that was squashed before issue: the refetch or eviction
-        // wipes the strike. Outcome 2.
-        result.outcome = Outcome::BenignNotRead;
-        return result;
-    }
-    if (wrong_path) {
-        // The corrupted instruction issues but its results never
-        // commit.
-        result.outcome = protection == Protection::Parity
-                             ? Outcome::FalseDue
-                             : Outcome::BenignNoError;
-        return result;
-    }
-
-    result.reRan = true;
-    ForkServer::Verdict verdict =
-        rerunWithCorruption(rec.oracleSeq, site.bit);
-    result.outputChanged = verdict.changed;
-    result.rerunSteps = verdict.steps;
-    if (protection == Protection::Parity) {
-        result.outcome = result.outputChanged ? Outcome::TrueDue
-                                              : Outcome::FalseDue;
-    } else {
-        result.outcome = result.outputChanged
-                             ? Outcome::Sdc
-                             : Outcome::BenignNoError;
-    }
-    return result;
+    return verdict;
 }
 
 } // namespace faults

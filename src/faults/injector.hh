@@ -2,17 +2,22 @@
  * @file
  * Single-bit fault injection and outcome classification.
  *
- * The injector classifies a fault site against a finished timing run:
- * it maps (entry, cycle) to the incarnation that occupied the entry,
- * decides whether the struck bit was ever read afterwards, and — for
- * read payload bits — answers "would the program output have
- * changed" by *functionally re-running the program with that dynamic
- * instruction's encoding XORed at the struck bit* and comparing the
- * output stream against the golden run. This is the statistical
+ * The injector classifies a fault site against a finished timing run
+ * into a Verdict that does not depend on the protection configured.
+ * An IQ site maps (entry, cycle) to the incarnation that occupied the
+ * entry; a register-file site maps (file, reg, cycle) to the value
+ * window the avf/regfile_avf walk recorded. The verdict says whether
+ * the struck bit was read afterwards and — for read payload bits —
+ * answers "would the program output have changed" by *functionally
+ * re-running the program with the corruption applied* and comparing
+ * the output stream against the golden run. This is the statistical
  * fault-injection methodology of the related work (Kim & Somani;
  * Wang et al.) that the paper cites as the alternative to ACE
  * analysis, and it lets the test suite cross-validate the analytical
  * AVF numbers.
+ *
+ * Parity, ECC and the pi bit change only how one strike is reported:
+ * label() maps a verdict to the Figure 1 outcome under each scheme.
  */
 
 #ifndef SER_FAULTS_INJECTOR_HH
@@ -21,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "avf/regfile_avf.hh"
 #include "cpu/trace.hh"
 #include "faults/fault.hh"
 #include "faults/fork_server.hh"
@@ -51,20 +57,54 @@ class ResidencyIndex
     std::vector<std::vector<std::uint32_t>> _byEntry;
 };
 
-/** Detail of a classified fault. */
-struct FaultResult
+/** What the struck bit is. */
+enum class BitRole : std::uint8_t
 {
-    Outcome outcome;
-    /** The incarnation hit, if any (-1 otherwise). */
-    std::int64_t incarnationIndex = -1;
-    /** Whether a functional re-run was needed. */
-    bool reRan = false;
-    /** Whether the re-run changed the program output. */
-    bool outputChanged = false;
-    /** Instructions the re-run executed (suffix-only with a fork
-     * server attached; the full dynamic length otherwise). */
-    std::uint64_t rerunSteps = 0;
+    Payload,  ///< instruction encoding, or a register's value
+    Valid,    ///< the IQ entry's valid bit
+    Parity,   ///< the IQ entry's parity bit
+    Pi,       ///< the IQ entry's pi bit
 };
+
+/** What one strike does, whatever protects the structure. */
+struct Verdict
+{
+    /** The incarnation (IQ) or the value window within the struck
+     * register (register files) the site hits; -1 for an idle entry
+     * or an unwritten register. */
+    std::int64_t residency = -1;
+    /** Instructions the counterfactual re-run executed (suffix-only
+     * with a fork server attached; the full dynamic length
+     * otherwise). */
+    std::uint64_t rerunSteps = 0;
+    BitRole role = BitRole::Payload;
+    /** The bit is read after the strike: before the IQ entry issues,
+     * or before the register window's last read. */
+    bool readAfter = false;
+    bool wrongPath = false;  ///< the instruction was on the wrong path
+    bool committed = false;  ///< the instruction committed
+    /** The counterfactual re-run was evaluated... */
+    bool reRan = false;
+    /** ...and changed the program output. */
+    bool outputChanged = false;
+
+    /** Unprotected and parity outcomes hinge on the re-run: a read
+     * payload bit of a correct-path instruction. */
+    bool needsRerun() const
+    {
+        return residency >= 0 && role == BitRole::Payload &&
+               readAfter && !wrongPath;
+    }
+
+    bool operator==(const Verdict &) const = default;
+};
+
+/**
+ * The Figure 1 outcome of one verdict under one protection scheme.
+ * Panics under None or Parity if the verdict skipped a re-run it
+ * needs.
+ */
+Outcome label(const Verdict &verdict, Protection protection);
 
 /** Classifies faults against one finished run. */
 class FaultInjector
@@ -82,41 +122,53 @@ class FaultInjector
                   std::vector<std::uint64_t> golden_output,
                   std::uint64_t rerun_budget = 0);
 
-    /** Classify one fault site under the given protection. */
-    FaultResult classify(const FaultSite &site,
-                         Protection protection) const;
-
     /**
-     * Counterfactual: would corrupting the given bit of the given
-     * committed (oracle-order) instruction change the program
-     * output? Runs the functional executor with the corruption.
+     * Classify one fault site. With 'counterfactual' false nothing
+     * re-runs: a verdict that needsRerun() comes back unevaluated,
+     * and only ECC may label it.
      */
-    bool corruptionChangesOutput(std::uint64_t oracle_seq,
-                                 int bit) const;
+    Verdict classify(const FaultSite &site,
+                     bool counterfactual = true) const;
 
-    /** As corruptionChangesOutput, but also reports the re-run's
-     * dynamic instruction cost. */
-    ForkServer::Verdict rerunWithCorruption(std::uint64_t oracle_seq,
-                                            int bit) const;
+    /** The static instruction whose state a classified site struck
+     * (cpu::noSeq32 if it hit no residency). */
+    std::uint32_t struckInst(const FaultSite &site,
+                             const Verdict &verdict) const;
 
     /**
      * Serve counterfactual re-runs from checkpoints instead of
      * replaying from the program entry. The fork server must have
      * been built over the same program (its golden output must match
-     * the one this injector was constructed with). Not owned.
+     * the one this injector was constructed with). Register strikes
+     * always re-run through it. Not owned.
      */
     void attachForkServer(const ForkServer *fork) { _fork = fork; }
 
-    const ResidencyIndex &residency() const { return _index; }
-    std::uint64_t rerunBudget() const { return _rerunBudget; }
+    /** Classify register-file sites against these windows, walked
+     * over the same trace. Not owned. */
+    void attachRegisterWindows(const avf::RegFileWindows *windows)
+    {
+        _regs = windows;
+    }
 
   private:
+    Verdict classifyIq(const FaultSite &site,
+                       bool counterfactual) const;
+    Verdict classifyRegister(const FaultSite &site,
+                             bool counterfactual) const;
+
+    /** Re-run with the given bit of a committed (oracle-order)
+     * instruction's encoding flipped. */
+    ForkServer::Verdict rerunWithCorruption(std::uint64_t oracle_seq,
+                                            int bit) const;
+
     const isa::Program &_program;
     const cpu::SimTrace &_trace;
     std::vector<std::uint64_t> _golden;
     std::uint64_t _rerunBudget;
     ResidencyIndex _index;
     const ForkServer *_fork = nullptr;
+    const avf::RegFileWindows *_regs = nullptr;
 };
 
 } // namespace faults

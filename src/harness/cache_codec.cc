@@ -543,6 +543,23 @@ encodeCampaign(const faults::CampaignOutcome &outcome)
             e.f64(sp.dueHalfWidth);
         }
     }
+    e.u64(outcome.sites.size());
+    for (const faults::SiteRecord &rec : outcome.sites) {
+        e.u8(static_cast<std::uint8_t>(rec.site.structure));
+        e.u16(rec.site.entry);
+        e.u8(rec.site.bit);
+        e.u64(rec.site.cycle);
+        const faults::Verdict &v = rec.verdict;
+        e.u64(static_cast<std::uint64_t>(v.residency));
+        e.u64(v.rerunSteps);
+        e.u8(static_cast<std::uint8_t>(v.role));
+        e.boolean(v.readAfter);
+        e.boolean(v.wrongPath);
+        e.boolean(v.committed);
+        e.boolean(v.reRan);
+        e.boolean(v.outputChanged);
+        e.u8(static_cast<std::uint8_t>(rec.outcome));
+    }
     return e.take();
 }
 
@@ -619,6 +636,26 @@ decodeCampaign(const void *data, std::size_t len,
             point.structures.push_back(sp);
         }
         out->convergence.push_back(point);
+    }
+    std::uint64_t sites = d.count(35);
+    out->sites.reserve(static_cast<std::size_t>(d.ok() ? sites : 0));
+    for (std::uint64_t i = 0; d.ok() && i < sites; ++i) {
+        faults::SiteRecord rec;
+        rec.site.structure = static_cast<faults::Structure>(d.u8());
+        rec.site.entry = d.u16();
+        rec.site.bit = d.u8();
+        rec.site.cycle = d.u64();
+        faults::Verdict &v = rec.verdict;
+        v.residency = static_cast<std::int64_t>(d.u64());
+        v.rerunSteps = d.u64();
+        v.role = static_cast<faults::BitRole>(d.u8());
+        v.readAfter = d.boolean();
+        v.wrongPath = d.boolean();
+        v.committed = d.boolean();
+        v.reRan = d.boolean();
+        v.outputChanged = d.boolean();
+        rec.outcome = static_cast<faults::Outcome>(d.u8());
+        out->sites.push_back(rec);
     }
     return d.done();
 }

@@ -21,8 +21,8 @@
  *
  * The reporter is a process-wide singleton armed by BenchOptions
  * (--progress); SuiteRunner drives it, so every suite bench gets
- * the line without per-main wiring. Mains that fan out with bare
- * parallelFor (fig1, table2) drive it directly.
+ * the line without per-main wiring. table2, which fans out with a
+ * bare parallelFor, drives it directly.
  */
 
 #ifndef SER_HARNESS_PROGRESS_HH

@@ -313,7 +313,8 @@ approxBytes(const faults::CampaignOutcome &outcome)
            outcome.structures.size() *
                sizeof(faults::StructureCampaign) +
            outcome.rootCauses.size() * sizeof(faults::RootCause) +
-           convergence;
+           convergence +
+           outcome.sites.size() * sizeof(faults::SiteRecord);
 }
 
 std::string

@@ -371,6 +371,13 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
               harness::codec::encodeAvf(*r2.avf));
     EXPECT_EQ(harness::codec::encodeCampaign(*r1.campaign),
               harness::codec::encodeCampaign(*r2.campaign));
+    // Re-encoding equality would also hold if the codec dropped the
+    // per-site records on both sides; compare them directly.
+    ASSERT_EQ(r1.campaign->sites.size(), cfg.campaign.samples);
+    ASSERT_EQ(r2.campaign->sites.size(), r1.campaign->sites.size());
+    for (std::size_t i = 0; i < r1.campaign->sites.size(); ++i)
+        EXPECT_EQ(r1.campaign->sites[i], r2.campaign->sites[i])
+            << "site " << i;
     // The false-DUE fold is recomputed per run from the shared
     // trace; equal traces must give equal folds.
     EXPECT_EQ(r1.falseDue.baseFalseDueAvf,

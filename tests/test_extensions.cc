@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "avf/avf.hh"
 #include "avf/regfile_avf.hh"
 #include "core/tracked_injection.hh"
 #include "cpu/pipeline.hh"
@@ -419,19 +420,21 @@ TEST(EccProtection, CorrectsReadPayloadFaults)
 {
     InjCtx c = makeInjCtx("movi r4 = 57\nout r4\nhalt\n");
     faults::FaultInjector inj(c.program, c.trace, c.golden);
+    // ECC labels never need the re-run.
+    auto ecc = [&](const faults::FaultSite &site) {
+        return faults::label(inj.classify(site, false),
+                             faults::Protection::Ecc);
+    };
     for (const auto &inc : c.trace.incarnations) {
         if (!(inc.flags & cpu::incCommitted))
             continue;
         if (inc.issueCycle <= inc.enqueueCycle)
             continue;
         faults::FaultSite site{inc.iqEntry, 0, inc.enqueueCycle};
-        EXPECT_EQ(inj.classify(site, faults::Protection::Ecc).outcome,
-                  faults::Outcome::Corrected);
+        EXPECT_EQ(ecc(site), faults::Outcome::Corrected);
         // Unread strikes need no correction.
         faults::FaultSite late{inc.iqEntry, 0, inc.issueCycle};
-        EXPECT_EQ(
-            inj.classify(late, faults::Protection::Ecc).outcome,
-            faults::Outcome::BenignNotRead);
+        EXPECT_EQ(ecc(late), faults::Outcome::BenignNotRead);
         return;
     }
     FAIL() << "no committed residency";
@@ -453,14 +456,13 @@ TEST(TrackedInjection, FalseDueBecomesBenign)
     for (const auto &inc : c.trace.incarnations) {
         if (inc.staticIdx != 0 || !(inc.flags & cpu::incCommitted))
             continue;
-        faults::FaultSite site{inc.iqEntry, 3, inc.enqueueCycle};
-        EXPECT_EQ(inj.classify(site, faults::Protection::Parity)
-                      .outcome,
+        faults::SiteRecord rec;
+        rec.site = {inc.iqEntry, 3, inc.enqueueCycle};
+        rec.verdict = inj.classify(rec.site);
+        EXPECT_EQ(faults::label(rec.verdict, faults::Protection::Parity),
                   faults::Outcome::FalseDue);
-        EXPECT_EQ(
-            core::classifyTracked(inj, c.trace, machine, site)
-                .outcome,
-            faults::Outcome::BenignNoError);
+        EXPECT_EQ(core::labelTracked(rec, c.trace, machine),
+                  faults::Outcome::BenignNoError);
         return;
     }
     FAIL() << "residency not found";
@@ -482,10 +484,11 @@ TEST(TrackedInjection, TrueErrorsStillSignalOrSurfaceAsSdc)
             continue;
         // Imm strike on a live movi: true DUE, and the pi chain
         // reaches the out — still signalled under tracking.
-        faults::FaultSite site{inc.iqEntry, 0, inc.enqueueCycle};
-        auto tracked =
-            core::classifyTracked(inj, c.trace, machine, site);
-        EXPECT_EQ(tracked.outcome, faults::Outcome::TrueDue);
+        faults::SiteRecord rec;
+        rec.site = {inc.iqEntry, 0, inc.enqueueCycle};
+        rec.verdict = inj.classify(rec.site);
+        EXPECT_EQ(core::labelTracked(rec, c.trace, machine),
+                  faults::Outcome::TrueDue);
         return;
     }
     FAIL() << "residency not found";
@@ -517,14 +520,15 @@ TEST(TrackedInjection, DstFieldStrikePoisonsTheActualTarget)
         // clobbering live data.
         auto bit = static_cast<std::uint8_t>(
             isa::encoding::dstShift + 1);
-        faults::FaultSite site{inc.iqEntry, bit, inc.enqueueCycle};
-        auto base = inj.classify(site, faults::Protection::Parity);
-        EXPECT_EQ(base.outcome, faults::Outcome::TrueDue);
-        auto tracked =
-            core::classifyTracked(inj, c.trace, machine, site);
+        faults::SiteRecord rec;
+        rec.site = {inc.iqEntry, bit, inc.enqueueCycle};
+        rec.verdict = inj.classify(rec.site);
+        EXPECT_EQ(faults::label(rec.verdict, faults::Protection::Parity),
+                  faults::Outcome::TrueDue);
         // The overridden poison lands on r6, which the add reads:
         // the error is still detected, not silently suppressed.
-        EXPECT_EQ(tracked.outcome, faults::Outcome::TrueDue);
+        EXPECT_EQ(core::labelTracked(rec, c.trace, machine),
+                  faults::Outcome::TrueDue);
         return;
     }
     FAIL() << "residency not found";
@@ -532,6 +536,8 @@ TEST(TrackedInjection, DstFieldStrikePoisonsTheActualTarget)
 
 TEST(TrackedInjection, CampaignNeverSignalsMoreThanParity)
 {
+    // One campaign's sites, labelled twice: the pi label only ever
+    // withdraws a parity detection, site by site.
     InjCtx c = makeInjCtx(R"(
         movi r2 = 17
         movi r4 = 200
@@ -548,20 +554,36 @@ TEST(TrackedInjection, CampaignNeverSignalsMoreThanParity)
         out r6
         halt
     )");
-    faults::FaultInjector inj(c.program, c.trace, c.golden);
+    avf::DeadnessResult dead = avf::analyzeDeadness(c.trace);
+    avf::AvfResult folded = avf::computeAvf(c.trace, dead);
+    faults::CampaignSpec spec;
+    spec.samples = 300;
+    faults::CampaignOutcome campaign = faults::runCampaignEngine(
+        c.program, c.trace, dead, folded, spec);
     core::PiMachine machine(c.trace,
                             core::TrackingLevel::PiMemory);
-    faults::CampaignConfig cfg;
-    cfg.samples = 300;
-    cfg.protection = faults::Protection::Parity;
-    auto parity = faults::runCampaign(inj, c.trace, cfg);
-    auto tracked =
-        core::runTrackedCampaign(inj, c.trace, machine, cfg);
-    auto due = [](const faults::CampaignResult &r) {
-        return r.count(faults::Outcome::FalseDue) +
-               r.count(faults::Outcome::TrueDue);
+
+    faults::CampaignResult parity, tracked;
+    auto is_due = [](faults::Outcome o) {
+        return o == faults::Outcome::FalseDue ||
+               o == faults::Outcome::TrueDue;
     };
-    EXPECT_LE(due(tracked), due(parity));
+    for (const faults::SiteRecord &rec : campaign.sites) {
+        faults::Outcome p =
+            faults::label(rec.verdict, faults::Protection::Parity);
+        faults::Outcome t = core::labelTracked(rec, c.trace, machine);
+        if (is_due(t)) {
+            EXPECT_TRUE(is_due(p))
+                << "pi signalled where parity did not";
+        }
+        parity.add(p);
+        tracked.add(t);
+    }
+    for (faults::Outcome o : {faults::Outcome::BenignNoBit,
+                              faults::Outcome::BenignNotRead,
+                              faults::Outcome::Corrected})
+        EXPECT_EQ(tracked.count(o), parity.count(o))
+            << faults::outcomeName(o);
     EXPECT_LT(tracked.count(faults::Outcome::FalseDue),
               parity.count(faults::Outcome::FalseDue));
 }

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the fault-injection library: residency indexing, outcome
- * classification of hand-placed faults, Wilson intervals, and the
- * statistical cross-validation of injection against the analytical
- * AVF (injection must not exceed the conservative ACE bound).
+ * Tests for the fault-injection library: residency indexing, the
+ * labelled verdicts of hand-placed faults, Wilson intervals, and the
+ * statistical cross-validation of engine campaigns against the
+ * analytical AVF (injection must not exceed the conservative ACE
+ * bound).
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include "avf/avf.hh"
 #include "avf/deadness.hh"
 #include "cpu/pipeline.hh"
-#include "faults/campaign.hh"
+#include "faults/campaign_engine.hh"
 #include "faults/injector.hh"
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
@@ -27,6 +28,14 @@ struct InjRun
     isa::Program program;
     cpu::SimTrace trace;
     std::vector<std::uint64_t> golden;
+
+    /** A campaign against this run. */
+    CampaignOutcome campaign(const CampaignSpec &spec) const
+    {
+        avf::DeadnessResult dead = avf::analyzeDeadness(trace);
+        avf::AvfResult folded = avf::computeAvf(trace, dead);
+        return runCampaignEngine(program, trace, dead, folded, spec);
+    }
 };
 
 InjRun
@@ -84,8 +93,9 @@ TEST(Injector, IdleEntryIsBenign)
     FaultInjector inj(r.program, r.trace, r.golden);
     // An entry far beyond what this tiny program uses.
     FaultSite site{50, 5, r.trace.endCycle - 1};
-    auto fr = inj.classify(site, Protection::Parity);
-    EXPECT_EQ(fr.outcome, Outcome::BenignNoBit);
+    Verdict verdict = inj.classify(site);
+    EXPECT_EQ(verdict.residency, -1);
+    EXPECT_EQ(label(verdict, Protection::Parity), Outcome::BenignNoBit);
 }
 
 TEST(Injector, AceBitIsSdcOrTrueDue)
@@ -100,10 +110,9 @@ TEST(Injector, AceBitIsSdcOrTrueDue)
         ASSERT_NE(inc.issueCycle, cpu::noCycle32);
         ASSERT_GT(inc.issueCycle, inc.enqueueCycle);
         FaultSite site{inc.iqEntry, 0, inc.enqueueCycle};
-        auto unprot = inj.classify(site, Protection::None);
-        EXPECT_EQ(unprot.outcome, Outcome::Sdc);
-        auto parity = inj.classify(site, Protection::Parity);
-        EXPECT_EQ(parity.outcome, Outcome::TrueDue);
+        Verdict verdict = inj.classify(site);
+        EXPECT_EQ(label(verdict, Protection::None), Outcome::Sdc);
+        EXPECT_EQ(label(verdict, Protection::Parity), Outcome::TrueDue);
         return;
     }
     FAIL() << "movi residency not found";
@@ -122,9 +131,9 @@ TEST(Injector, DeadInstructionImmBitIsBenignOrFalseDue)
         if (inc.staticIdx != 0 || !(inc.flags & cpu::incCommitted))
             continue;
         FaultSite site{inc.iqEntry, 3, inc.enqueueCycle};
-        EXPECT_EQ(inj.classify(site, Protection::None).outcome,
+        EXPECT_EQ(label(inj.classify(site), Protection::None),
                   Outcome::BenignNoError);
-        EXPECT_EQ(inj.classify(site, Protection::Parity).outcome,
+        EXPECT_EQ(label(inj.classify(site), Protection::Parity),
                   Outcome::FalseDue);
         return;
     }
@@ -141,7 +150,7 @@ TEST(Injector, ExAcePhaseIsNotRead)
         if (inc.issueCycle + 1 >= inc.evictCycle)
             continue;
         FaultSite site{inc.iqEntry, 0, inc.issueCycle};
-        EXPECT_EQ(inj.classify(site, Protection::Parity).outcome,
+        EXPECT_EQ(label(inj.classify(site), Protection::Parity),
                   Outcome::BenignNotRead);
         return;
     }
@@ -158,7 +167,7 @@ TEST(Injector, PiBitStrikeIsFalseDue)
         FaultSite site{inc.iqEntry,
                        static_cast<std::uint8_t>(piBit),
                        inc.enqueueCycle};
-        EXPECT_EQ(inj.classify(site, Protection::Parity).outcome,
+        EXPECT_EQ(label(inj.classify(site), Protection::Parity),
                   Outcome::FalseDue);
         return;
     }
@@ -176,9 +185,9 @@ TEST(Injector, ParityBitStrikeIsFalseDueOnlyWithParity)
         FaultSite site{inc.iqEntry,
                        static_cast<std::uint8_t>(parityBit),
                        inc.enqueueCycle};
-        EXPECT_EQ(inj.classify(site, Protection::Parity).outcome,
+        EXPECT_EQ(label(inj.classify(site), Protection::Parity),
                   Outcome::FalseDue);
-        EXPECT_EQ(inj.classify(site, Protection::None).outcome,
+        EXPECT_EQ(label(inj.classify(site), Protection::None),
                   Outcome::BenignNoBit);
         return;
     }
@@ -218,15 +227,17 @@ TEST(Campaign, OutcomeCountsSumToSamples)
         out r5
         halt
     )");
-    FaultInjector inj(r.program, r.trace, r.golden);
-    CampaignConfig cfg;
-    cfg.samples = 300;
-    CampaignResult res = runCampaign(inj, r.trace, cfg);
+    CampaignSpec spec;
+    spec.samples = 300;
+    spec.protection = Protection::Parity;
+    CampaignOutcome out = r.campaign(spec);
+    ASSERT_EQ(out.structures.size(), 1u);
     std::uint64_t sum = 0;
-    for (auto c : res.counts)
+    for (auto c : out.structures[0].tally.counts)
         sum += c;
-    EXPECT_EQ(sum, cfg.samples);
-    EXPECT_FALSE(res.summary().empty());
+    EXPECT_EQ(sum, spec.samples);
+    EXPECT_EQ(out.sites.size(), spec.samples);
+    EXPECT_FALSE(out.summary().empty());
 }
 
 TEST(Campaign, InjectionRatesRespectAnalyticalBounds)
@@ -254,11 +265,10 @@ TEST(Campaign, InjectionRatesRespectAnalyticalBounds)
     avf::DeadnessResult dead = avf::analyzeDeadness(r.trace);
     avf::AvfResult avf = avf::computeAvf(r.trace, dead);
 
-    FaultInjector inj(r.program, r.trace, r.golden);
-    CampaignConfig cfg;
-    cfg.samples = 600;
-    cfg.protection = Protection::None;
-    CampaignResult res = runCampaign(inj, r.trace, cfg);
+    CampaignSpec spec;
+    spec.samples = 600;
+    spec.protection = Protection::None;
+    const CampaignResult res = r.campaign(spec).structures[0].tally;
 
     Interval sdc_ci = res.interval(Outcome::Sdc);
     EXPECT_LT(sdc_ci.lo, avf.sdcAvf() + 0.02)
@@ -266,8 +276,8 @@ TEST(Campaign, InjectionRatesRespectAnalyticalBounds)
         << avf.sdcAvf();
     EXPECT_GT(res.sdcRate(), 0.0);
 
-    cfg.protection = Protection::Parity;
-    CampaignResult pres = runCampaign(inj, r.trace, cfg);
+    spec.protection = Protection::Parity;
+    const CampaignResult pres = r.campaign(spec).structures[0].tally;
     EXPECT_EQ(pres.count(Outcome::Sdc), 0u);
     Interval due_ci = pres.interval(Outcome::TrueDue);
     EXPECT_LT(due_ci.lo, avf.trueDueAvf() + 0.02);

@@ -6,7 +6,7 @@
  *  - timing/functional agreement for every surrogate benchmark;
  *  - AVF accounting closure (classes tile the bit-cycle space);
  *  - operational PET buffer vs analytical overwrite distances;
- *  - injector determinism and outcome/protection coherence;
+ *  - injector determinism and label/protection coherence;
  *  - trace invariants under every trigger policy.
  */
 
@@ -17,7 +17,7 @@
 #include "core/pi_machine.hh"
 #include "core/trigger.hh"
 #include "cpu/pipeline.hh"
-#include "faults/campaign.hh"
+#include "faults/campaign_engine.hh"
 #include "faults/injector.hh"
 #include "isa/encoding.hh"
 #include "isa/executor.hh"
@@ -138,8 +138,8 @@ TEST_P(PetAnalyticalEquivalence, OperationalMatchesDistances)
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, PetAnalyticalEquivalence,
                          ::testing::Values(3, 7, 11, 19, 23, 42));
 
-/** Random programs: classify() is deterministic and coherent across
- * protection schemes. */
+/** Random programs: classify() is deterministic, and labelling its
+ * verdict is coherent across protection schemes. */
 class InjectorCoherence
     : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -151,34 +151,34 @@ TEST_P(InjectorCoherence, ProtectionOnlyMovesDetectedOutcomes)
     faults::FaultInjector inj(c.program, c.trace, c.output);
 
     Rng rng(GetParam() * 7919);
-    std::uint64_t window = c.trace.endCycle - c.trace.startCycle;
     for (int i = 0; i < 60; ++i) {
         faults::FaultSite site;
         site.entry = static_cast<std::uint16_t>(
             rng.range(c.trace.iqEntries));
         site.bit = static_cast<std::uint8_t>(
             rng.range(faults::payloadBits));
-        site.cycle = c.trace.startCycle + rng.range(window);
+        site.cycle = faults::sampleWindowCycle(rng, c.trace.startCycle,
+                                               c.trace.endCycle);
 
-        auto none_a = inj.classify(site, faults::Protection::None);
-        auto none_b = inj.classify(site, faults::Protection::None);
-        EXPECT_EQ(none_a.outcome, none_b.outcome);  // deterministic
+        faults::Verdict verdict = inj.classify(site);
+        EXPECT_EQ(verdict, inj.classify(site));  // deterministic
 
+        auto none = faults::label(verdict, faults::Protection::None);
         auto parity =
-            inj.classify(site, faults::Protection::Parity);
+            faults::label(verdict, faults::Protection::Parity);
         // Parity never creates SDC from payload bits, and the
         // benign/detected split must correspond exactly:
-        EXPECT_NE(parity.outcome, faults::Outcome::Sdc);
-        switch (none_a.outcome) {
+        EXPECT_NE(parity, faults::Outcome::Sdc);
+        switch (none) {
           case faults::Outcome::Sdc:
-            EXPECT_EQ(parity.outcome, faults::Outcome::TrueDue);
+            EXPECT_EQ(parity, faults::Outcome::TrueDue);
             break;
           case faults::Outcome::BenignNoError:
-            EXPECT_EQ(parity.outcome, faults::Outcome::FalseDue);
+            EXPECT_EQ(parity, faults::Outcome::FalseDue);
             break;
           case faults::Outcome::BenignNoBit:
           case faults::Outcome::BenignNotRead:
-            EXPECT_EQ(parity.outcome, none_a.outcome);
+            EXPECT_EQ(parity, none);
             break;
           default:
             FAIL() << "unexpected unprotected outcome";
@@ -194,17 +194,24 @@ INSTANTIATE_TEST_SUITE_P(RandomPrograms, InjectorCoherence,
 TEST(CampaignProperties, DeterministicAndExhaustive)
 {
     RunCtx c = runCtx(workloads::randomProgram(5));
-    faults::FaultInjector inj(c.program, c.trace, c.output);
-    faults::CampaignConfig cfg;
-    cfg.samples = 200;
-    cfg.payloadOnly = false;  // include valid/parity/pi bits
-    auto a = faults::runCampaign(inj, c.trace, cfg);
-    auto b = faults::runCampaign(inj, c.trace, cfg);
-    EXPECT_EQ(a.counts, b.counts);
+    avf::DeadnessResult dead = avf::analyzeDeadness(c.trace);
+    avf::AvfResult folded = avf::computeAvf(c.trace, dead);
+    faults::CampaignSpec spec;
+    spec.samples = 200;
+    spec.protection = faults::Protection::Parity;
+    spec.payloadOnly = false;  // include valid/parity/pi bits
+    auto a = faults::runCampaignEngine(c.program, c.trace, dead,
+                                       folded, spec);
+    auto b = faults::runCampaignEngine(c.program, c.trace, dead,
+                                       folded, spec);
+    ASSERT_EQ(a.structures.size(), 1u);
+    EXPECT_EQ(a.structures[0].tally.counts,
+              b.structures[0].tally.counts);
+    EXPECT_EQ(a.sites, b.sites);
     std::uint64_t total = 0;
-    for (auto v : a.counts)
+    for (auto v : a.structures[0].tally.counts)
         total += v;
-    EXPECT_EQ(total, cfg.samples);
+    EXPECT_EQ(total, spec.samples);
 }
 
 /** Squashing strictly reduces (or preserves) pre-read exposure on
