@@ -78,12 +78,11 @@ main(int argc, char **argv)
                             std::string("campaign/") +
                                 faults::protectionName(prot));
         auto ticked = std::make_shared<std::uint64_t>(0);
-        run_cfg.campaign.onBatch = [&progress, ticked](
-                                       std::uint64_t done,
-                                       std::uint64_t) {
-            for (; *ticked + 1024 <= done; *ticked += 1024)
-                progress.runCompleted();
-        };
+        run_cfg.campaign.onConvergence =
+            [&progress, ticked](const faults::ConvergencePoint &point) {
+                for (; *ticked + 1024 <= point.samples; *ticked += 1024)
+                    progress.runCompleted();
+            };
         run = harness::runProgram(
             run.program ? run.program
                         : std::make_shared<const isa::Program>(

@@ -1,31 +1,11 @@
 #include "sampler.hh"
 
-#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace ser
 {
 namespace cpu
 {
-
-void
-IntervalSample::dumpJson(json::JsonWriter &jw) const
-{
-    jw.beginObject();
-    jw.kv("start_cycle", startCycle);
-    jw.kv("end_cycle", endCycle);
-    jw.kv("cycles", cycles());
-    jw.kv("committed", committed);
-    jw.kv("ipc", ipc());
-    jw.kv("fetched", fetched);
-    jw.kv("mispredicts", mispredicts);
-    jw.kv("trigger_squashes", triggerSquashes);
-    jw.kv("trigger_squashed_insts", triggerSquashedInsts);
-    jw.kv("iq_valid_entry_cycles", iqValidEntryCycles);
-    jw.kv("iq_waiting_entry_cycles", iqWaitingEntryCycles);
-    jw.kv("avg_iq_occupancy", avgIqOccupancy());
-    jw.endObject();
-}
 
 IntervalSampler::IntervalSampler(std::uint64_t interval_cycles)
     : _intervalCycles(interval_cycles)
@@ -153,16 +133,6 @@ IntervalSampler::finish(std::uint64_t end_cycle,
 {
     if (_active && _epochTicks > 0)
         closeEpoch(end_cycle, counters);
-}
-
-void
-IntervalSampler::writeJsonl(std::ostream &os) const
-{
-    for (const auto &sample : _samples) {
-        json::JsonWriter jw(os, 0);
-        sample.dumpJson(jw);
-        os << "\n";
-    }
 }
 
 } // namespace cpu

@@ -24,17 +24,10 @@
 #define SER_CPU_SAMPLER_HH
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 namespace ser
 {
-
-namespace json
-{
-class JsonWriter;
-}
-
 namespace cpu
 {
 
@@ -87,9 +80,6 @@ struct IntervalSample
                               static_cast<double>(cycles())
                         : 0.0;
     }
-
-    /** Emit this epoch as one JSON object (manifest / JSONL line). */
-    void dumpJson(json::JsonWriter &jw) const;
 };
 
 /** Closes an epoch every intervalCycles ticks; see file comment. */
@@ -154,9 +144,6 @@ class IntervalSampler
     {
         return _samples;
     }
-
-    /** One JSON object per epoch, newline-delimited (JSONL). */
-    void writeJsonl(std::ostream &os) const;
 
   private:
     void closeEpoch(std::uint64_t end_cycle,

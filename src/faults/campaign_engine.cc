@@ -119,7 +119,7 @@ runCampaignEngine(const isa::Program &program,
                   const avf::DeadnessResult &deadness,
                   const avf::AvfResult &avf, const CampaignSpec &spec)
 {
-    SER_PROF_SCOPE("campaign");
+    SER_PROF_SCOPE("engine");
 
     CampaignOutcome out;
     out.samplesRequested = spec.samples;
@@ -232,8 +232,6 @@ runCampaignEngine(const isa::Program &program,
             }
         }
         done += n;
-        if (spec.onBatch)
-            spec.onBatch(done, spec.samples);
 
         // Adaptive early stop, evaluated only at batch boundaries so
         // the stopping point is a pure function of the fold so far.

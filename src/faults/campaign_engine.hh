@@ -189,12 +189,10 @@ struct CampaignSpec
     // change a single sampled site or outcome, so they are excluded
     // from cacheKey().
     unsigned jobs = 1;
-    std::function<void(std::uint64_t done, std::uint64_t total)>
-        onBatch;
-    /** Live per-batch convergence hook (the same point that is also
-     * recorded in CampaignOutcome::convergence). Fires in fold
-     * order on the folding thread; like onBatch it observes the
-     * campaign but cannot change it. */
+    /** Live per-batch hook (the same point that is also recorded in
+     * CampaignOutcome::convergence; point.samples is the cumulative
+     * count). Fires in fold order on the folding thread; it observes
+     * the campaign but cannot change it. */
     std::function<void(const ConvergencePoint &)> onConvergence;
 
     /**

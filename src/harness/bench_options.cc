@@ -126,6 +126,8 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
 {
     BenchOptions opts;
     bool jobs_given = false;
+    std::string cache_dir;
+    std::string metrics_out;
     for (int i = 1; i < argc; ++i) {
         std::string token = argv[i];
         if (token == "--help" || token == "-h") {
@@ -174,22 +176,20 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             opts.jobs = static_cast<unsigned>(jobs);
             jobs_given = true;
         } else if (token == "--no-run-cache") {
-            opts.runCache = false;
             RunCache::instance().setEnabled(false);
         } else if (token == "--cache-dir" ||
                    token.rfind("--cache-dir=", 0) == 0) {
-            opts.cacheDir =
+            cache_dir =
                 optionValue(argc, argv, i, "--cache-dir", token);
-            if (opts.cacheDir.empty())
+            if (cache_dir.empty())
                 SER_FATAL("{}: --cache-dir needs a path", argv[0]);
         } else if (token == "--no-cycle-skip") {
-            opts.cycleSkip = false;
             cpu::setDefaultCycleSkip(false);
         } else if (token == "--metrics-out" ||
                    token.rfind("--metrics-out=", 0) == 0) {
-            opts.metricsOutPath =
+            metrics_out =
                 optionValue(argc, argv, i, "--metrics-out", token);
-            if (opts.metricsOutPath.empty())
+            if (metrics_out.empty())
                 SER_FATAL("{}: --metrics-out needs a path", argv[0]);
         } else if (token == "--ci-target" ||
                    token.rfind("--ci-target=", 0) == 0) {
@@ -204,7 +204,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
                 SER_FATAL("{}: --convergence-out needs a path",
                           argv[0]);
         } else if (token == "--progress") {
-            opts.progress = true;
             Progress::instance().setEnabled(true);
         } else if (token == "--debug" ||
                    token.rfind("--debug=", 0) == 0) {
@@ -231,13 +230,13 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
         opts.jobs = defaultJobs();
     // Without an explicit --cache-dir, SER_CACHE_DIR decides
     // (default: no disk tier).
-    if (opts.cacheDir.empty()) {
+    if (cache_dir.empty()) {
         const char *env = std::getenv("SER_CACHE_DIR");
         if (env && *env)
-            opts.cacheDir = env;
+            cache_dir = env;
     }
-    if (!opts.cacheDir.empty())
-        DiskCache::instance().setDirectory(opts.cacheDir,
+    if (!cache_dir.empty())
+        DiskCache::instance().setDirectory(cache_dir,
                                            codec::kSchemaVersion);
     // The interval series is only ever written next to a manifest;
     // sampling without one silently produced nothing before.
@@ -248,10 +247,9 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
     // Arm telemetry last, so a --help/usage error never leaves a
     // half-armed registry. The atexit snapshot makes plain
     // (non-suite) binaries emit a final exposition file too.
-    if (!opts.metricsOutPath.empty()) {
+    if (!metrics_out.empty()) {
         prof::setEnabled(true);
-        MetricsRegistry::instance().setOutputPath(
-            opts.metricsOutPath);
+        MetricsRegistry::instance().setOutputPath(metrics_out);
         std::atexit([] {
             MetricsRegistry::instance().writeSnapshot();
         });

@@ -83,31 +83,6 @@ struct BenchOptions
      * (serial). Always >= 1 after parse(). */
     unsigned jobs = 1;
 
-    /** False after --no-run-cache (parse() also flips the
-     * process-wide harness::RunCache switch). */
-    bool runCache = true;
-
-    /** --cache-dir DIR, else SER_CACHE_DIR, else empty = no disk
-     * tier. parse() points the process-wide harness::DiskCache at
-     * it, so warm artifacts persist across processes. */
-    std::string cacheDir;
-
-    /** False after --no-cycle-skip (parse() also flips the
-     * process-wide cpu::PipelineParams default, which is how the
-     * flag reaches benches that build their configs from default
-     * params). */
-    bool cycleSkip = true;
-
-    /** --metrics-out F; empty = off. parse() arms the process-wide
-     * MetricsRegistry, enables sim::prof, and registers an atexit
-     * final snapshot, so every binary that parses its argv through
-     * here gets telemetry with no further wiring. */
-    std::string metricsOutPath;
-
-    /** True after --progress (parse() also arms the process-wide
-     * harness::Progress reporter). */
-    bool progress = false;
-
     /** --convergence-out F; empty = off. Benches that run campaigns
      * stream the per-batch convergence time-series (recorded in
      * CampaignOutcome::convergence) to F as JSONL via
@@ -123,7 +98,12 @@ struct BenchOptions
     /**
      * Parse argv. Prints usage and exits on --help; fatal on an
      * unknown --option or a malformed value. 'usage' is the one-line
-     * binary description shown by --help.
+     * binary description shown by --help. The process-wide options
+     * set their singleton here and have no field: --no-run-cache
+     * (RunCache), --cache-dir or SER_CACHE_DIR (DiskCache),
+     * --no-cycle-skip (the PipelineParams default), --metrics-out
+     * (MetricsRegistry, sim::prof, an atexit and SIGINT/SIGTERM
+     * snapshot) and --progress (Progress).
      */
     static BenchOptions parse(int argc, char **argv,
                               const std::string &usage = "");

@@ -123,6 +123,18 @@ class Decoder
     double f64() { return std::bit_cast<double>(u64()); }
     bool boolean() { return u8() != 0; }
 
+    /** A one-byte enum; a value past `last` fails the decode. */
+    template <typename E>
+    E enumeration(E last)
+    {
+        std::uint8_t v = u8();
+        if (v > static_cast<std::uint8_t>(last)) {
+            _ok = false;
+            return E{};
+        }
+        return static_cast<E>(v);
+    }
+
     std::string str()
     {
         std::uint64_t n = u64();
@@ -570,7 +582,7 @@ decodeCampaign(const void *data, std::size_t len,
     Decoder d(data, len);
     out->samplesRequested = d.u64();
     out->seed = d.u64();
-    out->protection = static_cast<faults::Protection>(d.u8());
+    out->protection = d.enumeration(faults::Protection::Ecc);
     out->payloadOnly = d.boolean();
     out->ciTarget = d.f64();
     out->batchSamples = d.u64();
@@ -586,7 +598,7 @@ decodeCampaign(const void *data, std::size_t len,
         static_cast<std::size_t>(d.ok() ? structures : 0));
     for (std::uint64_t i = 0; d.ok() && i < structures; ++i) {
         faults::StructureCampaign s;
-        s.structure = static_cast<faults::Structure>(d.u8());
+        s.structure = d.enumeration(faults::Structure::PredRegFile);
         s.weight = d.u64();
         s.tally.samples = d.u64();
         for (int o = 0; o < faults::numOutcomes; ++o)
@@ -627,7 +639,8 @@ decodeCampaign(const void *data, std::size_t len,
             static_cast<std::size_t>(d.ok() ? sps : 0));
         for (std::uint64_t j = 0; d.ok() && j < sps; ++j) {
             faults::ConvergencePoint::StructurePoint sp;
-            sp.structure = static_cast<faults::Structure>(d.u8());
+            sp.structure =
+                d.enumeration(faults::Structure::PredRegFile);
             sp.samples = d.u64();
             sp.sdcRate = d.f64();
             sp.sdcHalfWidth = d.f64();
@@ -641,20 +654,21 @@ decodeCampaign(const void *data, std::size_t len,
     out->sites.reserve(static_cast<std::size_t>(d.ok() ? sites : 0));
     for (std::uint64_t i = 0; d.ok() && i < sites; ++i) {
         faults::SiteRecord rec;
-        rec.site.structure = static_cast<faults::Structure>(d.u8());
+        rec.site.structure =
+            d.enumeration(faults::Structure::PredRegFile);
         rec.site.entry = d.u16();
         rec.site.bit = d.u8();
         rec.site.cycle = d.u64();
         faults::Verdict &v = rec.verdict;
         v.residency = static_cast<std::int64_t>(d.u64());
         v.rerunSteps = d.u64();
-        v.role = static_cast<faults::BitRole>(d.u8());
+        v.role = d.enumeration(faults::BitRole::Pi);
         v.readAfter = d.boolean();
         v.wrongPath = d.boolean();
         v.committed = d.boolean();
         v.reRan = d.boolean();
         v.outputChanged = d.boolean();
-        rec.outcome = static_cast<faults::Outcome>(d.u8());
+        rec.outcome = d.enumeration(faults::Outcome::TrueDue);
         out->sites.push_back(rec);
     }
     return d.done();

@@ -112,13 +112,13 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
         tw->processName(name);
     }
 
-    // The phase timers always run so the manifest records the same
-    // phase keys with or without the cache (a hit is just ~0s).
+    // Each phase scope feeds the manifest's timings_seconds whether
+    // or not profiling is on, with or without the cache (a hit is
+    // just ~0s), so every run records the same phase keys.
     std::string sim_key;
     std::shared_ptr<const SimProducts> sim;
     {
-        ScopedTimer timer(out.timings, "pipeline");
-        SER_PROF_SCOPE("pipeline");
+        SER_PROF_SCOPE("pipeline", &out.timings);
         if (cacheable) {
             sim_key = RunCache::simKey(*out.program, config, params);
             sim = cache.getSim(
@@ -147,8 +147,7 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
     out.cyclesSkipped = sim->cyclesSkipped;
 
     {
-        ScopedTimer timer(out.timings, "deadness");
-        SER_PROF_SCOPE("deadness");
+        SER_PROF_SCOPE("deadness", &out.timings);
         auto compute = [&] { return avf::analyzeDeadness(*out.trace); };
         if (cacheable)
             out.deadness = cache.getDeadness(
@@ -160,8 +159,7 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
                     compute());
     }
     {
-        ScopedTimer timer(out.timings, "avf");
-        SER_PROF_SCOPE("avf");
+        SER_PROF_SCOPE("avf", &out.timings);
         auto compute = [&] {
             return avf::computeAvf(*out.trace, *out.deadness,
                                    config.intervalCycles);
@@ -174,19 +172,17 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
                 compute());
     }
     {
-        ScopedTimer timer(out.timings, "false_due");
-        SER_PROF_SCOPE("false_due");
+        SER_PROF_SCOPE("false_due", &out.timings);
         out.falseDue =
             core::analyzeFalseDue(*out.avf, config.petSize);
     }
     if (config.attributionTopN) {
-        ScopedTimer timer(out.timings, "attribution");
-        SER_PROF_SCOPE("attribution");
+        SER_PROF_SCOPE("attribution", &out.timings);
         out.attribution =
             avf::attributeAvf(*out.trace, *out.deadness);
     }
     if (config.campaign.samples) {
-        ScopedTimer timer(out.timings, "campaign");
+        SER_PROF_SCOPE("campaign", &out.timings);
         // Every folded batch updates the --progress CI segment
         // through the onConvergence hook. Hooks are non-semantic
         // (excluded from cacheKey), and like the ser_campaign_*
@@ -311,22 +307,11 @@ runProgram(std::shared_ptr<const isa::Program> program,
     return out;
 }
 
-void
-prependTimings(PhaseTimings head, RunArtifacts &run)
-{
-    head.phases.insert(head.phases.end(),
-                       run.timings.phases.begin(),
-                       run.timings.phases.end());
-    run.timings = std::move(head);
-}
-
 RunArtifacts
 runBenchmark(const workloads::BenchmarkProfile &profile,
              const ExperimentConfig &config)
 {
-    PhaseTimings build_timings;
     auto program = [&] {
-        ScopedTimer timer(build_timings, "build");
         SER_PROF_SCOPE("build");
         return std::make_shared<const isa::Program>(
             workloads::buildBenchmark(profile,
@@ -335,8 +320,6 @@ runBenchmark(const workloads::BenchmarkProfile &profile,
     RunArtifacts out =
         runProgram(std::move(program), config, profile.name);
     out.seed = profile.seed;
-    // The build phase happened first; keep it first in the manifest.
-    prependTimings(std::move(build_timings), out);
     return out;
 }
 

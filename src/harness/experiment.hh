@@ -29,7 +29,7 @@
 #include "cpu/trace.hh"
 #include "harness/run_cache.hh"
 #include "isa/program.hh"
-#include "sim/timing.hh"
+#include "sim/prof.hh"
 #include "workloads/profile.hh"
 
 namespace ser
@@ -129,8 +129,10 @@ struct RunArtifacts
     /** The same stats tree as a JSON object (for the manifest). */
     std::string statsJson;
 
-    /** Wall-clock time of each phase (build, pipeline, ...). */
-    PhaseTimings timings;
+    /** Wall-clock time of each phase (pipeline, deadness, ...),
+     * from the phase's prof scope. The program build is a
+     * per-program cost, reported by the "build" scope alone. */
+    prof::Phases timings;
 
     /** Interval time series; empty unless intervalCycles was set. */
     std::vector<cpu::IntervalSample> intervals;
@@ -159,12 +161,6 @@ RunArtifacts runProgram(const isa::Program &program,
 RunArtifacts runProgram(std::shared_ptr<const isa::Program> program,
                         const ExperimentConfig &config,
                         const std::string &name = "program");
-
-/** Prepend earlier-phase timings (e.g. the one-time workload build)
- * to a run's timings, keeping manifest phase order chronological.
- * Shared by runBenchmark() and the suite-runner path so the build
- * phase is recorded exactly once per built program. */
-void prependTimings(PhaseTimings head, RunArtifacts &run);
 
 /** Build the named surrogate and run it. */
 RunArtifacts runBenchmark(const std::string &name,

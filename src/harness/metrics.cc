@@ -265,9 +265,6 @@ MetricsRegistry::collectProcessMetrics()
         upsert("ser_run_cache_misses_total", Kind::Counter,
                "Run-cache lookups that computed.", "section",
                s.name).uvalue = s.counters.misses;
-        upsert("ser_run_cache_evictions_total", Kind::Counter,
-               "Entries evicted by the FIFO capacity bound.",
-               "section", s.name).uvalue = s.counters.evictions;
         upsert("ser_run_cache_bytes", Kind::Gauge,
                "Approximate bytes retained per cache section.",
                "section", s.name).dvalue =
@@ -307,20 +304,28 @@ MetricsRegistry::writeSnapshot()
     std::string path = outputPath();
     if (path.empty())
         return false;
-    collectProcessMetrics();
 
     // Write-to-temp + rename: a concurrent reader (tail -f, a
-    // scraper) always sees a complete exposition document.
+    // scraper) always sees a complete exposition document. Callers
+    // overlap (sweep epochs on any worker, the signal watcher, the
+    // atexit flush) and share the temp file, so one writes at a
+    // time. A failure is reported after the lock is released:
+    // SER_FATAL exits, and the atexit flush takes the lock again.
     std::string tmp = path + ".tmp";
+    bool written = false, renamed = false;
     {
+        std::lock_guard<std::mutex> guard(_snapshotLock);
+        collectProcessMetrics();
         std::ofstream os(tmp, std::ios::binary);
-        if (!os)
-            SER_FATAL("metrics: cannot open '{}' for writing", tmp);
         writePrometheus(os);
-        if (!os)
-            SER_FATAL("metrics: write to '{}' failed", tmp);
+        os.close();
+        written = static_cast<bool>(os);
+        renamed = written &&
+                  std::rename(tmp.c_str(), path.c_str()) == 0;
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    if (!written)
+        SER_FATAL("metrics: cannot write '{}'", tmp);
+    if (!renamed)
         SER_FATAL("metrics: cannot rename '{}' to '{}'", tmp, path);
     return true;
 }

@@ -9,8 +9,8 @@
  *  - harness-level run accounting pushed by runProgram() and
  *    SuiteRunner (runs completed/failed, sweeps, DynInst pool
  *    high-water, campaign work, trace events);
- *  - the RunCache's section counters (hits / misses / evictions /
- *    cached bytes), pulled at snapshot time;
+ *  - the RunCache's section counters (hits / misses / cached
+ *    bytes), pulled at snapshot time;
  *  - the sim::prof layer's counters and hierarchical scope timers
  *    (sim/prof.hh), pulled at snapshot time.
  *
@@ -99,8 +99,9 @@ class MetricsRegistry
      */
     void writePrometheus(std::ostream &os) const;
 
-    /** collectProcessMetrics() + atomic write to the armed path.
-     * Returns false (and does nothing) when no path is armed. */
+    /** collectProcessMetrics() + atomic write to the armed path;
+     * concurrent calls run one at a time. Returns false (and does
+     * nothing) when no path is armed. */
     bool writeSnapshot();
 
     /** Drop every metric (tests). The armed path survives. */
@@ -140,6 +141,9 @@ class MetricsRegistry
                            std::string rendered_labels);
 
     mutable std::mutex _lock;
+    /** Held across one whole writeSnapshot (collect, write, rename);
+     * taken before _lock, never inside it. */
+    std::mutex _snapshotLock;
     std::map<std::string, Family> _families;
     std::string _outputPath;
 };

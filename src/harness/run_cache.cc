@@ -93,18 +93,11 @@ RunCache::instance()
 }
 
 void
-RunCache::setCapacity(std::size_t entries)
-{
-    _capacity.store(entries);
-}
-
-void
 RunCache::clear()
 {
     for (Section *section : {&_sim, &_deadness, &_avf, &_campaign}) {
         std::lock_guard<std::mutex> guard(section->lock);
         section->map.clear();
-        section->fifo.clear();
         section->counters = Counters{};
     }
 }
@@ -130,16 +123,6 @@ RunCache::get(Section &section, const std::string &key,
             // also owns the miss/diskHits counter increment.
             entry = std::make_shared<Entry>();
             section.map.emplace(key, entry);
-            section.fifo.push_back(key);
-            std::size_t capacity = _capacity.load();
-            if (capacity && section.map.size() > capacity) {
-                // FIFO: the front is strictly older than the entry
-                // just pushed. Holders of the evicted value keep it
-                // alive through their shared_ptr.
-                section.map.erase(section.fifo.front());
-                section.fifo.pop_front();
-                ++section.counters.evictions;
-            }
         }
     }
     // Resolve outside the section lock: concurrent misses on
@@ -359,10 +342,9 @@ RunCache::simKey(const isa::Program &program,
 }
 
 std::string
-RunCache::deadnessKey(const std::string &sim_key,
-                      const std::string &options)
+RunCache::deadnessKey(const std::string &sim_key)
 {
-    return sim_key + "|deadness=" + options;
+    return sim_key + "|deadness=";
 }
 
 std::string

@@ -73,11 +73,7 @@ SuiteRunner::submit(std::size_t program_id, ExperimentConfig config)
     job.programId = program_id;
     job.config = std::move(config);
     _queue.push_back(std::move(job));
-    std::size_t index = _queue.size() - 1;
-    SharedProgram &shared = *_programs[program_id];
-    if (shared.firstRun == kNone)
-        shared.firstRun = index;
-    return index;
+    return _queue.size() - 1;
 }
 
 std::size_t
@@ -107,7 +103,6 @@ SuiteRunner::run()
         } else {
             SharedProgram &shared = *_programs[job.programId];
             std::call_once(shared.built, [&] {
-                ScopedTimer timer(shared.buildTimings, "build");
                 SER_PROF_SCOPE("build");
                 shared.program =
                     std::make_shared<const isa::Program>(
@@ -129,14 +124,6 @@ SuiteRunner::run()
     MetricsRegistry::instance().add(
         "ser_sweeps_total", 1,
         "Suite sweeps (SuiteRunner::run calls) completed.");
-
-    // The build happened on whichever worker got there first; the
-    // manifest records it exactly once, on the deterministic
-    // first-submitted run of each program.
-    for (auto &shared : _programs)
-        if (shared->firstRun != kNone)
-            prependTimings(std::move(shared->buildTimings),
-                           results[shared->firstRun]);
     return results;
 }
 

@@ -16,10 +16,9 @@
  *  - each surrogate program is built at most once (by whichever
  *    worker first needs it) and shared read-only across that
  *    benchmark's design points via the shared_ptr overload of
- *    runProgram();
- *  - the one-time build phase is recorded in exactly one manifest
- *    run per program — the first-submitted one — regardless of
- *    which worker performed the build.
+ *    runProgram(). The build is a per-program cost: the "build"
+ *    prof scope reports it (one call per program built), and no
+ *    run's manifest timings include it.
  *
  * The default is serial (`--jobs 1`), overridable per invocation
  * with `--jobs N` or process-wide with the SER_JOBS environment
@@ -70,8 +69,7 @@ class SuiteRunner
     /**
      * Register a surrogate to be built (at most once) when the
      * first run needing it executes. Returns a program id for
-     * submit(). The build's wall-clock is attached to the
-     * first-submitted run of this program.
+     * submit().
      */
     std::size_t addProgram(const workloads::BenchmarkProfile &profile,
                            std::uint64_t dynamicTarget);
@@ -109,10 +107,6 @@ class SuiteRunner
         std::uint64_t dynamicTarget = 0;
         std::once_flag built;
         std::shared_ptr<const isa::Program> program;
-        PhaseTimings buildTimings;
-        /** Submission index whose manifest run records the build
-         * phase (the first submitted for this program). */
-        std::size_t firstRun = kNone;
     };
 
     struct Job

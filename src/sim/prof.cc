@@ -128,24 +128,29 @@ Counter::add(std::uint64_t v)
                std::memory_order_relaxed);
 }
 
-ScopedTimer::ScopedTimer(std::string_view name)
-    : _active(enabled())
+ScopedTimer::ScopedTimer(std::string_view name, Phases *sink)
+    : _name(name), _sink(sink), _inTree(enabled())
 {
-    if (!_active)
-        return;
-    _parentLen = openScopePath.size();
-    if (_parentLen)
-        openScopePath += '/';
-    openScopePath += name;
-    _start = std::chrono::steady_clock::now();
+    if (_inTree) {
+        _parentLen = openScopePath.size();
+        if (_parentLen)
+            openScopePath += '/';
+        openScopePath += name;
+    }
+    if (_inTree || _sink)
+        _start = std::chrono::steady_clock::now();
 }
 
 ScopedTimer::~ScopedTimer()
 {
-    if (!_active)
+    if (!_inTree && !_sink)
         return;
     std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - _start;
+    if (_sink)
+        _sink->emplace_back(_name, elapsed.count());
+    if (!_inTree)
+        return;
     Registry &r = registry();
     {
         std::lock_guard<std::mutex> guard(r.lock);

@@ -14,17 +14,21 @@
  *    which is order-independent for integers, so the merged value
  *    is identical for any worker count or schedule.
  *
- *  - prof::ScopedTimer (SER_PROF_SCOPE) — an RAII wall-clock timer.
- *    Timers nest: each thread keeps a path of the scopes it has
- *    open, and a scope's sample is accumulated under the full
- *    hierarchical path ("run.pipeline/cpu.run"), so the profile
- *    reads like a call tree. Call *counts* per path are
- *    deterministic; elapsed seconds are wall-clock observations and
- *    are masked by the metrics determinism checker.
+ *  - prof::ScopedTimer (SER_PROF_SCOPE) — an RAII wall-clock timer,
+ *    and the only one in the simulator. Timers nest: each thread
+ *    keeps a path of the scopes it has open, and a scope's sample is
+ *    accumulated under the full hierarchical path
+ *    ("run/pipeline/tick_loop"), so the profile reads like a call
+ *    tree. Call *counts* per path are deterministic; elapsed seconds
+ *    are wall-clock observations and are masked by the metrics
+ *    determinism checker. A timer may also be given a prof::Phases
+ *    sink: it then times even with profiling off and appends its
+ *    (name, seconds) pair to the sink, which is how a run manifest's
+ *    timings_seconds and the scope profile read one clock.
  *
  * Disabled cost: one relaxed atomic load and a branch per
- * instrument site (the counter fast path), or one bool store per
- * scope — the budget DESIGN.md §10 sets is < 2% on
+ * instrument site (the counter fast path), and the same per
+ * sink-less scope — the budget DESIGN.md §10 sets is < 2% on
  * BM_TimingPipeline, enforced by the perf_regression_gate ctest.
  *
  * Naming convention: dotted lowercase ("deadness.commits_scanned").
@@ -42,6 +46,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ser
@@ -100,23 +105,33 @@ class Counter
     std::size_t _id;
 };
 
+/** (phase name, seconds) pairs in the order their timers closed:
+ * one run's phase timings (the manifest's timings_seconds). */
+using Phases = std::vector<std::pair<std::string, double>>;
+
 /**
  * RAII hierarchical timer; prefer the SER_PROF_SCOPE macro. While
  * profiling is enabled the scope's name is appended to the calling
  * thread's open-scope path and one {calls, seconds} sample is
- * accumulated under the full path at destruction.
+ * accumulated under the full path at destruction. With a sink, the
+ * timer runs whether or not profiling is enabled and appends
+ * (name, seconds) to the sink at destruction — the same seconds the
+ * scope tree receives. `name` must outlive the timer (a literal).
  */
 class ScopedTimer
 {
   public:
-    explicit ScopedTimer(std::string_view name);
+    explicit ScopedTimer(std::string_view name,
+                         Phases *sink = nullptr);
     ~ScopedTimer();
 
     ScopedTimer(const ScopedTimer &) = delete;
     ScopedTimer &operator=(const ScopedTimer &) = delete;
 
   private:
-    bool _active;
+    std::string_view _name;
+    Phases *_sink;
+    bool _inTree;
     std::size_t _parentLen = 0;
     std::chrono::steady_clock::time_point _start;
 };
@@ -163,9 +178,11 @@ void reset();
 #define SER_PROF_CONCAT_(a, b) a##b
 #define SER_PROF_CONCAT(a, b) SER_PROF_CONCAT_(a, b)
 
-/** Time the enclosing scope under the hierarchical path `name`. */
-#define SER_PROF_SCOPE(name)                                           \
+/** Time the enclosing scope under the hierarchical path `name`:
+ * SER_PROF_SCOPE("avf") or, to also append the phase to a
+ * prof::Phases sink, SER_PROF_SCOPE("avf", &phases). */
+#define SER_PROF_SCOPE(...)                                            \
     ::ser::prof::ScopedTimer SER_PROF_CONCAT(_ser_prof_scope_,         \
-                                             __LINE__)(name)
+                                             __LINE__)(__VA_ARGS__)
 
 #endif // SER_SIM_PROF_HH

@@ -12,8 +12,7 @@
  * member once every value inside a "timings_seconds" or "run_cache"
  * object is masked (the phase *keys*
  * must still match exactly — parallel runs must record the same
- * phases, including the once-per-benchmark "build" phase, just not
- * the same durations). Any number of further file pairs (captured
+ * phases, just not the same durations). Any number of further file pairs (captured
  * stdout, --trace-events output, interval .jsonl series) must each
  * be byte-identical.
  *

@@ -7,7 +7,9 @@
  *
  *  - the document parses and carries schema_version 1;
  *  - every run has the config, seed, per-phase timings, AVF block
- *    and stats tree the manifest promises;
+ *    and stats tree the manifest promises; every timing is >= 0,
+ *    and a run with a campaign or attribution block has that phase
+ *    timed;
  *  - when an intervals file is advertised, every JSONL line parses,
  *    the epochs chain (each epoch starts where the previous ended)
  *    and, per run, the per-epoch committed counts sum exactly to the
@@ -100,8 +102,18 @@ checkRun(const JsonValue &run, std::size_t index,
                  where + ".timings_seconds");
         if (total && total->number <= 0.0)
             fail(where + ": total phase time is not positive");
+        for (const auto &[phase, value] : timings->object)
+            if (!value.isNumber() || value.number < 0.0)
+                fail(where + ".timings_seconds." + phase +
+                     " is not a number >= 0");
         if (!timings->find("pipeline"))
             fail(where + ": no 'pipeline' phase timing");
+        // A block the run carries only when its phase ran must come
+        // with that phase's timing.
+        for (const char *phase : {"campaign", "attribution"})
+            if (run.find(phase) && !timings->find(phase))
+                fail(where + ": '" + phase + "' block but no '" +
+                     phase + "' phase timing");
     }
 
     const JsonValue *avf =

@@ -598,7 +598,7 @@ TEST(RunCacheKeys, CampaignKnobsNeverShareEntries)
     // cache may share them.
     s = base;
     s.jobs = 8;
-    s.onBatch = [](std::uint64_t, std::uint64_t) {};
+    s.onConvergence = [](const faults::ConvergencePoint &) {};
     EXPECT_EQ(harness::RunCache::campaignKey(sim_key, s),
               harness::RunCache::campaignKey(sim_key, base));
 }

@@ -6,8 +6,9 @@
  * corrupted and truncated blobs, stale-schema clean misses,
  * filename-bucket key comparison), the cache codec (byte-canonical
  * encodings of every section's artifact type, proven by end-to-end
- * equality), and the RunCache integration (disk_hit outcome and
- * per-tier counters across a simulated process restart).
+ * equality; out-of-range enum bytes rejected), and the RunCache
+ * integration (disk_hit outcome and per-tier counters across a
+ * simulated process restart).
  */
 
 #include <gtest/gtest.h>
@@ -69,6 +70,57 @@ TEST(Crc64, SingleBitFlipChangesEveryPrefix)
 }
 
 // ---------------------------------------------------------------
+// Cache codec: structurally impossible campaign blobs
+
+TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
+{
+    // One of every record that carries an enum byte.
+    faults::CampaignOutcome good;
+    good.protection = faults::Protection::Ecc;
+    good.structures.emplace_back();
+    good.convergence.emplace_back();
+    good.convergence[0].structures.emplace_back();
+    good.sites.emplace_back();
+    good.sites[0].verdict.role = faults::BitRole::Pi;
+    good.sites[0].outcome = faults::Outcome::TrueDue;
+
+    auto decodes = [](const faults::CampaignOutcome &outcome) {
+        std::string blob = harness::codec::encodeCampaign(outcome);
+        faults::CampaignOutcome back;
+        return harness::codec::decodeCampaign(blob.data(), blob.size(),
+                                              &back);
+    };
+    ASSERT_TRUE(decodes(good));
+
+    // Each enum field in turn holds a byte past its last value.
+    auto rejects = [&](auto corrupt) {
+        faults::CampaignOutcome outcome = good;
+        corrupt(outcome);
+        return !decodes(outcome);
+    };
+    constexpr std::uint8_t bad = 0x7f;
+    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
+        o.protection = static_cast<faults::Protection>(bad);
+    }));
+    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
+        o.structures[0].structure = static_cast<faults::Structure>(bad);
+    }));
+    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
+        o.convergence[0].structures[0].structure =
+            static_cast<faults::Structure>(bad);
+    }));
+    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
+        o.sites[0].site.structure = static_cast<faults::Structure>(bad);
+    }));
+    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
+        o.sites[0].verdict.role = static_cast<faults::BitRole>(bad);
+    }));
+    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
+        o.sites[0].outcome = static_cast<faults::Outcome>(bad);
+    }));
+}
+
+// ---------------------------------------------------------------
 // DiskCache blob store
 
 namespace
@@ -85,7 +137,6 @@ class DiskCacheTest : public ::testing::Test
         disk().setDirectory(_dir,
                             harness::codec::kSchemaVersion);
         cache().setEnabled(true);
-        cache().setCapacity(0);
         cache().clear();
     }
 

@@ -20,6 +20,7 @@
 #include "harness/experiment.hh"
 #include "harness/suite_runner.hh"
 #include "sim/debug.hh"
+#include "sim/prof.hh"
 #include "workloads/profile.hh"
 
 using namespace ser;
@@ -27,13 +28,13 @@ using namespace ser;
 namespace
 {
 
-bool
-hasPhase(const harness::RunArtifacts &r, const std::string &name)
+std::vector<std::string>
+phaseNames(const harness::RunArtifacts &r)
 {
-    for (const auto &p : r.timings.phases)
-        if (p.first == name)
-            return true;
-    return false;
+    std::vector<std::string> names;
+    for (const auto &phase : r.timings)
+        names.push_back(phase.first);
+    return names;
 }
 
 harness::BenchOptions
@@ -199,11 +200,16 @@ TEST(SuiteRunner, MatchesRunBenchmarkAndBuildsOnce)
     cfg.dynamicTarget = 8000;
     cfg.warmupInsts = 800;
 
+    prof::setEnabled(true);
+    prof::reset();
     harness::SuiteRunner runner(2);
     std::size_t prog = runner.addProgram("vortex", 8000);
     runner.submit(prog, cfg);
     runner.submit(prog, cfg);
     auto runs = runner.run();
+    prof::Snapshot snap = prof::snapshot();
+    prof::setEnabled(false);
+    prof::reset();
     ASSERT_EQ(runs.size(), 2u);
 
     auto reference = harness::runBenchmark("vortex", cfg);
@@ -213,12 +219,16 @@ TEST(SuiteRunner, MatchesRunBenchmarkAndBuildsOnce)
     EXPECT_EQ(runs[0].benchmark, reference.benchmark);
 
     // One build, shared read-only: both runs hold the same program
-    // object, and only the first-submitted run records the build
-    // phase (exactly once per program in the manifest).
+    // object, and the build scope was entered once. The build is a
+    // per-program cost, so both runs record the same phases.
     EXPECT_EQ(runs[0].program.get(), runs[1].program.get());
-    EXPECT_TRUE(hasPhase(runs[0], "build"));
-    EXPECT_FALSE(hasPhase(runs[1], "build"));
-    EXPECT_TRUE(hasPhase(reference, "build"));
+    std::uint64_t builds = 0;
+    for (const prof::ScopeSample &s : snap.scopes)
+        if (s.path == "build")
+            builds = s.calls;
+    EXPECT_EQ(builds, 1u);
+    EXPECT_EQ(phaseNames(runs[0]), phaseNames(runs[1]));
+    EXPECT_EQ(phaseNames(runs[0]), phaseNames(reference));
 }
 
 TEST(ConcurrentDebug, RingCapturesEveryMessage)

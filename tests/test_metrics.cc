@@ -14,7 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -170,6 +176,40 @@ TEST_F(ProfTest, DisabledScopesRecordNothing)
     EXPECT_EQ(scope(prof::snapshot(), "ghost"), nullptr);
 }
 
+TEST_F(ProfTest, SinkReceivesPhasesWithProfilingOff)
+{
+    prof::setEnabled(false);
+    prof::Phases phases;
+    {
+        SER_PROF_SCOPE("first", &phases);
+    }
+    {
+        SER_PROF_SCOPE("second", &phases);
+    }
+    ASSERT_EQ(phases.size(), 2u);
+    EXPECT_EQ(phases[0].first, "first");
+    EXPECT_EQ(phases[1].first, "second");
+    EXPECT_GE(phases[0].second, 0.0);
+    // The sink alone does not join the scope tree.
+    prof::setEnabled(true);
+    EXPECT_TRUE(prof::snapshot().scopes.empty());
+}
+
+TEST_F(ProfTest, SinkAndTreeReadOneClock)
+{
+    prof::Phases phases;
+    {
+        SER_PROF_SCOPE("run");
+        SER_PROF_SCOPE("pipeline", &phases);
+    }
+    ASSERT_EQ(phases.size(), 1u);
+    prof::Snapshot snap = prof::snapshot();
+    const prof::ScopeSample *s = scope(snap, "run/pipeline");
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->calls, 1u);
+    EXPECT_EQ(s->seconds, phases[0].second);
+}
+
 TEST_F(ProfTest, ResetZeroesValuesButKeepsNames)
 {
     prof::Counter c("test.reset_me");
@@ -294,4 +334,41 @@ TEST(MetricsRegistry, UnarmedSnapshotWritesNothing)
 {
     harness::MetricsRegistry reg;
     EXPECT_FALSE(reg.writeSnapshot());
+}
+
+TEST(MetricsRegistry, OverlappingSnapshotsSerialize)
+{
+    // A sweep worker's epoch write, the SIGINT/SIGTERM watcher and
+    // the atexit flush can all call writeSnapshot at once, and they
+    // share one temp file. Unserialized, a second rename finds the
+    // temp file gone and the process dies.
+    char dir[] = "/tmp/ser_metrics_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir), nullptr);
+    const std::string path = std::string(dir) + "/snapshot.prom";
+
+    harness::MetricsRegistry reg;
+    reg.setOutputPath(path);
+    for (int i = 0; i < 300; ++i)
+        reg.add("ser_probe_total", 1, "Probe series.", "series",
+                std::to_string(i));
+
+    std::vector<std::thread> writers;
+    for (int t = 0; t < 8; ++t) {
+        writers.emplace_back([&reg] {
+            for (int i = 0; i < 100; ++i)
+                reg.writeSnapshot();
+        });
+    }
+    for (std::thread &t : writers)
+        t.join();
+
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream file;
+    file << in.rdbuf();
+    std::ostringstream fresh;
+    reg.writePrometheus(fresh);
+    EXPECT_EQ(file.str(), fresh.str());
+
+    std::remove(path.c_str());
+    ::rmdir(dir);
 }

@@ -648,30 +648,6 @@ TEST(Sampler, BatchAdvanceMatchesPerCycleTicks)
     }
 }
 
-TEST(Sampler, JsonlLinesAreCompactAndParse)
-{
-    cpu::IntervalSampler sampler(4);
-    sampler.windowOpen(0);
-    for (std::uint64_t cycle = 0; cycle < 9; ++cycle)
-        sampler.tick(cycle, countersAt(cycle, 2));
-    sampler.finish(9);
-
-    std::ostringstream os;
-    sampler.writeJsonl(os);
-    std::istringstream is(os.str());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(is, line)) {
-        json::JsonValue doc;
-        std::string err;
-        ASSERT_TRUE(json::parseJson(line, &doc, &err)) << err;
-        EXPECT_TRUE(doc.find("committed")->isNumber());
-        EXPECT_TRUE(doc.find("avg_iq_occupancy")->isNumber());
-        ++lines;
-    }
-    EXPECT_EQ(lines, sampler.samples().size());
-}
-
 TEST(Table, CsvQuotesPerRfc4180)
 {
     harness::Table t({"name", "value, with comma"});
