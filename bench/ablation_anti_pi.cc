@@ -28,24 +28,20 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Ablation: anti-pi bit vs decode-at-retire");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 150000);
-    harness::JsonReport report;
-    report.setArgs(config);
 
     harness::ExperimentConfig cfg;
     cfg.dynamicTarget = insts;
     cfg.warmupInsts = insts / 10;
-    cfg.intervalCycles = opts.intervalCycles;
 
     // One run per surrogate on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("ablation_anti_pi");
-    harness::TraceExport trace_export(opts);
-    for (const auto &profile : workloads::specSuite()) {
-        trace_export.configure(cfg);
-        runner.submit(runner.addProgram(profile, insts), cfg);
-    }
+    for (const auto &profile : workloads::specSuite())
+        runner.submit(runner.addProgram(profile, insts),
+                      out.stamp(cfg));
     std::vector<harness::RunArtifacts> runs = runner.run();
     // Everything after the sweep (fold, tables, manifest) under
     // one profiled scope, so snapshots show sweep vs aggregation
@@ -59,8 +55,6 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (const auto &profile : workloads::specSuite()) {
         const harness::RunArtifacts &r = runs[idx++];
-        if (!opts.jsonPath.empty())
-            report.addRun(r, cfg);
         double anti = r.avf->falseDueAvf();
         double decode = r.avf->falseDueAvfDecodeAtRetire();
         table.addRow({profile.name, Table::pct(anti),
@@ -74,17 +68,12 @@ main(int argc, char **argv)
     harness::printHeading(
         std::cout, "anti-pi bit vs decode-at-retire (Section "
                    "4.3.2 trade-off)");
-    table.print(std::cout);
+    out.print("anti_pi", table);
     std::cout << "\naverages: " << Table::pct(a_sum / n) << " -> "
               << Table::pct(d_sum / n)
               << " (paper: 33% -> 41% — re-decoding at retire "
                  "makes Ex-ACE time readable)\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("anti_pi", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

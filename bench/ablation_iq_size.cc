@@ -28,11 +28,10 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Ablation: AVF vs instruction-queue size");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 120000);
     std::string benchmark = config.getString("benchmark", "vortex");
-    harness::JsonReport report;
-    report.setArgs(config);
 
     const unsigned sizes[] = {16u, 32u, 64u, 128u, 256u};
 
@@ -40,23 +39,16 @@ main(int argc, char **argv)
     // runs execute on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("ablation_iq_size");
-    harness::TraceExport trace_export(opts);
     std::size_t prog = runner.addProgram(benchmark, insts);
-    std::vector<harness::ExperimentConfig> configs;
     for (unsigned entries : sizes) {
         harness::ExperimentConfig cfg;
         cfg.dynamicTarget = insts;
         cfg.warmupInsts = insts / 10;
         cfg.pipeline.iqEntries = entries;
-        cfg.intervalCycles = opts.intervalCycles;
-        trace_export.configure(cfg);
-        runner.submit(prog, cfg);
-        configs.push_back(cfg);
+        runner.submit(prog, out.stamp(cfg));
 
         cfg.triggerLevel = "l1";
-        trace_export.configure(cfg);
-        runner.submit(prog, cfg);
-        configs.push_back(cfg);
+        runner.submit(prog, out.stamp(cfg));
     }
     std::vector<harness::RunArtifacts> runs = runner.run();
     // Everything after the sweep (fold, tables, manifest) under
@@ -70,10 +62,6 @@ main(int argc, char **argv)
     for (unsigned entries : sizes) {
         const harness::RunArtifacts &base = runs[idx];
         const harness::RunArtifacts &squash = runs[idx + 1];
-        if (!opts.jsonPath.empty()) {
-            report.addRun(base, configs[idx]);
-            report.addRun(squash, configs[idx + 1]);
-        }
         idx += 2;
 
         table.addRow(
@@ -87,17 +75,12 @@ main(int argc, char **argv)
 
     harness::printHeading(std::cout,
                           "IQ size ablation (" + benchmark + ")");
-    table.print(std::cout);
+    out.print("iq_size", table);
     std::cout << "\n(the AVF *fraction* falls with queue size as a "
                  "bigger queue holds more idle/unread state, while "
                  "the absolute exposed bit-cycles grow; squashing "
                  "matters more as occupancy rises)\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("iq_size", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

@@ -34,6 +34,7 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Ablation: pi-bit granularity self-exposure");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 150000);
     std::string benchmark = config.getString("benchmark", "mesa");
@@ -41,16 +42,13 @@ main(int argc, char **argv)
     harness::ExperimentConfig cfg;
     cfg.dynamicTarget = insts;
     cfg.warmupInsts = insts / 10;
-    cfg.intervalCycles = opts.intervalCycles;
 
     // Single design point, still routed through the SuiteRunner so
-    // --jobs plumbing and build/run phase timing are uniform across
-    // the bench mains.
+    // the --progress line and the run's phase timing work as in
+    // every other bench main.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("ablation_pi_granularity");
-    harness::TraceExport trace_export(opts);
-    trace_export.configure(cfg);
-    runner.submit(runner.addProgram(benchmark, insts), cfg);
+    runner.submit(runner.addProgram(benchmark, insts), out.stamp(cfg));
     std::vector<harness::RunArtifacts> runs = runner.run();
     // Everything after the sweep (fold, tables, manifest) under
     // one profiled scope, so snapshots show sweep vs aggregation
@@ -92,7 +90,7 @@ main(int argc, char **argv)
                                      ? self / payload_false
                                      : 0)});
     }
-    table.print(std::cout);
+    out.print("pi_granularity", table);
     std::cout
         << "\npayload false DUE AVF for reference: "
         << Table::pct(payload_false)
@@ -100,14 +98,6 @@ main(int argc, char **argv)
            "ISAs but linearly multiplies the pi bits' own "
            "false-DUE exposure)\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        harness::JsonReport report;
-        report.setArgs(config);
-        report.addRun(r, cfg);
-        report.addTable("pi_granularity", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

@@ -12,7 +12,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "harness/bench_options.hh"
@@ -33,18 +32,12 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Ablation: trigger level x action design space");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 120000);
-    std::vector<std::string> benchmarks = {"mcf",    "ammp",
-                                           "gzip",   "equake",
-                                           "vortex", "facerec"};
-    if (config.has("benchmarks")) {
-        benchmarks.clear();
-        std::istringstream is(config.getString("benchmarks", ""));
-        std::string item;
-        while (std::getline(is, item, ','))
-            benchmarks.push_back(item);
-    }
+    std::vector<std::string> benchmarks = config.getList(
+        "benchmarks",
+        {"mcf", "ammp", "gzip", "equake", "vortex", "facerec"});
 
     struct Point
     {
@@ -57,19 +50,14 @@ main(int argc, char **argv)
         {"l0", "both"},     {"l1", "both"},
     };
 
-    harness::JsonReport report;
-    report.setArgs(config);
-
     // Each program is built once and shared read-only across all
     // eight trigger/action points; the sweep runs on the --jobs
     // worker pool with submission-order aggregation.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("ablation_triggers");
-    harness::TraceExport trace_export(opts);
     std::vector<std::size_t> prog_ids;
     for (const auto &name : benchmarks)
         prog_ids.push_back(runner.addProgram(name, insts));
-    std::vector<harness::ExperimentConfig> configs;
     for (const auto &pt : points) {
         for (std::size_t i = 0; i < prog_ids.size(); ++i) {
             harness::ExperimentConfig cfg;
@@ -77,10 +65,7 @@ main(int argc, char **argv)
             cfg.warmupInsts = insts / 10;
             cfg.triggerLevel = pt.trigger;
             cfg.triggerAction = pt.action;
-            cfg.intervalCycles = opts.intervalCycles;
-            trace_export.configure(cfg);
-            runner.submit(prog_ids[i], cfg);
-            configs.push_back(cfg);
+            runner.submit(prog_ids[i], out.stamp(cfg));
         }
     }
     std::vector<harness::RunArtifacts> runs = runner.run();
@@ -97,8 +82,6 @@ main(int argc, char **argv)
         double ipc = 0, sdc = 0, due = 0;
         for (std::size_t i = 0; i < prog_ids.size(); ++i, ++idx) {
             const harness::RunArtifacts &r = runs[idx];
-            if (!opts.jsonPath.empty())
-                report.addRun(r, configs[idx]);
             ipc += r.ipc;
             sdc += r.avf->sdcAvf();
             due += r.avf->dueAvf();
@@ -125,13 +108,8 @@ main(int argc, char **argv)
         "trigger/action ablation (avg over " +
             std::to_string(benchmarks.size()) + " benchmarks, " +
             std::to_string(insts) + " insts)");
-    table.print(std::cout);
+    out.print("triggers", table);
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("triggers", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

@@ -32,11 +32,9 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Extension: register-file AVF");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 150000);
-    bool csv = opts.csv;
-    harness::JsonReport report;
-    report.setArgs(config);
 
     Table table({"benchmark", "int SDC AVF", "int dead-value",
                  "fp SDC AVF", "fp dead-value", "pred SDC AVF",
@@ -47,16 +45,13 @@ main(int argc, char **argv)
     harness::ExperimentConfig cfg;
     cfg.dynamicTarget = insts;
     cfg.warmupInsts = insts / 10;
-    cfg.intervalCycles = opts.intervalCycles;
 
     // One run per surrogate on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("ext_regfile_avf");
-    harness::TraceExport trace_export(opts);
-    for (const auto &profile : workloads::specSuite()) {
-        trace_export.configure(cfg);
-        runner.submit(runner.addProgram(profile, insts), cfg);
-    }
+    for (const auto &profile : workloads::specSuite())
+        runner.submit(runner.addProgram(profile, insts),
+                      out.stamp(cfg));
     std::vector<harness::RunArtifacts> runs = runner.run();
     // Everything after the sweep (fold, tables, manifest) under
     // one profiled scope, so snapshots show sweep vs aggregation
@@ -66,8 +61,6 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (const auto &profile : workloads::specSuite()) {
         const harness::RunArtifacts &r = runs[idx++];
-        if (!opts.jsonPath.empty())
-            report.addRun(r, cfg);
         auto rf = avf::computeRegFileAvf(*r.trace, *r.deadness);
         table.addRow({profile.name,
                       Table::pct(rf.intFile.sdcAvf()),
@@ -86,21 +79,13 @@ main(int argc, char **argv)
         "extension: register-file AVF (paper Section 8: 'they can "
         "also reduce the AVF of other structures, such as the "
         "register file')");
-    if (csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    out.print("regfile_avf", table);
     std::cout << "\naverages: int-file SDC AVF "
               << Table::pct(int_sum / n) << ", of which dead-value "
               << Table::pct(dead_sum / n)
               << " is removable by the pi-bit-per-register scheme "
                  "on a parity-protected file\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("regfile_avf", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

@@ -21,7 +21,7 @@
  *
  * Usage: fig1_outcome_taxonomy [benchmark=gzip] [insts=N]
  *        [samples=800] [seed=S] [--jobs N] [--json PATH]
- *        [--trace-events FILE] [--topn N]
+ *        [--trace-events FILE] [--topn N] [--convergence-out F]
  */
 
 #include <iostream>
@@ -44,6 +44,7 @@ main(int argc, char **argv)
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv,
         "Figure 1: fault-injection outcome taxonomy");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::string benchmark = config.getString("benchmark", "gzip");
     std::uint64_t insts = config.getUint("insts", 60000);
@@ -59,13 +60,10 @@ main(int argc, char **argv)
     cfg.campaign.structures = faults::structIq;
     cfg.campaign.payloadOnly = true;
     cfg.campaign.protection = faults::Protection::None;
-    cfg.campaign.jobs = opts.jobs;
 
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("fig1_outcome_taxonomy");
-    harness::TraceExport trace_export(opts);
-    trace_export.configure(cfg);
-    runner.submit(runner.addProgram(benchmark, insts), cfg);
+    runner.submit(runner.addProgram(benchmark, insts), out.stamp(cfg));
     std::vector<harness::RunArtifacts> runs = runner.run();
     SER_PROF_SCOPE("aggregate");
     const harness::RunArtifacts &run = runs.front();
@@ -100,7 +98,7 @@ main(int argc, char **argv)
                       Table::pct(tracked.rate(oc)),
                       Table::pct(ecc.rate(oc))});
     }
-    table.print(std::cout);
+    out.print("outcomes", table);
     std::cout << "\n(parity turns SDC into DUE; the pi machinery "
                  "moves the provably-false DUEs back to benign; ECC "
                  "removes outcomes 3-6 entirely, at the cost the "
@@ -108,13 +106,10 @@ main(int argc, char **argv)
 
     harness::printHeading(std::cout,
                           "injection vs analytical (ACE) AVF");
-    auto ci = [](faults::Interval i) {
-        return "[" + Table::pct(i.lo) + ", " + Table::pct(i.hi) +
-               "]";
-    };
+    faults::Interval sdc_ci = unprot.interval(faults::Outcome::Sdc);
     std::cout << "SDC rate (injected)     "
-              << Table::pct(unprot.sdcRate()) << " 95% CI "
-              << ci(unprot.interval(faults::Outcome::Sdc)) << "\n";
+              << Table::pct(unprot.sdcRate()) << " 95% CI ["
+              << Table::range(sdc_ci.lo, sdc_ci.hi, ", ") << "]\n";
     std::cout << "SDC AVF (analytical)    "
               << Table::pct(avf.sdcAvf())
               << "  (conservative upper bound)\n";
@@ -130,21 +125,13 @@ main(int argc, char **argv)
                                 : 0)
               << "  (paper: false DUE up to ~52% of the total)\n";
 
-    bool ok = unprot.interval(faults::Outcome::Sdc).lo <=
-              avf.sdcAvf() + 0.02;
+    bool ok = sdc_ci.lo <= avf.sdcAvf() + 0.02;
     std::cout << "\nconsistency: "
               << (ok ? "PASS (injection within the analytical "
                        "bound)"
                      : "FAIL")
               << "\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        harness::JsonReport report;
-        report.setArgs(config);
-        report.addTable("outcomes", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return ok ? 0 : 1;
 }

@@ -35,12 +35,10 @@ main(int argc, char **argv)
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv,
         "Figure 2: false-DUE coverage by tracking technique");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 200000);
     auto pet = static_cast<std::uint32_t>(config.getUint("pet", 512));
-    bool csv = opts.csv;
-    harness::JsonReport report;
-    report.setArgs(config);
 
     const TrackingLevel levels[] = {
         TrackingLevel::PiToCommit,   TrackingLevel::AntiPi,
@@ -60,17 +58,14 @@ main(int argc, char **argv)
     cfg.dynamicTarget = insts;
     cfg.warmupInsts = insts / 10;
     cfg.petSize = pet;
-    cfg.intervalCycles = opts.intervalCycles;
 
     // One run per surrogate, executed on the --jobs worker pool;
     // aggregation below walks the results in suite order.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("fig2_false_due");
-    harness::TraceExport trace_export(opts);
-    for (const auto &profile : workloads::specSuite()) {
-        trace_export.configure(cfg);
-        runner.submit(runner.addProgram(profile, insts), cfg);
-    }
+    for (const auto &profile : workloads::specSuite())
+        runner.submit(runner.addProgram(profile, insts),
+                      out.stamp(cfg));
     std::vector<harness::RunArtifacts> runs = runner.run();
     // Everything after the sweep (fold, tables, manifest) under
     // one profiled scope, so snapshots show sweep vs aggregation
@@ -80,8 +75,6 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (const auto &profile : workloads::specSuite()) {
         const harness::RunArtifacts &r = runs[idx++];
-        if (!opts.jsonPath.empty())
-            report.addRun(r, cfg);
 
         std::vector<std::string> row{
             profile.name, Table::pct(r.falseDue.baseFalseDueAvf)};
@@ -100,10 +93,7 @@ main(int argc, char **argv)
     harness::printHeading(
         std::cout,
         "Figure 2: cumulative coverage of the false DUE AVF");
-    if (csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    out.print("coverage", table);
 
     harness::printHeading(std::cout,
                           "incremental coverage by technique");
@@ -121,17 +111,11 @@ main(int argc, char **argv)
         avg.addRow({names[i], Table::pct(int_avg),
                     Table::pct(fp_avg), Table::pct(all), paper[i]});
     }
-    avg.print(std::cout);
+    out.print("incremental", avg);
     std::cout << "\n(cumulative coverage reaches 100% at pi-on-"
                  "memory for every benchmark, matching the paper's "
                  "complete-coverage claim)\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("coverage", table);
-        report.addTable("incremental", avg);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

@@ -25,7 +25,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "core/pet_buffer.hh"
@@ -42,37 +41,16 @@
 using namespace ser;
 using harness::Table;
 
-namespace
-{
-
-std::vector<std::string>
-parseList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Figure 3: FDD coverage vs PET-buffer size");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 200000);
-    bool csv = opts.csv;
     std::vector<std::string> benchmarks =
-        config.has("benchmarks")
-            ? parseList(config.getString("benchmarks", ""))
-            : workloads::suiteNames();
-    harness::JsonReport report;
-    report.setArgs(config);
+        config.getList("benchmarks", workloads::suiteNames());
 
     const std::vector<std::uint32_t> sizes = {
         32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384};
@@ -82,8 +60,6 @@ main(int argc, char **argv)
     // once per benchmark (run cache) no matter how many sizes sweep.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("fig3_pet_sweep");
-    harness::TraceExport trace_export(opts);
-    std::vector<harness::ExperimentConfig> configs;
     for (const auto &name : benchmarks) {
         std::size_t prog = runner.addProgram(name, insts);
         for (std::uint32_t size : sizes) {
@@ -92,10 +68,7 @@ main(int argc, char **argv)
             cfg.warmupInsts = 0;
             cfg.petSize = size;
             cfg.pipeline.maxInsts = insts * 2;
-            cfg.intervalCycles = opts.intervalCycles;
-            trace_export.configure(cfg);
-            runner.submit(prog, cfg);
-            configs.push_back(cfg);
+            runner.submit(prog, out.stamp(cfg));
         }
     }
     std::vector<harness::RunArtifacts> runs = runner.run();
@@ -118,8 +91,6 @@ main(int argc, char **argv)
     for (std::size_t b = 0; b < benchmarks.size(); ++b) {
         for (std::size_t i = 0; i < sizes.size(); ++i, ++idx) {
             const harness::RunArtifacts &r = runs[idx];
-            if (!opts.jsonPath.empty())
-                report.addRun(r, configs[idx]);
             core::PetCoverage cov =
                 core::petCoverage(*r.deadness, sizes[i]);
             totals[i].nonRet += cov.fddRegNonReturn;
@@ -155,21 +126,13 @@ main(int argc, char **argv)
         std::cout,
         "Figure 3: FDD coverage vs PET buffer size (suite "
         "aggregate)");
-    if (csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    out.print("pet_sweep", table);
 
     std::cout << "\npaper anchors: 512 entries cover ~32% of FDD "
                  "via registers; ~10k entries with returns cover "
                  "most FDDs (but a 10,000-entry PET buffer may not "
                  "be implementable)\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("pet_sweep", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

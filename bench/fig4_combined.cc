@@ -37,11 +37,9 @@ main(int argc, char **argv)
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv,
         "Figure 4: combined squashing + pi-tracking impact");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 200000);
-    bool csv = opts.csv;
-    harness::JsonReport report;
-    report.setArgs(config);
 
     Table table({"benchmark", "rel SDC AVF", "rel DUE AVF",
                  "dIPC"});
@@ -51,7 +49,6 @@ main(int argc, char **argv)
     harness::ExperimentConfig base;
     base.dynamicTarget = insts;
     base.warmupInsts = insts / 10;
-    base.intervalCycles = opts.intervalCycles;
     harness::ExperimentConfig opt = base;
     opt.triggerLevel = "l1";
     opt.triggerAction = "squash";
@@ -60,13 +57,10 @@ main(int argc, char **argv)
     // surrogate and execute on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("fig4_combined");
-    harness::TraceExport trace_export(opts);
     for (const auto &profile : workloads::specSuite()) {
         std::size_t prog = runner.addProgram(profile, insts);
-        trace_export.configure(base);
-        runner.submit(prog, base);
-        trace_export.configure(opt);
-        runner.submit(prog, opt);
+        runner.submit(prog, out.stamp(base));
+        runner.submit(prog, out.stamp(opt));
     }
     std::vector<harness::RunArtifacts> runs = runner.run();
     // Everything after the sweep (fold, tables, manifest) under
@@ -78,10 +72,6 @@ main(int argc, char **argv)
     for (const auto &profile : workloads::specSuite()) {
         const harness::RunArtifacts &r_base = runs[idx++];
         const harness::RunArtifacts &r_opt = runs[idx++];
-        if (!opts.jsonPath.empty()) {
-            report.addRun(r_base, base);
-            report.addRun(r_opt, opt);
-        }
 
         // SDC: unprotected queue, squashing only.
         double rel_sdc =
@@ -108,10 +98,7 @@ main(int argc, char **argv)
     harness::printHeading(
         std::cout,
         "Figure 4: combined exposure + false-DUE reduction");
-    if (csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    out.print("combined", table);
 
     std::cout << "\naverages: relative SDC AVF "
               << Table::fmt(sdc_sum / n) << " (paper ~0.74), "
@@ -119,11 +106,6 @@ main(int argc, char **argv)
               << " (paper ~0.43), IPC change "
               << Table::pct(ipc_sum / n) << " (paper ~-2%)\n";
 
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("combined", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

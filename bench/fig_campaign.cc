@@ -45,91 +45,34 @@
 using namespace ser;
 using harness::Table;
 
-namespace
-{
-
-faults::Protection
-parseProtection(const std::string &name)
-{
-    if (name == "none")
-        return faults::Protection::None;
-    if (name == "parity")
-        return faults::Protection::Parity;
-    if (name == "ecc")
-        return faults::Protection::Ecc;
-    SER_FATAL("fig_campaign: unknown protection '{}' (want "
-              "none/parity/ecc)", name);
-}
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-std::string
-band(double lo, double hi)
-{
-    if (lo == hi)
-        return Table::pct(hi);
-    return Table::pct(lo) + ".." + Table::pct(hi);
-}
-
-std::string
-ci(const faults::Interval &interval)
-{
-    return Table::pct(interval.lo) + ".." + Table::pct(interval.hi);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv,
         "Measured vs analytical AVF: fault-injection campaigns");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 60000);
-    std::uint64_t samples = config.getUint("samples", 20000);
     // Defaults span the suite's behaviour space: an integer
     // compressor, the memory-bound pointer chaser, and an FP
     // streaming code.
-    std::string benchmarks =
-        config.getString("benchmarks", "gzip,mcf,swim");
-    std::string protections =
-        config.getString("protections", "none,parity,ecc");
-    std::string structures = config.getString("structures",
-                                              "iq,regfile");
-
-    harness::JsonReport report;
-    report.setArgs(config);
+    std::vector<std::string> bench_names =
+        config.getList("benchmarks", {"gzip", "mcf", "swim"});
+    std::vector<std::string> prot_names =
+        config.getList("protections", {"none", "parity", "ecc"});
 
     harness::ExperimentConfig cfg;
     cfg.dynamicTarget = insts;
     cfg.warmupInsts = insts / 10;
-    cfg.intervalCycles = opts.intervalCycles;
-    cfg.attributionTopN = opts.topn;
-    cfg.campaign.samples = samples;
+    cfg.campaign.samples = config.getUint("samples", 20000);
     cfg.campaign.seed = config.getUint("cseed", 0xFA117);
-    cfg.campaign.structures = faults::parseStructures(structures);
-    cfg.campaign.ciTarget = opts.ciTarget;
+    cfg.campaign.structures = faults::parseStructures(
+        config.getString("structures", "iq,regfile"));
     cfg.campaign.batchSamples = config.getUint("batch", 4096);
     cfg.campaign.checkpoints = static_cast<unsigned>(
         config.getUint("checkpoints", 32));
-    cfg.campaign.rootCauseTopN = opts.topn;
-    // The engine shards each campaign's batches over the same worker
-    // count the sweep uses; results are byte-identical for any N.
-    cfg.campaign.jobs = opts.jobs;
 
-    std::vector<std::string> bench_names = splitCsv(benchmarks);
-    std::vector<std::string> prot_names = splitCsv(protections);
     if (bench_names.empty() || prot_names.empty())
         SER_FATAL("fig_campaign: benchmarks= and protections= must "
                   "be non-empty");
@@ -140,17 +83,11 @@ main(int argc, char **argv)
     // benchmark simulates once.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("fig_campaign");
-    harness::TraceExport trace_export(opts);
-    std::vector<harness::ExperimentConfig> cfgs;
     for (const auto &bench : bench_names) {
-        std::size_t program =
-            runner.addProgram(workloads::findProfile(bench), insts);
+        std::size_t program = runner.addProgram(bench, insts);
         for (const auto &prot : prot_names) {
-            harness::ExperimentConfig point = cfg;
-            point.campaign.protection = parseProtection(prot);
-            trace_export.configure(point);
-            runner.submit(program, point);
-            cfgs.push_back(point);
+            cfg.campaign.protection = faults::parseProtection(prot);
+            runner.submit(program, out.stamp(cfg));
         }
     }
     std::vector<harness::RunArtifacts> runs = runner.run();
@@ -164,10 +101,7 @@ main(int argc, char **argv)
                 "CI half-width", "reruns", "mean rerun cost",
                 "checkpoints"});
     std::size_t covered = 0, checks = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const harness::RunArtifacts &r = runs[i];
-        if (!opts.jsonPath.empty())
-            report.addRun(r, cfgs[i]);
+    for (const harness::RunArtifacts &r : runs) {
         if (!r.campaign)
             continue;
         const faults::CampaignOutcome &c = *r.campaign;
@@ -177,11 +111,13 @@ main(int argc, char **argv)
                 {r.benchmark, prot,
                  faults::structureName(s.structure),
                  std::to_string(s.tally.samples),
-                 Table::pct(s.sdcRate()), ci(s.sdcCi),
-                 band(s.analyticalSdcLower, s.analyticalSdc),
+                 Table::pct(s.sdcRate()),
+                 Table::range(s.sdcCi.lo, s.sdcCi.hi),
+                 Table::range(s.analyticalSdcLower, s.analyticalSdc),
                  s.sdcCovered ? "yes" : "NO",
-                 Table::pct(s.dueRate()), ci(s.dueCi),
-                 band(s.analyticalDueLower, s.analyticalDue),
+                 Table::pct(s.dueRate()),
+                 Table::range(s.dueCi.lo, s.dueCi.hi),
+                 Table::range(s.analyticalDueLower, s.analyticalDue),
                  s.dueCovered ? "yes" : "NO"});
             covered += (s.sdcCovered ? 1 : 0) + (s.dueCovered ? 1 : 0);
             checks += 2;
@@ -200,20 +136,14 @@ main(int argc, char **argv)
         std::cout,
         "measured vs analytical AVF: statistical fault injection "
         "(cross-validation of the ACE fold)");
-    if (opts.csv)
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
+    out.print("campaign_reconciliation", table);
     std::cout << "\nreconciliation: " << covered << "/" << checks
               << " measured 95% CIs cover their analytical band\n";
 
     harness::printHeading(std::cout,
                           "campaign economics: checkpoint/fork "
                           "re-execution cost");
-    if (opts.csv)
-        econ.printCsv(std::cout);
-    else
-        econ.print(std::cout);
+    out.print("campaign_economics", econ);
 
     // Per-batch convergence: how fast each campaign's worst tracked
     // CI half-width shrank, and (when --ci-target is set) how many
@@ -246,55 +176,32 @@ main(int argc, char **argv)
     harness::printHeading(std::cout,
                           "campaign convergence: per-batch CI "
                           "half-width time-series");
-    if (opts.csv)
-        conv.printCsv(std::cout);
-    else
-        conv.print(std::cout);
-    if (!opts.convergenceOutPath.empty()) {
-        harness::writeConvergenceJsonl(opts.convergenceOutPath,
-                                       runs);
-        std::cout << "\nconvergence series written to "
-                  << opts.convergenceOutPath << "\n";
-    }
+    out.print("campaign_convergence", conv);
 
-    if (opts.topn) {
-        for (const harness::RunArtifacts &r : runs) {
-            if (!r.campaign || r.campaign->rootCauses.empty())
-                continue;
-            const faults::CampaignOutcome &c = *r.campaign;
-            if (c.protection != faults::Protection::None)
-                continue;
-            harness::printHeading(
-                std::cout, "SDC root causes: " + r.benchmark +
-                               " (measured share vs analytical ACE "
-                               "share)");
-            Table rc({"pc", "disasm", "SDC injections",
-                      "measured share", "analytical ACE share"});
-            for (const faults::RootCause &cause : c.rootCauses) {
-                std::ostringstream pc;
-                pc << "0x" << std::hex
-                   << isa::Program::indexToAddr(cause.staticIdx);
-                rc.addRow({pc.str(),
-                           r.program->inst(cause.staticIdx)
-                               .toString(),
-                           std::to_string(cause.sdcInjections),
-                           Table::pct(cause.measuredShare),
-                           Table::pct(cause.analyticalAceShare)});
-            }
-            if (opts.csv)
-                rc.printCsv(std::cout);
-            else
-                rc.print(std::cout);
+    for (const harness::RunArtifacts &r : runs) {
+        if (!r.campaign || r.campaign->rootCauses.empty())
+            continue;
+        const faults::CampaignOutcome &c = *r.campaign;
+        if (c.protection != faults::Protection::None)
+            continue;
+        harness::printHeading(std::cout,
+                              "SDC root causes: " + r.benchmark +
+                                  " (measured share vs analytical "
+                                  "ACE share)");
+        Table rc({"pc", "disasm", "SDC injections", "measured share",
+                  "analytical ACE share"});
+        for (const faults::RootCause &cause : c.rootCauses) {
+            std::ostringstream pc;
+            pc << "0x" << std::hex
+               << isa::Program::indexToAddr(cause.staticIdx);
+            rc.addRow({pc.str(),
+                       r.program->inst(cause.staticIdx).toString(),
+                       std::to_string(cause.sdcInjections),
+                       Table::pct(cause.measuredShare),
+                       Table::pct(cause.analyticalAceShare)});
         }
+        out.print("root_causes_" + r.benchmark, rc);
     }
-
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("campaign_reconciliation", table);
-        report.addTable("campaign_economics", econ);
-        report.addTable("campaign_convergence", conv);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

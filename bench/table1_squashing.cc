@@ -37,7 +37,6 @@
  */
 
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "harness/bench_options.hh"
@@ -47,7 +46,6 @@
 #include "harness/suite_runner.hh"
 #include "sim/config.hh"
 #include "sim/prof.hh"
-#include "sim/logging.hh"
 #include "workloads/profile.hh"
 #include "workloads/suite.hh"
 
@@ -70,46 +68,6 @@ struct Row
     double due = 0.0;
 };
 
-std::vector<std::string>
-parseList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-faults::Protection
-parseProtection(const std::string &name)
-{
-    if (name == "none")
-        return faults::Protection::None;
-    if (name == "parity")
-        return faults::Protection::Parity;
-    if (name == "ecc")
-        return faults::Protection::Ecc;
-    SER_FATAL("table1_squashing: unknown protection '{}' (want "
-              "none, parity or ecc)",
-              name);
-}
-
-std::string
-band(double lo, double hi)
-{
-    if (lo == hi)
-        return Table::pct(hi);
-    return Table::pct(lo) + ".." + Table::pct(hi);
-}
-
-std::string
-ci(const faults::Interval &interval)
-{
-    return Table::pct(interval.lo) + ".." + Table::pct(interval.hi);
-}
-
 } // namespace
 
 int
@@ -117,9 +75,9 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Table 1: the IPC and AVF impact of squashing");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 300000);
-    bool csv = opts.csv;
     std::string action = config.getString("action", "squash");
     std::uint32_t l1_lat =
         static_cast<std::uint32_t>(config.getUint("l1_lat", 0));
@@ -128,26 +86,19 @@ main(int argc, char **argv)
     std::uint32_t mem_lat =
         static_cast<std::uint32_t>(config.getUint("mem_lat", 0));
     std::vector<std::string> benchmarks =
-        config.has("benchmarks")
-            ? parseList(config.getString("benchmarks", ""))
-            : workloads::suiteNames();
-    harness::JsonReport report;
-    report.setArgs(config);
+        config.getList("benchmarks", workloads::suiteNames());
 
     // Optional measured-AVF cross-validation campaign per run.
     faults::CampaignSpec campaign;
     campaign.samples = config.getUint("samples", 0);
     campaign.seed = config.getUint("cseed", 0xFA117);
     campaign.protection =
-        parseProtection(config.getString("protection", "none"));
+        faults::parseProtection(config.getString("protection", "none"));
     campaign.structures = faults::parseStructures(
         config.getString("structures", "iq"));
-    campaign.ciTarget = opts.ciTarget;
     campaign.batchSamples = config.getUint("batch", 4096);
     campaign.checkpoints =
         static_cast<unsigned>(config.getUint("checkpoints", 32));
-    campaign.rootCauseTopN = opts.topn;
-    campaign.jobs = opts.jobs;
 
     const DesignPoint points[] = {
         {"No squashing", "none"},
@@ -161,12 +112,9 @@ main(int argc, char **argv)
 
     // Queue the whole 26 x 3 sweep: each surrogate is built once
     // (by the first worker that needs it) and shared read-only
-    // across its design points; the one-time build phase lands in
-    // the first design point's manifest run only.
+    // across its design points.
     harness::SuiteRunner runner(opts.jobs);
     runner.setLabel("table1_squashing");
-    harness::TraceExport trace_export(opts);
-    std::vector<harness::ExperimentConfig> configs;
     for (const auto &name : benchmarks) {
         std::size_t prog = runner.addProgram(name, insts);
         for (int d = 0; d < 3; ++d) {
@@ -175,7 +123,6 @@ main(int argc, char **argv)
             cfg.warmupInsts = insts / 10;
             cfg.triggerLevel = points[d].trigger;
             cfg.triggerAction = action;
-            cfg.intervalCycles = opts.intervalCycles;
             if (l1_lat)
                 cfg.pipeline.hierarchy.l1.hitLatency = l1_lat;
             if (l2_lat)
@@ -183,9 +130,7 @@ main(int argc, char **argv)
             if (mem_lat)
                 cfg.pipeline.hierarchy.memLatency = mem_lat;
             cfg.campaign = campaign;
-            trace_export.configure(cfg);
-            runner.submit(prog, cfg);
-            configs.push_back(cfg);
+            runner.submit(prog, out.stamp(cfg));
         }
     }
     std::vector<harness::RunArtifacts> runs = runner.run();
@@ -200,8 +145,6 @@ main(int argc, char **argv)
     for (const auto &name : benchmarks) {
         for (int d = 0; d < 3; ++d, ++idx) {
             const harness::RunArtifacts &r = runs[idx];
-            if (!opts.jsonPath.empty())
-                report.addRun(r, configs[idx]);
             totals[d].ipc += r.ipc;
             totals[d].sdc += r.avf->sdcAvf();
             totals[d].due += r.avf->dueAvf();
@@ -219,10 +162,7 @@ main(int argc, char **argv)
                           "per-benchmark results (" +
                               std::to_string(insts) +
                               " dynamic instructions each)");
-    if (csv)
-        per_bench.printCsv(std::cout);
-    else
-        per_bench.print(std::cout);
+    out.print("per_benchmark", per_bench);
 
     // The paper's Table 1 (suite averages).
     double n = static_cast<double>(benchmarks.size());
@@ -239,7 +179,7 @@ main(int argc, char **argv)
     }
     harness::printHeading(
         std::cout, "Table 1: impact of squashing (suite averages)");
-    table1.print(std::cout);
+    out.print("table1", table1);
 
     // Paper anchor: L1 squashing cuts SDC AVF ~26% and DUE AVF ~18%
     // for ~2% IPC; L0 squashing cuts more AVF but ~10% IPC.
@@ -256,7 +196,7 @@ main(int argc, char **argv)
              Table::fmt((ipc / sdc) / (ipc0 / sdc0), 2) + "x",
              Table::fmt((ipc / due) / (ipc0 / due0), 2) + "x"});
     }
-    deltas.print(std::cout);
+    out.print("deltas", deltas);
 
     if (campaign.samples) {
         Table recon({"benchmark", "design", "structure", "samples",
@@ -279,11 +219,15 @@ main(int argc, char **argv)
                         {name, points[d].trigger,
                          faults::structureName(s.structure),
                          std::to_string(s.tally.samples),
-                         Table::pct(s.sdcRate()), ci(s.sdcCi),
-                         band(s.analyticalSdcLower, s.analyticalSdc),
+                         Table::pct(s.sdcRate()),
+                         Table::range(s.sdcCi.lo, s.sdcCi.hi),
+                         Table::range(s.analyticalSdcLower,
+                                      s.analyticalSdc),
                          s.sdcCovered ? "yes" : "NO",
-                         Table::pct(s.dueRate()), ci(s.dueCi),
-                         band(s.analyticalDueLower, s.analyticalDue),
+                         Table::pct(s.dueRate()),
+                         Table::range(s.dueCi.lo, s.dueCi.hi),
+                         Table::range(s.analyticalDueLower,
+                                      s.analyticalDue),
                          s.dueCovered ? "yes" : "NO",
                          Table::pct(c.meanRerunFraction())});
                 }
@@ -293,25 +237,11 @@ main(int argc, char **argv)
             std::cout, "measured vs analytical AVF (" +
                            std::to_string(campaign.samples) +
                            "-sample campaigns)");
-        recon.print(std::cout);
+        out.print("campaign_reconciliation", recon);
         std::cout << "reconciliation: " << covered << "/" << checks
                   << " measured 95% CIs cover their analytical "
                      "band\n";
-        if (!opts.jsonPath.empty())
-            report.addTable("campaign_reconciliation", recon);
     }
-    // Per-batch campaign convergence series (plot time-to-CI-target).
-    if (!opts.convergenceOutPath.empty())
-        harness::writeConvergenceJsonl(opts.convergenceOutPath,
-                                       runs);
-
-    trace_export.emit(std::cout, runs);
-
-    if (!opts.jsonPath.empty()) {
-        report.addTable("per_benchmark", per_bench);
-        report.addTable("table1", table1);
-        report.addTable("deltas", deltas);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

@@ -34,10 +34,9 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Table 2: the surrogate benchmark roster");
-    harness::TraceExport::warnUnsupported(opts);
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::uint64_t insts = config.getUint("insts", 120000);
-    bool csv = opts.csv;
 
     Table roster({"benchmark", "type", "kernel", "working set",
                   "no-op density", "prefetch", "branch entropy",
@@ -97,20 +96,14 @@ main(int argc, char **argv)
     harness::printHeading(
         std::cout,
         "Table 2 (surrogate roster): the SPEC CPU2000 stand-ins");
-    if (csv)
-        roster.printCsv(std::cout);
-    else
-        roster.print(std::cout);
+    out.print("roster", roster);
 
     std::cout << "\nsuite-average dynamically dead fraction: "
               << Table::pct(dead_sum / count)
               << "  (paper: ~20% of all instructions)\n";
 
-    if (!opts.jsonPath.empty()) {
-        harness::JsonReport report;
-        report.setArgs(config);
-        report.addTable("roster", roster);
-        report.write(opts.jsonPath);
-    }
+    // No run goes through the experiment harness: finish() warns
+    // that --trace-events and --topn have nothing to act on.
+    out.finish();
     return 0;
 }

@@ -74,6 +74,7 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "End-to-end API tour on a hand-written kernel");
+    harness::BenchOutput out(opts);
     auto program = std::make_shared<const isa::Program>(
         isa::assembleOrDie(kernelSource));
     std::cout << "assembled " << program->size()
@@ -83,7 +84,6 @@ main(int argc, char **argv)
     // of raw pipelines): same parameters as before — no warmup, same
     // instruction cap — plus run manifests for --json, telemetry for
     // --metrics-out, and the shared run cache.
-    harness::TraceExport trace_export(opts);
     auto run = [&](const char *trigger) {
         harness::ExperimentConfig cfg;
         cfg.dynamicTarget = 100'000;  // the kernel halts well before
@@ -91,13 +91,11 @@ main(int argc, char **argv)
         cfg.triggerLevel = trigger;
         cfg.triggerAction = "squash";
         cfg.pipeline.maxInsts = 1000000;
-        cfg.intervalCycles = opts.intervalCycles;
-        trace_export.configure(cfg);
-        return std::make_pair(
-            harness::runProgram(program, cfg, "histogram"), cfg);
+        return harness::runProgram(program, out.stamp(cfg),
+                                   "histogram");
     };
 
-    auto [baseline, base_cfg] = run("none");
+    harness::RunArtifacts baseline = run("none");
     const avf::DeadnessResult &dead = *baseline.deadness;
     const avf::AvfResult &avf = *baseline.avf;
 
@@ -111,7 +109,7 @@ main(int argc, char **argv)
               << " FDD-reg, " << dead.numTddReg << " TDD-reg, "
               << dead.numFddMem + dead.numTddMem << " via memory)\n";
 
-    auto [squashed, squash_cfg] = run("l1");
+    harness::RunArtifacts squashed = run("l1");
     const avf::AvfResult &avf2 = *squashed.avf;
     harness::printHeading(std::cout, "with squash-on-L1-miss");
     std::cout << "IPC " << Table::fmt(squashed.ipc, 3) << " ("
@@ -130,17 +128,8 @@ main(int argc, char **argv)
         pet.addRow({std::to_string(size),
                     Table::pct(cov.fracRegWithReturns())});
     }
-    pet.print(std::cout);
+    out.print("pet_sizing", pet);
 
-    trace_export.emit(std::cout, {baseline, squashed});
-
-    if (!opts.jsonPath.empty()) {
-        harness::JsonReport report;
-        report.setArgs(opts.config);
-        report.addRun(baseline, base_cfg);
-        report.addRun(squashed, squash_cfg);
-        report.addTable("pet_sizing", pet);
-        report.write(opts.jsonPath);
-    }
+    out.finish({baseline, squashed});
     return 0;
 }

@@ -9,7 +9,6 @@
  * Usage: false_due_tracking
  */
 
-#include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@ main(int argc, char **argv)
         argc, argv,
         "Walkthrough: where each tracking level signals or "
         "suppresses a detected error");
+    harness::BenchOutput out(opts);
     // A little program with one of everything the paper's taxonomy
     // cares about: live work, a no-op and a prefetch (neutral), a
     // nullified instruction, an overwritten-unread def (FDD), a
@@ -76,15 +76,6 @@ main(int argc, char **argv)
         TrackingLevel::PiMemory,
     };
 
-    harness::printHeading(
-        std::cout,
-        "where each tracking level signals a detected error");
-    std::cout << std::left << std::setw(34) << "instruction"
-              << std::setw(10) << "deadness";
-    for (auto l : levels)
-        std::cout << std::setw(18) << core::trackingLevelName(l);
-    std::cout << "\n" << std::string(34 + 10 + 18 * 7, '-') << "\n";
-
     std::vector<std::string> headers = {"instruction", "deadness"};
     for (auto l : levels)
         headers.push_back(core::trackingLevelName(l));
@@ -98,21 +89,19 @@ main(int argc, char **argv)
             text += " [nullified]";
         std::vector<std::string> row = {
             text, avf::deadKindName(dead.kind[i])};
-        std::cout << std::setw(34) << text.substr(0, 33)
-                  << std::setw(10)
-                  << avf::deadKindName(dead.kind[i]);
         for (auto l : levels) {
             PiMachine machine(trace, l);
-            auto out = machine.run(i);
-            std::string cell =
-                out.signalled ? core::piSignalPointName(out.point)
-                              : "(suppressed)";
-            std::cout << std::setw(18) << cell;
-            row.push_back(cell);
+            auto signal = machine.run(i);
+            row.push_back(signal.signalled
+                              ? core::piSignalPointName(signal.point)
+                              : "(suppressed)");
         }
         matrix.addRow(row);
-        std::cout << "\n";
     }
+    harness::printHeading(
+        std::cout,
+        "where each tracking level signals a detected error");
+    out.print("tracking_matrix", matrix);
 
     std::cout
         << "\nreading guide: plain parity signals everything at "
@@ -122,11 +111,9 @@ main(int argc, char **argv)
            "dead defs false, until pi-on-memory signals only what "
            "truly reaches the program output (Section 4.3).\n";
 
-    if (!opts.jsonPath.empty()) {
-        harness::JsonReport report;
-        report.setArgs(opts.config);
-        report.addTable("tracking_matrix", matrix);
-        report.write(opts.jsonPath);
-    }
+    // The walk-through runs a bare pipeline, outside the experiment
+    // harness: finish() warns that --trace-events and --topn have
+    // nothing to act on.
+    out.finish();
     return 0;
 }

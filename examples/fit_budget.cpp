@@ -31,6 +31,7 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "FIT/MTTF budget review for the IQ");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::string benchmark = config.getString("benchmark", "equake");
     std::uint64_t insts = config.getUint("insts", 150000);
@@ -44,19 +45,11 @@ main(int argc, char **argv)
     harness::ExperimentConfig base;
     base.dynamicTarget = insts;
     base.warmupInsts = insts / 10;
-    base.intervalCycles = opts.intervalCycles;
-    auto r_base = harness::runBenchmark(benchmark, base);
+    auto r_base = harness::runBenchmark(benchmark, out.stamp(base));
 
     harness::ExperimentConfig opt = base;
     opt.triggerLevel = "l1";
-    auto r_opt = harness::runBenchmark(benchmark, opt);
-
-    harness::JsonReport report;
-    report.setArgs(config);
-    if (!opts.jsonPath.empty()) {
-        report.addRun(r_base, base);
-        report.addRun(r_opt, opt);
-    }
+    auto r_opt = harness::runBenchmark(benchmark, out.stamp(opt));
 
     struct DesignPoint
     {
@@ -109,7 +102,9 @@ main(int argc, char **argv)
                           years(sdc_mttf), Table::fmt(due_fit, 4),
                           years(due_mttf), ok ? "yes" : "NO"});
         }
-        table.print(std::cout);
+        out.print(altitude == 0.0 ? "budget_sea_level"
+                                  : "budget_denver",
+                  table);
     }
 
     std::cout << "\ntargets: SDC MTTF >= "
@@ -121,7 +116,6 @@ main(int argc, char **argv)
                  "reasoning holds for incremental changes, but "
                  "customers still see absolute MTTF.\n";
 
-    if (!opts.jsonPath.empty())
-        report.write(opts.jsonPath);
+    out.finish({r_base, r_opt});
     return 0;
 }

@@ -25,29 +25,27 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Quickstart: one benchmark, baseline vs squash");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
 
     std::string benchmark = config.getString("benchmark", "mcf");
     std::uint64_t insts = config.getUint("insts", 300000);
     std::string trigger = config.getString("trigger", "l1");
 
-    harness::TraceExport trace_export(opts);
     harness::ExperimentConfig base;
     base.dynamicTarget = insts;
     base.warmupInsts = insts / 10;
     base.triggerLevel = "none";
-    base.intervalCycles = opts.intervalCycles;
-    trace_export.configure(base);
 
     std::cout << "Running '" << benchmark << "' ("
               << insts << " dynamic instructions)...\n";
-    auto baseline = harness::runBenchmark(benchmark, base);
+    auto baseline = harness::runBenchmark(benchmark, out.stamp(base));
 
     harness::ExperimentConfig squash = base;
     squash.triggerLevel = trigger;
     squash.triggerAction = "squash";
-    trace_export.configure(squash);
-    auto squashed = harness::runBenchmark(benchmark, squash);
+    auto squashed =
+        harness::runBenchmark(benchmark, out.stamp(squash));
 
     harness::printHeading(std::cout, "baseline (no squashing)");
     std::cout << baseline.avf->summary();
@@ -87,14 +85,6 @@ main(int argc, char **argv)
     std::cout << "DUE MITF ratio    " << harness::Table::fmt(due_ratio)
               << "x\n";
 
-    trace_export.emit(std::cout, {baseline, squashed});
-
-    if (!opts.jsonPath.empty()) {
-        harness::JsonReport report;
-        report.setArgs(config);
-        report.addRun(baseline, base);
-        report.addRun(squashed, squash);
-        report.write(opts.jsonPath);
-    }
+    out.finish({baseline, squashed});
     return 0;
 }

@@ -16,9 +16,8 @@
 #include "harness/experiment.hh"
 #include "harness/manifest.hh"
 #include "harness/reporting.hh"
+#include "harness/suite_runner.hh"
 #include "sim/config.hh"
-#include "workloads/profile.hh"
-#include "workloads/suite.hh"
 
 using namespace ser;
 using harness::Table;
@@ -28,14 +27,10 @@ main(int argc, char **argv)
 {
     harness::BenchOptions opts = harness::BenchOptions::parse(
         argc, argv, "Squash study: trigger/action frontier");
+    harness::BenchOutput out(opts);
     Config &config = opts.config;
     std::string benchmark = config.getString("benchmark", "ammp");
     std::uint64_t insts = config.getUint("insts", 200000);
-    harness::JsonReport report;
-    report.setArgs(config);
-
-    isa::Program program =
-        workloads::buildBenchmark(benchmark, insts);
 
     struct Point
     {
@@ -48,20 +43,26 @@ main(int argc, char **argv)
         {"l1", "throttle"},   {"l0", "both"},   {"l1", "both"},
     };
 
-    Table table({"trigger", "action", "IPC", "SDC AVF", "DUE AVF",
-                 "idle", "SDC MITF", "DUE MITF", "verdict"});
-    double base_ipc = 1, base_sdc = 1, base_due = 1;
+    // One program build, shared by the eight design points.
+    harness::SuiteRunner runner(opts.jobs);
+    runner.setLabel("squash_study");
+    std::size_t program = runner.addProgram(benchmark, insts);
     for (const auto &pt : points) {
         harness::ExperimentConfig cfg;
         cfg.dynamicTarget = insts;
         cfg.warmupInsts = insts / 10;
         cfg.triggerLevel = pt.trigger;
         cfg.triggerAction = pt.action;
-        cfg.intervalCycles = opts.intervalCycles;
-        auto r = harness::runProgram(program, cfg, benchmark);
-        r.seed = workloads::findProfile(benchmark).seed;
-        if (!opts.jsonPath.empty())
-            report.addRun(r, cfg);
+        runner.submit(program, out.stamp(cfg));
+    }
+    std::vector<harness::RunArtifacts> runs = runner.run();
+
+    Table table({"trigger", "action", "IPC", "SDC AVF", "DUE AVF",
+                 "idle", "SDC MITF", "DUE MITF", "verdict"});
+    double base_ipc = 1, base_sdc = 1, base_due = 1;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const harness::RunArtifacts &r = runs[i];
+        const auto &pt = points[i];
         if (std::string(pt.trigger) == "none") {
             base_ipc = r.ipc;
             base_sdc = r.avf->sdcAvf();
@@ -85,16 +86,13 @@ main(int argc, char **argv)
 
     harness::printHeading(std::cout, "exposure-reduction frontier: " +
                                          benchmark);
-    table.print(std::cout);
+    out.print("frontier", table);
     std::cout << "\nMITF = IPC x frequency x MTTF; at fixed "
                  "frequency and raw error rate it is proportional "
                  "to IPC / AVF, so a design point is worthwhile "
                  "exactly when that ratio beats the baseline "
                  "(Section 3.2).\n";
 
-    if (!opts.jsonPath.empty()) {
-        report.addTable("frontier", table);
-        report.write(opts.jsonPath);
-    }
+    out.finish(runs);
     return 0;
 }

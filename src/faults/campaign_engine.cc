@@ -10,6 +10,7 @@
 #include "avf/regfile_avf.hh"
 #include "faults/fork_server.hh"
 #include "isa/isa.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/prof.hh"
@@ -58,11 +59,7 @@ unsigned
 parseStructures(const std::string &csv)
 {
     unsigned mask = 0;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
+    for (const std::string &item : splitList(csv)) {
         if (item == "iq")
             mask |= structIq;
         else if (item == "regfile")

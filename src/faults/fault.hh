@@ -15,6 +15,7 @@
 #define SER_FAULTS_FAULT_HH
 
 #include <cstdint>
+#include <string>
 
 namespace ser
 {
@@ -77,6 +78,9 @@ constexpr int numOutcomes = static_cast<int>(Outcome::NumOutcomes);
 const char *outcomeName(Outcome outcome);
 
 const char *protectionName(Protection protection);
+
+/** The inverse of protectionName(); fatal on any other name. */
+Protection parseProtection(const std::string &name);
 
 } // namespace faults
 } // namespace ser

@@ -48,6 +48,17 @@ protectionName(Protection protection)
     return "?";
 }
 
+Protection
+parseProtection(const std::string &name)
+{
+    for (Protection protection :
+         {Protection::None, Protection::Parity, Protection::Ecc})
+        if (name == protectionName(protection))
+            return protection;
+    SER_FATAL("unknown protection '{}' (want none, parity or ecc)",
+              name);
+}
+
 ResidencyIndex::ResidencyIndex(const cpu::SimTrace &trace)
     : _trace(trace), _byEntry(trace.iqEntries)
 {

@@ -217,8 +217,11 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             opts.config.parseAssignment(token);
         }
     }
-    // Legacy spelling: csv=1 still selects CSV output.
-    opts.csv = opts.csv || opts.config.getBool("csv", false);
+    // Legacy spelling: csv=1 still selects CSV output. Read the key
+    // even under --csv, so BenchOutput::finish does not report it
+    // unused.
+    bool legacy_csv = opts.config.getBool("csv", false);
+    opts.csv = opts.csv || legacy_csv;
     // Legacy key=value parity for the trace flags (the debug_flags=
     // key src/sim/debug.hh documents): same parser, same fatal
     // error on unknown names as --debug.

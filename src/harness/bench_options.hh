@@ -83,16 +83,15 @@ struct BenchOptions
      * (serial). Always >= 1 after parse(). */
     unsigned jobs = 1;
 
-    /** --convergence-out F; empty = off. Benches that run campaigns
-     * stream the per-batch convergence time-series (recorded in
-     * CampaignOutcome::convergence) to F as JSONL via
-     * harness::writeConvergenceJsonl. */
+    /** --convergence-out F; empty = off. BenchOutput::finish writes
+     * every run's per-batch campaign convergence time-series
+     * (CampaignOutcome::convergence) to F as JSONL. */
     std::string convergenceOutPath;
 
     /** --ci-target X: fault-injection campaigns stop early once
      * every tracked 95% CI half-width falls below X (0 = run the
-     * full sample budget). Only benches that run campaigns read
-     * it (they copy it into CampaignSpec::ciTarget). */
+     * full sample budget). BenchOutput::stamp copies it into
+     * CampaignSpec::ciTarget. */
     double ciTarget = 0.0;
 
     /**

@@ -93,6 +93,7 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
     SER_PROF_SCOPE("run");
     RunArtifacts out;
     out.benchmark = name;
+    out.config = config;
     out.program = std::move(program);
 
     cpu::PipelineParams params = config.pipeline;

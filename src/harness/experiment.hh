@@ -82,6 +82,10 @@ struct RunArtifacts
     std::string benchmark;
     double ipc = 0.0;
 
+    /** The configuration the run was given; the manifest records
+     * it. */
+    ExperimentConfig config;
+
     /** Workload generator seed (0 for externally built programs). */
     std::uint64_t seed = 0;
 

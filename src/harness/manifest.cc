@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <iostream>
 
+#include "avf/attribution.hh"
 #include "core/tracking.hh"
 #include "harness/build_info.hh"
 #include "harness/disk_cache.hh"
@@ -18,10 +19,14 @@ namespace ser
 namespace harness
 {
 
-void
-writeRunManifest(json::JsonWriter &jw, const RunArtifacts &run,
-                 const ExperimentConfig &config)
+namespace
 {
+
+/** Emit one run, with the config it ran, as a JSON object. */
+void
+writeRunManifest(json::JsonWriter &jw, const RunArtifacts &run)
+{
+    const ExperimentConfig &config = run.config;
     jw.beginObject();
     jw.kv("benchmark", run.benchmark);
     jw.kv("seed", run.seed);
@@ -256,29 +261,14 @@ writeRunManifest(json::JsonWriter &jw, const RunArtifacts &run,
     jw.endObject();
 }
 
+/** One compact JSONL line per epoch of 'run': the sampler's
+ * counters merged (by index — the grids share size and anchor) with
+ * the post-hoc per-epoch ACE fold. */
 void
-JsonReport::setArgs(const Config &config)
+writeIntervalLines(std::ostream &os, const RunArtifacts &run)
 {
-    _args = config.items();
-}
-
-void
-JsonReport::addRun(const RunArtifacts &run,
-                   const ExperimentConfig &config)
-{
-    std::ostringstream os;
-    {
-        json::JsonWriter jw(os);
-        writeRunManifest(jw, run, config);
-    }
-    _runs.push_back(os.str());
-
-    // One compact JSONL line per epoch: the sampler's counters
-    // merged (by index — the grids share size and anchor) with the
-    // post-hoc per-epoch ACE fold.
     for (std::size_t i = 0; i < run.intervals.size(); ++i) {
-        std::ostringstream line;
-        json::JsonWriter jw(line, 0);
+        json::JsonWriter jw(os, 0);
         const cpu::IntervalSample &s = run.intervals[i];
         jw.beginObject();
         jw.kv("benchmark", run.benchmark);
@@ -302,16 +292,184 @@ JsonReport::addRun(const RunArtifacts &run,
             jw.kv("un_ace_read_bit_cycles", e.unAceRead);
         }
         jw.endObject();
-        _intervalLines.push_back(line.str());
+        os << "\n";
     }
 }
 
-void
-JsonReport::addTable(const std::string &name, const Table &table)
+/** The sibling JSONL path of a manifest path. */
+std::string
+intervalsPath(const std::string &json_path)
 {
-    std::ostringstream os;
-    {
-        json::JsonWriter jw(os);
+    std::string stem = json_path;
+    const std::string ext = ".json";
+    if (stem.size() > ext.size() &&
+        stem.compare(stem.size() - ext.size(), ext.size(), ext) == 0)
+        stem.resize(stem.size() - ext.size());
+    return stem + ".intervals.jsonl";
+}
+
+/**
+ * Write the per-batch campaign convergence time-series of every run
+ * that carried a campaign as JSONL at 'path': one object per (run,
+ * batch) in submission order — deterministic, because
+ * CampaignOutcome::convergence is itself a campaign result (see
+ * faults::ConvergencePoint). An empty series still truncates the
+ * file, so a stale one never survives.
+ */
+void
+writeConvergenceJsonl(const std::string &path,
+                      const std::vector<RunArtifacts> &runs)
+{
+    std::ofstream os(path, std::ios::binary);
+    if (!os)
+        SER_FATAL("convergence: cannot open '{}' for writing", path);
+    for (const RunArtifacts &run : runs) {
+        if (!run.campaign)
+            continue;
+        const faults::CampaignOutcome &campaign = *run.campaign;
+        for (const faults::ConvergencePoint &point :
+             campaign.convergence) {
+            json::JsonWriter jw(os, 0);
+            jw.beginObject();
+            jw.kv("benchmark", run.benchmark);
+            jw.kv("protection",
+                  faults::protectionName(campaign.protection));
+            jw.kv("seed", campaign.seed);
+            jw.kv("batch", point.batch);
+            jw.kv("samples", point.samples);
+            jw.kv("worst_ci_half_width", point.worstHalfWidth);
+            jw.key("structures");
+            jw.beginArray();
+            for (const auto &s : point.structures) {
+                jw.beginObject();
+                jw.kv("structure", faults::structureName(s.structure));
+                jw.kv("samples", s.samples);
+                jw.kv("sdc_rate", s.sdcRate);
+                jw.kv("sdc_ci_half_width", s.sdcHalfWidth);
+                jw.kv("due_rate", s.dueRate);
+                jw.kv("due_ci_half_width", s.dueHalfWidth);
+                jw.endObject();
+            }
+            jw.endArray();
+            jw.endObject();
+            os << "\n";
+        }
+    }
+    if (!os)
+        SER_FATAL("convergence: write to '{}' failed", path);
+}
+
+/** Merge the per-run trace fragments, in submission order (which
+ * is deterministic under --jobs), into one Chrome trace document. */
+void
+writeTraceEventsFile(const std::string &path,
+                     const std::vector<RunArtifacts> &runs)
+{
+    SER_PROF_SCOPE("trace_write");
+    std::vector<const std::string *> fragments;
+    fragments.reserve(runs.size());
+    for (const RunArtifacts &run : runs)
+        fragments.push_back(&run.traceEvents);
+    std::ofstream os(path, std::ios::binary);
+    if (!os)
+        SER_FATAL("trace: cannot open '{}' for writing", path);
+    trace::writeChromeTrace(os, fragments);
+    if (!os)
+        SER_FATAL("trace: write to '{}' failed", path);
+}
+
+} // namespace
+
+ExperimentConfig &
+BenchOutput::stamp(ExperimentConfig &config)
+{
+    config.intervalCycles = _opts.intervalCycles;
+    config.traceEventsPid =
+        _opts.traceEventsPath.empty() ? 0 : _nextPid++;
+    config.attributionTopN = _opts.topn;
+    config.campaign.rootCauseTopN = _opts.topn;
+    config.campaign.ciTarget = _opts.ciTarget;
+    config.campaign.jobs = _opts.jobs;
+    return config;
+}
+
+void
+BenchOutput::print(const std::string &name, const Table &table)
+{
+    if (_opts.csv)
+        table.printCsv(std::cout);
+    else
+        table.print(std::cout);
+    _tables.emplace_back(name, table);
+}
+
+void
+BenchOutput::finish(const std::vector<RunArtifacts> &runs)
+{
+    std::ostream &os = std::cout;
+    if (!runs.empty() && !_opts.traceEventsPath.empty()) {
+        writeTraceEventsFile(_opts.traceEventsPath, runs);
+        os << "\ntrace events written to " << _opts.traceEventsPath
+           << " (" << runs.size() << " runs)\n";
+    }
+    if (_opts.topn) {
+        for (const RunArtifacts &run : runs) {
+            printHeading(os, "AVF hotspots: " + run.benchmark);
+            if (_opts.csv)
+                avf::writeHotspotCsv(os, run.attribution,
+                                     *run.program, _opts.topn);
+            else
+                avf::printHotspots(os, run.attribution, *run.program,
+                                   _opts.topn);
+        }
+    }
+    if (!_opts.convergenceOutPath.empty()) {
+        writeConvergenceJsonl(_opts.convergenceOutPath, runs);
+        os << "\nconvergence series written to "
+           << _opts.convergenceOutPath << "\n";
+    }
+    if (!_opts.jsonPath.empty())
+        writeManifest(runs);
+
+    for (const std::string &key : _opts.config.unread())
+        SER_WARN("ignored '{}=': this binary has no such parameter",
+                 key);
+    if (runs.empty() && !_opts.traceEventsPath.empty())
+        SER_WARN("--trace-events is not supported by this binary (it "
+                 "runs outside the experiment harness); no trace "
+                 "was written");
+    if (runs.empty() && _opts.topn)
+        SER_WARN("--topn is not supported by this binary (it runs "
+                 "outside the experiment harness); no hotspot table "
+                 "was printed");
+}
+
+void
+BenchOutput::writeManifest(const std::vector<RunArtifacts> &runs) const
+{
+    SER_PROF_SCOPE("manifest_write");
+    const std::string &path = _opts.jsonPath;
+    std::ofstream os(path);
+    if (!os)
+        SER_FATAL("manifest: cannot open '{}' for writing", path);
+    const bool sampled =
+        std::any_of(runs.begin(), runs.end(),
+                    [](const RunArtifacts &r) {
+                        return !r.intervals.empty();
+                    });
+
+    json::JsonWriter jw(os);
+    jw.beginObject();
+    jw.kv("schema_version", 1);
+    jw.key("args");
+    jw.beginObject();
+    for (const auto &[key, value] : _opts.config.items())
+        jw.kv(key, value);
+    jw.endObject();
+    jw.key("tables");
+    jw.beginObject();
+    for (const auto &[name, table] : _tables) {
+        jw.key(name);
         jw.beginObject();
         jw.key("headers");
         jw.beginArray();
@@ -329,47 +487,11 @@ JsonReport::addTable(const std::string &name, const Table &table)
         jw.endArray();
         jw.endObject();
     }
-    _tables.emplace_back(name, os.str());
-}
-
-std::string
-JsonReport::intervalsPath(const std::string &json_path)
-{
-    std::string stem = json_path;
-    const std::string ext = ".json";
-    if (stem.size() > ext.size() &&
-        stem.compare(stem.size() - ext.size(), ext.size(), ext) == 0)
-        stem.resize(stem.size() - ext.size());
-    return stem + ".intervals.jsonl";
-}
-
-void
-JsonReport::write(const std::string &path) const
-{
-    SER_PROF_SCOPE("manifest_write");
-    std::ofstream os(path);
-    if (!os)
-        SER_FATAL("manifest: cannot open '{}' for writing", path);
-
-    json::JsonWriter jw(os);
-    jw.beginObject();
-    jw.kv("schema_version", 1);
-    jw.key("args");
-    jw.beginObject();
-    for (const auto &arg : _args)
-        jw.kv(arg.first, arg.second);
-    jw.endObject();
-    jw.key("tables");
-    jw.beginObject();
-    for (const auto &table : _tables) {
-        jw.key(table.first);
-        jw.rawValue(table.second);
-    }
     jw.endObject();
     jw.key("runs");
     jw.beginArray();
-    for (const auto &run : _runs)
-        jw.rawValue(run);
+    for (const RunArtifacts &run : runs)
+        writeRunManifest(jw, run);
     jw.endArray();
     // Process-wide run-cache totals at manifest-write time (every
     // run above has completed by now). Values inside a "run_cache"
@@ -401,120 +523,21 @@ JsonReport::write(const std::string &path) const
         section("campaign", cache.campaignCounters());
         jw.endObject();
     }
-    if (!_intervalLines.empty())
+    if (sampled)
         jw.kv("intervals_file", intervalsPath(path));
     jw.endObject();
     os << "\n";
     if (!os)
         SER_FATAL("manifest: write to '{}' failed", path);
 
-    if (_intervalLines.empty())
+    if (!sampled)
         return;
     std::ofstream jl(intervalsPath(path));
     if (!jl)
         SER_FATAL("manifest: cannot open '{}' for writing",
                   intervalsPath(path));
-    for (const auto &line : _intervalLines)
-        jl << line << "\n";
-}
-
-void
-writeConvergenceJsonl(const std::string &path,
-                      const std::vector<RunArtifacts> &runs)
-{
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        SER_FATAL("convergence: cannot open '{}' for writing", path);
-    for (const RunArtifacts &run : runs) {
-        if (!run.campaign)
-            continue;
-        const faults::CampaignOutcome &campaign = *run.campaign;
-        for (const faults::ConvergencePoint &point :
-             campaign.convergence) {
-            std::ostringstream line;
-            {
-                json::JsonWriter jw(line, 0);
-                jw.beginObject();
-                jw.kv("benchmark", run.benchmark);
-                jw.kv("protection",
-                      faults::protectionName(campaign.protection));
-                jw.kv("seed", campaign.seed);
-                jw.kv("batch", point.batch);
-                jw.kv("samples", point.samples);
-                jw.kv("worst_ci_half_width", point.worstHalfWidth);
-                jw.key("structures");
-                jw.beginArray();
-                for (const auto &s : point.structures) {
-                    jw.beginObject();
-                    jw.kv("structure",
-                          faults::structureName(s.structure));
-                    jw.kv("samples", s.samples);
-                    jw.kv("sdc_rate", s.sdcRate);
-                    jw.kv("sdc_ci_half_width", s.sdcHalfWidth);
-                    jw.kv("due_rate", s.dueRate);
-                    jw.kv("due_ci_half_width", s.dueHalfWidth);
-                    jw.endObject();
-                }
-                jw.endArray();
-                jw.endObject();
-            }
-            os << line.str() << "\n";
-        }
-    }
-    if (!os)
-        SER_FATAL("convergence: write to '{}' failed", path);
-}
-
-void
-writeTraceEventsFile(const std::string &path,
-                     const std::vector<RunArtifacts> &runs)
-{
-    SER_PROF_SCOPE("trace_write");
-    std::vector<const std::string *> fragments;
-    fragments.reserve(runs.size());
     for (const RunArtifacts &run : runs)
-        fragments.push_back(&run.traceEvents);
-    std::ofstream os(path, std::ios::binary);
-    if (!os)
-        SER_FATAL("trace: cannot open '{}' for writing", path);
-    trace::writeChromeTrace(os, fragments);
-    if (!os)
-        SER_FATAL("trace: write to '{}' failed", path);
-}
-
-void
-TraceExport::emit(std::ostream &os,
-                  const std::vector<RunArtifacts> &runs) const
-{
-    if (!_path.empty()) {
-        writeTraceEventsFile(_path, runs);
-        os << "\ntrace events written to " << _path << " ("
-           << runs.size() << " runs)\n";
-    }
-    if (!_topn)
-        return;
-    for (const RunArtifacts &run : runs) {
-        printHeading(os, "AVF hotspots: " + run.benchmark);
-        if (_csv)
-            avf::writeHotspotCsv(os, run.attribution, *run.program,
-                                 _topn);
-        else
-            avf::printHotspots(os, run.attribution, *run.program,
-                               _topn);
-    }
-}
-
-void
-TraceExport::warnUnsupported(const BenchOptions &opts)
-{
-    if (!opts.traceEventsPath.empty())
-        SER_WARN("--trace-events is not supported by this bench "
-                 "(it runs outside the experiment harness); no "
-                 "trace will be written");
-    if (opts.topn)
-        SER_WARN("--topn is not supported by this bench (it runs "
-                 "outside the experiment harness); no hotspot "
-                 "table will be printed");
+        writeIntervalLines(jl, run);
 }
 
 } // namespace harness

@@ -1,14 +1,15 @@
 /**
  * @file
- * Structured run manifests: one JSON document per bench invocation.
+ * The output path of every bench and example main: tables on stdout,
+ * and the artifacts the options ask for.
  *
- * A manifest captures everything needed to interpret (and re-run) an
- * experiment: the binary's arguments, each run's configuration and
- * generator seed, per-phase wall-clock timings, the full statistics
- * tree, the derived AVF/false-DUE metrics, and the paper-style
- * result tables. When interval sampling is on, the per-epoch time
- * series (IPC, queue occupancy, squash counts, and the per-epoch
- * ACE-cycle fold) is written as a sibling JSONL file —
+ * A manifest (--json PATH) captures everything needed to interpret
+ * (and re-run) an experiment: the binary's arguments, each run's
+ * configuration and generator seed, per-phase wall-clock timings,
+ * the full statistics tree, the derived AVF/false-DUE metrics, and
+ * every printed table. When interval sampling is on, the per-epoch
+ * time series (IPC, queue occupancy, squash counts, and the
+ * per-epoch ACE-cycle fold) is written as a sibling JSONL file —
  * '<manifest>.intervals.jsonl' — one JSON object per epoch per run.
  *
  * Layout:
@@ -19,6 +20,7 @@
  *     "tables": { "name": {"headers": [...], "rows": [[...]]} },
  *     "runs": [ { benchmark, seed, config, ipc, timings_seconds,
  *                 avf, false_due, stats, intervals }, ... ],
+ *     "run_cache": { ... },
  *     "intervals_file": "out.intervals.jsonl"   // when sampling
  *   }
  */
@@ -26,6 +28,7 @@
 #ifndef SER_HARNESS_MANIFEST_HH
 #define SER_HARNESS_MANIFEST_HH
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,119 +36,57 @@
 #include "harness/bench_options.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
-#include "sim/config.hh"
 
 namespace ser
 {
-
-namespace json
-{
-class JsonWriter;
-}
-
 namespace harness
 {
 
-/** Emit one run (artifacts + its configuration) as a JSON object. */
-void writeRunManifest(json::JsonWriter &jw, const RunArtifacts &run,
-                      const ExperimentConfig &config);
-
 /**
- * Write the per-batch campaign convergence time-series of every run
- * that carried a campaign as JSONL at 'path' (--convergence-out):
- * one object per (run, batch) in submission order — deterministic,
- * because CampaignOutcome::convergence is itself a campaign result
- * (see faults::ConvergencePoint). Runs without campaigns are
- * skipped; an empty series still truncates/creates the file so a
- * stale one never survives.
- */
-void writeConvergenceJsonl(const std::string &path,
-                           const std::vector<RunArtifacts> &runs);
-
-/**
- * Collects runs and tables while a bench executes, then writes the
- * manifest (and the sibling interval JSONL) in one go. Runs are
- * serialized at addRun() time so the heavyweight artifacts can be
- * dropped between runs.
- */
-class JsonReport
-{
-  public:
-    /** Record the binary's parsed key=value arguments. */
-    void setArgs(const Config &config);
-
-    /** Serialize one run into the manifest; also folds its interval
-     * time series (merged with the per-epoch ACE fold) into the
-     * JSONL buffer. */
-    void addRun(const RunArtifacts &run,
-                const ExperimentConfig &config);
-
-    /** Serialize a result table into the manifest. */
-    void addTable(const std::string &name, const Table &table);
-
-    /** Write the manifest to 'path' (and '<stem>.intervals.jsonl'
-     * next to it when any run carried samples). */
-    void write(const std::string &path) const;
-
-    /** The sibling JSONL path write() uses for a manifest path. */
-    static std::string intervalsPath(const std::string &json_path);
-
-  private:
-    std::vector<std::pair<std::string, std::string>> _args;
-    std::vector<std::string> _runs;    ///< serialized run objects
-    std::vector<std::pair<std::string, std::string>> _tables;
-    std::vector<std::string> _intervalLines;  ///< JSONL, all runs
-};
-
-/**
- * Merge the per-run trace fragments (in submission order, which is
- * deterministic under --jobs) into one Chrome trace document at
- * 'path'. Runs without a fragment are skipped.
- */
-void writeTraceEventsFile(const std::string &path,
-                          const std::vector<RunArtifacts> &runs);
-
-/**
- * Applies the --trace-events / --topn options across a sweep: hands
- * out one trace pid per submitted run (so merged traces keep runs on
- * separate process rows), then writes the merged trace file and
- * prints the per-run hotspot tables once the sweep finishes.
+ * The one output object of a bench or example main, built from its
+ * parsed options (which it reads until finish(), so they must
+ * outlive it):
  *
- *   harness::TraceExport trace_export(opts);
- *   for (...) { trace_export.configure(cfg); runner.submit(..., cfg); }
+ *   harness::BenchOutput out(opts);
+ *   for (...) runner.submit(program, out.stamp(cfg));
  *   auto runs = runner.run();
- *   trace_export.emit(std::cout, runs);
+ *   out.print("name", table);
+ *   out.finish(runs);
  */
-class TraceExport
+class BenchOutput
 {
   public:
-    explicit TraceExport(const BenchOptions &opts)
-        : _path(opts.traceEventsPath), _topn(opts.topn),
-          _csv(opts.csv)
-    {
-    }
+    explicit BenchOutput(const BenchOptions &opts) : _opts(opts) {}
 
-    /** Stamp the next submitted run's trace pid / attribution. */
-    void configure(ExperimentConfig &config)
-    {
-        config.traceEventsPid = _path.empty() ? 0 : _nextPid++;
-        config.attributionTopN = _topn;
-    }
+    /**
+     * Apply the options to a config about to run: the --intervals
+     * grid, a fresh trace pid under --trace-events (one per stamp,
+     * so merged traces keep runs on separate process rows), the
+     * --topn attribution and root-cause depth, and the campaign's
+     * --jobs and --ci-target.
+     */
+    ExperimentConfig &stamp(ExperimentConfig &config);
 
-    /** Write the trace file and print the hotspot tables. */
-    void emit(std::ostream &os,
-              const std::vector<RunArtifacts> &runs) const;
+    /** Print 'table' to stdout, as CSV under --csv, and record it as
+     * tables.<name> in the manifest. */
+    void print(const std::string &name, const Table &table);
 
-    /** For benches that run the pipeline outside the experiment
-     * harness: warn that --trace-events / --topn have no effect
-     * here instead of silently dropping them. */
-    static void warnUnsupported(const BenchOptions &opts);
+    /**
+     * The last step of a main, given every run in submission order:
+     * write the merged --trace-events file, print the --topn hotspot
+     * tables, write the --convergence-out series and the --json
+     * manifest. Then warn on stderr about every key=value the main
+     * never read, and about --trace-events / --topn when no run went
+     * through the experiment harness.
+     */
+    void finish(const std::vector<RunArtifacts> &runs = {});
 
   private:
-    std::string _path;
-    std::uint32_t _topn;
-    bool _csv;
+    void writeManifest(const std::vector<RunArtifacts> &runs) const;
+
+    const BenchOptions &_opts;
     std::uint32_t _nextPid = 1;
+    std::vector<std::pair<std::string, Table>> _tables;  ///< printed
 };
 
 } // namespace harness

@@ -39,6 +39,14 @@ Table::pct(double fraction, int precision)
     return fmt(fraction * 100.0, precision) + "%";
 }
 
+std::string
+Table::range(double lo, double hi, const std::string &sep)
+{
+    if (lo == hi)
+        return pct(hi);
+    return pct(lo) + sep + pct(hi);
+}
+
 void
 Table::print(std::ostream &os) const
 {

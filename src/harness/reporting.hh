@@ -33,6 +33,12 @@ class Table
     static std::string fmt(double value, int precision = 2);
     static std::string pct(double fraction, int precision = 1);
 
+    /** A percent range — a confidence interval or an analytical
+     * band — as pct(lo) + sep + pct(hi), or one pct() when the ends
+     * are equal. */
+    static std::string range(double lo, double hi,
+                             const std::string &sep = "..");
+
     void print(std::ostream &os) const;
 
     /** RFC-4180 CSV: cells containing a comma, quote, or newline

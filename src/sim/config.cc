@@ -3,11 +3,24 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <sstream>
 
 #include "logging.hh"
 
 namespace ser
 {
+
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> items;
+    std::istringstream is(csv);
+    std::string item;
+    while (std::getline(is, item, ','))
+        if (!item.empty())
+            items.push_back(item);
+    return items;
+}
 
 void
 Config::parseArgs(int argc, char **argv)
@@ -35,80 +48,105 @@ Config::set(const std::string &key, const std::string &value)
     _values[key] = value;
 }
 
+const std::string *
+Config::lookup(const std::string &key) const
+{
+    _read.insert(key);
+    auto it = _values.find(key);
+    return it == _values.end() ? nullptr : &it->second;
+}
+
 bool
 Config::has(const std::string &key) const
 {
-    return _values.count(key) > 0;
+    return lookup(key) != nullptr;
 }
 
 std::string
 Config::getString(const std::string &key, const std::string &def) const
 {
-    auto it = _values.find(key);
-    return it == _values.end() ? def : it->second;
+    const std::string *value = lookup(key);
+    return value ? *value : def;
 }
 
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t def) const
 {
-    auto it = _values.find(key);
-    if (it == _values.end())
+    const std::string *value = lookup(key);
+    if (!value)
         return def;
     char *end = nullptr;
-    std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
+    std::int64_t v = std::strtoll(value->c_str(), &end, 0);
     if (!end || *end != '\0')
-        SER_FATAL("config: {} = '{}' is not an integer", key,
-                  it->second);
+        SER_FATAL("config: {} = '{}' is not an integer", key, *value);
     return v;
 }
 
 std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t def) const
 {
-    auto it = _values.find(key);
-    if (it == _values.end())
+    const std::string *value = lookup(key);
+    if (!value)
         return def;
     char *end = nullptr;
-    std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
+    std::uint64_t v = std::strtoull(value->c_str(), &end, 0);
     if (!end || *end != '\0')
         SER_FATAL("config: {} = '{}' is not an unsigned integer", key,
-                  it->second);
+                  *value);
     return v;
 }
 
 double
 Config::getDouble(const std::string &key, double def) const
 {
-    auto it = _values.find(key);
-    if (it == _values.end())
+    const std::string *value = lookup(key);
+    if (!value)
         return def;
     char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
+    double v = std::strtod(value->c_str(), &end);
     if (!end || *end != '\0')
-        SER_FATAL("config: {} = '{}' is not a number", key, it->second);
+        SER_FATAL("config: {} = '{}' is not a number", key, *value);
     return v;
 }
 
 bool
 Config::getBool(const std::string &key, bool def) const
 {
-    auto it = _values.find(key);
-    if (it == _values.end())
+    const std::string *value = lookup(key);
+    if (!value)
         return def;
-    std::string v = it->second;
+    std::string v = *value;
     std::transform(v.begin(), v.end(), v.begin(),
                    [](unsigned char c) { return std::tolower(c); });
     if (v == "1" || v == "true" || v == "yes" || v == "on")
         return true;
     if (v == "0" || v == "false" || v == "no" || v == "off")
         return false;
-    SER_FATAL("config: {} = '{}' is not a boolean", key, it->second);
+    SER_FATAL("config: {} = '{}' is not a boolean", key, *value);
+}
+
+std::vector<std::string>
+Config::getList(const std::string &key,
+                std::vector<std::string> def) const
+{
+    const std::string *value = lookup(key);
+    return value ? splitList(*value) : def;
 }
 
 std::vector<std::pair<std::string, std::string>>
 Config::items() const
 {
     return {_values.begin(), _values.end()};
+}
+
+std::vector<std::string>
+Config::unread() const
+{
+    std::vector<std::string> keys;
+    for (const auto &entry : _values)
+        if (!_read.count(entry.first))
+            keys.push_back(entry.first);
+    return keys;
 }
 
 } // namespace ser

@@ -12,13 +12,23 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace ser
 {
 
-/** String-keyed parameter store with typed accessors. */
+/** The non-empty items of a comma-separated list ("a,,b" -> a, b). */
+std::vector<std::string> splitList(const std::string &csv);
+
+/**
+ * String-keyed parameter store with typed accessors. has() and every
+ * getter record the key as read, so unread() can name the keys a
+ * binary never looked at (a typo'd key). Recording makes reads
+ * mutate, so a Config is not safe to read from several threads at
+ * once.
+ */
 class Config
 {
   public:
@@ -44,6 +54,10 @@ class Config
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;
 
+    /** splitList() of the key's value, or 'def' when it is absent. */
+    std::vector<std::string>
+    getList(const std::string &key, std::vector<std::string> def) const;
+
     const std::vector<std::string> &positional() const
     {
         return _positional;
@@ -52,9 +66,17 @@ class Config
     /** All key=value pairs, sorted by key (for reproducibility logs). */
     std::vector<std::pair<std::string, std::string>> items() const;
 
+    /** The keys set but never read through has() or a getter,
+     * sorted. */
+    std::vector<std::string> unread() const;
+
   private:
+    /** Record 'key' as read; its value, or null when absent. */
+    const std::string *lookup(const std::string &key) const;
+
     std::map<std::string, std::string> _values;
     std::vector<std::string> _positional;
+    mutable std::set<std::string> _read;
 };
 
 } // namespace ser

@@ -5,7 +5,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
-#include <sstream>
+
+#include "config.hh"
 
 namespace ser
 {
@@ -73,11 +74,7 @@ bool
 parseFlags(const std::string &csv, unsigned *mask)
 {
     unsigned out = 0;
-    std::istringstream is(csv);
-    std::string item;
-    while (std::getline(is, item, ',')) {
-        if (item.empty())
-            continue;
+    for (const std::string &item : splitList(csv)) {
         std::string want = lowercase(item);
         if (want == "all" || want == "1") {
             out = (1u << numFlags) - 1;

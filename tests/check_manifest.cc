@@ -1,10 +1,12 @@
 /**
  * @file
  * Standalone validator for run-manifest JSON files, used by the
- * manifest_validate ctest case (and handy interactively:
- * `check_manifest out.json`). Verifies the schema the bench binaries
- * emit via harness::JsonReport:
+ * manifest_validate and output_* ctest cases (and handy
+ * interactively: `check_manifest out.json [MIN_RUNS]`). Verifies the
+ * schema the bench and example binaries emit via
+ * harness::BenchOutput:
  *
+ *  - the manifest holds at least MIN_RUNS runs (default 0);
  *  - the document parses and carries schema_version 1;
  *  - every run has the config, seed, per-phase timings, AVF block
  *    and stats tree the manifest promises; every timing is >= 0,
@@ -152,10 +154,12 @@ checkRun(const JsonValue &run, std::size_t index,
 int
 main(int argc, char **argv)
 {
-    if (argc != 2) {
-        std::cerr << "usage: check_manifest MANIFEST.json\n";
+    if (argc != 2 && argc != 3) {
+        std::cerr << "usage: check_manifest MANIFEST.json [MIN_RUNS]\n";
         return 2;
     }
+    const std::size_t min_runs =
+        argc == 3 ? std::stoul(argv[2]) : std::size_t{0};
 
     std::ifstream in(argv[1]);
     if (!in) {
@@ -201,6 +205,10 @@ main(int argc, char **argv)
             run_epochs.push_back(epochs);
         }
     }
+
+    if (run_benchmarks.size() < min_runs)
+        fail("manifest has " + std::to_string(run_benchmarks.size()) +
+             " runs, want at least " + std::to_string(min_runs));
 
     const JsonValue *intervals_file = doc.find("intervals_file");
     if (intervals_file) {

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "avf/avf.hh"
 #include "avf/deadness.hh"
@@ -718,6 +720,24 @@ TEST(CampaignProperty, ExhaustiveDueEqualsAnalyticalExactly)
     harness::RunArtifacts run = harness::runBenchmark("gzip", cfg);
     ASSERT_GT(run.trace->startCycle, 0u);
     expectExhaustiveDueExact(*run.trace, *run.deadness, *run.avf);
+}
+
+TEST(CampaignProperty, ExhaustiveDueExactOnEverySurrogate)
+{
+    // The same enumeration on all 26 surrogates (20k insts, 2k
+    // warm-up), one surrogate per parallelFor index: exactness that
+    // holds on three benchmarks must hold on the whole suite.
+    const auto &suite = workloads::specSuite();
+    unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
+    ser::parallelFor(suite.size(), jobs, [&](std::size_t i) {
+        SCOPED_TRACE(suite[i].name);
+        harness::ExperimentConfig cfg;
+        cfg.dynamicTarget = 20000;
+        cfg.warmupInsts = 2000;
+        harness::RunArtifacts run = harness::runBenchmark(suite[i], cfg);
+        ASSERT_GT(run.trace->startCycle, 0u);
+        expectExhaustiveDueExact(*run.trace, *run.deadness, *run.avf);
+    });
 }
 
 TEST(CampaignProperty, MeasuredCoversAnalyticalOnSurrogates)

@@ -289,6 +289,33 @@ TEST(Config, HexAndBoolForms)
     EXPECT_FALSE(c.getBool("b0", true));
 }
 
+TEST(Config, RecordsWhichKeysWereRead)
+{
+    Config c;
+    c.set("insts", "4000");
+    c.set("insnts", "4000");  // a typo no getter asks for
+    c.set("benchmarks", "gzip,,mcf");
+    c.set("csv", "1");
+    EXPECT_EQ(c.unread(), (std::vector<std::string>{
+                              "benchmarks", "csv", "insnts", "insts"}));
+    EXPECT_EQ(c.getUint("insts", 0), 4000u);
+    EXPECT_TRUE(c.has("csv"));
+    EXPECT_EQ(c.getList("benchmarks", {"swim"}),
+              (std::vector<std::string>{"gzip", "mcf"}));
+    EXPECT_EQ(c.getString("absent", "x"), "x");
+    EXPECT_EQ(c.unread(), std::vector<std::string>{"insnts"});
+}
+
+TEST(Config, ListsSkipEmptyItems)
+{
+    Config c;
+    EXPECT_EQ(c.getList("benchmarks", {"swim"}),
+              std::vector<std::string>{"swim"});
+    EXPECT_EQ(splitList(",gzip,,mcf,"),
+              (std::vector<std::string>{"gzip", "mcf"}));
+    EXPECT_TRUE(splitList("").empty());
+}
+
 TEST(Json, EscapesSpecialCharacters)
 {
     EXPECT_EQ(json::escape("plain"), "plain");
@@ -681,14 +708,19 @@ TEST(BenchOptions, ParsesSharedFlagsAndConfig)
 
 TEST(BenchOptions, EqualsFormAndLegacyCsvKey)
 {
-    std::vector<std::string> args = {"prog", "--json=m.json",
-                                     "csv=1"};
-    std::vector<char *> argv;
-    for (auto &a : args)
-        argv.push_back(a.data());
-    auto opts = harness::BenchOptions::parse(
-        static_cast<int>(argv.size()), argv.data());
-    EXPECT_TRUE(opts.csv);  // legacy csv=1 still selects CSV
-    EXPECT_EQ(opts.jsonPath, "m.json");
-    EXPECT_EQ(opts.intervalCycles, 0u);
+    // csv=1 alone still selects CSV; beside --csv the key is still
+    // read (even csv=0), so nothing reports it unused.
+    for (auto args : std::vector<std::vector<std::string>>{
+             {"prog", "--json=m.json", "csv=1"},
+             {"prog", "--csv", "--json=m.json", "csv=0"}}) {
+        std::vector<char *> argv;
+        for (auto &a : args)
+            argv.push_back(a.data());
+        auto opts = harness::BenchOptions::parse(
+            static_cast<int>(argv.size()), argv.data());
+        EXPECT_TRUE(opts.csv);
+        EXPECT_EQ(opts.jsonPath, "m.json");
+        EXPECT_EQ(opts.intervalCycles, 0u);
+        EXPECT_TRUE(opts.config.unread().empty());
+    }
 }
