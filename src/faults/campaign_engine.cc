@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -81,12 +83,14 @@ std::string
 CampaignSpec::cacheKey() const
 {
     std::ostringstream os;
-    os << "samples=" << samples << "|cseed=" << seed
-       << "|prot=" << protectionName(protection)
-       << "|payload=" << (payloadOnly ? 1 : 0)
-       << "|structs=" << structures << "|ci=" << ciTarget
-       << "|batch=" << batchSamples << "|ckpt=" << checkpoints
-       << "|rootn=" << rootCauseTopN;
+    os << "samples=" << samples << "|cseed=" << seed;
+    if (ciTarget > 0.0)
+        os << "|prot=" << protectionName(protection);
+    os << "|payload=" << (payloadOnly ? 1 : 0)
+       << "|structs=" << structures << "|ci="
+       << std::setprecision(std::numeric_limits<double>::max_digits10)
+       << ciTarget << "|batch=" << batchSamples
+       << "|ckpt=" << checkpoints << "|rootn=" << rootCauseTopN;
     return os.str();
 }
 
@@ -108,23 +112,99 @@ covers(const Interval &ci, double lo, double hi)
     return ci.lo <= hi && ci.hi >= lo;
 }
 
+/** One protection's per-structure tallies, folded in sample order:
+ * the state the early stop and the convergence series read. */
+class LabelFold
+{
+  public:
+    LabelFold(const std::vector<CampaignSample::Space> &spaces,
+              Protection protection)
+        : _spaces(spaces), _protection(protection),
+          _tallies(spaces.size())
+    {
+        for (std::size_t si = 0; si < spaces.size(); ++si)
+            _tallyOf[static_cast<std::size_t>(spaces[si].structure)] =
+                si;
+    }
+
+    Outcome add(const SampledSite &sampled)
+    {
+        Outcome outcome = label(sampled.verdict, _protection);
+        _tallies[_tallyOf[static_cast<std::size_t>(
+                     sampled.site.structure)]]
+            .add(outcome);
+        return outcome;
+    }
+
+    /** The convergence point after 'samples' folded sites. */
+    ConvergencePoint point(std::uint64_t batch,
+                           std::uint64_t samples) const
+    {
+        ConvergencePoint point;
+        point.batch = batch;
+        point.samples = samples;
+        point.structures.reserve(_tallies.size());
+        double widest = 0.0;
+        for (std::size_t si = 0; si < _tallies.size(); ++si) {
+            const CampaignResult &tally = _tallies[si];
+            Interval sdc = wilson(tally.count(Outcome::Sdc),
+                                  tally.samples);
+            Interval due = wilson(tally.count(Outcome::TrueDue) +
+                                      tally.count(Outcome::FalseDue),
+                                  tally.samples);
+            ConvergencePoint::StructurePoint sp;
+            sp.structure = _spaces[si].structure;
+            sp.samples = tally.samples;
+            sp.sdcRate = tally.sdcRate();
+            sp.sdcHalfWidth = (sdc.hi - sdc.lo) / 2.0;
+            sp.dueRate = tally.dueRate();
+            sp.dueHalfWidth = (due.hi - due.lo) / 2.0;
+            point.structures.push_back(sp);
+            widest = std::max({widest, sp.sdcHalfWidth,
+                               sp.dueHalfWidth});
+        }
+        point.worstHalfWidth = widest;
+        return point;
+    }
+
+    const std::vector<CampaignResult> &tallies() const
+    {
+        return _tallies;
+    }
+
+  private:
+    const std::vector<CampaignSample::Space> &_spaces;
+    Protection _protection;
+    std::vector<CampaignResult> _tallies;
+    std::array<std::size_t, 4> _tallyOf{};
+};
+
+/** Adaptive early stop, evaluated only at batch boundaries so the
+ * stopping point is a pure function of the fold so far. */
+bool
+stopsEarly(const ConvergencePoint &point, const CampaignSpec &spec)
+{
+    return spec.ciTarget > 0.0 && point.worstHalfWidth <= spec.ciTarget &&
+           point.samples < spec.samples;
+}
+
+std::uint64_t
+batchSize(const CampaignSpec &spec)
+{
+    return std::max<std::uint64_t>(1, spec.batchSamples);
+}
+
 } // namespace
 
-CampaignOutcome
-runCampaignEngine(const isa::Program &program,
-                  const cpu::SimTrace &trace,
-                  const avf::DeadnessResult &deadness,
-                  const avf::AvfResult &avf, const CampaignSpec &spec)
+CampaignSample
+sampleCampaign(const isa::Program &program, const cpu::SimTrace &trace,
+               const avf::DeadnessResult &deadness,
+               const avf::AvfResult &avf, const CampaignSpec &spec,
+               bool counterfactual)
 {
-    SER_PROF_SCOPE("engine");
+    SER_PROF_SCOPE("sample");
 
-    CampaignOutcome out;
-    out.samplesRequested = spec.samples;
-    out.seed = spec.seed;
-    out.protection = spec.protection;
-    out.payloadOnly = spec.payloadOnly;
-    out.ciTarget = spec.ciTarget;
-    out.batchSamples = spec.batchSamples;
+    CampaignSample out;
     if (spec.samples == 0 || spec.structures == 0)
         return out;
 
@@ -162,16 +242,50 @@ runCampaignEngine(const isa::Program &program,
     // One register-file walk feeds both the classifier and the fold.
     bool wantRegs = (spec.structures & structRegFile) != 0;
     std::optional<avf::RegFileWindows> regs;
+    avf::RegFileAvfResult regAvf;
     if (wantRegs) {
         regs.emplace(trace, deadness);
         injector.attachRegisterWindows(&*regs);
+        regAvf = avf::computeRegFileAvf(*regs);
     }
-    // ECC corrects every read strike whatever the re-run would say.
-    const bool counterfactual = spec.protection != Protection::Ecc;
+
+    // The analytical bands every protection's labels pick from (see
+    // the file comment).
+    for (const StructSpace &space : spaces) {
+        CampaignSample::Space s;
+        s.structure = space.structure;
+        s.weight = space.weight();
+        if (space.structure == Structure::Iq) {
+            // ACE analysis is one-sided: every refinement still
+            // overestimates ground truth (an instruction marked ACE
+            // has many payload bits whose flip the oracle proves
+            // harmless), so the tightest analytical statement is
+            // measured SDC <= field-refined ACE. The gap below it is
+            // the ACE derating factor the related work (Wang et al.)
+            // measures. Measured parity DUE counts exactly the
+            // pre-read occupied bit-cycles the fold splits into ACE +
+            // read un-ACE: an unbiased point estimate, not a bound.
+            s.sdcAvf = avf.sdcAvfRefined();
+            s.dueAvf = avf.dueAvf();
+        } else {
+            const avf::RegFileAvf &f =
+                space.structure == Structure::IntRegFile
+                    ? regAvf.intFile
+                    : space.structure == Structure::FpRegFile
+                          ? regAvf.fpFile
+                          : regAvf.predFile;
+            // Every read window signals over [def, lastRead), dead or
+            // not, and the fold counts exactly that time: a point,
+            // like the IQ's.
+            s.sdcAvf = f.sdcAvf();
+            s.dueAvf = f.dueAvf();
+        }
+        out.structures.push_back(s);
+    }
 
     auto classify = [&](std::uint64_t index) {
         Rng rng = Rng::keyed(spec.seed, index);
-        SiteRecord rec;
+        SampledSite rec;
         // Draw order is fixed: structure, unit, bit, cycle — a
         // sample's site is a pure function of (seed, index).
         std::uint64_t pick = rng.range(totalWeight);
@@ -189,21 +303,14 @@ runCampaignEngine(const isa::Program &program,
         rec.site.cycle = sampleWindowCycle(rng, trace.startCycle,
                                            trace.endCycle);
         rec.verdict = injector.classify(rec.site, counterfactual);
-        rec.outcome = label(rec.verdict, spec.protection);
         return rec;
     };
 
-    // Tallies, folded in sample order.
-    std::vector<CampaignResult> tallies(spaces.size());
-    std::array<std::size_t, 4> tallyOf{};
-    for (std::size_t si = 0; si < spaces.size(); ++si)
-        tallyOf[static_cast<std::size_t>(spaces[si].structure)] = si;
-    std::map<std::uint32_t, std::uint64_t> sdcByPc;
-
-    std::uint64_t batch = std::max<std::uint64_t>(
-        1, spec.batchSamples);
+    // With a CI target, sample until spec.protection's labels stop.
+    LabelFold fold(out.structures, spec.protection);
+    const std::uint64_t batch = batchSize(spec);
     std::uint64_t done = 0;
-    while (done < spec.samples) {
+    for (std::uint64_t b = 0; done < spec.samples; ++b) {
         std::uint64_t n = std::min(batch, spec.samples - done);
         out.sites.resize(done + n);
         ser::parallelFor(
@@ -211,59 +318,99 @@ runCampaignEngine(const isa::Program &program,
             [&](std::size_t i) {
                 out.sites[done + i] = classify(done + i);
             });
+        done += n;
+        if (spec.ciTarget > 0.0) {
+            for (std::uint64_t i = done - n; i < done; ++i)
+                fold.add(out.sites[i]);
+            if (stopsEarly(fold.point(b, done), spec))
+                break;
+        }
+    }
+
+    // ACE shares for the root causes: a struck instruction can be
+    // one only through a site that is SDC when unprotected (parity
+    // reports the same sites as SDC or true DUE).
+    if (spec.rootCauseTopN > 0 && counterfactual) {
+        std::map<std::uint32_t, double> shares;
+        for (const SampledSite &rec : out.sites)
+            if (rec.verdict.inst != cpu::noSeq32 &&
+                label(rec.verdict, Protection::None) == Outcome::Sdc)
+                shares.emplace(rec.verdict.inst, 0.0);
+        if (!shares.empty()) {
+            avf::AttributionResult attr = attributeAvf(trace, deadness);
+            for (const auto &pa : attr.pcs) {
+                auto it = shares.find(pa.staticIdx);
+                if (it != shares.end())
+                    it->second = attr.aceShare(pa);
+            }
+        }
+        out.aceShares.assign(shares.begin(), shares.end());
+    }
+    return out;
+}
+
+CampaignOutcome
+labelCampaign(const CampaignSample &sample, const CampaignSpec &spec)
+{
+    SER_PROF_SCOPE("label");
+
+    CampaignOutcome out;
+    out.samplesRequested = spec.samples;
+    out.seed = spec.seed;
+    out.protection = spec.protection;
+    out.payloadOnly = spec.payloadOnly;
+    out.ciTarget = spec.ciTarget;
+    out.batchSamples = spec.batchSamples;
+    out.goldenSteps = sample.goldenSteps;
+    out.checkpoints = sample.checkpoints;
+    if (spec.samples == 0 || spec.structures == 0)
+        return out;
+
+    // ECC corrects every read strike whatever the re-run would say,
+    // so its records carry no re-run answer and it counts no re-run.
+    const bool ecc = spec.protection == Protection::Ecc;
+    LabelFold fold(sample.structures, spec.protection);
+    std::map<std::uint32_t, std::uint64_t> sdcByPc;
+    const std::uint64_t batch = batchSize(spec);
+    std::uint64_t done = 0;
+    while (done < spec.samples) {
+        std::uint64_t n = std::min(batch, spec.samples - done);
+        if (done + n > sample.sites.size())
+            SER_PANIC("labelCampaign: the sample stops at {} sites, "
+                      "before {}'s fold does",
+                      sample.sites.size(),
+                      protectionName(spec.protection));
         for (std::uint64_t i = done; i < done + n; ++i) {
-            const SiteRecord &rec = out.sites[i];
-            tallies[tallyOf[static_cast<std::size_t>(
-                        rec.site.structure)]]
-                .add(rec.outcome);
+            SiteRecord rec;
+            rec.site = sample.sites[i].site;
+            rec.verdict = sample.sites[i].verdict;
+            rec.outcome = fold.add(sample.sites[i]);
+            if (ecc) {
+                rec.verdict.reRan = false;
+                rec.verdict.outputChanged = false;
+                rec.verdict.rerunSteps = 0;
+            }
             if (rec.verdict.reRan) {
                 ++out.reruns;
                 out.rerunSteps += rec.verdict.rerunSteps;
             }
-            if (rec.outcome == Outcome::Sdc ||
-                rec.outcome == Outcome::TrueDue) {
-                std::uint32_t pc =
-                    injector.struckInst(rec.site, rec.verdict);
-                if (pc != cpu::noSeq32)
-                    ++sdcByPc[pc];
-            }
+            if ((rec.outcome == Outcome::Sdc ||
+                 rec.outcome == Outcome::TrueDue) &&
+                rec.verdict.inst != cpu::noSeq32)
+                ++sdcByPc[rec.verdict.inst];
+            out.sites.push_back(rec);
         }
         done += n;
 
-        // Adaptive early stop, evaluated only at batch boundaries so
-        // the stopping point is a pure function of the fold so far.
         // The same per-structure CIs become one point of the
         // convergence time-series.
-        ConvergencePoint point;
-        point.batch = out.convergence.size();
-        point.samples = done;
-        point.structures.reserve(tallies.size());
-        double widest = 0.0;
-        for (std::size_t si = 0; si < tallies.size(); ++si) {
-            const CampaignResult &tally = tallies[si];
-            Interval sdc = wilson(tally.count(Outcome::Sdc),
-                                  tally.samples);
-            Interval due = wilson(tally.count(Outcome::TrueDue) +
-                                      tally.count(Outcome::FalseDue),
-                                  tally.samples);
-            ConvergencePoint::StructurePoint sp;
-            sp.structure = spaces[si].structure;
-            sp.samples = tally.samples;
-            sp.sdcRate = tally.sdcRate();
-            sp.sdcHalfWidth = (sdc.hi - sdc.lo) / 2.0;
-            sp.dueRate = tally.dueRate();
-            sp.dueHalfWidth = (due.hi - due.lo) / 2.0;
-            point.structures.push_back(sp);
-            widest = std::max({widest, sp.sdcHalfWidth,
-                               sp.dueHalfWidth});
-        }
-        point.worstHalfWidth = widest;
+        ConvergencePoint point =
+            fold.point(out.convergence.size(), done);
         out.convergence.push_back(point);
         if (spec.onConvergence)
             spec.onConvergence(point);
-        out.ciHalfWidth = widest;
-        if (spec.ciTarget > 0.0 && widest <= spec.ciTarget &&
-            done < spec.samples) {
+        out.ciHalfWidth = point.worstHalfWidth;
+        if (stopsEarly(point, spec)) {
             out.earlyStopped = true;
             break;
         }
@@ -272,63 +419,23 @@ runCampaignEngine(const isa::Program &program,
 
     // Analytical reconciliation bands (see file comment; the band
     // collapses to [0, 0] for classes the protection eliminates).
-    avf::RegFileAvfResult regAvf;
-    if (wantRegs)
-        regAvf = avf::computeRegFileAvf(*regs);
-
-    for (std::size_t si = 0; si < spaces.size(); ++si) {
+    for (std::size_t si = 0; si < sample.structures.size(); ++si) {
+        const CampaignSample::Space &space = sample.structures[si];
         StructureCampaign sc;
-        sc.structure = spaces[si].structure;
-        sc.weight = spaces[si].weight();
-        sc.tally = tallies[si];
+        sc.structure = space.structure;
+        sc.weight = space.weight;
+        sc.tally = fold.tallies()[si];
         sc.sdcCi = wilson(sc.tally.count(Outcome::Sdc),
                           sc.tally.samples);
         sc.dueCi = wilson(sc.tally.count(Outcome::TrueDue) +
                               sc.tally.count(Outcome::FalseDue),
                           sc.tally.samples);
-
         if (spec.protection == Protection::None) {
-            if (sc.structure == Structure::Iq) {
-                // ACE analysis is one-sided: every refinement still
-                // overestimates ground truth (an instruction marked
-                // ACE has many payload bits whose flip the oracle
-                // proves harmless), so the tightest analytical
-                // statement is measured SDC <= field-refined ACE.
-                // The gap below it is the ACE derating factor the
-                // related work (Wang et al.) measures.
-                sc.analyticalSdc = avf.sdcAvfRefined();
-                sc.analyticalSdcLower = 0.0;
-            } else {
-                const avf::RegFileAvf &f =
-                    sc.structure == Structure::IntRegFile
-                        ? regAvf.intFile
-                        : sc.structure == Structure::FpRegFile
-                              ? regAvf.fpFile
-                              : regAvf.predFile;
-                sc.analyticalSdc = f.sdcAvf();
-                sc.analyticalSdcLower = 0.0;
-            }
             // No detection: nothing can signal a DUE.
+            sc.analyticalSdc = space.sdcAvf;
         } else if (spec.protection == Protection::Parity) {
-            if (sc.structure == Structure::Iq) {
-                // Measured DUE counts exactly the pre-read occupied
-                // bit-cycles the fold splits into ACE + read un-ACE:
-                // an unbiased point estimate, not a bound.
-                sc.analyticalDue = avf.dueAvf();
-                sc.analyticalDueLower = avf.dueAvf();
-            } else {
-                const avf::RegFileAvf &f =
-                    sc.structure == Structure::IntRegFile
-                        ? regAvf.intFile
-                        : sc.structure == Structure::FpRegFile
-                              ? regAvf.fpFile
-                              : regAvf.predFile;
-                // Every read window signals over [def, lastRead),
-                // dead or not, and the fold counts exactly that
-                // time: a point, like the IQ's.
-                sc.analyticalDue = f.dueAvf();
-                sc.analyticalDueLower = f.dueAvf();
-            }
+            sc.analyticalDue = space.dueAvf;
+            sc.analyticalDueLower = space.dueAvf;
         }
         sc.sdcCovered = covers(sc.sdcCi, sc.analyticalSdcLower,
                                sc.analyticalSdc);
@@ -340,7 +447,6 @@ runCampaignEngine(const isa::Program &program,
     // Per-PC root causes of the measured SDCs, joined with the
     // analytical attribution's ACE shares.
     if (spec.rootCauseTopN > 0 && !sdcByPc.empty()) {
-        avf::AttributionResult attr = attributeAvf(trace, deadness);
         std::uint64_t totalSdc = 0;
         for (const auto &[pc, count] : sdcByPc)
             totalSdc += count;
@@ -353,12 +459,14 @@ runCampaignEngine(const isa::Program &program,
             rc.measuredShare =
                 static_cast<double>(count) /
                 static_cast<double>(totalSdc);
-            for (const auto &pa : attr.pcs) {
-                if (pa.staticIdx == pc) {
-                    rc.analyticalAceShare = attr.aceShare(pa);
-                    break;
-                }
-            }
+            auto it = std::lower_bound(
+                sample.aceShares.begin(), sample.aceShares.end(),
+                std::make_pair(pc, 0.0),
+                [](const auto &a, const auto &b) {
+                    return a.first < b.first;
+                });
+            if (it != sample.aceShares.end() && it->first == pc)
+                rc.analyticalAceShare = it->second;
             causes.push_back(rc);
         }
         std::sort(causes.begin(), causes.end(),
@@ -372,6 +480,19 @@ runCampaignEngine(const isa::Program &program,
         out.rootCauses = std::move(causes);
     }
     return out;
+}
+
+CampaignOutcome
+runCampaignEngine(const isa::Program &program,
+                  const cpu::SimTrace &trace,
+                  const avf::DeadnessResult &deadness,
+                  const avf::AvfResult &avf, const CampaignSpec &spec)
+{
+    SER_PROF_SCOPE("engine");
+    return labelCampaign(
+        sampleCampaign(program, trace, deadness, avf, spec,
+                       spec.protection != Protection::Ecc),
+        spec);
 }
 
 std::string

@@ -1,7 +1,24 @@
 /**
  * @file
  * The statistical fault-injection campaign engine: every fault
- * injection in the repository goes through runCampaignEngine().
+ * injection in the repository goes through sampleCampaign(), and
+ * every campaign outcome through labelCampaign(). Protection decides
+ * only how a strike is reported, so a campaign is two steps:
+ *
+ *  - sampleCampaign() draws the sites and classifies each into a
+ *    protection-free Verdict. It runs the golden ForkServer run once,
+ *    forks the counterfactual re-runs when asked to, and records what
+ *    the reconciliation bands and the root causes need. One sample
+ *    serves none, parity and ECC alike; the run cache keeps it.
+ *
+ *  - labelCampaign() is a pure fold of one sample under one
+ *    protection: faults::label() per site, the per-structure tallies,
+ *    the convergence series, the early stop, the bands, the root
+ *    causes and the re-run counters. Under ECC it reports no re-run
+ *    and strips the re-run answer from its sites.
+ *
+ * runCampaignEngine() is the two steps back to back for one
+ * protection; under ECC its sample never forks.
  *
  *  - Sites are sampled over (structure, entry, bit, cycle) with
  *    counter-based per-sample RNG keying: sample i's site depends
@@ -14,20 +31,19 @@
  *  - Classification covers the instruction queue and the three
  *    architectural register files: the FaultInjector turns each
  *    site into a protection-free Verdict (register sites read the
- *    same value windows the avf/regfile_avf fold sums), and
- *    faults::label() maps it to the outcome under spec.protection.
- *    The per-site records are part of the result, so callers can
- *    label the same sites under other schemes without re-running.
+ *    same value windows the avf/regfile_avf fold sums).
  *
  *  - Counterfactual re-runs are served by a ForkServer: each
  *    injection forks from the nearest golden checkpoint and pays
  *    only its post-strike suffix (with convergence/divergence early
- *    exits) instead of a full replay. ECC labels never need one, so
- *    an ECC campaign never forks.
+ *    exits) instead of a full replay.
  *
- *  - Adaptive early stop: after each batch the engine evaluates the
- *    95% Wilson CI half-widths of the per-structure SDC and DUE
- *    rates and stops once all fall below spec.ciTarget.
+ *  - Adaptive early stop: after each batch the label fold evaluates
+ *    the 95% Wilson CI half-widths of the per-structure SDC and DUE
+ *    rates and stops once all fall below spec.ciTarget. The stop
+ *    point depends on the protection, so a sample drawn with a CI
+ *    target ends where spec.protection's fold stops and serves that
+ *    protection alone.
  *
  *  - Reconciliation: measured SDC/DUE rates are compared against the
  *    analytical AVF fold per outcome class. Each measured rate is
@@ -51,6 +67,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "avf/avf.hh"
@@ -133,6 +150,15 @@ struct SiteRecord
     bool operator==(const SiteRecord &) const = default;
 };
 
+/** One sampled site before any protection labels it. */
+struct SampledSite
+{
+    FaultSite site{};
+    Verdict verdict;
+
+    bool operator==(const SampledSite &) const = default;
+};
+
 // Structure-set bitmask values for CampaignSpec::structures.
 constexpr unsigned structIq = 1u << 0;
 constexpr unsigned structIntReg = 1u << 1;
@@ -196,11 +222,43 @@ struct CampaignSpec
     std::function<void(const ConvergencePoint &)> onConvergence;
 
     /**
-     * Serialization of every outcome-affecting knob, for folding
-     * into the RunCache key: two specs that could tally differently
-     * must never share a cache entry.
+     * Serialization of every knob that can change the sample, for
+     * folding into the RunCache key: two specs that could sample
+     * differently must never share a cache entry. Protection joins
+     * the key only with a CI target, where the sample ends at the
+     * protection's stop point; without one, every protection labels
+     * the same sample.
      */
     std::string cacheKey() const;
+};
+
+/**
+ * What a campaign measures before any protection labels it: the
+ * golden run's economics, each sampled structure with the analytical
+ * bands the labels pick from, and every sampled site in sample order
+ * with its protection-free verdict.
+ */
+struct CampaignSample
+{
+    /** One sampled structure, in sampling order. */
+    struct Space
+    {
+        Structure structure = Structure::Iq;
+        std::uint64_t weight = 0;  ///< site-space bits
+        double sdcAvf = 0.0;  ///< analytical SDC upper bound (none)
+        double dueAvf = 0.0;  ///< analytical DUE point (parity)
+    };
+    std::vector<Space> structures;
+
+    std::uint64_t goldenSteps = 0;  ///< one full golden replay
+    std::uint64_t checkpoints = 0;
+
+    std::vector<SampledSite> sites;
+
+    /** Analytical ACE share of every static instruction that a site
+     * which is SDC when unprotected struck, sorted by static index;
+     * filled only when spec.rootCauseTopN is set. */
+    std::vector<std::pair<std::uint32_t, double>> aceShares;
 };
 
 /** Measured-vs-analytical reconciliation for one structure. */
@@ -286,14 +344,35 @@ struct CampaignOutcome
 };
 
 /**
- * Run a campaign against a finished run.
+ * Sample a campaign against a finished run, for no protection in
+ * particular: spec.protection matters only with a CI target, where
+ * sampling ends at the batch that protection's label fold stops at.
  *
  * @param program the program the trace was produced from
  * @param trace the finished timing trace (defines the window)
  * @param deadness transitive deadness labels for the commit stream
  * @param avf the analytical IQ fold to reconcile against
  * @param spec campaign parameters
+ * @param counterfactual evaluate the re-runs that none and parity
+ *        labels need; without them only ECC may label the sample
  */
+CampaignSample sampleCampaign(const isa::Program &program,
+                              const cpu::SimTrace &trace,
+                              const avf::DeadnessResult &deadness,
+                              const avf::AvfResult &avf,
+                              const CampaignSpec &spec,
+                              bool counterfactual);
+
+/**
+ * Label a sample under spec.protection. The sample must have been
+ * drawn with spec's knobs; it may be shared by every protection.
+ * Fires spec.onConvergence once per folded batch.
+ */
+CampaignOutcome labelCampaign(const CampaignSample &sample,
+                              const CampaignSpec &spec);
+
+/** sampleCampaign() then labelCampaign() for spec.protection alone:
+ * an ECC campaign never forks. */
 CampaignOutcome runCampaignEngine(const isa::Program &program,
                                   const cpu::SimTrace &trace,
                                   const avf::DeadnessResult &deadness,

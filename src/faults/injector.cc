@@ -230,20 +230,6 @@ FaultInjector::classify(const FaultSite &site,
                : classifyRegister(site, counterfactual);
 }
 
-std::uint32_t
-FaultInjector::struckInst(const FaultSite &site,
-                          const Verdict &verdict) const
-{
-    if (verdict.residency < 0)
-        return cpu::noSeq32;
-    const auto idx = static_cast<std::size_t>(verdict.residency);
-    if (site.structure == Structure::Iq)
-        return _trace.incarnations[idx].staticIdx;
-    const avf::RegWindow &w =
-        _regs->windows(regClassOf(site.structure), site.entry)[idx];
-    return _trace.commits[w.defCommit].staticIdx;
-}
-
 Verdict
 FaultInjector::classifyIq(const FaultSite &site,
                           bool counterfactual) const
@@ -256,6 +242,7 @@ FaultInjector::classifyIq(const FaultSite &site,
     const cpu::IncarnationRecord rec =
         _trace.incarnations[static_cast<std::size_t>(idx)];
     verdict.residency = idx;
+    verdict.inst = rec.staticIdx;
     verdict.role = roleOf(site.bit);
     verdict.readAfter = rec.issueCycle != cpu::noCycle32 &&
                         site.cycle < rec.issueCycle;
@@ -283,6 +270,7 @@ FaultInjector::classifyRegister(const FaultSite &site,
     const avf::RegWindow &w = _regs->windows(
         file, site.entry)[static_cast<std::size_t>(idx)];
     verdict.residency = idx;
+    verdict.inst = _trace.commits[w.defCommit].staticIdx;
     verdict.committed = true;  // the committed stream defines it
     // A strike at the last-read cycle lands after that read (the
     // analytical fold charges ACE over [def, lastRead)), so

@@ -73,6 +73,10 @@ struct Verdict
      * register (register files) the site hits; -1 for an idle entry
      * or an unwritten register. */
     std::int64_t residency = -1;
+    /** The static instruction whose state the site struck: the IQ
+     * incarnation's, or the one that defined the register value
+     * (cpu::noSeq32 when residency is -1). */
+    std::uint32_t inst = cpu::noSeq32;
     /** Instructions the counterfactual re-run executed (suffix-only
      * with a fork server attached; the full dynamic length
      * otherwise). */
@@ -129,11 +133,6 @@ class FaultInjector
      */
     Verdict classify(const FaultSite &site,
                      bool counterfactual = true) const;
-
-    /** The static instruction whose state a classified site struck
-     * (cpu::noSeq32 if it hit no residency). */
-    std::uint32_t struckInst(const FaultSite &site,
-                             const Verdict &verdict) const;
 
     /**
      * Serve counterfactual re-runs from checkpoints instead of

@@ -499,70 +499,27 @@ decodeAvf(const void *data, std::size_t len, avf::AvfResult *out)
 }
 
 std::string
-encodeCampaign(const faults::CampaignOutcome &outcome)
+encodeCampaign(const faults::CampaignSample &sample)
 {
     Encoder e;
-    e.u64(outcome.samplesRequested);
-    e.u64(outcome.seed);
-    e.u8(static_cast<std::uint8_t>(outcome.protection));
-    e.boolean(outcome.payloadOnly);
-    e.f64(outcome.ciTarget);
-    e.u64(outcome.batchSamples);
-    e.u64(outcome.samplesRun);
-    e.boolean(outcome.earlyStopped);
-    e.f64(outcome.ciHalfWidth);
-    e.u64(outcome.reruns);
-    e.u64(outcome.rerunSteps);
-    e.u64(outcome.goldenSteps);
-    e.u64(outcome.checkpoints);
-    e.u64(outcome.structures.size());
-    for (const auto &s : outcome.structures) {
+    e.u64(sample.structures.size());
+    for (const faults::CampaignSample::Space &s : sample.structures) {
         e.u8(static_cast<std::uint8_t>(s.structure));
         e.u64(s.weight);
-        e.u64(s.tally.samples);
-        for (int o = 0; o < faults::numOutcomes; ++o)
-            e.u64(s.tally.counts[static_cast<std::size_t>(o)]);
-        e.f64(s.sdcCi.lo);
-        e.f64(s.sdcCi.hi);
-        e.f64(s.dueCi.lo);
-        e.f64(s.dueCi.hi);
-        e.f64(s.analyticalSdc);
-        e.f64(s.analyticalSdcLower);
-        e.f64(s.analyticalDue);
-        e.f64(s.analyticalDueLower);
-        e.boolean(s.sdcCovered);
-        e.boolean(s.dueCovered);
+        e.f64(s.sdcAvf);
+        e.f64(s.dueAvf);
     }
-    e.u64(outcome.rootCauses.size());
-    for (const auto &rc : outcome.rootCauses) {
-        e.u32(rc.staticIdx);
-        e.u64(rc.sdcInjections);
-        e.f64(rc.measuredShare);
-        e.f64(rc.analyticalAceShare);
-    }
-    e.u64(outcome.convergence.size());
-    for (const auto &point : outcome.convergence) {
-        e.u64(point.batch);
-        e.u64(point.samples);
-        e.f64(point.worstHalfWidth);
-        e.u64(point.structures.size());
-        for (const auto &sp : point.structures) {
-            e.u8(static_cast<std::uint8_t>(sp.structure));
-            e.u64(sp.samples);
-            e.f64(sp.sdcRate);
-            e.f64(sp.sdcHalfWidth);
-            e.f64(sp.dueRate);
-            e.f64(sp.dueHalfWidth);
-        }
-    }
-    e.u64(outcome.sites.size());
-    for (const faults::SiteRecord &rec : outcome.sites) {
+    e.u64(sample.goldenSteps);
+    e.u64(sample.checkpoints);
+    e.u64(sample.sites.size());
+    for (const faults::SampledSite &rec : sample.sites) {
         e.u8(static_cast<std::uint8_t>(rec.site.structure));
         e.u16(rec.site.entry);
         e.u8(rec.site.bit);
         e.u64(rec.site.cycle);
         const faults::Verdict &v = rec.verdict;
         e.u64(static_cast<std::uint64_t>(v.residency));
+        e.u32(v.inst);
         e.u64(v.rerunSteps);
         e.u8(static_cast<std::uint8_t>(v.role));
         e.boolean(v.readAfter);
@@ -570,90 +527,39 @@ encodeCampaign(const faults::CampaignOutcome &outcome)
         e.boolean(v.committed);
         e.boolean(v.reRan);
         e.boolean(v.outputChanged);
-        e.u8(static_cast<std::uint8_t>(rec.outcome));
+    }
+    e.u64(sample.aceShares.size());
+    for (const auto &[inst, share] : sample.aceShares) {
+        e.u32(inst);
+        e.f64(share);
     }
     return e.take();
 }
 
 bool
 decodeCampaign(const void *data, std::size_t len,
-               faults::CampaignOutcome *out)
+               faults::CampaignSample *out)
 {
     Decoder d(data, len);
-    out->samplesRequested = d.u64();
-    out->seed = d.u64();
-    out->protection = d.enumeration(faults::Protection::Ecc);
-    out->payloadOnly = d.boolean();
-    out->ciTarget = d.f64();
-    out->batchSamples = d.u64();
-    out->samplesRun = d.u64();
-    out->earlyStopped = d.boolean();
-    out->ciHalfWidth = d.f64();
-    out->reruns = d.u64();
-    out->rerunSteps = d.u64();
-    out->goldenSteps = d.u64();
-    out->checkpoints = d.u64();
-    std::uint64_t structures = d.count(137);
+    std::uint64_t structures = d.count(25);
     out->structures.reserve(
         static_cast<std::size_t>(d.ok() ? structures : 0));
+    unsigned sampled = 0;  // bit per Structure value
     for (std::uint64_t i = 0; d.ok() && i < structures; ++i) {
-        faults::StructureCampaign s;
+        faults::CampaignSample::Space s;
         s.structure = d.enumeration(faults::Structure::PredRegFile);
         s.weight = d.u64();
-        s.tally.samples = d.u64();
-        for (int o = 0; o < faults::numOutcomes; ++o)
-            s.tally.counts[static_cast<std::size_t>(o)] = d.u64();
-        s.sdcCi.lo = d.f64();
-        s.sdcCi.hi = d.f64();
-        s.dueCi.lo = d.f64();
-        s.dueCi.hi = d.f64();
-        s.analyticalSdc = d.f64();
-        s.analyticalSdcLower = d.f64();
-        s.analyticalDue = d.f64();
-        s.analyticalDueLower = d.f64();
-        s.sdcCovered = d.boolean();
-        s.dueCovered = d.boolean();
+        s.sdcAvf = d.f64();
+        s.dueAvf = d.f64();
+        sampled |= 1u << static_cast<unsigned>(s.structure);
         out->structures.push_back(s);
     }
-    std::uint64_t causes = d.count(28);
-    out->rootCauses.reserve(
-        static_cast<std::size_t>(d.ok() ? causes : 0));
-    for (std::uint64_t i = 0; d.ok() && i < causes; ++i) {
-        faults::RootCause rc;
-        rc.staticIdx = d.u32();
-        rc.sdcInjections = d.u64();
-        rc.measuredShare = d.f64();
-        rc.analyticalAceShare = d.f64();
-        out->rootCauses.push_back(rc);
-    }
-    std::uint64_t points = d.count(32);
-    out->convergence.reserve(
-        static_cast<std::size_t>(d.ok() ? points : 0));
-    for (std::uint64_t i = 0; d.ok() && i < points; ++i) {
-        faults::ConvergencePoint point;
-        point.batch = d.u64();
-        point.samples = d.u64();
-        point.worstHalfWidth = d.f64();
-        std::uint64_t sps = d.count(41);
-        point.structures.reserve(
-            static_cast<std::size_t>(d.ok() ? sps : 0));
-        for (std::uint64_t j = 0; d.ok() && j < sps; ++j) {
-            faults::ConvergencePoint::StructurePoint sp;
-            sp.structure =
-                d.enumeration(faults::Structure::PredRegFile);
-            sp.samples = d.u64();
-            sp.sdcRate = d.f64();
-            sp.sdcHalfWidth = d.f64();
-            sp.dueRate = d.f64();
-            sp.dueHalfWidth = d.f64();
-            point.structures.push_back(sp);
-        }
-        out->convergence.push_back(point);
-    }
-    std::uint64_t sites = d.count(35);
+    out->goldenSteps = d.u64();
+    out->checkpoints = d.u64();
+    std::uint64_t sites = d.count(38);
     out->sites.reserve(static_cast<std::size_t>(d.ok() ? sites : 0));
     for (std::uint64_t i = 0; d.ok() && i < sites; ++i) {
-        faults::SiteRecord rec;
+        faults::SampledSite rec;
         rec.site.structure =
             d.enumeration(faults::Structure::PredRegFile);
         rec.site.entry = d.u16();
@@ -661,6 +567,7 @@ decodeCampaign(const void *data, std::size_t len,
         rec.site.cycle = d.u64();
         faults::Verdict &v = rec.verdict;
         v.residency = static_cast<std::int64_t>(d.u64());
+        v.inst = d.u32();
         v.rerunSteps = d.u64();
         v.role = d.enumeration(faults::BitRole::Pi);
         v.readAfter = d.boolean();
@@ -668,8 +575,17 @@ decodeCampaign(const void *data, std::size_t len,
         v.committed = d.boolean();
         v.reRan = d.boolean();
         v.outputChanged = d.boolean();
-        rec.outcome = d.enumeration(faults::Outcome::TrueDue);
+        // The label fold tallies a site under its structure's space.
+        if (!(sampled & 1u << static_cast<unsigned>(rec.site.structure)))
+            return false;
         out->sites.push_back(rec);
+    }
+    std::uint64_t shares = d.count(12);
+    out->aceShares.reserve(
+        static_cast<std::size_t>(d.ok() ? shares : 0));
+    for (std::uint64_t i = 0; d.ok() && i < shares; ++i) {
+        std::uint32_t inst = d.u32();
+        out->aceShares.emplace_back(inst, d.f64());
     }
     return d.done();
 }

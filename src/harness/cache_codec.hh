@@ -45,12 +45,12 @@ namespace codec
 {
 
 /** Bump on any change to the serialized shape of the types below. */
-constexpr std::uint32_t kSchemaVersion = 2;
+constexpr std::uint32_t kSchemaVersion = 3;
 
 std::string encodeSimProducts(const SimProducts &products);
 std::string encodeDeadness(const avf::DeadnessResult &result);
 std::string encodeAvf(const avf::AvfResult &result);
-std::string encodeCampaign(const faults::CampaignOutcome &outcome);
+std::string encodeCampaign(const faults::CampaignSample &sample);
 
 /** Decoders require the whole buffer to be consumed exactly. After a
  * successful decodeSimProducts, out->trace.program points at
@@ -62,7 +62,7 @@ bool decodeDeadness(const void *data, std::size_t len,
 bool decodeAvf(const void *data, std::size_t len,
                avf::AvfResult *out);
 bool decodeCampaign(const void *data, std::size_t len,
-                    faults::CampaignOutcome *out);
+                    faults::CampaignSample *out);
 
 } // namespace codec
 } // namespace harness

@@ -185,10 +185,9 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
     if (config.campaign.samples) {
         SER_PROF_SCOPE("campaign", &out.timings);
         // Every folded batch updates the --progress CI segment
-        // through the onConvergence hook. Hooks are non-semantic
-        // (excluded from cacheKey), and like the ser_campaign_*
-        // counters below they fire on the miss path only — a cache
-        // hit re-runs nothing, so there is nothing live to report.
+        // through the onConvergence hook, which the label fold fires
+        // on hits and misses alike. Hooks are non-semantic (excluded
+        // from cacheKey).
         faults::CampaignSpec spec = config.campaign;
         {
             auto inner = spec.onConvergence;
@@ -201,44 +200,57 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
                         point.worstHalfWidth, ci_target);
                 };
         }
-        auto compute = [&] {
-            faults::CampaignOutcome result = faults::runCampaignEngine(
+        // Without a CI target the cached sample serves every
+        // protection, so it carries the re-runs none and parity need
+        // even when an ECC request draws it.
+        const bool counterfactual =
+            spec.protection != faults::Protection::Ecc ||
+            (cacheable && spec.ciTarget == 0.0);
+        auto sample = [&] {
+            faults::CampaignSample result = faults::sampleCampaign(
                 *out.program, *out.trace, *out.deadness, *out.avf,
-                spec);
+                spec, counterfactual);
             // Work-performed counters live on the miss path so a
             // cache hit (which injects nothing) does not inflate
             // them; hit/miss patterns are scheduling-independent, so
             // the totals stay byte-identical across --jobs.
+            std::uint64_t reruns = 0, rerun_steps = 0;
+            for (const faults::SampledSite &rec : result.sites) {
+                reruns += rec.verdict.reRan ? 1 : 0;
+                rerun_steps += rec.verdict.rerunSteps;
+            }
             MetricsRegistry &metrics = MetricsRegistry::instance();
             metrics.add("ser_campaign_injections_total",
-                        result.samplesRun,
+                        result.sites.size(),
                         "Fault-injection samples classified by "
                         "campaign runs.");
-            metrics.add("ser_campaign_reruns_total", result.reruns,
+            metrics.add("ser_campaign_reruns_total", reruns,
                         "Injections that needed a forked "
                         "counterfactual re-run.");
-            metrics.add("ser_campaign_rerun_steps_total",
-                        result.rerunSteps,
+            metrics.add("ser_campaign_rerun_steps_total", rerun_steps,
                         "Dynamic instructions executed by forked "
                         "re-runs.");
             metrics.add("ser_campaign_golden_steps_total",
                         result.goldenSteps,
                         "Dynamic length of campaign golden runs (one "
                         "full replay equivalent each).");
-            if (result.earlyStopped)
+            if (!result.sites.empty() &&
+                result.sites.size() < spec.samples)
                 metrics.add("ser_campaign_early_stops_total", 1,
                             "Campaigns stopped early by the CI "
                             "half-width target.");
             return result;
         };
+        std::shared_ptr<const faults::CampaignSample> sampled;
         if (cacheable)
-            out.campaign = cache.getCampaign(
-                RunCache::campaignKey(sim_key, spec),
-                compute, &out.cacheCampaign);
+            sampled = cache.getCampaign(
+                RunCache::campaignKey(sim_key, spec), sample,
+                &out.cacheCampaign);
         else
-            out.campaign =
-                std::make_shared<const faults::CampaignOutcome>(
-                    compute());
+            sampled =
+                std::make_shared<const faults::CampaignSample>(sample());
+        out.campaign = std::make_shared<const faults::CampaignOutcome>(
+            faults::labelCampaign(*sampled, spec));
     }
     if (tw) {
         SER_PROF_SCOPE("trace_export");

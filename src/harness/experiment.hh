@@ -117,7 +117,9 @@ struct RunArtifacts
     std::uint64_t cyclesSkipped = 0;
 
     /** Measured-AVF campaign results; null unless campaign.samples
-     * was set. Shared const for the same reason as the analyses. */
+     * was set. Labelled under this run's protection from the run
+     * cache's protection-free sample (cacheCampaign says how the
+     * sample was found). */
     std::shared_ptr<const faults::CampaignOutcome> campaign;
 
     /** Per-section run-cache outcome for the manifest. "off" when

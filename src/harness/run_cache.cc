@@ -31,7 +31,7 @@ encodeValue(const avf::AvfResult &v)
     return codec::encodeAvf(v);
 }
 std::string
-encodeValue(const faults::CampaignOutcome &v)
+encodeValue(const faults::CampaignSample &v)
 {
     return codec::encodeCampaign(v);
 }
@@ -54,7 +54,7 @@ decodeValue(const void *data, std::size_t len, avf::AvfResult *out)
 }
 bool
 decodeValue(const void *data, std::size_t len,
-            faults::CampaignOutcome *out)
+            faults::CampaignSample *out)
 {
     return codec::decodeCampaign(data, len, out);
 }
@@ -203,14 +203,14 @@ RunCache::getAvf(const std::string &key,
     return get<avf::AvfResult>(_avf, key, compute, outcome);
 }
 
-std::shared_ptr<const faults::CampaignOutcome>
+std::shared_ptr<const faults::CampaignSample>
 RunCache::getCampaign(
     const std::string &key,
-    const std::function<faults::CampaignOutcome()> &compute,
+    const std::function<faults::CampaignSample()> &compute,
     CacheOutcome *outcome)
 {
-    return get<faults::CampaignOutcome>(_campaign, key, compute,
-                                        outcome);
+    return get<faults::CampaignSample>(_campaign, key, compute,
+                                       outcome);
 }
 
 RunCache::Counters
@@ -284,20 +284,14 @@ approxBytes(const avf::AvfResult &result)
 }
 
 std::uint64_t
-approxBytes(const faults::CampaignOutcome &outcome)
+approxBytes(const faults::CampaignSample &sample)
 {
-    std::uint64_t convergence = 0;
-    for (const faults::ConvergencePoint &point : outcome.convergence)
-        convergence +=
-            sizeof(faults::ConvergencePoint) +
-            point.structures.size() *
-                sizeof(faults::ConvergencePoint::StructurePoint);
-    return sizeof(faults::CampaignOutcome) +
-           outcome.structures.size() *
-               sizeof(faults::StructureCampaign) +
-           outcome.rootCauses.size() * sizeof(faults::RootCause) +
-           convergence +
-           outcome.sites.size() * sizeof(faults::SiteRecord);
+    return sizeof(faults::CampaignSample) +
+           sample.structures.size() *
+               sizeof(faults::CampaignSample::Space) +
+           sample.sites.size() * sizeof(faults::SampledSite) +
+           sample.aceShares.size() *
+               sizeof(std::pair<std::uint32_t, double>);
 }
 
 std::string

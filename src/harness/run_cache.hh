@@ -21,8 +21,13 @@
  *   deadness  (sim key, deadness options)        → DeadnessResult
  *   avf       (sim key; the epoch grid is already in the sim key)
  *                                                → AvfResult
- *   campaign  (sim key + every semantic campaign knob)
- *                                                → CampaignOutcome
+ *   campaign  (sim key + every knob that can change the sample;
+ *              protection only with a CI target)  → CampaignSample
+ *
+ * The campaign section holds the protection-free sample, not an
+ * outcome: runProgram labels every request from it, on hits and
+ * misses alike, so a none/parity/ECC sweep runs one golden run and
+ * one set of forks per benchmark.
  *
  * Thread-safety: lookups run concurrently under --jobs. The first
  * thread to miss computes the value under a per-entry once_flag;
@@ -162,10 +167,10 @@ class RunCache
            const std::function<avf::AvfResult()> &compute,
            CacheOutcome *outcome = nullptr);
 
-    std::shared_ptr<const faults::CampaignOutcome>
+    std::shared_ptr<const faults::CampaignSample>
     getCampaign(
         const std::string &key,
-        const std::function<faults::CampaignOutcome()> &compute,
+        const std::function<faults::CampaignSample()> &compute,
         CacheOutcome *outcome = nullptr);
 
     /**
@@ -190,9 +195,9 @@ class RunCache
     static std::string avfKey(const std::string &sim_key);
 
     /** The campaign section key: the sim key (the trace the sites
-     * are sampled from) plus every semantic campaign knob — two
-     * configs differing in any knob that could change a sampled
-     * site or its classification never share an entry. */
+     * are sampled from) plus CampaignSpec::cacheKey() — two configs
+     * differing in any knob that could change a sampled site or its
+     * verdict never share an entry. */
     static std::string campaignKey(const std::string &sim_key,
                                    const faults::CampaignSpec &spec);
 
@@ -243,7 +248,7 @@ class RunCache
 std::uint64_t approxBytes(const SimProducts &products);
 std::uint64_t approxBytes(const avf::DeadnessResult &result);
 std::uint64_t approxBytes(const avf::AvfResult &result);
-std::uint64_t approxBytes(const faults::CampaignOutcome &outcome);
+std::uint64_t approxBytes(const faults::CampaignSample &sample);
 
 } // namespace harness
 } // namespace ser

@@ -7,9 +7,10 @@
  *
  * Asserts that a cache-enabled sweep manifest proves the memoization
  * worked: for every benchmark, every cache section (sim, deadness,
- * avf) records exactly one "miss" and runs_per_benchmark - 1 "hit"s —
- * i.e. each benchmark was simulated and analyzed exactly once no
- * matter how many sweep points rode on it.
+ * avf, and campaign for runs with a campaign block) records exactly
+ * one "miss" and runs_per_benchmark - 1 "hit"s — i.e. each benchmark
+ * was simulated, analyzed and sampled exactly once no matter how many
+ * sweep points (or protections) rode on it.
  *
  * Exits 0 when the counts hold, 1 with a message otherwise.
  */
@@ -75,7 +76,7 @@ main(int argc, char **argv)
     }
 
     // benchmark -> section -> {misses, hits}
-    const char *sections[] = {"sim", "deadness", "avf"};
+    const char *sections[] = {"sim", "deadness", "avf", "campaign"};
     std::map<std::string, std::map<std::string,
                                    std::pair<unsigned, unsigned>>>
         counts;
@@ -88,6 +89,9 @@ main(int argc, char **argv)
             return 1;
         }
         for (const char *section : sections) {
+            if (std::string(section) == "campaign" &&
+                !member(run, "campaign"))
+                continue;
             const JsonValue *outcome = member(*rc, section);
             if (!outcome || !outcome->isString()) {
                 std::cerr << "check_run_cache: run_cache." << section
@@ -113,6 +117,9 @@ main(int argc, char **argv)
     for (const auto &bench : counts) {
         for (const char *section : sections) {
             auto it = bench.second.find(section);
+            if (it == bench.second.end() &&
+                std::string(section) == "campaign")
+                continue;  // no run of this benchmark sampled
             unsigned misses = it == bench.second.end()
                                   ? 0
                                   : it->second.first;
@@ -132,8 +139,8 @@ main(int argc, char **argv)
     if (!ok)
         return 1;
 
-    std::cout << "check_run_cache: every benchmark simulated and "
-                 "analyzed exactly once ("
+    std::cout << "check_run_cache: every benchmark simulated, "
+                 "analyzed and sampled exactly once ("
               << counts.size() << " benchmarks x " << per_bench
               << " sweep points)\n";
     return 0;

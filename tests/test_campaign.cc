@@ -3,7 +3,8 @@
  * Tests for the statistical campaign engine: counter-keyed sampling
  * (shard invariance), window-edge sampling, checkpoint/fork verdict
  * equivalence against full re-execution, register-file
- * classification, run-cache key completeness, Wilson edge cases, the
+ * classification, run-cache key completeness, one cached sample
+ * labelled under every protection, Wilson edge cases, the
  * convergence series and its hook, and the measured-vs-analytical
  * coverage property on real workload surrogates.
  */
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <thread>
 
@@ -22,6 +24,8 @@
 #include "faults/campaign_engine.hh"
 #include "faults/fork_server.hh"
 #include "faults/injector.hh"
+#include "harness/cache_codec.hh"
+#include "harness/disk_cache.hh"
 #include "harness/experiment.hh"
 #include "harness/run_cache.hh"
 #include "isa/assembler.hh"
@@ -560,49 +564,206 @@ TEST(RunCacheKeys, CampaignKnobsNeverShareEntries)
     const std::string sim_key = "simkey";
     CampaignSpec base;
     base.samples = 1000;
+    auto key = [&](const CampaignSpec &spec) {
+        return harness::RunCache::campaignKey(sim_key, spec);
+    };
 
     std::set<std::string> keys;
-    keys.insert(harness::RunCache::campaignKey(sim_key, base));
+    keys.insert(key(base));
 
-    // Every semantic knob must move the key.
+    // Every knob that can change the sample must move the key.
     CampaignSpec s = base;
     s.samples = 2000;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
     s = base;
     s.seed = 99;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
-    s = base;
-    s.protection = Protection::Parity;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
     s = base;
     s.payloadOnly = false;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
     s = base;
     s.structures = structRegFile;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
     s = base;
     s.ciTarget = 0.01;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
+    // Equal at the stream's default six significant digits.
+    s.ciTarget = 0.01000001;
+    keys.insert(key(s));
     s = base;
     s.batchSamples = 128;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
     s = base;
     s.checkpoints = 7;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
     s = base;
     s.rootCauseTopN = 3;
-    keys.insert(harness::RunCache::campaignKey(sim_key, s));
+    keys.insert(key(s));
     EXPECT_EQ(keys.size(), 10u)
         << "two specs differing in a semantic knob shared a key";
 
-    // Non-semantic knobs (sharding, progress callbacks) must NOT:
-    // a 4-thread campaign is byte-identical to a serial one and the
-    // cache may share them.
+    // With a CI target the sample ends where the protection's labels
+    // stop, so protection splits the key too.
+    std::set<std::string> stops;
+    s = base;
+    s.ciTarget = 0.01;
+    for (Protection p :
+         {Protection::None, Protection::Parity, Protection::Ecc}) {
+        s.protection = p;
+        stops.insert(key(s));
+    }
+    EXPECT_EQ(stops.size(), 3u)
+        << "protections with a CI target shared a sample";
+
+    // Knobs that cannot change the sample must NOT: sharding and
+    // progress callbacks, and without a CI target the protection,
+    // since every protection labels the one sample.
     s = base;
     s.jobs = 8;
     s.onConvergence = [](const faults::ConvergencePoint &) {};
-    EXPECT_EQ(harness::RunCache::campaignKey(sim_key, s),
-              harness::RunCache::campaignKey(sim_key, base));
+    EXPECT_EQ(key(s), key(base));
+    for (Protection p : {Protection::Parity, Protection::Ecc}) {
+        s.protection = p;
+        EXPECT_EQ(key(s), key(base)) << protectionName(p);
+    }
+}
+
+namespace
+{
+
+/**
+ * Label one sim under none, parity and ECC through runProgram, and
+ * compare each outcome with the unshared campaign for that protection
+ * alone (its own sample, from runCampaignEngine).
+ */
+std::vector<harness::RunArtifacts>
+expectSharedLabelsMatchUnshared(harness::ExperimentConfig cfg)
+{
+    auto program = std::make_shared<const isa::Program>(
+        workloads::buildBenchmark("gzip", cfg.dynamicTarget));
+    std::vector<harness::RunArtifacts> runs;
+    for (Protection prot :
+         {Protection::None, Protection::Parity, Protection::Ecc}) {
+        SCOPED_TRACE(protectionName(prot));
+        cfg.campaign.protection = prot;
+        harness::RunArtifacts run =
+            harness::runProgram(program, cfg, "gzip");
+        EXPECT_NE(run.cacheCampaign, harness::CacheOutcome::Off);
+        if (!run.campaign) {
+            ADD_FAILURE() << "no campaign";
+            return runs;
+        }
+        const CampaignOutcome unshared = runCampaignEngine(
+            *run.program, *run.trace, *run.deadness, *run.avf,
+            cfg.campaign);
+        const CampaignOutcome &shared = *run.campaign;
+        EXPECT_TRUE(sameOutcome(shared, unshared));
+        EXPECT_EQ(shared.summary(), unshared.summary());
+        EXPECT_EQ(shared.convergence.size(),
+                  unshared.convergence.size());
+        EXPECT_EQ(shared.sites.size(), unshared.sites.size());
+        for (std::size_t i = 0;
+             i < std::min(shared.sites.size(), unshared.sites.size());
+             ++i)
+            EXPECT_EQ(shared.sites[i], unshared.sites[i])
+                << "site " << i;
+        runs.push_back(std::move(run));
+    }
+    return runs;
+}
+
+harness::ExperimentConfig
+sharingConfig()
+{
+    harness::ExperimentConfig cfg;
+    cfg.dynamicTarget = 8000;
+    cfg.warmupInsts = 800;
+    cfg.campaign.samples = 1200;
+    cfg.campaign.structures = structIq | structRegFile;
+    cfg.campaign.batchSamples = 256;
+    cfg.campaign.rootCauseTopN = 5;
+    cfg.campaign.jobs = 4;
+    return cfg;
+}
+
+} // namespace
+
+TEST(CampaignSharing, OneSampleLabelsEveryProtection)
+{
+    harness::RunCache &cache = harness::RunCache::instance();
+    cache.setEnabled(true);
+    cache.clear();
+    std::vector<harness::RunArtifacts> runs =
+        expectSharedLabelsMatchUnshared(sharingConfig());
+    ASSERT_EQ(runs.size(), 3u);
+
+    // One golden run and one set of forks served all three.
+    harness::RunCache::Counters c = cache.campaignCounters();
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.hits, 2u);
+    // ECC drew the shared, forked sample but reports no re-run.
+    EXPECT_GT(runs[0].campaign->reruns, 0u);
+    EXPECT_EQ(runs[2].campaign->reruns, 0u);
+    EXPECT_FALSE(runs[0].campaign->rootCauses.empty());
+    cache.clear();
+}
+
+TEST(CampaignSharing, CiTargetKeepsOneSamplePerProtection)
+{
+    harness::RunCache &cache = harness::RunCache::instance();
+    cache.setEnabled(true);
+    cache.clear();
+    harness::ExperimentConfig cfg = sharingConfig();
+    cfg.campaign.samples = 20000;
+    cfg.campaign.structures = structIq;
+    cfg.campaign.ciTarget = 0.03;
+    std::vector<harness::RunArtifacts> runs =
+        expectSharedLabelsMatchUnshared(cfg);
+    ASSERT_EQ(runs.size(), 3u);
+
+    // The protections stop at different batches, so none can serve
+    // another's labels.
+    std::set<std::uint64_t> stops;
+    for (const harness::RunArtifacts &run : runs) {
+        EXPECT_TRUE(run.campaign->earlyStopped);
+        stops.insert(run.campaign->samplesRun);
+    }
+    EXPECT_EQ(stops.size(), 3u);
+    EXPECT_EQ(cache.campaignCounters().misses, 3u);
+    cache.clear();
+}
+
+TEST(CampaignSharing, DiskHitLabelsTheSame)
+{
+    char tmpl[] = "/tmp/ser_campaign_share_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    harness::DiskCache &disk = harness::DiskCache::instance();
+    disk.setDirectory(dir, harness::codec::kSchemaVersion);
+    harness::RunCache &cache = harness::RunCache::instance();
+    cache.setEnabled(true);
+    cache.clear();
+
+    auto program = std::make_shared<const isa::Program>(
+        workloads::buildBenchmark("gzip", 8000));
+    harness::ExperimentConfig cfg = sharingConfig();
+    harness::RunArtifacts cold = harness::runProgram(program, cfg, "gzip");
+    EXPECT_EQ(cold.cacheCampaign, harness::CacheOutcome::Miss);
+
+    // A new process: the map is empty, and the blob on disk is the
+    // only sample. Every protection labels it like its own campaign.
+    cache.clear();
+    std::vector<harness::RunArtifacts> runs =
+        expectSharedLabelsMatchUnshared(cfg);
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs[0].cacheCampaign, harness::CacheOutcome::DiskHit);
+    EXPECT_EQ(cache.campaignCounters().diskHits, 1u);
+    EXPECT_EQ(cache.campaignCounters().misses, 0u);
+
+    disk.setDirectory("", harness::codec::kSchemaVersion);
+    cache.clear();
+    std::string cmd = "rm -rf '" + dir + "'";
+    EXPECT_EQ(std::system(cmd.c_str()), 0);
 }
 
 TEST(RunCacheKeys, CampaignRidesSimKeyButSimIsShared)

@@ -74,19 +74,18 @@ TEST(Crc64, SingleBitFlipChangesEveryPrefix)
 
 TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
 {
-    // One of every record that carries an enum byte.
-    faults::CampaignOutcome good;
-    good.protection = faults::Protection::Ecc;
+    // One of every record that carries an enum byte: a sampled
+    // structure, and a site with its structure and bit role.
+    faults::CampaignSample good;
     good.structures.emplace_back();
-    good.convergence.emplace_back();
-    good.convergence[0].structures.emplace_back();
+    good.structures[0].structure = faults::Structure::PredRegFile;
     good.sites.emplace_back();
+    good.sites[0].site.structure = faults::Structure::PredRegFile;
     good.sites[0].verdict.role = faults::BitRole::Pi;
-    good.sites[0].outcome = faults::Outcome::TrueDue;
 
-    auto decodes = [](const faults::CampaignOutcome &outcome) {
-        std::string blob = harness::codec::encodeCampaign(outcome);
-        faults::CampaignOutcome back;
+    auto decodes = [](const faults::CampaignSample &sample) {
+        std::string blob = harness::codec::encodeCampaign(sample);
+        faults::CampaignSample back;
         return harness::codec::decodeCampaign(blob.data(), blob.size(),
                                               &back);
     };
@@ -94,29 +93,24 @@ TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
 
     // Each enum field in turn holds a byte past its last value.
     auto rejects = [&](auto corrupt) {
-        faults::CampaignOutcome outcome = good;
-        corrupt(outcome);
-        return !decodes(outcome);
+        faults::CampaignSample sample = good;
+        corrupt(sample);
+        return !decodes(sample);
     };
     constexpr std::uint8_t bad = 0x7f;
-    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
-        o.protection = static_cast<faults::Protection>(bad);
+    EXPECT_TRUE(rejects([](faults::CampaignSample &s) {
+        s.structures[0].structure = static_cast<faults::Structure>(bad);
     }));
-    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
-        o.structures[0].structure = static_cast<faults::Structure>(bad);
+    EXPECT_TRUE(rejects([](faults::CampaignSample &s) {
+        s.sites[0].site.structure = static_cast<faults::Structure>(bad);
     }));
-    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
-        o.convergence[0].structures[0].structure =
-            static_cast<faults::Structure>(bad);
+    EXPECT_TRUE(rejects([](faults::CampaignSample &s) {
+        s.sites[0].verdict.role = static_cast<faults::BitRole>(bad);
     }));
-    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
-        o.sites[0].site.structure = static_cast<faults::Structure>(bad);
-    }));
-    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
-        o.sites[0].verdict.role = static_cast<faults::BitRole>(bad);
-    }));
-    EXPECT_TRUE(rejects([](faults::CampaignOutcome &o) {
-        o.sites[0].outcome = static_cast<faults::Outcome>(bad);
+    // An in-range structure the sample did not draw from is just as
+    // impossible: the label fold has no tally for it.
+    EXPECT_TRUE(rejects([](faults::CampaignSample &s) {
+        s.sites[0].site.structure = faults::Structure::Iq;
     }));
 }
 
@@ -420,10 +414,10 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
         harness::codec::encodeDeadness(*r2.deadness));
     EXPECT_EQ(harness::codec::encodeAvf(*r1.avf),
               harness::codec::encodeAvf(*r2.avf));
-    EXPECT_EQ(harness::codec::encodeCampaign(*r1.campaign),
-              harness::codec::encodeCampaign(*r2.campaign));
-    // Re-encoding equality would also hold if the codec dropped the
-    // per-site records on both sides; compare them directly.
+    // Both outcomes are labelled from the cached sample; the summary
+    // covers every tally, band and re-run counter, and the per-site
+    // records are compared directly.
+    EXPECT_EQ(r1.campaign->summary(), r2.campaign->summary());
     ASSERT_EQ(r1.campaign->sites.size(), cfg.campaign.samples);
     ASSERT_EQ(r2.campaign->sites.size(), r1.campaign->sites.size());
     for (std::size_t i = 0; i < r1.campaign->sites.size(); ++i)
