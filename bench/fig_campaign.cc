@@ -11,7 +11,9 @@
  * AVF band each must cover. The final table is the empirical check
  * that the ACE analysis brackets ground truth: measured SDC lands in
  * [field-refined ACE, whole-payload ACE], measured DUE under parity
- * lands on the pre-read occupancy the fold counts.
+ * lands on the pre-read occupancy the fold counts. Those parity DUE
+ * points are many comparisons at once, so a Holm adjustment
+ * (family-wise 5%) under the table says how many of them stand.
  *
  * Each campaign also records its per-batch convergence time-series
  * (faults::ConvergencePoint): the convergence table below shows how
@@ -101,12 +103,14 @@ main(int argc, char **argv)
                 "CI half-width", "reruns", "mean rerun cost",
                 "checkpoints"});
     std::size_t covered = 0, checks = 0;
+    std::vector<faults::StructureCampaign> rows;
     for (const harness::RunArtifacts &r : runs) {
         if (!r.campaign)
             continue;
         const faults::CampaignOutcome &c = *r.campaign;
         const char *prot = faults::protectionName(c.protection);
         for (const faults::StructureCampaign &s : c.structures) {
+            rows.push_back(s);
             table.addRow(
                 {r.benchmark, prot,
                  faults::structureName(s.structure),
@@ -139,6 +143,10 @@ main(int argc, char **argv)
     out.print("campaign_reconciliation", table);
     std::cout << "\nreconciliation: " << covered << "/" << checks
               << " measured 95% CIs cover their analytical band\n";
+    const faults::PointChecks points = faults::holmPointChecks(rows, 0.05);
+    std::cout << "point checks: " << points.standing << "/"
+              << points.total
+              << " stand after a Holm adjustment (family-wise 5%)\n";
 
     harness::printHeading(std::cout,
                           "campaign economics: checkpoint/fork "

@@ -48,6 +48,53 @@ wilson(std::uint64_t k, std::uint64_t n)
     return ci;
 }
 
+double
+scoreTestP(std::uint64_t k, std::uint64_t n, double p0)
+{
+    if (n == 0)
+        return 1.0;
+    const double nn = static_cast<double>(n);
+    const double z = (static_cast<double>(k) - nn * p0) /
+                     std::sqrt(nn * p0 * (1.0 - p0));
+    return std::erfc(std::fabs(z) / std::sqrt(2.0));
+}
+
+std::size_t
+holmStanding(std::vector<double> p_values, double alpha)
+{
+    std::sort(p_values.begin(), p_values.end());
+    const std::size_t m = p_values.size();
+    std::size_t rejected = 0;
+    // The i-th smallest p-value (0-based) is rejected at alpha/(m-i),
+    // and the first one that is not stops the procedure.
+    while (rejected < m &&
+           p_values[rejected] <=
+               alpha / static_cast<double>(m - rejected))
+        ++rejected;
+    return m - rejected;
+}
+
+PointChecks
+holmPointChecks(const std::vector<StructureCampaign> &rows,
+                double alpha)
+{
+    std::vector<double> p_values;
+    auto check = [&](double lower, double upper, std::uint64_t count,
+                     std::uint64_t samples) {
+        if (lower == upper && lower > 0.0 && lower < 1.0)
+            p_values.push_back(scoreTestP(count, samples, lower));
+    };
+    for (const StructureCampaign &row : rows) {
+        check(row.analyticalSdcLower, row.analyticalSdc,
+              row.tally.count(Outcome::Sdc), row.tally.samples);
+        check(row.analyticalDueLower, row.analyticalDue,
+              row.tally.count(Outcome::TrueDue) +
+                  row.tally.count(Outcome::FalseDue),
+              row.tally.samples);
+    }
+    return {holmStanding(p_values, alpha), p_values.size()};
+}
+
 std::uint64_t
 sampleWindowCycle(Rng &rng, std::uint64_t start_cycle,
                   std::uint64_t end_cycle)

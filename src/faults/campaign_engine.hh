@@ -93,6 +93,15 @@ struct Interval
 /** 95% Wilson score interval for k successes out of n. */
 Interval wilson(std::uint64_t k, std::uint64_t n);
 
+/** Two-sided score-test p-value of k successes out of n against the
+ * rate p0 in (0, 1): erfc(|z| / sqrt 2), with
+ * z = (k - n p0) / sqrt(n p0 (1 - p0)). 1 when n is 0. */
+double scoreTestP(std::uint64_t k, std::uint64_t n, double p0);
+
+/** Holm's step-down procedure at family-wise level alpha: how many
+ * of the hypotheses with these p-values stand (are not rejected). */
+std::size_t holmStanding(std::vector<double> p_values, double alpha);
+
 /**
  * Uniform strike cycle within the half-open measurement window
  * [start_cycle, end_cycle). endCycle is one past the last occupied
@@ -285,6 +294,23 @@ struct StructureCampaign
     double sdcRate() const { return tally.sdcRate(); }
     double dueRate() const { return tally.dueRate(); }
 };
+
+/** How many of a reconciliation table's point comparisons stand. */
+struct PointChecks
+{
+    std::size_t standing = 0;
+    std::size_t total = 0;
+};
+
+/**
+ * The point comparisons of a reconciliation table, Holm-adjusted at
+ * family-wise level alpha. A comparison is a row's SDC or DUE class
+ * whose analytical band is one point strictly inside (0, 1) — the
+ * parity DUE rows — tested with scoreTestP() on the measured count.
+ * The per-row covered flags stay as they are.
+ */
+PointChecks holmPointChecks(const std::vector<StructureCampaign> &rows,
+                            double alpha);
 
 /** One per-PC root cause of measured SDCs. */
 struct RootCause

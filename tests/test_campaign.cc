@@ -4,9 +4,10 @@
  * (shard invariance), window-edge sampling, checkpoint/fork verdict
  * equivalence against full re-execution, register-file
  * classification, run-cache key completeness, one cached sample
- * labelled under every protection, Wilson edge cases, the
- * convergence series and its hook, and the measured-vs-analytical
- * coverage property on real workload surrogates.
+ * labelled under every protection, Wilson edge cases, the Holm
+ * adjustment of the point comparisons, the convergence series and
+ * its hook, and the measured-vs-analytical coverage property on real
+ * workload surrogates.
  */
 
 #include <gtest/gtest.h>
@@ -813,6 +814,57 @@ TEST(Wilson, EdgeCases)
     EXPECT_GE(wide.lo, 0.0);
     EXPECT_LE(wide.hi, 1.0);
     EXPECT_LT(narrow.hi - narrow.lo, wide.hi - wide.lo);
+}
+
+TEST(Holm, HandComputedPValues)
+{
+    // z = (40 - 50) / sqrt(100 * 0.5 * 0.5) = -2: p = erfc(sqrt 2).
+    EXPECT_NEAR(scoreTestP(40, 100, 0.5), 0.0455003, 1e-6);
+    // z = (50 - 80) / sqrt(400 * 0.2 * 0.8) = -3.75.
+    EXPECT_NEAR(scoreTestP(50, 400, 0.2), 1.7683e-4, 1e-8);
+    EXPECT_EQ(scoreTestP(50, 100, 0.5), 1.0);
+    EXPECT_EQ(scoreTestP(0, 0, 0.5), 1.0);
+
+    // Sorted 0.005, 0.01, 0.03, 0.04 against 0.05/4, 0.05/3, 0.05/2:
+    // the third fails its threshold, so two stand.
+    EXPECT_EQ(holmStanding({0.01, 0.04, 0.03, 0.005}, 0.05), 2u);
+    // Holm rejects all three where Bonferroni (0.05/3 each) rejects
+    // only the first.
+    EXPECT_EQ(holmStanding({0.04, 0.011, 0.02}, 0.05), 0u);
+    // fig_campaign's defaults: one p of 0.017 among ten misses the
+    // first threshold, 0.005, and everything stands.
+    EXPECT_EQ(holmStanding({0.017, 0.18, 0.25, 0.3, 0.41, 0.5, 0.62,
+                            0.7, 0.88, 0.95},
+                           0.05),
+              10u);
+    EXPECT_EQ(holmStanding({}, 0.05), 0u);
+
+    // Only bands that are one point strictly inside (0, 1) count.
+    auto row = [](std::uint64_t samples, std::uint64_t due,
+                  double lower, double upper) {
+        StructureCampaign s;
+        s.tally.samples = samples;
+        s.tally.counts[static_cast<std::size_t>(Outcome::TrueDue)] =
+            due;
+        s.analyticalDueLower = lower;
+        s.analyticalDue = upper;
+        return s;
+    };
+    std::vector<StructureCampaign> rows = {
+        row(100, 40, 0.5, 0.5),   // p = 0.0455
+        row(100, 40, 0.0, 0.0),   // [0, 0]: not a point check
+        row(100, 40, 0.2, 0.6),   // a range: not a point check
+        row(400, 50, 0.2, 0.2),   // p = 1.77e-4
+    };
+    rows[1].analyticalSdc = 0.3;  // SDC [0, 0.3]: not a point check
+    PointChecks checks = holmPointChecks(rows, 0.05);
+    EXPECT_EQ(checks.total, 2u);
+    EXPECT_EQ(checks.standing, 0u);
+    rows[0].tally.counts[static_cast<std::size_t>(Outcome::TrueDue)] =
+        50;  // p = 1: stands
+    checks = holmPointChecks(rows, 0.05);
+    EXPECT_EQ(checks.total, 2u);
+    EXPECT_EQ(checks.standing, 1u);
 }
 
 namespace
