@@ -428,10 +428,9 @@ labelCampaign(const CampaignSample &sample, const CampaignSpec &spec)
                       sample.sites.size(),
                       protectionName(spec.protection));
         for (std::uint64_t i = done; i < done + n; ++i) {
-            SiteRecord rec;
-            rec.site = sample.sites[i].site;
-            rec.verdict = sample.sites[i].verdict;
-            rec.outcome = fold.add(sample.sites[i]);
+            const SampledSite &sampled = sample.sites[i];
+            SiteRecord rec{sampled.site, sampled.verdict,
+                           fold.add(sampled)};
             if (ecc) {
                 rec.verdict.reRan = false;
                 rec.verdict.outputChanged = false;

@@ -164,8 +164,6 @@ struct SampledSite
 {
     FaultSite site{};
     Verdict verdict;
-
-    bool operator==(const SampledSite &) const = default;
 };
 
 // Structure-set bitmask values for CampaignSpec::structures.
@@ -264,8 +262,8 @@ struct CampaignSample
 
     std::vector<SampledSite> sites;
 
-    /** Analytical ACE share of every static instruction that a site
-     * which is SDC when unprotected struck, sorted by static index;
+    /** Analytical ACE share of each static instruction struck by a
+     * site that is SDC when unprotected, sorted by static index;
      * filled only when spec.rootCauseTopN is set. */
     std::vector<std::pair<std::uint32_t, double>> aceShares;
 };
