@@ -11,9 +11,9 @@ Validates the invariants every --metrics-out snapshot promises:
   - every family has exactly one # HELP and one # TYPE line, HELP
     before TYPE, both before any sample of the family
   - # TYPE values come from the known set
-  - families appear in sorted order (the registry iterates a sorted
+  - families appear in sorted order (the writer iterates a sorted
     map; an unsorted exposition means samples leaked out of
-    writePrometheus())
+    writeExposition())
   - sample names belong to the most recent family (plus the _bucket/
     _sum/_count children of histogram and summary families)
   - label blocks parse, with \\\\ \\" \\n escapes, and no series
@@ -22,7 +22,7 @@ Validates the invariants every --metrics-out snapshot promises:
 
 Exits nonzero listing every violation. Used by ctest over a fig3
 sweep's snapshot (metrics_* fixtures) and a campaign sweep's, which
-adds the ser_campaign_* families (campaign_* fixtures).
+adds the ser_prof_campaign_* families (campaign_* fixtures).
 """
 
 import re

@@ -271,8 +271,8 @@ namespace
 {
 
 /** Branch-free select: cond ? a : b with cond in {0, 1}. The mask
- * form compiles to and/xor on every target, keeping the per-class
- * precedence chain free of data-dependent branches. */
+ * form compiles to and/xor on every target, keeping the fold free of
+ * data-dependent branches. */
 SER_ALWAYS_INLINE std::uint64_t
 sel(bool cond, std::uint64_t a, std::uint64_t b)
 {
@@ -345,71 +345,6 @@ constexpr ClassRates classRates[kNumClassCodes] = {
                                UnAceSource::TddMem),
 };
 
-/** classifyImpl's result reduced to what the hot fold consumes. */
-struct FastClass
-{
-    std::uint64_t pre;      ///< window-clipped pre-read cycles
-    std::uint64_t post;     ///< window-clipped post-read cycles
-    std::uint64_t refined;  ///< field-refined ACE bits per cycle
-    std::uint32_t dist;     ///< overwrite distance (FDD defs)
-    unsigned k;             ///< ClassCode
-};
-
-/**
- * classifyImpl's decision tree flattened to branch-free selects plus
- * one classRates[] lookup. Data-dependent branches (wrong-path,
- * neutral, issued) mispredict heavily on real traces, so every
- * choice here is a mask select; the avf_reference_fold property test
- * pins the equivalence with classifyIncarnation().
- */
-SER_ALWAYS_INLINE FastClass
-classifyFast(const cpu::IncarnationRecord &inc, std::uint64_t wlo,
-             std::uint64_t whi, const StaticClassInfo *stat,
-             const DeadKind *dead, const std::uint32_t *odist,
-             std::uint64_t dead_limit)
-{
-    const bool issued = inc.issueCycle != cpu::noCycle32;
-
-    // Window-clipped pre-read [enqueue, read_end) and post-read
-    // [read_end, evict) residencies; a never-read incarnation's
-    // whole residency counts as pre.
-    const std::uint64_t enq = inc.enqueueCycle;
-    const std::uint64_t evict = inc.evictCycle;
-    const std::uint64_t read_end = sel(issued, inc.issueCycle, evict);
-    const std::uint64_t plo = std::max(enq, wlo);
-    const std::uint64_t phi = std::min(read_end, whi);
-    const std::uint64_t qlo = std::max(read_end, wlo);
-    const std::uint64_t qhi = std::min(evict, whi);
-
-    FastClass c;
-    c.pre = phi > plo ? phi - plo : 0;
-    c.post = qhi > qlo ? qhi - qlo : 0;
-
-    // Deadness lookup as a clamped unconditional load: out-of-range
-    // oracle seqs (wrong-path incarnations) read slot 0 and then
-    // select the Live default instead.
-    const bool in_range = inc.oracleSeq < dead_limit;
-    const std::uint64_t di = sel(in_range, inc.oracleSeq, 0);
-    const unsigned kind =
-        sel(in_range, static_cast<unsigned>(dead[di]),
-            static_cast<unsigned>(DeadKind::Live));
-    c.dist = static_cast<std::uint32_t>(
-        sel(in_range, odist[di], noOverwrite));
-
-    // Precedence chain, later selects override earlier ones
-    // (reverse order of classifyImpl's early returns).
-    std::uint64_t k = kLive + kind;
-    k = sel(inc.flags & cpu::incPredFalse, kPredFalse, k);
-    k = sel(stat[inc.staticIdx].isNeutral, kNeutral, k);
-    k = sel(inc.flags & cpu::incWrongPath, kWrongPath, k);
-    k = sel(issued, k, kSquashed);
-    c.k = static_cast<unsigned>(k);
-
-    c.refined = sel(k == kLive, stat[inc.staticIdx].liveRefinedRate,
-                    classRates[k].aceRefined);
-    return c;
-}
-
 /**
  * Class index from its ingredient bits, precomputed for every
  * combination so the per-incarnation precedence chain (squashed >
@@ -461,14 +396,6 @@ struct ColumnView
           evict(cols.evictCycle.data()), flags(cols.flags.data())
     {
     }
-
-    /** Gather row i for the record-at-a-time classifier (the iqEntry
-     * field is irrelevant to classification). */
-    cpu::IncarnationRecord row(std::size_t i) const
-    {
-        return {staticIdx[i], oracleSeq[i], enq[i], issue[i],
-                evict[i], 0, flags[i]};
-    }
 };
 
 /** One accumulator bank of the four-wide unrolled fold. */
@@ -488,11 +415,12 @@ struct FoldBank
  * The overwhelmingly common case — a residency fully inside the
  * measurement window — needs no interval clipping: pre and post are
  * two subtractions. Window-straddling records (warmup prefix, run
- * tail) fall back to the branch-free clipped classifier; they arrive
- * in bursts at the window edges, so the guard predicts near-
- * perfectly. When `Whole` is set the caller has proven no record can
- * straddle (wlo == 0, and every evict cycle is at most the trace's
- * drain cycle whi), so the guard compiles out entirely.
+ * tail) clip both intervals to the window instead; they arrive in
+ * bursts at the window edges, so the guard predicts near-perfectly.
+ * Either way the class comes from the same kTable lookup. When
+ * `Whole` is set the caller has proven no record can straddle
+ * (wlo == 0, and every evict cycle is at most the trace's drain
+ * cycle whi), so the guard compiles out entirely.
  */
 template <bool Whole>
 SER_ALWAYS_INLINE void
@@ -509,40 +437,36 @@ foldOne(const ColumnView &v, std::size_t i, std::uint64_t wlo,
     const std::uint32_t issue = v.issue[i];
     const std::uint32_t evict = v.evict[i];
     const std::uint32_t fl = v.flags[i];
+    // Pre-read [enqueue, read_end) and post-read [read_end, evict)
+    // residencies; a never-read incarnation's whole residency is pre.
+    const bool issued = issue != cpu::noCycle32;
+    const std::uint32_t read_end = issued ? issue : evict;
     if (Whole || SER_LIKELY(enq >= wlo && evict <= whi)) {
-        const bool issued = issue != cpu::noCycle32;
-        const std::uint32_t read_end = issued ? issue : evict;
         pre = read_end - enq;
         post = evict - read_end;
-        if (fl & cpu::incWrongPath) {
-            // Wrong-path residencies arrive in fetch bursts, so this
-            // branch predicts; neither the deadness columns nor the
-            // static table matter for them (all their rates are 0).
-            k = sel(issued, kWrongPath, kSquashed);
-        } else {
-            const std::uint32_t seq = v.oracleSeq[i];
-            const std::uint32_t sidx = v.staticIdx[i];
-            unsigned kind = static_cast<unsigned>(DeadKind::Live);
-            if (SER_LIKELY(seq < dead_limit)) {
-                di = seq;
-                kind = static_cast<unsigned>(dead[di]);
-            }
-            const unsigned idx =
-                (fl & 3u) |
-                (static_cast<unsigned>(stat[sidx].isNeutral) << 2) |
-                (kind << 3) | (static_cast<unsigned>(issued) << 6);
-            k = kTable[idx];
-            live_ref = stat[sidx].liveRefinedRate;
-        }
     } else {
-        const cpu::IncarnationRecord inc = v.row(i);
-        FastClass c = classifyFast(inc, wlo, whi, stat, dead, odist,
-                                   dead_limit);
-        pre = c.pre;
-        post = c.post;
-        k = c.k;
-        live_ref = stat[inc.staticIdx].liveRefinedRate;
-        di = sel(inc.oracleSeq < dead_limit, inc.oracleSeq, 0);
+        pre = clip(enq, read_end, wlo, whi).length();
+        post = clip(read_end, evict, wlo, whi).length();
+    }
+    if (fl & cpu::incWrongPath) {
+        // Wrong-path residencies arrive in fetch bursts, so this
+        // branch predicts; neither the deadness columns nor the
+        // static table matter for them (all their rates are 0).
+        k = sel(issued, kWrongPath, kSquashed);
+    } else {
+        const std::uint32_t seq = v.oracleSeq[i];
+        const std::uint32_t sidx = v.staticIdx[i];
+        unsigned kind = static_cast<unsigned>(DeadKind::Live);
+        if (SER_LIKELY(seq < dead_limit)) {
+            di = seq;
+            kind = static_cast<unsigned>(dead[di]);
+        }
+        const unsigned idx =
+            (fl & 3u) |
+            (static_cast<unsigned>(stat[sidx].isNeutral) << 2) |
+            (kind << 3) | (static_cast<unsigned>(issued) << 6);
+        k = kTable[idx];
+        live_ref = stat[sidx].liveRefinedRate;
     }
     bank.post += post;
     // Only the Live class has a per-static refined rate; every other
@@ -572,8 +496,8 @@ foldOne(const ColumnView &v, std::size_t i, std::uint64_t wlo,
  * (the SoA payoff — the AoS layout needed a strided deinterleave or
  * per-field scalar loads), flags widen from one 8-byte load, and the
  * two data-dependent lookups (deadness kind by oracle seq, static
- * info by static index) become gathers. classifyFast's precedence
- * chain turns into four blends. Only preSum[k] — eight read-modify-
+ * info by static index) become gathers. kTable's precedence chain
+ * turns into four blends. Only preSum[k] — eight read-modify-
  * writes to data-dependent slots — and the rare FDD exposure pushes
  * stay scalar, AVX2 having no scatter.
  *
@@ -681,7 +605,7 @@ foldAvx2(const ColumnView &v, std::size_t total, std::uint64_t wlo,
             _mm256_cmpeq_epi32(_mm256_and_si256(sg, one), one);
         const __m256i liveRef = _mm256_srli_epi32(sg, 16);
 
-        // classifyFast's precedence chain as blends, low to high.
+        // kTable's precedence chain as blends, low to high.
         __m256i k = _mm256_add_epi32(kLiveV, kind);
         const __m256i pf =
             _mm256_cmpeq_epi32(_mm256_and_si256(fl, two), two);

@@ -8,11 +8,9 @@
 #include "harness/metrics.hh"
 #include "harness/progress.hh"
 #include "harness/run_cache.hh"
-#include "harness/shutdown.hh"
 #include "harness/suite_runner.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
-#include "sim/prof.hh"
 
 namespace ser
 {
@@ -100,23 +98,21 @@ std::uint64_t
 parseCount(const char *argv0, const std::string &name,
            const std::string &text)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || !end || *end != '\0')
+    std::optional<std::uint64_t> v = parseUnsigned(text);
+    if (!v)
         SER_FATAL("{}: bad value '{}' for {}", argv0, text, name);
-    return v;
+    return *v;
 }
 
 double
 parseRate(const char *argv0, const std::string &name,
           const std::string &text)
 {
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || !end || *end != '\0' || v < 0.0 || v > 1.0)
+    std::optional<double> v = parseFinite(text);
+    if (!v || *v < 0.0 || *v > 1.0)
         SER_FATAL("{}: bad value '{}' for {} (want a rate in "
                   "[0, 1])", argv0, text, name);
-    return v;
+    return *v;
 }
 
 } // namespace
@@ -167,13 +163,9 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             opts.topn = static_cast<std::uint32_t>(topn);
         } else if (token == "--jobs" ||
                    token.rfind("--jobs=", 0) == 0) {
-            std::string text =
-                optionValue(argc, argv, i, "--jobs", token);
-            std::uint64_t jobs =
-                parseCount(argv[0], "--jobs", text);
-            if (jobs == 0)
-                SER_FATAL("{}: --jobs must be positive", argv[0]);
-            opts.jobs = static_cast<unsigned>(jobs);
+            opts.jobs = parseJobs(
+                std::string(argv[0]) + ": --jobs",
+                optionValue(argc, argv, i, "--jobs", token));
             jobs_given = true;
         } else if (token == "--no-run-cache") {
             RunCache::instance().setEnabled(false);
@@ -213,7 +205,7 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             SER_FATAL("{}: unknown option '{}' (--help lists them)",
                       argv[0], token);
         } else {
-            // key=value override, exactly as Config::parseArgs.
+            // key=value override.
             opts.config.parseAssignment(token);
         }
     }
@@ -247,22 +239,11 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
         SER_WARN("--intervals has no effect without --json: the "
                  "time series is written to "
                  "<manifest>.intervals.jsonl");
-    // Arm telemetry last, so a --help/usage error never leaves a
-    // half-armed registry. The atexit snapshot makes plain
-    // (non-suite) binaries emit a final exposition file too.
-    if (!metrics_out.empty()) {
-        prof::setEnabled(true);
-        MetricsRegistry::instance().setOutputPath(metrics_out);
-        std::atexit([] {
-            MetricsRegistry::instance().writeSnapshot();
-        });
-        // Terminating signals never unwind through atexit; a
-        // dedicated sigwait watcher flushes the final snapshot on
-        // SIGINT/SIGTERM instead (harness/shutdown.hh). parse()
-        // still runs before any worker thread exists, so the
-        // blocked-signal mask is inherited everywhere.
-        installShutdownFlush();
-    }
+    // Arm telemetry last, so a --help/usage error never leaves it
+    // half armed. parse() runs before any worker thread exists, as
+    // the SIGINT/SIGTERM watcher's blocked-signal mask requires.
+    if (!metrics_out.empty())
+        armMetricsOut(metrics_out);
     return opts;
 }
 

@@ -51,8 +51,7 @@
  *
  * Legacy spellings keep working: csv=1 still selects CSV,
  * debug_flags=... selects trace flags like --debug, and key=value
- * tokens are collected into the Config exactly as Config::parseArgs
- * did.
+ * tokens are collected into the Config (Config::parseAssignment).
  */
 
 #ifndef SER_HARNESS_BENCH_OPTIONS_HH
@@ -101,8 +100,8 @@ struct BenchOptions
      * set their singleton here and have no field: --no-run-cache
      * (RunCache), --cache-dir or SER_CACHE_DIR (DiskCache),
      * --no-cycle-skip (the PipelineParams default), --metrics-out
-     * (MetricsRegistry, sim::prof, an atexit and SIGINT/SIGTERM
-     * snapshot) and --progress (Progress).
+     * (armMetricsOut: sim::prof, an atexit, sweep-epoch and
+     * SIGINT/SIGTERM snapshot) and --progress (Progress).
      */
     static BenchOptions parse(int argc, char **argv,
                               const std::string &usage = "");

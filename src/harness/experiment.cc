@@ -6,7 +6,6 @@
 #include "core/pet_buffer.hh"
 #include "core/trigger.hh"
 #include "cpu/pipeline.hh"
-#include "harness/metrics.hh"
 #include "harness/progress.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -214,31 +213,34 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
             // cache hit (which injects nothing) does not inflate
             // them; hit/miss patterns are scheduling-independent, so
             // the totals stay byte-identical across --jobs.
-            std::uint64_t reruns = 0, rerun_steps = 0;
+            static prof::Counter injections(
+                "campaign.injections",
+                "Fault-injection samples classified by campaign "
+                "runs.");
+            static prof::Counter reruns(
+                "campaign.reruns",
+                "Injections that needed a forked counterfactual "
+                "re-run.");
+            static prof::Counter rerun_steps(
+                "campaign.rerun_steps",
+                "Dynamic instructions executed by forked re-runs.");
+            static prof::Counter golden_steps(
+                "campaign.golden_steps",
+                "Dynamic length of campaign golden runs (one full "
+                "replay equivalent each).");
+            static prof::Counter early_stops(
+                "campaign.early_stops",
+                "Campaigns stopped early by the CI half-width "
+                "target.");
             for (const faults::SampledSite &rec : result.sites) {
-                reruns += rec.verdict.reRan ? 1 : 0;
-                rerun_steps += rec.verdict.rerunSteps;
+                reruns.add(rec.verdict.reRan ? 1 : 0);
+                rerun_steps.add(rec.verdict.rerunSteps);
             }
-            MetricsRegistry &metrics = MetricsRegistry::instance();
-            metrics.add("ser_campaign_injections_total",
-                        result.sites.size(),
-                        "Fault-injection samples classified by "
-                        "campaign runs.");
-            metrics.add("ser_campaign_reruns_total", reruns,
-                        "Injections that needed a forked "
-                        "counterfactual re-run.");
-            metrics.add("ser_campaign_rerun_steps_total", rerun_steps,
-                        "Dynamic instructions executed by forked "
-                        "re-runs.");
-            metrics.add("ser_campaign_golden_steps_total",
-                        result.goldenSteps,
-                        "Dynamic length of campaign golden runs (one "
-                        "full replay equivalent each).");
+            injections.add(result.sites.size());
+            golden_steps.add(result.goldenSteps);
             if (!result.sites.empty() &&
                 result.sites.size() < spec.samples)
-                metrics.add("ser_campaign_early_stops_total", 1,
-                            "Campaigns stopped early by the CI "
-                            "half-width target.");
+                ++early_stops;
             return result;
         };
         std::shared_ptr<const faults::CampaignSample> sampled;
@@ -279,10 +281,11 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
         if (!tw->balanced())
             SER_PANIC("trace: run '{}' left unbalanced duration "
                       "slices", name);
-        MetricsRegistry::instance().add(
-            "ser_trace_events_total", tw->eventCount(),
+        static prof::Counter trace_events(
+            "trace.events",
             "Chrome trace events emitted by instruction-lifetime "
             "capture runs.");
+        trace_events.add(tw->eventCount());
         out.traceEvents = tw->str();
     }
     return out;
@@ -294,29 +297,18 @@ RunArtifacts
 runProgram(std::shared_ptr<const isa::Program> program,
            const ExperimentConfig &config, const std::string &name)
 {
-    MetricsRegistry &metrics = MetricsRegistry::instance();
+    static prof::Counter ok("runs.ok",
+                            "Experiment runs that completed.");
+    static prof::Counter failed(
+        "runs.failed", "Experiment runs that ended in an exception.");
     RunArtifacts out;
     try {
         out = runProgramImpl(std::move(program), config, name);
     } catch (...) {
-        metrics.add("ser_runs_total", 1,
-                    "Experiment runs by final status.", "status",
-                    "failed");
+        ++failed;
         throw;
     }
-    metrics.add("ser_runs_total", 1,
-                "Experiment runs by final status.", "status", "ok");
-    metrics.maxGauge(
-        "ser_dyninst_pool_high_water", out.poolHighWater,
-        "Largest in-flight DynInst pool size observed in any run.");
-    if (out.campaign) {
-        metrics.maxGauge(
-            "ser_campaign_ci_half_width_ppm",
-            static_cast<std::uint64_t>(out.campaign->ciHalfWidth *
-                                       1e6),
-            "Widest final campaign CI half-width, in parts per "
-            "million of rate.");
-    }
+    ++ok;
     return out;
 }
 

@@ -1,15 +1,14 @@
 #include "metrics.hh"
 
-#include <cinttypes>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
-#include <utility>
-#include <vector>
+#include <mutex>
+#include <string_view>
+#include <thread>
 
-#include "harness/build_info.hh"
-#include "harness/run_cache.hh"
 #include "sim/logging.hh"
-#include "sim/prof.hh"
 
 namespace ser
 {
@@ -19,8 +18,11 @@ namespace harness
 namespace
 {
 
-/** Prometheus metric/label-name alphabet: [a-zA-Z0-9_:]; anything
- * else (the prof layer's dots) becomes '_'. */
+/** Runs between mid-sweep snapshots (the sweep epoch). */
+constexpr std::uint64_t epochRuns = 64;
+
+/** Prometheus metric-name alphabet: [a-zA-Z0-9_:]; anything else
+ * (the prof layer's dots) becomes '_'. */
 std::string
 sanitize(std::string_view name)
 {
@@ -34,52 +36,26 @@ sanitize(std::string_view name)
     return out;
 }
 
-/** Label values get the exposition-format escapes. */
+/** `key="value"` with the exposition-format escapes. */
 std::string
-escapeLabelValue(std::string_view v)
+label(std::string_view key, std::string_view value)
 {
-    std::string out;
-    out.reserve(v.size());
-    for (char c : v) {
-        if (c == '\\' || c == '"')
-            out.push_back('\\');
+    std::string out(key);
+    out += "=\"";
+    for (char c : value) {
         if (c == '\n') {
             out += "\\n";
             continue;
         }
+        if (c == '\\' || c == '"')
+            out.push_back('\\');
         out.push_back(c);
     }
-    return out;
+    return out + "\"";
 }
 
-std::string
-renderLabels(std::string_view key, std::string_view value)
-{
-    if (key.empty())
-        return "";
-    return "{" + sanitize(key) + "=\"" +
-           escapeLabelValue(value) + "\"}";
-}
-
-/** Render a multi-label block; the caller passes the pairs in the
- * (sorted) order they should appear. */
-std::string
-renderLabelSet(
-    const std::vector<std::pair<const char *, const char *>> &labels)
-{
-    std::string out = "{";
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        if (i)
-            out += ",";
-        out += sanitize(labels[i].first) + "=\"" +
-               escapeLabelValue(labels[i].second) + "\"";
-    }
-    out += "}";
-    return out;
-}
-
-/** Shortest-round-trip formatting for gauge/seconds values, so the
- * exposition bytes are a pure function of the double. */
+/** Shortest-round-trip formatting for seconds, so the exposition
+ * bytes are a pure function of the double. */
 std::string
 formatDouble(double v)
 {
@@ -96,6 +72,38 @@ formatDouble(double v)
     return buf;
 }
 
+/** The armed --metrics-out path and the lock one snapshot write
+ * holds. Leaked: the atexit flush must not outlive it. */
+struct MetricsOut
+{
+    std::mutex lock;
+    std::string path;  ///< empty = not armed
+};
+
+MetricsOut &
+metricsOut()
+{
+    static MetricsOut *out = new MetricsOut;
+    return *out;
+}
+
+void
+watchSignals(sigset_t set)
+{
+    int sig = 0;
+    if (sigwait(&set, &sig) != 0)
+        return;
+    writeMetricsSnapshot();
+    // Die by the intercepted signal so the parent observes the
+    // conventional wait status: default disposition, unblocked here.
+    std::signal(sig, SIG_DFL);
+    sigset_t unblock;
+    sigemptyset(&unblock);
+    sigaddset(&unblock, sig);
+    pthread_sigmask(SIG_UNBLOCK, &unblock, nullptr);
+    raise(sig);
+}
+
 } // namespace
 
 std::string
@@ -109,219 +117,145 @@ promCounterName(const std::string &prof_name)
     return "ser_prof_" + sanitize(prof_name) + "_total";
 }
 
-MetricsRegistry &
-MetricsRegistry::instance()
+Telemetry
+currentTelemetry()
 {
-    static MetricsRegistry *registry = new MetricsRegistry;
-    return *registry;
-}
-
-void
-MetricsRegistry::setOutputPath(std::string path)
-{
-    std::lock_guard<std::mutex> guard(_lock);
-    _outputPath = std::move(path);
-}
-
-std::string
-MetricsRegistry::outputPath() const
-{
-    std::lock_guard<std::mutex> guard(_lock);
-    return _outputPath;
-}
-
-MetricsRegistry::Series &
-MetricsRegistry::upsertRendered(std::string_view name, Kind kind,
-                                std::string_view help,
-                                std::string rendered_labels)
-{
-    // _lock is held by the caller.
-    Family &family = _families[sanitize(name)];
-    if (family.series.empty()) {
-        family.kind = kind;
-        family.help = help;
-    }
-    return family.series[std::move(rendered_labels)];
-}
-
-MetricsRegistry::Series &
-MetricsRegistry::upsert(std::string_view name, Kind kind,
-                        std::string_view help,
-                        std::string_view label_key,
-                        std::string_view label_value)
-{
-    return upsertRendered(name, kind, help,
-                          renderLabels(label_key, label_value));
-}
-
-void
-MetricsRegistry::add(std::string_view name, std::uint64_t v,
-                     std::string_view help,
-                     std::string_view label_key,
-                     std::string_view label_value)
-{
-    std::lock_guard<std::mutex> guard(_lock);
-    upsert(name, Kind::Counter, help, label_key, label_value)
-        .uvalue += v;
-}
-
-void
-MetricsRegistry::addSeconds(std::string_view name, double v,
-                            std::string_view help,
-                            std::string_view label_key,
-                            std::string_view label_value)
-{
-    std::lock_guard<std::mutex> guard(_lock);
-    upsert(name, Kind::Seconds, help, label_key, label_value)
-        .dvalue += v;
-}
-
-void
-MetricsRegistry::setGauge(std::string_view name, double v,
-                          std::string_view help,
-                          std::string_view label_key,
-                          std::string_view label_value)
-{
-    std::lock_guard<std::mutex> guard(_lock);
-    upsert(name, Kind::Gauge, help, label_key, label_value)
-        .dvalue = v;
-}
-
-void
-MetricsRegistry::maxGauge(std::string_view name, std::uint64_t v,
-                          std::string_view help,
-                          std::string_view label_key,
-                          std::string_view label_value)
-{
-    std::lock_guard<std::mutex> guard(_lock);
-    Series &series =
-        upsert(name, Kind::Gauge, help, label_key, label_value);
-    if (static_cast<double>(v) > series.dvalue)
-        series.dvalue = static_cast<double>(v);
-}
-
-void
-MetricsRegistry::writePrometheus(std::ostream &os) const
-{
-    std::lock_guard<std::mutex> guard(_lock);
-    for (const auto &entry : _families) {
-        const Family &family = entry.second;
-        if (!family.help.empty())
-            os << "# HELP " << entry.first << " " << family.help
-               << "\n";
-        os << "# TYPE " << entry.first << " "
-           << (family.kind == Kind::Gauge ? "gauge" : "counter")
-           << "\n";
-        for (const auto &series : family.series) {
-            os << entry.first << series.first << " ";
-            if (family.kind == Kind::Counter)
-                os << series.second.uvalue;
-            else
-                os << formatDouble(series.second.dvalue);
-            os << "\n";
-        }
-    }
-}
-
-void
-MetricsRegistry::collectProcessMetrics()
-{
-    // Run-cache sections: their counters are already process totals,
-    // so import them as absolute values (idempotent across repeated
-    // snapshots).
     RunCache &cache = RunCache::instance();
-    struct SectionStats
+    return {prof::snapshot(),
+            {{"sim", cache.simCounters()},
+             {"deadness", cache.deadnessCounters()},
+             {"avf", cache.avfCounters()},
+             {"campaign", cache.campaignCounters()}},
+            buildInfo()};
+}
+
+void
+writeExposition(std::ostream &os, const Telemetry &telemetry)
+{
+    struct Family
     {
-        const char *name;
-        RunCache::Counters counters;
-    } sections[] = {
-        {"sim", cache.simCounters()},
-        {"deadness", cache.deadnessCounters()},
-        {"avf", cache.avfCounters()},
-        {"campaign", cache.campaignCounters()},
+        const char *type = "counter";
+        std::string help;
+        /** Label block ("" or `{k="v",...}`) -> printed value; map
+         * order is the sorted series order. */
+        std::map<std::string, std::string> series;
     };
-    std::lock_guard<std::mutex> guard(_lock);
+    std::map<std::string, Family> families;
+    auto add = [&](const std::string &name, const char *type,
+                   std::string_view help, const std::string &labels,
+                   std::string value) {
+        Family &family = families[name];
+        family.type = type;
+        family.help = help;
+        family.series[labels] = std::move(value);
+    };
 
-    // Build provenance in labels, value pinned to 1 — the
-    // node-exporter `*_build_info` idiom. Compile-time constants, so
-    // identical across every determinism-fixture variant.
-    const BuildInfo &build = buildInfo();
-    upsertRendered("ser_build_info", Kind::Gauge,
-                   "Build metadata (value is always 1).",
-                   renderLabelSet({{"build_type", build.buildType},
-                                   {"compiler", build.compiler},
-                                   {"git", build.git},
-                                   {"sanitize", build.sanitize}}))
-        .dvalue = 1.0;
+    // Build provenance in labels, value pinned to 1: the
+    // node-exporter `*_build_info` idiom.
+    const BuildInfo &build = telemetry.build;
+    add("ser_build_info", "gauge", "Build metadata (value is always 1).",
+        "{" + label("build_type", build.buildType) + "," +
+            label("compiler", build.compiler) + "," +
+            label("git", build.git) + "," +
+            label("sanitize", build.sanitize) + "}",
+        "1");
 
-    for (const SectionStats &s : sections) {
-        upsert("ser_run_cache_hits_total", Kind::Counter,
-               "Run-cache lookups answered from the in-process "
-               "map.", "section", s.name).uvalue = s.counters.hits;
-        upsert("ser_run_cache_disk_hits_total", Kind::Counter,
-               "Run-cache lookups answered from the persistent "
-               "disk tier.", "section",
-               s.name).uvalue = s.counters.diskHits;
-        upsert("ser_run_cache_misses_total", Kind::Counter,
-               "Run-cache lookups that computed.", "section",
-               s.name).uvalue = s.counters.misses;
-        upsert("ser_run_cache_bytes", Kind::Gauge,
-               "Approximate bytes retained per cache section.",
-               "section", s.name).dvalue =
-            static_cast<double>(s.counters.bytes);
-        upsert("ser_run_cache_disk_read_bytes_total", Kind::Counter,
-               "Blob payload bytes deserialized on disk hits.",
-               "section", s.name).uvalue = s.counters.diskBytesRead;
-        upsert("ser_run_cache_disk_written_bytes_total",
-               Kind::Counter,
-               "Blob bytes published to the disk tier.", "section",
-               s.name).uvalue = s.counters.diskBytesWritten;
-        upsert("ser_run_cache_disk_corrupt_total", Kind::Counter,
-               "Blobs rejected by integrity checks and "
-               "quarantined.", "section",
-               s.name).uvalue = s.counters.diskCorrupt;
+    for (const auto &[section, c] : telemetry.cacheSections) {
+        const std::string s = "{" + label("section", section) + "}";
+        add("ser_run_cache_hits_total", "counter",
+            "Run-cache lookups answered from the in-process map.", s,
+            std::to_string(c.hits));
+        add("ser_run_cache_disk_hits_total", "counter",
+            "Run-cache lookups answered from the persistent disk "
+            "tier.", s, std::to_string(c.diskHits));
+        add("ser_run_cache_misses_total", "counter",
+            "Run-cache lookups that computed.", s,
+            std::to_string(c.misses));
+        add("ser_run_cache_bytes", "gauge",
+            "Approximate bytes retained per cache section.", s,
+            std::to_string(c.bytes));
+        add("ser_run_cache_disk_read_bytes_total", "counter",
+            "Blob payload bytes deserialized on disk hits.", s,
+            std::to_string(c.diskBytesRead));
+        add("ser_run_cache_disk_written_bytes_total", "counter",
+            "Blob bytes published to the disk tier.", s,
+            std::to_string(c.diskBytesWritten));
+        add("ser_run_cache_disk_corrupt_total", "counter",
+            "Blobs rejected by integrity checks and quarantined.", s,
+            std::to_string(c.diskCorrupt));
     }
 
-    // The prof layer: counters (already name-sorted) and the
-    // hierarchical scope profile.
-    prof::Snapshot snap = prof::snapshot();
-    for (const prof::CounterSample &c : snap.counters)
-        upsert(promCounterName(c.name), Kind::Counter, c.desc, "",
-               "").uvalue = c.value;
-    for (const prof::ScopeSample &s : snap.scopes) {
-        upsert("ser_prof_scope_calls_total", Kind::Counter,
-               "Times each profiled scope was entered.", "scope",
-               s.path).uvalue = s.calls;
-        upsert("ser_prof_scope_seconds_total", Kind::Seconds,
-               "Wall-clock seconds spent in each profiled scope.",
-               "scope", s.path).dvalue = s.seconds;
+    for (const prof::CounterSample &c : telemetry.prof.counters)
+        add(promCounterName(c.name), "counter", c.desc, "",
+            std::to_string(c.value));
+    for (const prof::ScopeSample &s : telemetry.prof.scopes) {
+        const std::string scope = "{" + label("scope", s.path) + "}";
+        add("ser_prof_scope_calls_total", "counter",
+            "Times each profiled scope was entered.", scope,
+            std::to_string(s.calls));
+        add("ser_prof_scope_seconds_total", "counter",
+            "Wall-clock seconds spent in each profiled scope.", scope,
+            formatDouble(s.seconds));
     }
+
+    for (const auto &[name, family] : families) {
+        if (!family.help.empty())
+            os << "# HELP " << name << " " << family.help << "\n";
+        os << "# TYPE " << name << " " << family.type << "\n";
+        for (const auto &[labels, value] : family.series)
+            os << name << labels << " " << value << "\n";
+    }
+}
+
+void
+armMetricsOut(const std::string &path)
+{
+    static std::once_flag once;
+    std::call_once(once, [&] {
+        {
+            MetricsOut &out = metricsOut();
+            std::lock_guard<std::mutex> guard(out.lock);
+            out.path = path;
+        }
+        prof::setEnabled(true);
+        std::atexit([] { writeMetricsSnapshot(); });
+        // Only the watcher ever receives these signals: every thread
+        // spawned after this inherits the blocked mask. It waits for
+        // the life of the process, so nothing joins it.
+        sigset_t set;
+        sigemptyset(&set);
+        sigaddset(&set, SIGINT);
+        sigaddset(&set, SIGTERM);
+        if (pthread_sigmask(SIG_BLOCK, &set, nullptr) == 0)
+            std::thread(watchSignals, set).detach();
+    });
 }
 
 bool
-MetricsRegistry::writeSnapshot()
+writeMetricsSnapshot()
 {
-    std::string path = outputPath();
-    if (path.empty())
-        return false;
-
-    // Write-to-temp + rename: a concurrent reader (tail -f, a
-    // scraper) always sees a complete exposition document. Callers
-    // overlap (sweep epochs on any worker, the signal watcher, the
-    // atexit flush) and share the temp file, so one writes at a
-    // time. A failure is reported after the lock is released:
-    // SER_FATAL exits, and the atexit flush takes the lock again.
-    std::string tmp = path + ".tmp";
+    // Callers overlap (sweep epochs on any worker, the signal
+    // watcher, the atexit flush) and share the temp file, so one
+    // writes at a time. A failure disarms before it is reported
+    // after the lock is released: SER_FATAL exits, and the atexit
+    // flush must then find nothing to write.
+    MetricsOut &out = metricsOut();
+    std::string path, tmp;
     bool written = false, renamed = false;
     {
-        std::lock_guard<std::mutex> guard(_snapshotLock);
-        collectProcessMetrics();
+        std::lock_guard<std::mutex> guard(out.lock);
+        if (out.path.empty())
+            return false;
+        path = out.path;
+        tmp = path + ".tmp";
         std::ofstream os(tmp, std::ios::binary);
-        writePrometheus(os);
+        writeExposition(os, currentTelemetry());
         os.close();
         written = static_cast<bool>(os);
         renamed = written &&
                   std::rename(tmp.c_str(), path.c_str()) == 0;
+        if (!renamed)
+            out.path.clear();
     }
     if (!written)
         SER_FATAL("metrics: cannot write '{}'", tmp);
@@ -331,10 +265,10 @@ MetricsRegistry::writeSnapshot()
 }
 
 void
-MetricsRegistry::clear()
+epochSnapshot(std::uint64_t completed_runs)
 {
-    std::lock_guard<std::mutex> guard(_lock);
-    _families.clear();
+    if (completed_runs % epochRuns == 0)
+        writeMetricsSnapshot();
 }
 
 } // namespace harness

@@ -84,7 +84,7 @@ RunCache::RunCache()
 RunCache &
 RunCache::instance()
 {
-    // Leaked intentionally (like MetricsRegistry and prof's
+    // Leaked intentionally (like the --metrics-out path and prof's
     // registry): the --metrics-out atexit snapshot reads the cache's
     // counters after main returns, which must not race static
     // destruction. The OS reclaims the entries at process exit.

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 
 #include "harness/metrics.hh"
 #include "harness/progress.hh"
+#include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/prof.hh"
@@ -16,18 +18,21 @@ namespace harness
 {
 
 unsigned
+parseJobs(const std::string &source, const std::string &text)
+{
+    std::optional<std::uint64_t> v = parseUnsigned(text);
+    if (!v || *v == 0 || *v > std::numeric_limits<unsigned>::max())
+        SER_FATAL("{}: bad value '{}' (want a positive integer)",
+                  source, text);
+    return static_cast<unsigned>(*v);
+}
+
+unsigned
 defaultJobs()
 {
     static const unsigned jobs = [] {
         const char *env = std::getenv("SER_JOBS");
-        if (!env)
-            return 1u;
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (*env == '\0' || !end || *end != '\0' || v == 0)
-            SER_FATAL("SER_JOBS: bad value '{}' (want a positive "
-                      "integer)", env);
-        return static_cast<unsigned>(v);
+        return env ? parseJobs("SER_JOBS", env) : 1u;
     }();
     return jobs;
 }
@@ -114,16 +119,13 @@ SuiteRunner::run()
             results[i].seed = shared.profile.seed;
         }
         progress.runCompleted();
-        // The sweep epoch: a live exposition snapshot every
-        // epochRuns completions, so a watcher sees the sweep move.
-        std::uint64_t done = completed.fetch_add(1) + 1;
-        if (done % MetricsRegistry::epochRuns == 0)
-            MetricsRegistry::instance().writeSnapshot();
+        epochSnapshot(completed.fetch_add(1) + 1);
     });
     progress.endSweep();
-    MetricsRegistry::instance().add(
-        "ser_sweeps_total", 1,
+    static prof::Counter sweeps(
+        "harness.sweeps",
         "Suite sweeps (SuiteRunner::run calls) completed.");
+    ++sweeps;
     return results;
 }
 

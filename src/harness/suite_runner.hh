@@ -43,9 +43,13 @@ namespace ser
 namespace harness
 {
 
+/** A worker count as --jobs and SER_JOBS spell it: a positive
+ * decimal integer. Fatal, naming `source`, on anything else. */
+unsigned parseJobs(const std::string &source, const std::string &text);
+
 /** The worker count used when a bench is not told otherwise:
- * SER_JOBS from the environment (fatal if not a positive integer),
- * else 1 (serial — the legacy behaviour). */
+ * parseJobs of SER_JOBS from the environment, else 1 (serial — the
+ * legacy behaviour). */
 unsigned defaultJobs();
 
 /**

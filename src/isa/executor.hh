@@ -99,7 +99,6 @@ class Executor
      * one corruption is in effect per run.
      */
     void setCorruption(std::uint64_t seq, std::uint64_t mask);
-    void clearCorruption() { _corruptSeq.reset(); }
 
     /**
      * Execute one instruction. Returns Termination::Running on a

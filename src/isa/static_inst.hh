@@ -71,7 +71,6 @@ class StaticInst
     }
     bool isPrefetch() const { return _op == Opcode::Prefetch; }
     bool isMem() const { return info().isMem; }
-    bool isControl() const { return info().isControl; }
     bool isBranch() const { return info().opClass == OpClass::Branch; }
     bool isCall() const { return _op == Opcode::Call; }
     bool isReturn() const { return _op == Opcode::Ret; }
@@ -91,9 +90,6 @@ class StaticInst
     }
     bool isOutput() const { return info().isOutput; }
     bool isHalt() const { return _op == Opcode::Halt; }
-
-    /** Reads the qp predicate register (p0 is constant true). */
-    bool readsQp() const { return _qp != 0; }
 
     OpClass opClass() const { return info().opClass; }
 

@@ -114,12 +114,5 @@ Cache::invalidateAll()
     _touched.assign(_touched.size(), 0);
 }
 
-double
-Cache::missRate() const
-{
-    double total = statHits.value() + statMisses.value();
-    return total > 0.0 ? statMisses.value() / total : 0.0;
-}
-
 } // namespace memory
 } // namespace ser

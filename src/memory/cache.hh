@@ -67,7 +67,6 @@ class Cache : public statistics::StatGroup
     {
         return static_cast<std::uint64_t>(statMisses.value());
     }
-    double missRate() const;
 
   private:
     /** Deliberately trivial (no member initializers): line storage is

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -22,14 +24,28 @@ splitList(const std::string &csv)
     return items;
 }
 
-void
-Config::parseArgs(int argc, char **argv)
+std::optional<std::uint64_t>
+parseUnsigned(const std::string &text, int base)
 {
-    for (int i = 1; i < argc; ++i) {
-        std::string token = argv[i];
-        if (!parseAssignment(token))
-            _positional.push_back(token);
-    }
+    // strtoull would skip leading blanks and negate a leading '-'.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t v = std::strtoull(text.c_str(), &end, base);
+    if (*end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<double>
+parseFinite(const std::string &text)
+{
+    char *end = nullptr;
+    double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
 }
 
 bool
@@ -69,31 +85,17 @@ Config::getString(const std::string &key, const std::string &def) const
     return value ? *value : def;
 }
 
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    const std::string *value = lookup(key);
-    if (!value)
-        return def;
-    char *end = nullptr;
-    std::int64_t v = std::strtoll(value->c_str(), &end, 0);
-    if (!end || *end != '\0')
-        SER_FATAL("config: {} = '{}' is not an integer", key, *value);
-    return v;
-}
-
 std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t def) const
 {
     const std::string *value = lookup(key);
     if (!value)
         return def;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(value->c_str(), &end, 0);
-    if (!end || *end != '\0')
+    std::optional<std::uint64_t> v = parseUnsigned(*value, 0);
+    if (!v)
         SER_FATAL("config: {} = '{}' is not an unsigned integer", key,
                   *value);
-    return v;
+    return *v;
 }
 
 double
@@ -102,11 +104,10 @@ Config::getDouble(const std::string &key, double def) const
     const std::string *value = lookup(key);
     if (!value)
         return def;
-    char *end = nullptr;
-    double v = std::strtod(value->c_str(), &end);
-    if (!end || *end != '\0')
+    std::optional<double> v = parseFinite(*value);
+    if (!v)
         SER_FATAL("config: {} = '{}' is not a number", key, *value);
-    return v;
+    return *v;
 }
 
 bool

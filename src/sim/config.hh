@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +22,17 @@ namespace ser
 
 /** The non-empty items of a comma-separated list ("a,,b" -> a, b). */
 std::vector<std::string> splitList(const std::string &csv);
+
+/** `text` as an unsigned integer in strtoull's `base` (0 also takes
+ * 0x.. and 0..), or nullopt unless it starts with a digit, fits in
+ * 64 bits and has nothing after the number: "-5" and "" are not
+ * counts. */
+std::optional<std::uint64_t> parseUnsigned(const std::string &text,
+                                           int base = 10);
+
+/** `text` as a finite double, or nullopt when it is empty, has
+ * anything after the number, or reads as nan or inf. */
+std::optional<double> parseFinite(const std::string &text);
 
 /**
  * String-keyed parameter store with typed accessors. has() and every
@@ -34,10 +46,6 @@ class Config
   public:
     Config() = default;
 
-    /** Parse "key=value" tokens (e.g. from argv); tokens without '='
-     * are collected as positional arguments. */
-    void parseArgs(int argc, char **argv);
-
     /** Parse a single "key=value" string; returns false if malformed. */
     bool parseAssignment(const std::string &token);
 
@@ -45,10 +53,11 @@ class Config
 
     bool has(const std::string &key) const;
 
-    /** Typed getters; fatal error on unparsable values. */
+    /** Typed getters; fatal error on unparsable values (getUint
+     * takes parseUnsigned's counts, getDouble parseFinite's
+     * numbers). */
     std::string getString(const std::string &key,
                           const std::string &def) const;
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t def) const;
     double getDouble(const std::string &key, double def) const;
@@ -57,11 +66,6 @@ class Config
     /** splitList() of the key's value, or 'def' when it is absent. */
     std::vector<std::string>
     getList(const std::string &key, std::vector<std::string> def) const;
-
-    const std::vector<std::string> &positional() const
-    {
-        return _positional;
-    }
 
     /** All key=value pairs, sorted by key (for reproducibility logs). */
     std::vector<std::pair<std::string, std::string>> items() const;
@@ -75,7 +79,6 @@ class Config
     const std::string *lookup(const std::string &key) const;
 
     std::map<std::string, std::string> _values;
-    std::vector<std::string> _positional;
     mutable std::set<std::string> _read;
 };
 

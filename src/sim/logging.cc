@@ -8,8 +8,6 @@ namespace ser
 namespace logging_detail
 {
 
-bool quiet = false;
-
 std::mutex &
 stderrLock()
 {
@@ -45,25 +43,10 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quiet) {
-        std::lock_guard<std::mutex> guard(stderrLock());
-        std::cerr << "warn: " << msg << std::endl;
-    }
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (!quiet)
-        std::cout << "info: " << msg << std::endl;
+    std::lock_guard<std::mutex> guard(stderrLock());
+    std::cerr << "warn: " << msg << std::endl;
 }
 
 } // namespace logging_detail
-
-void
-setLogQuiet(bool quiet)
-{
-    logging_detail::quiet = quiet;
-}
 
 } // namespace ser

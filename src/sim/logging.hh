@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: panic() for internal simulator bugs
  * (aborts), fatal() for user errors such as bad configuration (clean
- * exit), warn()/inform() for status messages that never stop the run.
+ * exit), warn() for status messages that never stop the run.
  */
 
 #ifndef SER_SIM_LOGGING_HH
@@ -59,20 +59,13 @@ format(std::string_view fmt, const Args &...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-
-/** When true, warn()/inform() output is suppressed (used by tests). */
-extern bool quiet;
 
 /** The process-wide stderr line lock. Writers that emit a whole
- * line (warn/inform, debug trace prints) hold it for the line so
+ * line (warn, debug trace prints) hold it for the line so
  * concurrent SuiteRunner workers never interleave characters. */
 std::mutex &stderrLock();
 
 } // namespace logging_detail
-
-/** Suppress or restore warn()/inform() output. */
-void setLogQuiet(bool quiet);
 
 } // namespace ser
 
@@ -89,11 +82,6 @@ void setLogQuiet(bool quiet);
 /** Report a suspicious but survivable condition. */
 #define SER_WARN(...)                                                  \
     ::ser::logging_detail::warnImpl(                                   \
-        ::ser::logging_detail::format(__VA_ARGS__))
-
-/** Report normal operating status. */
-#define SER_INFORM(...)                                                \
-    ::ser::logging_detail::informImpl(                                 \
         ::ser::logging_detail::format(__VA_ARGS__))
 
 #endif // SER_SIM_LOGGING_HH

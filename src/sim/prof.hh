@@ -1,8 +1,8 @@
 /**
  * @file
  * Self-profiling primitives: hierarchical scoped timers and
- * lock-free per-thread counters (the gem5-stats-flavoured telemetry
- * layer under harness::MetricsRegistry).
+ * lock-free per-thread counters, the one store of the simulator's
+ * self-counts (harness/metrics.hh renders it for --metrics-out).
  *
  * Two instruments, both compiled in permanently and switched at
  * runtime (prof::setEnabled, flipped on by --metrics-out):
@@ -28,8 +28,9 @@
  *
  * Disabled cost: one relaxed atomic load and a branch per
  * instrument site (the counter fast path), and the same per
- * sink-less scope — the budget DESIGN.md §10 sets is < 2% on
- * BM_TimingPipeline, enforced by the perf_regression_gate ctest.
+ * sink-less scope. The perf_regression_gate ctest holds
+ * BM_TimingPipeline and BM_AvfFold within 10% of BENCH_PR9.json
+ * (DESIGN.md §10).
  *
  * Naming convention: dotted lowercase ("deadness.commits_scanned").
  * Names under "speed." are *simulator-speed observations* — values

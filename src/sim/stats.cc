@@ -176,22 +176,6 @@ Distribution::dumpJson(json::JsonWriter &jw) const
     jw.endObject();
 }
 
-Formula::Formula(StatGroup *parent, std::string name, std::string desc,
-                 std::function<double()> fn)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      _fn(std::move(fn))
-{
-    if (!_fn)
-        SER_PANIC("Formula {} constructed with empty function",
-                  this->name());
-}
-
-double
-Formula::value() const
-{
-    return _fn();
-}
-
 StatGroup::StatGroup(std::string name, StatGroup *parent)
     : _name(std::move(name)), _parent(parent)
 {

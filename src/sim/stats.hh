@@ -11,14 +11,12 @@
  *  - Scalar: a monotonically adjusted counter / accumulator.
  *  - Average: accumulates samples, reports mean / min / max / count.
  *  - Distribution: fixed-bucket histogram with underflow/overflow.
- *  - Formula: a lazily evaluated function of other statistics.
  */
 
 #ifndef SER_SIM_STATS_HH
 #define SER_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -190,20 +188,6 @@ class Distribution : public StatBase
     std::uint64_t _overflow = 0;
     std::uint64_t _count = 0;
     double _sum = 0.0;
-};
-
-/** A lazily evaluated function of other statistics. */
-class Formula : public StatBase
-{
-  public:
-    Formula(StatGroup *parent, std::string name, std::string desc,
-            std::function<double()> fn);
-
-    double value() const override;
-    void reset() override {}
-
-  private:
-    std::function<double()> _fn;
 };
 
 /**

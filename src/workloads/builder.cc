@@ -32,12 +32,6 @@ AsmBuilder::newLabel(const std::string &hint)
 }
 
 void
-AsmBuilder::dataWord(std::uint64_t addr, std::uint64_t value)
-{
-    _text << ".data " << addr << "\n.word " << value << "\n";
-}
-
-void
 AsmBuilder::entry(const std::string &label_name)
 {
     _text << ".entry " << label_name << "\n";

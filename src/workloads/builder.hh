@@ -54,9 +54,6 @@ class AsmBuilder
     /** A fresh unique label with a readable hint. */
     std::string newLabel(const std::string &hint);
 
-    /** Emit an initialised data word. */
-    void dataWord(std::uint64_t addr, std::uint64_t value);
-
     /** Set the program entry label. */
     void entry(const std::string &label_name);
 

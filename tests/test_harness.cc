@@ -112,6 +112,41 @@ TEST(BenchOptionsDeathTest, JobsMustBePositive)
                 testing::ExitedWithCode(1), "--jobs");
 }
 
+TEST(BenchOptionsDeathTest, CountsRejectNegativeValues)
+{
+    // strtoull alone reads "-3" as 2^64 - 3.
+    EXPECT_EXIT(parseArgs({"--intervals=-3"}),
+                testing::ExitedWithCode(1), "bad value '-3' for --intervals");
+    EXPECT_EXIT(parseArgs({"--topn=-1"}), testing::ExitedWithCode(1),
+                "bad value '-1' for --topn");
+    EXPECT_EXIT(parseArgs({"--jobs", "-1"}),
+                testing::ExitedWithCode(1), "--jobs: bad value '-1'");
+}
+
+TEST(BenchOptionsDeathTest, CiTargetMustBeFinite)
+{
+    EXPECT_EXIT(parseArgs({"--ci-target", "nan"}),
+                testing::ExitedWithCode(1),
+                "bad value 'nan' for --ci-target");
+}
+
+TEST(ParseJobs, SerJobsAndJobsShareOneParser)
+{
+    EXPECT_EQ(harness::parseJobs("SER_JOBS", "4"), 4u);
+}
+
+TEST(ParseJobsDeathTest, SerJobsRejectsNegativeValues)
+{
+    // Read as 4294967295 by strtoul, SER_JOBS=-1 would ask every
+    // campaign batch for thousands of threads.
+    EXPECT_EXIT(harness::parseJobs("SER_JOBS", "-1"),
+                testing::ExitedWithCode(1),
+                "SER_JOBS: bad value '-1' \\(want a positive "
+                "integer\\)");
+    EXPECT_EXIT(harness::parseJobs("SER_JOBS", "4294967296"),
+                testing::ExitedWithCode(1), "SER_JOBS");
+}
+
 TEST(BenchOptions, LegacyDebugFlagsKeySelectsFlags)
 {
     unsigned saved = debug::printMask.load();

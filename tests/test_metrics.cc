@@ -2,9 +2,9 @@
  * @file
  * The telemetry layer, tested bottom-up: the sim::prof primitives
  * (counter interning, per-thread merge, scoped-timer nesting, the
- * disabled fast path) and the harness::MetricsRegistry on top
- * (golden Prometheus exposition bytes, name mapping, label
- * escaping, gauge semantics).
+ * disabled fast path) and the --metrics-out writer on top (golden
+ * Prometheus exposition bytes, name mapping, label escaping,
+ * serialized snapshot writes).
  *
  * The exposition golden test pins the exact serialization — sorted
  * families, sorted series, HELP/TYPE headers, shortest-round-trip
@@ -223,7 +223,7 @@ TEST_F(ProfTest, ResetZeroesValuesButKeepsNames)
 }
 
 // ---------------------------------------------------------------
-// harness::MetricsRegistry
+// harness --metrics-out writer
 
 TEST(PromCounterName, MapsSpeedAndProfNamespaces)
 {
@@ -238,137 +238,130 @@ TEST(PromCounterName, MapsSpeedAndProfNamespaces)
               "ser_prof_deadness_commits_scanned_total");
 }
 
-TEST(MetricsRegistry, GoldenExposition)
+TEST(Exposition, GoldenOverHandBuiltInput)
 {
-    harness::MetricsRegistry reg;
-    reg.add("ser_runs_total", 3, "Experiment runs by final status.",
-            "status", "ok");
-    reg.add("ser_runs_total", 1, "ignored: first help wins",
-            "status", "failed");
-    reg.setGauge("ser_dyninst_pool_high_water", 172,
-                 "Largest in-flight pool size.");
-    reg.addSeconds("ser_run_phase_seconds_total", 0.25,
-                   "Wall-clock seconds per phase.", "phase",
-                   "pipeline");
-
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    EXPECT_EQ(
-        os.str(),
-        "# HELP ser_dyninst_pool_high_water Largest in-flight pool "
-        "size.\n"
-        "# TYPE ser_dyninst_pool_high_water gauge\n"
-        "ser_dyninst_pool_high_water 172\n"
-        "# HELP ser_run_phase_seconds_total Wall-clock seconds per "
-        "phase.\n"
-        "# TYPE ser_run_phase_seconds_total counter\n"
-        "ser_run_phase_seconds_total{phase=\"pipeline\"} 0.25\n"
-        "# HELP ser_runs_total Experiment runs by final status.\n"
-        "# TYPE ser_runs_total counter\n"
-        "ser_runs_total{status=\"failed\"} 1\n"
-        "ser_runs_total{status=\"ok\"} 3\n");
-}
-
-TEST(MetricsRegistry, CountersAccumulateGaugesSet)
-{
-    harness::MetricsRegistry reg;
-    reg.add("ser_things_total", 2);
-    reg.add("ser_things_total", 3);
-    reg.setGauge("ser_level", 7);
-    reg.setGauge("ser_level", 4);  // absolute: last set wins
-    reg.maxGauge("ser_high_water", 5);
-    reg.maxGauge("ser_high_water", 3);  // below the mark: ignored
-    reg.maxGauge("ser_high_water", 9);
-
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    EXPECT_EQ(os.str(),
-              "# TYPE ser_high_water gauge\n"
-              "ser_high_water 9\n"
-              "# TYPE ser_level gauge\n"
-              "ser_level 4\n"
-              "# TYPE ser_things_total counter\n"
-              "ser_things_total 5\n");
-}
-
-TEST(MetricsRegistry, NamesSanitizeAndLabelValuesEscape)
-{
-    harness::MetricsRegistry reg;
-    // A dotted name (prof style) must sanitize to the exposition
-    // alphabet; label values must escape quotes and backslashes.
-    reg.add("ser.dotted.name", 1, "", "bench", "say \"hi\"\\");
-    std::ostringstream os;
-    reg.writePrometheus(os);
-    EXPECT_EQ(os.str(),
-              "# TYPE ser_dotted_name counter\n"
-              "ser_dotted_name{bench=\"say \\\"hi\\\"\\\\\"} 1\n");
-}
-
-TEST(MetricsRegistry, SecondsUseShortestRoundTripFormatting)
-{
-    harness::MetricsRegistry reg;
-    reg.addSeconds("ser_a_seconds_total", 0.1);
-    reg.addSeconds("ser_a_seconds_total", 0.2);
-    std::ostringstream os;
-    reg.writePrometheus(os);
+    harness::Telemetry t;
+    t.prof.counters = {
+        {"runs.ok", "Experiment runs that completed.", 6},
+        {"speed.cycles_skipped", "", 29204},
+    };
     // 0.1 + 0.2 is famously not 0.3; the formatter prints the
     // shortest string that round-trips the actual double.
-    EXPECT_EQ(os.str(),
-              "# TYPE ser_a_seconds_total counter\n"
-              "ser_a_seconds_total 0.30000000000000004\n");
-}
+    t.prof.scopes = {
+        {"run", 6, 0.1 + 0.2},
+        {"run/say \"hi\"\\", 1, 0.25},
+    };
+    t.cacheSections = {{"sim", {4, 0, 2, 15680, 0, 0, 0}}};
+    t.build = {"v1-dirty", "GNU 12.2.0", "Release", "none"};
 
-TEST(MetricsRegistry, ClearDropsMetricsButKeepsThePath)
-{
-    harness::MetricsRegistry reg;
-    reg.setOutputPath("somewhere.prom");
-    reg.add("ser_x_total", 1);
-    reg.clear();
     std::ostringstream os;
-    reg.writePrometheus(os);
-    EXPECT_EQ(os.str(), "");
-    EXPECT_EQ(reg.outputPath(), "somewhere.prom");
+    harness::writeExposition(os, t);
+    EXPECT_EQ(
+        os.str(),
+        "# HELP ser_build_info Build metadata (value is always 1).\n"
+        "# TYPE ser_build_info gauge\n"
+        "ser_build_info{build_type=\"Release\",compiler=\"GNU "
+        "12.2.0\",git=\"v1-dirty\",sanitize=\"none\"} 1\n"
+        "# HELP ser_prof_runs_ok_total Experiment runs that "
+        "completed.\n"
+        "# TYPE ser_prof_runs_ok_total counter\n"
+        "ser_prof_runs_ok_total 6\n"
+        "# HELP ser_prof_scope_calls_total Times each profiled scope "
+        "was entered.\n"
+        "# TYPE ser_prof_scope_calls_total counter\n"
+        "ser_prof_scope_calls_total{scope=\"run\"} 6\n"
+        "ser_prof_scope_calls_total{scope=\"run/say \\\"hi\\\"\\\\\"} "
+        "1\n"
+        "# HELP ser_prof_scope_seconds_total Wall-clock seconds spent "
+        "in each profiled scope.\n"
+        "# TYPE ser_prof_scope_seconds_total counter\n"
+        "ser_prof_scope_seconds_total{scope=\"run\"} "
+        "0.30000000000000004\n"
+        "ser_prof_scope_seconds_total{scope=\"run/say "
+        "\\\"hi\\\"\\\\\"} 0.25\n"
+        "# HELP ser_run_cache_bytes Approximate bytes retained per "
+        "cache section.\n"
+        "# TYPE ser_run_cache_bytes gauge\n"
+        "ser_run_cache_bytes{section=\"sim\"} 15680\n"
+        "# HELP ser_run_cache_disk_corrupt_total Blobs rejected by "
+        "integrity checks and quarantined.\n"
+        "# TYPE ser_run_cache_disk_corrupt_total counter\n"
+        "ser_run_cache_disk_corrupt_total{section=\"sim\"} 0\n"
+        "# HELP ser_run_cache_disk_hits_total Run-cache lookups "
+        "answered from the persistent disk tier.\n"
+        "# TYPE ser_run_cache_disk_hits_total counter\n"
+        "ser_run_cache_disk_hits_total{section=\"sim\"} 0\n"
+        "# HELP ser_run_cache_disk_read_bytes_total Blob payload bytes "
+        "deserialized on disk hits.\n"
+        "# TYPE ser_run_cache_disk_read_bytes_total counter\n"
+        "ser_run_cache_disk_read_bytes_total{section=\"sim\"} 0\n"
+        "# HELP ser_run_cache_disk_written_bytes_total Blob bytes "
+        "published to the disk tier.\n"
+        "# TYPE ser_run_cache_disk_written_bytes_total counter\n"
+        "ser_run_cache_disk_written_bytes_total{section=\"sim\"} 0\n"
+        "# HELP ser_run_cache_hits_total Run-cache lookups answered "
+        "from the in-process map.\n"
+        "# TYPE ser_run_cache_hits_total counter\n"
+        "ser_run_cache_hits_total{section=\"sim\"} 4\n"
+        "# HELP ser_run_cache_misses_total Run-cache lookups that "
+        "computed.\n"
+        "# TYPE ser_run_cache_misses_total counter\n"
+        "ser_run_cache_misses_total{section=\"sim\"} 2\n"
+        "# TYPE ser_speed_cycles_skipped_total counter\n"
+        "ser_speed_cycles_skipped_total 29204\n");
 }
 
-TEST(MetricsRegistry, UnarmedSnapshotWritesNothing)
+TEST(MetricsOut, UnarmedSnapshotWritesNothing)
 {
-    harness::MetricsRegistry reg;
-    EXPECT_FALSE(reg.writeSnapshot());
+    EXPECT_FALSE(harness::writeMetricsSnapshot());
 }
 
-TEST(MetricsRegistry, OverlappingSnapshotsSerialize)
+TEST(MetricsOutDeathTest, OverlappingSnapshotsSerialize)
 {
     // A sweep worker's epoch write, the SIGINT/SIGTERM watcher and
-    // the atexit flush can all call writeSnapshot at once, and they
-    // share one temp file. Unserialized, a second rename finds the
-    // temp file gone and the process dies.
+    // the atexit flush can all call writeMetricsSnapshot at once, and
+    // they share one temp file. Unserialized, a second rename finds
+    // the temp file gone and the process dies. Arming is process-
+    // wide (an atexit flush, a signal watcher), so it happens in a
+    // child process that exits 0 only when the final file is a
+    // complete snapshot.
     char dir[] = "/tmp/ser_metrics_XXXXXX";
     ASSERT_NE(::mkdtemp(dir), nullptr);
     const std::string path = std::string(dir) + "/snapshot.prom";
 
-    harness::MetricsRegistry reg;
-    reg.setOutputPath(path);
-    for (int i = 0; i < 300; ++i)
-        reg.add("ser_probe_total", 1, "Probe series.", "series",
-                std::to_string(i));
+    EXPECT_EXIT(
+        {
+            harness::armMetricsOut(path);
+            // 150 scopes (300 series) make each snapshot large
+            // enough for the writers to overlap.
+            std::vector<std::string> names;
+            for (int i = 0; i < 150; ++i)
+                names.push_back("probe" + std::to_string(i));
+            for (const std::string &name : names) {
+                SER_PROF_SCOPE(name);
+            }
 
-    std::vector<std::thread> writers;
-    for (int t = 0; t < 8; ++t) {
-        writers.emplace_back([&reg] {
-            for (int i = 0; i < 100; ++i)
-                reg.writeSnapshot();
-        });
-    }
-    for (std::thread &t : writers)
-        t.join();
+            std::vector<std::thread> writers;
+            for (int t = 0; t < 8; ++t) {
+                writers.emplace_back([] {
+                    for (int i = 0; i < 100; ++i)
+                        harness::writeMetricsSnapshot();
+                });
+            }
+            for (std::thread &t : writers)
+                t.join();
 
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream file;
-    file << in.rdbuf();
-    std::ostringstream fresh;
-    reg.writePrometheus(fresh);
-    EXPECT_EQ(file.str(), fresh.str());
+            std::ifstream in(path, std::ios::binary);
+            std::ostringstream file;
+            file << in.rdbuf();
+            std::ostringstream fresh;
+            harness::writeExposition(fresh,
+                                     harness::currentTelemetry());
+            std::exit(file.str() == fresh.str() ? 0 : 2);
+        },
+        testing::ExitedWithCode(0), "");
 
     std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
     ::rmdir(dir);
 }

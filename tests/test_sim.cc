@@ -222,19 +222,6 @@ TEST(Stats, DistributionDumpsPercentiles)
     EXPECT_NE(js.str().find("\"p90\""), std::string::npos);
 }
 
-TEST(Stats, FormulaEvaluatesLazily)
-{
-    statistics::StatGroup g("g");
-    statistics::Scalar a(&g, "a", "d"), b(&g, "b", "d");
-    statistics::Formula f(&g, "f", "ratio",
-                          [&]() { return a.value() / b.value(); });
-    a += 6;
-    b += 3;
-    EXPECT_DOUBLE_EQ(f.value(), 2.0);
-    a += 6;
-    EXPECT_DOUBLE_EQ(f.value(), 4.0);
-}
-
 TEST(Stats, GroupDumpAndReset)
 {
     statistics::StatGroup root("root");
@@ -257,23 +244,23 @@ TEST(Stats, FindStat)
     EXPECT_EQ(g.findStat("y"), nullptr);
 }
 
-TEST(Config, ParsesAssignmentsAndPositional)
+TEST(Config, ParsesAssignments)
 {
     Config c;
-    const char *argv[] = {"prog", "a=1", "b.c=2.5", "pos",
-                          "flag=true"};
-    c.parseArgs(5, const_cast<char **>(argv));
-    EXPECT_EQ(c.getInt("a", 0), 1);
+    EXPECT_TRUE(c.parseAssignment("a=1"));
+    EXPECT_TRUE(c.parseAssignment("b.c=2.5"));
+    EXPECT_FALSE(c.parseAssignment("pos"));
+    EXPECT_TRUE(c.parseAssignment("flag=true"));
+    EXPECT_EQ(c.getUint("a", 0), 1u);
     EXPECT_DOUBLE_EQ(c.getDouble("b.c", 0), 2.5);
     EXPECT_TRUE(c.getBool("flag", false));
-    ASSERT_EQ(c.positional().size(), 1u);
-    EXPECT_EQ(c.positional()[0], "pos");
+    EXPECT_FALSE(c.has("pos"));
 }
 
 TEST(Config, DefaultsWhenMissing)
 {
     Config c;
-    EXPECT_EQ(c.getInt("nope", 42), 42);
+    EXPECT_EQ(c.getUint("nope", 42), 42u);
     EXPECT_EQ(c.getString("nope", "x"), "x");
     EXPECT_FALSE(c.has("nope"));
 }
@@ -287,6 +274,39 @@ TEST(Config, HexAndBoolForms)
     EXPECT_EQ(c.getUint("h", 0), 16u);
     EXPECT_TRUE(c.getBool("b1", false));
     EXPECT_FALSE(c.getBool("b0", true));
+}
+
+TEST(ConfigDeathTest, CountsStartWithADigitAndFit)
+{
+    // strtoull alone reads -5 as 2^64 - 5 and the empty string as 0
+    // (which turns a campaign's samples= off instead of defaulting).
+    Config c;
+    c.parseAssignment("insts=-5");
+    c.parseAssignment("samples=");
+    c.parseAssignment("width= 4");
+    c.parseAssignment("seed=18446744073709551616");
+    EXPECT_EXIT(c.getUint("insts", 1), testing::ExitedWithCode(1),
+                "insts = '-5' is not an unsigned integer");
+    EXPECT_EXIT(c.getUint("samples", 1), testing::ExitedWithCode(1),
+                "samples = '' is not an unsigned integer");
+    EXPECT_EXIT(c.getUint("width", 1), testing::ExitedWithCode(1),
+                "width");
+    EXPECT_EXIT(c.getUint("seed", 1), testing::ExitedWithCode(1),
+                "seed");
+}
+
+TEST(ConfigDeathTest, NumbersAreFinite)
+{
+    Config c;
+    c.parseAssignment("rate=nan");
+    c.parseAssignment("scale=");
+    c.parseAssignment("limit=inf");
+    EXPECT_EXIT(c.getDouble("rate", 1), testing::ExitedWithCode(1),
+                "rate = 'nan' is not a number");
+    EXPECT_EXIT(c.getDouble("scale", 1), testing::ExitedWithCode(1),
+                "scale = '' is not a number");
+    EXPECT_EXIT(c.getDouble("limit", 1), testing::ExitedWithCode(1),
+                "limit");
 }
 
 TEST(Config, RecordsWhichKeysWereRead)
@@ -426,8 +446,6 @@ TEST(Stats, DumpJsonNestedTreeRoundTrips)
     lat.sample(1);
     lat.sample(3);
     lat.sample(100);
-    statistics::Formula ipc(&root, "ipc", "d",
-                            [&]() { return 42.0 / 100.0; });
 
     std::ostringstream os;
     json::JsonWriter jw(os);
@@ -441,7 +459,6 @@ TEST(Stats, DumpJsonNestedTreeRoundTrips)
     const json::JsonValue *cpu = doc.find("cpu");
     ASSERT_NE(cpu, nullptr);
     EXPECT_DOUBLE_EQ(cpu->find("cycles")->number, 100.0);
-    EXPECT_DOUBLE_EQ(cpu->find("ipc")->number, 0.42);
     const json::JsonValue *iq = cpu->find("iq");
     ASSERT_NE(iq, nullptr);
     EXPECT_DOUBLE_EQ(iq->find("enqueued")->number, 42.0);
@@ -455,7 +472,7 @@ TEST(Stats, DumpJsonNestedTreeRoundTrips)
     EXPECT_DOUBLE_EQ(jlat->find("count")->number, 3.0);
 }
 
-TEST(Stats, DistributionAndFormulaReset)
+TEST(Stats, DistributionReset)
 {
     statistics::StatGroup g("g");
     statistics::Distribution d(&g, "d", "d", 0, 10, 2);
@@ -469,14 +486,6 @@ TEST(Stats, DistributionAndFormulaReset)
     EXPECT_EQ(d.overflows(), 0u);
     for (std::size_t i = 0; i < d.numBuckets(); ++i)
         EXPECT_EQ(d.bucketCount(i), 0u);
-
-    statistics::Scalar a(&g, "a", "d");
-    statistics::Formula f(&g, "f", "d",
-                          [&]() { return a.value() * 2; });
-    a += 3;
-    EXPECT_DOUBLE_EQ(f.value(), 6.0);
-    f.reset();  // formulas have no state; still live afterwards
-    EXPECT_DOUBLE_EQ(f.value(), 6.0);
 }
 
 TEST(Stats, FindStatEdgeCases)
