@@ -112,9 +112,9 @@ BM_TimingPipelineProfiled(benchmark::State &state)
 {
     // The same run as BM_TimingPipeline but with sim::prof enabled
     // (as --metrics-out arms it): the gap between the two is the
-    // live telemetry cost, and BM_TimingPipeline itself (telemetry
-    // compiled in, disabled) carries the <2% disabled-overhead
-    // budget the perf_regression_gate enforces.
+    // live telemetry cost. BM_TimingPipeline itself (telemetry
+    // compiled in, disabled) is what perf_regression_gate holds
+    // within 10% of BENCH_PR9.json.
     isa::Program program =
         workloads::buildBenchmark("gzip", 1000000);
     prof::setEnabled(true);
