@@ -280,8 +280,11 @@ putTrace(Encoder &e, const cpu::SimTrace &trace)
     e.u32(trace.iqEntries);
 }
 
+/** 'num_insts' is the decoded program's size: every static index
+ * the trace holds must name one of its instructions, since the AVF
+ * fold, the classifier and attribution index their tables by it. */
 bool
-getTrace(Decoder &d, cpu::SimTrace *trace)
+getTrace(Decoder &d, std::size_t num_insts, cpu::SimTrace *trace)
 {
     std::uint64_t commits = d.count(13);
     trace->commits.reserve(static_cast<std::size_t>(
@@ -291,6 +294,8 @@ getTrace(Decoder &d, cpu::SimTrace *trace)
         c.staticIdx = d.u32();
         c.qpTrue = d.u8();
         c.memAddr = d.u64();
+        if (c.staticIdx >= num_insts)
+            return false;
         trace->commits.push_back(c);
     }
     cpu::IncarnationColumns &inc = trace->incarnations;
@@ -316,7 +321,10 @@ getTrace(Decoder &d, cpu::SimTrace *trace)
     {
         return false;
     }
-    return d.ok();
+    bool inRange = true;
+    for (std::uint32_t idx : inc.staticIdx)
+        inRange &= idx < num_insts;
+    return inRange && d.ok();
 }
 
 } // namespace
@@ -359,7 +367,7 @@ decodeSimProducts(const void *data, std::size_t len,
     if (!getProgram(d, program.get()))
         return false;
     out->program = program;
-    if (!getTrace(d, &out->trace))
+    if (!getTrace(d, program->size(), &out->trace))
         return false;
     out->trace.program = out->program.get();
     out->ipc = d.f64();

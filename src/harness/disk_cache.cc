@@ -13,6 +13,7 @@
 #include <mutex>
 
 #include "sim/crc64.hh"
+#include "sim/prof.hh"
 
 namespace ser
 {
@@ -192,14 +193,17 @@ DiskCache::load(
     } else {
         const unsigned char *payload =
             bytes + kHeaderBytes + header.keyLen;
-        std::uint64_t crc = crc64(0, bytes + kHeaderBytes,
-                                  header.keyLen);
-        crc = crc64(crc, payload, header.payloadLen);
-        if (crc == header.crc &&
-            decode(payload,
-                   static_cast<std::size_t>(header.payloadLen)))
+        std::uint64_t crc = 0;
         {
-            result = {LoadStatus::Ok, header.payloadLen};
+            SER_PROF_SCOPE("disk_verify");
+            crc = crc64(0, bytes + kHeaderBytes, header.keyLen);
+            crc = crc64(crc, payload, header.payloadLen);
+        }
+        if (crc == header.crc) {
+            SER_PROF_SCOPE("disk_decode");
+            if (decode(payload,
+                       static_cast<std::size_t>(header.payloadLen)))
+                result = {LoadStatus::Ok, header.payloadLen};
         }
     }
 

@@ -5,6 +5,7 @@
 #include "harness/cache_codec.hh"
 #include "harness/disk_cache.hh"
 #include "harness/experiment.hh"
+#include "sim/prof.hh"
 
 namespace ser
 {
@@ -160,6 +161,7 @@ RunCache::get(Section &section, const std::string &key,
                 ++section.counters.misses;
             }
             if (disk.enabled()) {
+                SER_PROF_SCOPE("disk_store");
                 std::uint64_t written = disk.store(
                     section.name, key, encodeValue(*value));
                 std::lock_guard<std::mutex> guard(section.lock);

@@ -1,14 +1,15 @@
 /**
  * @file
  * The persistent run-cache tier, bottom to top: the CRC-64/XZ
- * checksum (known-answer vectors, chaining), the raw DiskCache blob
- * store (roundtrip, atomicity-adjacent framing checks, quarantine of
- * corrupted and truncated blobs, stale-schema clean misses,
- * filename-bucket key comparison), the cache codec (byte-canonical
- * encodings of every section's artifact type, proven by end-to-end
- * equality; out-of-range enum bytes rejected), and the RunCache
- * integration (disk_hit outcome and per-tier counters across a
- * simulated process restart).
+ * checksum (known-answer vectors, chaining, a bit-at-a-time
+ * reference), the raw DiskCache blob store (roundtrip,
+ * atomicity-adjacent framing checks, quarantine of corrupted and
+ * truncated blobs, stale-schema clean misses, filename-bucket key
+ * comparison), the cache codec (byte-canonical encodings of every
+ * section's artifact type, proven by end-to-end equality; out-of-range
+ * enum bytes and static indices rejected), and the RunCache
+ * integration (disk_hit outcome, per-tier counters and profiling
+ * scopes across a simulated process restart).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <dirent.h>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,12 +29,56 @@
 #include "harness/experiment.hh"
 #include "harness/run_cache.hh"
 #include "sim/crc64.hh"
+#include "sim/prof.hh"
 #include "workloads/suite.hh"
 
 using namespace ser;
 
 // ---------------------------------------------------------------
 // CRC-64/XZ
+
+namespace
+{
+
+/** CRC-64/XZ by its definition: one bit at a time, reflected. */
+std::uint64_t
+crc64Bitwise(std::uint64_t crc, const void *data, std::size_t len)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    crc = ~crc;
+    while (len--) {
+        crc ^= *p++;
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ (crc & 1 ? 0xC96C5795D7870F42ull : 0);
+    }
+    return ~crc;
+}
+
+std::uint64_t
+splitmix64(std::uint64_t &state)
+{
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/** 'len' bytes of the splitmix64 stream from 'seed', each word
+ * little-endian. */
+std::vector<unsigned char>
+splitmixBytes(std::size_t len, std::uint64_t seed)
+{
+    std::vector<unsigned char> out(len);
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        if (i % 8 == 0)
+            word = splitmix64(seed);
+        out[i] = static_cast<unsigned char>(word >> (8 * (i % 8)));
+    }
+    return out;
+}
+
+} // namespace
 
 TEST(Crc64, KnownAnswerVectors)
 {
@@ -56,6 +102,53 @@ TEST(Crc64, ChainingMatchesOneShot)
         EXPECT_EQ(crc64(part, text + split, len - split), oneshot)
             << "split at " << split;
     }
+    // Long enough that both halves of most splits reach the 64-byte
+    // folds, so a chained init must enter the folded path intact.
+    std::vector<unsigned char> data = splitmixBytes(1500, 7);
+    std::uint64_t whole = crc64(0, data.data(), data.size());
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+        std::uint64_t part = crc64(0, data.data(), split);
+        EXPECT_EQ(crc64(part, data.data() + split,
+                        data.size() - split),
+                  whole)
+            << "split at " << split;
+    }
+}
+
+TEST(Crc64, MatchesBitwiseReference)
+{
+    // The reference is pinned to the catalogue first.
+    EXPECT_EQ(crc64Bitwise(0, "123456789", 9), 0x995DC9BBDF1939FAull);
+
+    std::uint64_t seed = 2;
+    std::vector<unsigned char> big = splitmixBytes((1u << 20) + 63, 3);
+    for (std::size_t extra : {0, 1, 15, 63}) {
+        std::size_t len = (1u << 20) + extra;
+        std::uint64_t init = splitmix64(seed);
+        EXPECT_EQ(crc64(init, big.data(), len),
+                  crc64Bitwise(init, big.data(), len))
+            << "1 MiB + " << extra;
+    }
+    // Every fold count and tail length, at every alignment; the first
+    // mismatch stops the sweep.
+    std::vector<unsigned char> data = splitmixBytes(1024 + 16, 1);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            std::uint64_t init = splitmix64(seed);
+            ASSERT_EQ(crc64(init, data.data() + offset, len),
+                      crc64Bitwise(init, data.data() + offset, len))
+                << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+TEST(Crc64, OneMibBufferMatchesEarlierBuilds)
+{
+    // Printed by the bytewise-only build: blobs written before the
+    // folded kernel must still verify after it.
+    std::vector<unsigned char> data = splitmixBytes(1u << 20, 0);
+    EXPECT_EQ(crc64(0, data.data(), data.size()),
+              0x31138a70a226b5e8ull);
 }
 
 TEST(Crc64, SingleBitFlipChangesEveryPrefix)
@@ -111,6 +204,42 @@ TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
     // impossible: the label fold has no tally for it.
     EXPECT_TRUE(rejects([](faults::CampaignSample &s) {
         s.sites[0].site.structure = faults::Structure::Iq;
+    }));
+}
+
+TEST(SimCodec, OutOfRangeStaticIndexFailsDecode)
+{
+    // One commit and one incarnation, both naming the program's
+    // last instruction.
+    harness::SimProducts good;
+    good.program = std::make_shared<const isa::Program>(
+        workloads::buildBenchmark("gzip", 1000));
+    const std::uint32_t last =
+        static_cast<std::uint32_t>(good.program->size() - 1);
+    good.trace.commits.push_back({last, 1, 0});
+    good.trace.incarnations.push_back({last, 0, 1, 2, 3, 0, 0});
+
+    auto decodes = [](const harness::SimProducts &products) {
+        std::string blob = harness::codec::encodeSimProducts(products);
+        harness::SimProducts back;
+        return harness::codec::decodeSimProducts(blob.data(),
+                                                 blob.size(), &back);
+    };
+    ASSERT_TRUE(decodes(good));
+
+    // Each index column in turn names one past the last instruction,
+    // which the AVF fold, the classifier and attribution would read
+    // (or write) past their per-instruction tables.
+    auto rejects = [&](auto corrupt) {
+        harness::SimProducts products = good;
+        corrupt(products);
+        return !decodes(products);
+    };
+    EXPECT_TRUE(rejects([&](harness::SimProducts &p) {
+        p.trace.commits[0].staticIdx = last + 1;
+    }));
+    EXPECT_TRUE(rejects([&](harness::SimProducts &p) {
+        p.trace.incarnations.staticIdx[0] = last + 1;
     }));
 }
 
@@ -433,6 +562,32 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
     auto r3 = harness::runProgram(program, cfg, "gzip");
     EXPECT_EQ(r3.cacheSim, harness::CacheOutcome::Hit);
     EXPECT_EQ(r3.trace.get(), r2.trace.get());
+}
+
+TEST_F(DiskCacheTest, DiskTierTimeHasItsOwnScopes)
+{
+    auto program = std::make_shared<const isa::Program>(
+        workloads::buildBenchmark("gzip", 5000));
+    prof::reset();
+    prof::setEnabled(true);
+    harness::runProgram(program, smallConfig(), "gzip");  // stores
+    cache().clear();
+    harness::runProgram(program, smallConfig(), "gzip");  // loads
+    prof::setEnabled(false);
+
+    std::map<std::string, std::uint64_t> calls;
+    for (const prof::ScopeSample &scope : prof::snapshot().scopes)
+        calls[scope.path] = scope.calls;
+    prof::reset();
+    for (const char *phase : {"pipeline", "deadness", "avf"}) {
+        for (const char *leaf :
+             {"disk_store", "disk_verify", "disk_decode"})
+        {
+            std::string path =
+                std::string("run/") + phase + "/" + leaf;
+            EXPECT_EQ(calls[path], 1u) << path;
+        }
+    }
 }
 
 TEST_F(DiskCacheTest, CorruptBlobFallsBackToComputeAndCounts)
