@@ -38,7 +38,6 @@ main(int argc, char **argv)
 
     // One run per surrogate on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("ablation_anti_pi");
     for (const auto &profile : workloads::specSuite())
         runner.submit(runner.addProgram(profile, insts),
                       out.stamp(cfg));

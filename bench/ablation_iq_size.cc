@@ -38,7 +38,6 @@ main(int argc, char **argv)
     // One shared program build; the 5 sizes x {base, squash-l1}
     // runs execute on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("ablation_iq_size");
     std::size_t prog = runner.addProgram(benchmark, insts);
     for (unsigned entries : sizes) {
         harness::ExperimentConfig cfg;

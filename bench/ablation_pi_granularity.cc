@@ -44,10 +44,8 @@ main(int argc, char **argv)
     cfg.warmupInsts = insts / 10;
 
     // Single design point, still routed through the SuiteRunner so
-    // the --progress line and the run's phase timing work as in
-    // every other bench main.
+    // the run's phase timing works as in every other bench main.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("ablation_pi_granularity");
     runner.submit(runner.addProgram(benchmark, insts), out.stamp(cfg));
     std::vector<harness::RunArtifacts> runs = runner.run();
     // Everything after the sweep (fold, tables, manifest) under

@@ -54,7 +54,6 @@ main(int argc, char **argv)
     // eight trigger/action points; the sweep runs on the --jobs
     // worker pool with submission-order aggregation.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("ablation_triggers");
     std::vector<std::size_t> prog_ids;
     for (const auto &name : benchmarks)
         prog_ids.push_back(runner.addProgram(name, insts));

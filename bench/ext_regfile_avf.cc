@@ -9,7 +9,7 @@
  * not committed values, which is why the paper applies it to the
  * queue).
  *
- * Usage: ext_regfile_avf [insts=N] [csv=1]
+ * Usage: ext_regfile_avf [insts=N] [--csv]
  */
 
 #include <iostream>
@@ -48,7 +48,6 @@ main(int argc, char **argv)
 
     // One run per surrogate on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("ext_regfile_avf");
     for (const auto &profile : workloads::specSuite())
         runner.submit(runner.addProgram(profile, insts),
                       out.stamp(cfg));

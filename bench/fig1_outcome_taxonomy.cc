@@ -62,7 +62,6 @@ main(int argc, char **argv)
     cfg.campaign.protection = faults::Protection::None;
 
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("fig1_outcome_taxonomy");
     runner.submit(runner.addProgram(benchmark, insts), out.stamp(cfg));
     std::vector<harness::RunArtifacts> runs = runner.run();
     SER_PROF_SCOPE("aggregate");

@@ -10,7 +10,7 @@
  * int; anti-pi ~49%, bigger for fp; PET +3%; pi-reg +11%;
  * store-buffer +8%; memory +12%; total 100%).
  *
- * Usage: fig2_false_due [insts=N] [pet=512] [csv=1]
+ * Usage: fig2_false_due [insts=N] [pet=512] [--csv]
  */
 
 #include <iostream>
@@ -62,7 +62,6 @@ main(int argc, char **argv)
     // One run per surrogate, executed on the --jobs worker pool;
     // aggregation below walks the results in suite order.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("fig2_false_due");
     for (const auto &profile : workloads::specSuite())
         runner.submit(runner.addProgram(profile, insts),
                       out.stamp(cfg));

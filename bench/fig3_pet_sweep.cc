@@ -20,7 +20,7 @@
  * benchmark's first point records run_cache {sim, deadness, avf} =
  * "miss" and the other sizes record "hit".
  *
- * Usage: fig3_pet_sweep [insts=N] [benchmarks=a,b,c] [csv=1]
+ * Usage: fig3_pet_sweep [insts=N] [benchmarks=a,b,c] [--csv]
  *                       [--jobs N]
  */
 
@@ -59,7 +59,6 @@ main(int argc, char **argv)
     // shared read-only; each simulation/deadness/AVF is computed
     // once per benchmark (run cache) no matter how many sizes sweep.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("fig3_pet_sweep");
     for (const auto &name : benchmarks) {
         std::size_t prog = runner.addProgram(name, insts);
         for (std::uint32_t size : sizes) {

@@ -12,7 +12,7 @@
  *     reduction);
  *   - the IPC impact (paper: ~2%).
  *
- * Usage: fig4_combined [insts=N] [csv=1]
+ * Usage: fig4_combined [insts=N] [--csv]
  */
 
 #include <iostream>
@@ -56,7 +56,6 @@ main(int argc, char **argv)
     // Baseline and optimized runs share one program build per
     // surrogate and execute on the --jobs worker pool.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("fig4_combined");
     for (const auto &profile : workloads::specSuite()) {
         std::size_t prog = runner.addProgram(profile, insts);
         runner.submit(prog, out.stamp(base));

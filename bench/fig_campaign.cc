@@ -84,7 +84,6 @@ main(int argc, char **argv)
     // (protection only changes the campaign classification), so each
     // benchmark simulates once.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("fig_campaign");
     for (const auto &bench : bench_names) {
         std::size_t program = runner.addProgram(bench, insts);
         for (const auto &prot : prot_names) {

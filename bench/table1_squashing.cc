@@ -15,7 +15,7 @@
  * across its three design points, and output is byte-identical for
  * any job count (timings aside).
  *
- * Usage: table1_squashing [insts=N] [benchmarks=a,b,c] [csv=1]
+ * Usage: table1_squashing [insts=N] [benchmarks=a,b,c] [--csv]
  *                         [action=squash|throttle|both]
  *                         [l1_lat=N] [l2_lat=N] [mem_lat=N]
  *                         [samples=N] [cseed=N] [protection=none]
@@ -115,7 +115,6 @@ main(int argc, char **argv)
     // (by the first worker that needs it) and shared read-only
     // across its design points.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("table1_squashing");
     for (const auto &name : benchmarks) {
         std::size_t prog = runner.addProgram(name, insts);
         for (int d = 0; d < 3; ++d) {

@@ -7,7 +7,7 @@
  * paper quotes in the text: the dynamically-dead fraction (~20% on
  * average) and the instruction mix.
  *
- * Usage: table2_roster [insts=N] [csv=1]
+ * Usage: table2_roster [insts=N] [--csv]
  */
 
 #include <iostream>
@@ -18,7 +18,6 @@
 #include "cpu/pipeline.hh"
 #include "harness/bench_options.hh"
 #include "harness/manifest.hh"
-#include "harness/progress.hh"
 #include "harness/reporting.hh"
 #include "harness/suite_runner.hh"
 #include "sim/config.hh"
@@ -49,10 +48,6 @@ main(int argc, char **argv)
     // suite order so the table is identical for any job count.
     const auto &suite = workloads::specSuite();
     std::vector<avf::DeadnessResult> deadness(suite.size());
-    // Bare parallelFor (no SuiteRunner), so this bench drives the
-    // --progress reporter itself.
-    harness::Progress &progress = harness::Progress::instance();
-    progress.beginSweep(suite.size(), "table2_roster");
     harness::parallelFor(
         suite.size(), opts.jobs, [&](std::size_t i) {
             SER_PROF_SCOPE("roster_point");
@@ -64,9 +59,7 @@ main(int argc, char **argv)
             cpu::SimTrace trace = pipe.run();
             trace.program = &program;
             deadness[i] = avf::analyzeDeadness(trace);
-            progress.runCompleted();
         });
-    progress.endSweep();
 
     SER_PROF_SCOPE("aggregate");
     double dead_sum = 0;

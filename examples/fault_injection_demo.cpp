@@ -11,7 +11,7 @@
  *
  * Usage: fault_injection_demo [benchmark=crafty] [insts=40000]
  *        [samples=2000] [structures=iq] [--ci-target X]
- *        [--progress] [--jobs N] [--json PATH]
+ *        [--jobs N] [--json PATH]
  *        [--convergence-out F]
  */
 
@@ -43,9 +43,8 @@ main(int argc, char **argv)
 
     // The three protection campaigns are SuiteRunner submissions
     // against one program build, so --json gets the full manifest
-    // (campaign blocks included), --metrics-out sees the phases,
-    // --progress counts them, and the run cache shares one
-    // simulation across them.
+    // (campaign blocks included), --metrics-out sees the phases, and
+    // the run cache shares one simulation across them.
     harness::ExperimentConfig cfg;
     cfg.dynamicTarget = insts;
     cfg.warmupInsts = 0;
@@ -55,7 +54,6 @@ main(int argc, char **argv)
         config.getString("structures", "iq"));
 
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("fault_injection_demo");
     std::size_t program = runner.addProgram(benchmark, insts);
     for (auto prot :
          {faults::Protection::None, faults::Protection::Parity,

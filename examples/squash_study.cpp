@@ -45,7 +45,6 @@ main(int argc, char **argv)
 
     // One program build, shared by the eight design points.
     harness::SuiteRunner runner(opts.jobs);
-    runner.setLabel("squash_study");
     std::size_t program = runner.addProgram(benchmark, insts);
     for (const auto &pt : points) {
         harness::ExperimentConfig cfg;

@@ -453,8 +453,6 @@ labelCampaign(const CampaignSample &sample, const CampaignSpec &spec)
         ConvergencePoint point =
             fold.point(out.convergence.size(), done);
         out.convergence.push_back(point);
-        if (spec.onConvergence)
-            spec.onConvergence(point);
         out.ciHalfWidth = point.worstHalfWidth;
         if (stopsEarly(point, spec)) {
             out.earlyStopped = true;

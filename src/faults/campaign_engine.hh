@@ -65,7 +65,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -218,15 +217,9 @@ struct CampaignSpec
     unsigned checkpoints = 32;
     unsigned rootCauseTopN = 0;
 
-    // Non-semantic knobs: they shard or report work but cannot
-    // change a single sampled site or outcome, so they are excluded
-    // from cacheKey().
+    // Non-semantic knob: it shards work but cannot change a single
+    // sampled site or outcome, so it is excluded from cacheKey().
     unsigned jobs = 1;
-    /** Live per-batch hook (the same point that is also recorded in
-     * CampaignOutcome::convergence; point.samples is the cumulative
-     * count). Fires in fold order on the folding thread; it observes
-     * the campaign but cannot change it. */
-    std::function<void(const ConvergencePoint &)> onConvergence;
 
     /**
      * Serialization of every knob that can change the sample, for
@@ -390,7 +383,6 @@ CampaignSample sampleCampaign(const isa::Program &program,
 /**
  * Label a sample under spec.protection. The sample must have been
  * drawn with spec's knobs; it may be shared by every protection.
- * Fires spec.onConvergence once per folded batch.
  */
 CampaignOutcome labelCampaign(const CampaignSample &sample,
                               const CampaignSpec &spec);

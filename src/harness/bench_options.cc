@@ -6,7 +6,6 @@
 #include "harness/cache_codec.hh"
 #include "harness/disk_cache.hh"
 #include "harness/metrics.hh"
-#include "harness/progress.hh"
 #include "harness/run_cache.hh"
 #include "harness/suite_runner.hh"
 #include "sim/debug.hh"
@@ -58,13 +57,10 @@ printUsage(const char *argv0, const std::string &usage)
                  "in the timing pipeline\n"
                  "                   (tick every cycle; output is "
                  "byte-identical either way)\n"
-              << "  --metrics-out F  write Prometheus text-exposition "
-                 "telemetry snapshots to F\n"
-                 "                   (every sweep epoch, at exit, and "
-                 "on SIGINT/SIGTERM;\n"
-                 "                   also enables sim::prof)\n"
-              << "  --progress       live one-line sweep progress on "
-                 "stderr\n"
+              << "  --metrics-out F  write a Prometheus text-exposition "
+                 "telemetry snapshot to F\n"
+                 "                   (at exit and on SIGINT/SIGTERM; "
+                 "also enables sim::prof)\n"
               << "  --ci-target X    fault-injection campaigns stop "
                  "early once every 95% CI\n"
                  "                   half-width falls below X "
@@ -195,8 +191,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             if (opts.convergenceOutPath.empty())
                 SER_FATAL("{}: --convergence-out needs a path",
                           argv[0]);
-        } else if (token == "--progress") {
-            Progress::instance().setEnabled(true);
         } else if (token == "--debug" ||
                    token.rfind("--debug=", 0) == 0) {
             debug::setFlags(
@@ -209,16 +203,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             opts.config.parseAssignment(token);
         }
     }
-    // Legacy spelling: csv=1 still selects CSV output. Read the key
-    // even under --csv, so BenchOutput::finish does not report it
-    // unused.
-    bool legacy_csv = opts.config.getBool("csv", false);
-    opts.csv = opts.csv || legacy_csv;
-    // Legacy key=value parity for the trace flags (the debug_flags=
-    // key src/sim/debug.hh documents): same parser, same fatal
-    // error on unknown names as --debug.
-    if (opts.config.has("debug_flags"))
-        debug::setFlags(opts.config.getString("debug_flags", ""));
     // Without an explicit --jobs, the SER_JOBS environment variable
     // decides (default: serial).
     if (!jobs_given)

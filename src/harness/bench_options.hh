@@ -32,11 +32,8 @@
  *                    output is byte-identical either way)
  *   --metrics-out F  enable telemetry (sim::prof counters and scope
  *                    timers) and write a Prometheus text-exposition
- *                    snapshot to F at every sweep epoch, at exit,
- *                    and on SIGINT/SIGTERM (graceful-shutdown flush)
- *   --progress       live one-line sweep progress on stderr
- *                    (completed/total, runs/s, cache hit rate,
- *                    campaign CI convergence, ETA)
+ *                    snapshot to F at exit and on SIGINT/SIGTERM
+ *                    (graceful-shutdown flush)
  *   --ci-target X    adaptive early stop for fault-injection
  *                    campaigns: stop sampling once every 95% CI
  *                    half-width is below X (campaign benches only)
@@ -47,11 +44,12 @@
  *   --debug FLAGS    select debug trace flags (same as
  *                    SER_DEBUG_FLAGS), e.g. --debug Trigger,IQ
  *   --help           print usage and exit
- *   key=value        simulator parameter overrides (as before)
+ *   key=value        simulator parameter overrides, collected into
+ *                    the Config (Config::parseAssignment)
  *
- * Legacy spellings keep working: csv=1 still selects CSV,
- * debug_flags=... selects trace flags like --debug, and key=value
- * tokens are collected into the Config (Config::parseAssignment).
+ * Each option has one spelling: a key=value token is always a
+ * Config override, never an option, so a key the binary does not
+ * read (csv=1, say) draws BenchOutput::finish's unused-key warning.
  */
 
 #ifndef SER_HARNESS_BENCH_OPTIONS_HH
@@ -72,7 +70,7 @@ struct BenchOptions
 {
     Config config;
 
-    bool csv = false;            ///< --csv (or legacy csv=1)
+    bool csv = false;            ///< --csv
     std::string jsonPath;        ///< --json PATH; empty = off
     std::uint64_t intervalCycles = 0;  ///< --intervals N; 0 = off
     std::string traceEventsPath; ///< --trace-events F; empty = off
@@ -99,9 +97,9 @@ struct BenchOptions
      * binary description shown by --help. The process-wide options
      * set their singleton here and have no field: --no-run-cache
      * (RunCache), --cache-dir or SER_CACHE_DIR (DiskCache),
-     * --no-cycle-skip (the PipelineParams default), --metrics-out
-     * (armMetricsOut: sim::prof, an atexit, sweep-epoch and
-     * SIGINT/SIGTERM snapshot) and --progress (Progress).
+     * --no-cycle-skip (the PipelineParams default) and --metrics-out
+     * (armMetricsOut: sim::prof, an atexit and a SIGINT/SIGTERM
+     * snapshot).
      */
     static BenchOptions parse(int argc, char **argv,
                               const std::string &usage = "");

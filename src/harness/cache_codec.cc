@@ -61,11 +61,13 @@ class Encoder
         _buf.append(s);
     }
 
-    /** Bulk column of a padding-free scalar type. */
+    /** Bulk column of a padding-free type: a scalar, or a record
+     * whose bytes are all value bytes, so the blob never holds
+     * indeterminate padding. */
     template <typename T>
     void column(const std::vector<T> &v)
     {
-        static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+        static_assert(std::has_unique_object_representations_v<T>);
         u64(v.size());
         if (!v.empty())
             _buf.append(reinterpret_cast<const char *>(v.data()),
@@ -148,6 +150,7 @@ class Decoder
     template <typename T>
     void column(std::vector<T> *v)
     {
+        static_assert(std::has_unique_object_representations_v<T>);
         std::uint64_t n = count(sizeof(T));
         if (!take(n * sizeof(T)))
             return;
@@ -339,20 +342,8 @@ encodeSimProducts(const SimProducts &products)
     e.str(products.statsDump);
     e.str(products.statsJson);
     static_assert(sizeof(cpu::IntervalSample) == 9 * 8,
-                  "IntervalSample gained padding or fields; update "
-                  "the codec and bump kSchemaVersion");
-    e.u64(products.intervals.size());
-    for (const auto &s : products.intervals) {
-        e.u64(s.startCycle);
-        e.u64(s.endCycle);
-        e.u64(s.committed);
-        e.u64(s.fetched);
-        e.u64(s.mispredicts);
-        e.u64(s.triggerSquashes);
-        e.u64(s.triggerSquashedInsts);
-        e.u64(s.iqValidEntryCycles);
-        e.u64(s.iqWaitingEntryCycles);
-    }
+                  "IntervalSample gained fields; bump kSchemaVersion");
+    e.column(products.intervals);
     e.u64(products.poolHighWater);
     e.u64(products.cyclesSkipped);
     return e.take();
@@ -373,22 +364,7 @@ decodeSimProducts(const void *data, std::size_t len,
     out->ipc = d.f64();
     out->statsDump = d.str();
     out->statsJson = d.str();
-    std::uint64_t intervals = d.count(72);
-    out->intervals.reserve(
-        static_cast<std::size_t>(d.ok() ? intervals : 0));
-    for (std::uint64_t i = 0; d.ok() && i < intervals; ++i) {
-        cpu::IntervalSample s;
-        s.startCycle = d.u64();
-        s.endCycle = d.u64();
-        s.committed = d.u64();
-        s.fetched = d.u64();
-        s.mispredicts = d.u64();
-        s.triggerSquashes = d.u64();
-        s.triggerSquashedInsts = d.u64();
-        s.iqValidEntryCycles = d.u64();
-        s.iqWaitingEntryCycles = d.u64();
-        out->intervals.push_back(s);
-    }
+    d.column(&out->intervals);
     out->poolHighWater = d.u64();
     out->cyclesSkipped = d.u64();
     return d.done();
@@ -456,14 +432,9 @@ encodeAvf(const avf::AvfResult &result)
         e.u64(exp.bitCycles);
         e.u32(exp.overwriteDist);
     }
-    e.u64(result.epochs.size());
-    for (const auto &epoch : result.epochs) {
-        e.u64(epoch.startCycle);
-        e.u64(epoch.cycles);
-        e.u64(epoch.occupied);
-        e.u64(epoch.ace);
-        e.u64(epoch.unAceRead);
-    }
+    static_assert(sizeof(avf::EpochAce) == 5 * 8,
+                  "EpochAce gained fields; bump kSchemaVersion");
+    e.column(result.epochs);
     return e.take();
 }
 
@@ -491,18 +462,7 @@ decodeAvf(const void *data, std::size_t len, avf::AvfResult *out)
         exp.overwriteDist = d.u32();
         out->fddRegExposures.push_back(exp);
     }
-    std::uint64_t epochs = d.count(40);
-    out->epochs.reserve(
-        static_cast<std::size_t>(d.ok() ? epochs : 0));
-    for (std::uint64_t i = 0; d.ok() && i < epochs; ++i) {
-        avf::EpochAce epoch;
-        epoch.startCycle = d.u64();
-        epoch.cycles = d.u64();
-        epoch.occupied = d.u64();
-        epoch.ace = d.u64();
-        epoch.unAceRead = d.u64();
-        out->epochs.push_back(epoch);
-    }
+    d.column(&out->epochs);
     return d.done();
 }
 

@@ -6,10 +6,11 @@
  * The format is a flat little-endian byte stream: scalar fields in
  * declaration order, doubles as their IEEE-754 bit patterns,
  * containers as a u64 count followed by elements, vector<bool>
- * bit-packed into u64 words. POD scalar columns (the SoA incarnation
- * columns, interval samples) are bulk-copied; structs with internal
- * padding are written field-by-field so the encoded bytes — and
- * therefore the blob CRC — never depend on indeterminate padding.
+ * bit-packed into u64 words. Vectors of padding-free elements (the
+ * SoA incarnation columns, interval samples, AVF epochs) are
+ * bulk-copied; structs with internal padding are written
+ * field-by-field so the encoded bytes — and therefore the blob CRC —
+ * never depend on indeterminate padding.
  *
  * Programs round-trip through StaticInst::encode()/decode(): the
  * canonical 64-bit encoding word is the only per-instruction state,

@@ -6,7 +6,6 @@
 #include "core/pet_buffer.hh"
 #include "core/trigger.hh"
 #include "cpu/pipeline.hh"
-#include "harness/progress.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/prof.hh"
@@ -183,22 +182,7 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
     }
     if (config.campaign.samples) {
         SER_PROF_SCOPE("campaign", &out.timings);
-        // Every folded batch updates the --progress CI segment
-        // through the onConvergence hook, which the label fold fires
-        // on hits and misses alike. Hooks are non-semantic (excluded
-        // from cacheKey).
-        faults::CampaignSpec spec = config.campaign;
-        {
-            auto inner = spec.onConvergence;
-            double ci_target = spec.ciTarget;
-            spec.onConvergence =
-                [inner, ci_target](const faults::ConvergencePoint &point) {
-                    if (inner)
-                        inner(point);
-                    Progress::instance().campaignTick(
-                        point.worstHalfWidth, ci_target);
-                };
-        }
+        const faults::CampaignSpec &spec = config.campaign;
         // Without a CI target the cached sample serves every
         // protection, so it carries the re-runs none and parity need
         // even when an ECC request draws it.

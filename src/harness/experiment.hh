@@ -107,8 +107,9 @@ struct RunArtifacts
     std::shared_ptr<const avf::AvfResult> avf;
     core::FalseDueAnalysis falseDue;
 
-    /** Most DynInst pool slots simultaneously live in this run's
-     * pipeline (shared across cache hits of the same simulation). */
+    /** Most in-flight instruction ids (cpu::InstArena) simultaneously
+     * live in this run's pipeline (shared across cache hits of the
+     * same simulation). */
     std::uint64_t poolHighWater = 0;
 
     /** Cycles the pipeline's event-driven scheduler fast-forwarded

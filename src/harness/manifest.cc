@@ -62,8 +62,8 @@ writeRunManifest(json::JsonWriter &jw, const RunArtifacts &run)
     jw.kv("committed_insts", run.trace->committedInsts);
     jw.kv("window_cycles", run.avf->windowCycles);
 
-    // Allocation observability: most DynInst pool slots ever live
-    // (deterministic — a pure function of the simulation).
+    // Allocation observability: most in-flight instruction ids ever
+    // live (deterministic — a pure function of the simulation).
     jw.kv("pool_high_water", run.poolHighWater);
 
     // Which sections the memoized run cache answered. These values

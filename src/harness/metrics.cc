@@ -18,9 +18,6 @@ namespace harness
 namespace
 {
 
-/** Runs between mid-sweep snapshots (the sweep epoch). */
-constexpr std::uint64_t epochRuns = 64;
-
 /** Prometheus metric-name alphabet: [a-zA-Z0-9_:]; anything else
  * (the prof layer's dots) becomes '_'. */
 std::string
@@ -234,11 +231,11 @@ armMetricsOut(const std::string &path)
 bool
 writeMetricsSnapshot()
 {
-    // Callers overlap (sweep epochs on any worker, the signal
-    // watcher, the atexit flush) and share the temp file, so one
-    // writes at a time. A failure disarms before it is reported
-    // after the lock is released: SER_FATAL exits, and the atexit
-    // flush must then find nothing to write.
+    // Callers overlap (the signal watcher, the atexit flush) and
+    // share the temp file, so one writes at a time. A failure
+    // disarms before it is reported after the lock is released:
+    // SER_FATAL exits, and the atexit flush must then find nothing
+    // to write.
     MetricsOut &out = metricsOut();
     std::string path, tmp;
     bool written = false, renamed = false;
@@ -262,13 +259,6 @@ writeMetricsSnapshot()
     if (!renamed)
         SER_FATAL("metrics: cannot rename '{}' to '{}'", tmp, path);
     return true;
-}
-
-void
-epochSnapshot(std::uint64_t completed_runs)
-{
-    if (completed_runs % epochRuns == 0)
-        writeMetricsSnapshot();
 }
 
 } // namespace harness

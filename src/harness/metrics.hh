@@ -12,11 +12,9 @@
  * info.
  *
  * armMetricsOut (BenchOptions::parse, on `--metrics-out FILE`) turns
- * profiling on and writes a snapshot on every sweep epoch (every
- * 64 completed runs of a SuiteRunner sweep, so a watcher sees live
- * progress), once at process exit, and on SIGINT/SIGTERM. Each write
- * is atomic (write-to-temp + rename), so a concurrent reader never
- * sees a torn file.
+ * profiling on and writes a snapshot once at process exit and on
+ * SIGINT/SIGTERM. Each write is atomic (write-to-temp + rename), so
+ * a concurrent reader never sees a torn file.
  *
  * Terminating signals never unwind through atexit, and a signal
  * handler may not take locks or allocate. Arming therefore blocks
@@ -42,7 +40,6 @@
 #ifndef SER_HARNESS_METRICS_HH
 #define SER_HARNESS_METRICS_HH
 
-#include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
@@ -91,10 +88,6 @@ void armMetricsOut(const std::string &path);
  * concurrent calls run one at a time. Returns false, writing
  * nothing, when --metrics-out is not armed. */
 bool writeMetricsSnapshot();
-
-/** SuiteRunner's hook after each run of a sweep: every 64th
- * completed run writes a snapshot (the sweep epoch). */
-void epochSnapshot(std::uint64_t completed_runs);
 
 } // namespace harness
 } // namespace ser

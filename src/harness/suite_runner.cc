@@ -1,11 +1,8 @@
 #include "suite_runner.hh"
 
-#include <atomic>
 #include <cstdlib>
 #include <limits>
 
-#include "harness/metrics.hh"
-#include "harness/progress.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -98,9 +95,6 @@ SuiteRunner::run()
     _ran = true;
 
     std::vector<RunArtifacts> results(_queue.size());
-    Progress &progress = Progress::instance();
-    progress.beginSweep(_queue.size(), _label);
-    std::atomic<std::uint64_t> completed{0};
     parallelFor(_queue.size(), _jobs, [&](std::size_t i) {
         Job &job = _queue[i];
         if (job.fn) {
@@ -118,10 +112,7 @@ SuiteRunner::run()
                                     shared.profile.name);
             results[i].seed = shared.profile.seed;
         }
-        progress.runCompleted();
-        epochSnapshot(completed.fetch_add(1) + 1);
     });
-    progress.endSweep();
     static prof::Counter sweeps(
         "harness.sweeps",
         "Suite sweeps (SuiteRunner::run calls) completed.");

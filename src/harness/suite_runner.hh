@@ -98,10 +98,6 @@ class SuiteRunner
 
     unsigned jobs() const { return _jobs; }
 
-    /** Label shown by the --progress line (conventionally the bench
-     * name); set before run(). */
-    void setLabel(std::string label) { _label = std::move(label); }
-
   private:
     /** One surrogate program, built lazily by the first worker that
      * needs it and shared read-only afterwards. */
@@ -123,7 +119,6 @@ class SuiteRunner
     static constexpr std::size_t kNone = ~std::size_t{0};
 
     unsigned _jobs;
-    std::string _label;
     std::vector<std::unique_ptr<SharedProgram>> _programs;
     std::vector<Job> _queue;
     bool _ran = false;

@@ -9,7 +9,8 @@
  *
  * Two selection masks exist:
  *  - the *print* mask sends messages to stderr as they happen
- *    (SER_DEBUG_FLAGS=Trigger,IQ or Config key debug_flags=...);
+ *    (SER_DEBUG_FLAGS=Trigger,IQ, or --debug Trigger,IQ on any
+ *    bench or example binary);
  *  - the *capture* mask records messages into a bounded ring buffer
  *    only (SER_DEBUG_RING=...), whose tail SER_PANIC dumps, so
  *    crashes come with recent context without per-cycle spam.

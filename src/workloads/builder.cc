@@ -106,9 +106,9 @@ std::string
 AsmBuilder::deadPoolReg()
 {
     if (_rng.chance(0.55))
-        return "r" + std::to_string(40 + _rng.range(2));
+        return std::string(1, 'r') + std::to_string(40 + _rng.range(2));
     static const int cold[] = {32, 33, 34, 35, 42, 43, 44, 45};
-    return "r" + std::to_string(cold[_rng.range(8)]);
+    return std::string(1, 'r') + std::to_string(cold[_rng.range(8)]);
 }
 
 void
@@ -125,10 +125,13 @@ AsmBuilder::rareDeadWrite(int value_reg)
 void
 AsmBuilder::predicatedArms(int pred_reg, int value_reg, int dst_reg)
 {
-    std::string v = "r" + std::to_string(value_reg);
-    std::string d = "r" + std::to_string(dst_reg);
-    std::string p0s = "p" + std::to_string(pred_reg);
-    std::string p1s = "p" + std::to_string(pred_reg + 1);
+    // std::string(1, c), not "c": GCC 12's -Wrestrict misfires on a
+    // one-character literal prepended to a temporary at -O3.
+    std::string v = std::string(1, 'r') + std::to_string(value_reg);
+    std::string d = std::string(1, 'r') + std::to_string(dst_reg);
+    std::string p0s = std::string(1, 'p') + std::to_string(pred_reg);
+    std::string p1s =
+        std::string(1, 'p') + std::to_string(pred_reg + 1);
     // If-conversion: exactly one arm is nullified each execution.
     op("andi r39 = " + v + ", 1");
     op("cmpieq " + p0s + " = r39, 0");

@@ -17,16 +17,18 @@ namespace
 constexpr std::uint64_t scratchBase = 0x40000;
 constexpr unsigned scratchWords = 512;
 
+// std::string(1, c), not "c": GCC 12's -Wrestrict misfires on a
+// one-character literal prepended to a temporary at -O3.
 std::string
 rs(int reg)
 {
-    return "r" + std::to_string(reg);
+    return std::string(1, 'r') + std::to_string(reg);
 }
 
 std::string
 fs(int reg)
 {
-    return "f" + std::to_string(reg);
+    return std::string(1, 'f') + std::to_string(reg);
 }
 
 } // namespace

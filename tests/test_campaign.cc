@@ -466,11 +466,10 @@ TEST(CampaignEngine, CountsSumAndEarlyStop)
     EXPECT_EQ(sum, out.samplesRun);
 }
 
-// The convergence series is a campaign *result*: attaching the
-// onConvergence hook (which drives the --progress CI segment) must
-// not change anything about the outcome, and the series must agree
+// The convergence series is a campaign *result*: one point per
+// batch, cumulative sample counts, and a final point that agrees
 // with the outcome's own totals.
-TEST(Convergence, HookDoesNotPerturbOutcome)
+TEST(Convergence, SeriesAgreesWithOutcome)
 {
     EngineRun r = makeRun(kLoopSrc);
     faults::CampaignSpec spec;
@@ -478,42 +477,21 @@ TEST(Convergence, HookDoesNotPerturbOutcome)
     spec.batchSamples = 256;
     spec.structures = faults::structIq | faults::structRegFile;
 
-    faults::CampaignOutcome plain = faults::runCampaignEngine(
+    faults::CampaignOutcome out = faults::runCampaignEngine(
         r.program, r.trace, r.deadness, r.avf, spec);
 
-    std::vector<faults::ConvergencePoint> seen;
-    spec.onConvergence =
-        [&seen](const faults::ConvergencePoint &point) {
-            seen.push_back(point);
-        };
-    faults::CampaignOutcome hooked = faults::runCampaignEngine(
-        r.program, r.trace, r.deadness, r.avf, spec);
-
-    EXPECT_EQ(plain.samplesRun, hooked.samplesRun);
-    EXPECT_EQ(plain.ciHalfWidth, hooked.ciHalfWidth);
-    ASSERT_EQ(plain.convergence.size(), hooked.convergence.size());
-    ASSERT_EQ(seen.size(), hooked.convergence.size());
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        EXPECT_EQ(seen[i].batch, hooked.convergence[i].batch);
-        EXPECT_EQ(seen[i].samples, hooked.convergence[i].samples);
-        EXPECT_EQ(seen[i].worstHalfWidth,
-                  hooked.convergence[i].worstHalfWidth);
-        EXPECT_EQ(plain.convergence[i].worstHalfWidth,
-                  hooked.convergence[i].worstHalfWidth);
-    }
-
-    // One point per batch, cumulative sample counts, and the final
-    // point agrees with the outcome's own totals.
     std::uint64_t batches =
         (spec.samples + spec.batchSamples - 1) / spec.batchSamples;
-    EXPECT_EQ(hooked.convergence.size(), batches);
-    for (std::size_t i = 1; i < hooked.convergence.size(); ++i)
-        EXPECT_GT(hooked.convergence[i].samples,
-                  hooked.convergence[i - 1].samples);
-    const faults::ConvergencePoint &last =
-        hooked.convergence.back();
-    EXPECT_EQ(last.samples, hooked.samplesRun);
-    EXPECT_EQ(last.worstHalfWidth, hooked.ciHalfWidth);
+    ASSERT_EQ(out.convergence.size(), batches);
+    for (std::size_t i = 0; i < out.convergence.size(); ++i) {
+        EXPECT_EQ(out.convergence[i].batch, i);
+        EXPECT_EQ(out.convergence[i].samples,
+                  std::min<std::uint64_t>((i + 1) * spec.batchSamples,
+                                          spec.samples));
+    }
+    const faults::ConvergencePoint &last = out.convergence.back();
+    EXPECT_EQ(last.samples, out.samplesRun);
+    EXPECT_EQ(last.worstHalfWidth, out.ciHalfWidth);
 }
 
 TEST(CampaignEngine, RegfileClassification)
@@ -616,12 +594,11 @@ TEST(RunCacheKeys, CampaignKnobsNeverShareEntries)
     EXPECT_EQ(stops.size(), 3u)
         << "protections with a CI target shared a sample";
 
-    // Knobs that cannot change the sample must NOT: sharding and
-    // progress callbacks, and without a CI target the protection,
-    // since every protection labels the one sample.
+    // Knobs that cannot change the sample must NOT: sharding, and
+    // without a CI target the protection, since every protection
+    // labels the one sample.
     s = base;
     s.jobs = 8;
-    s.onConvergence = [](const faults::ConvergencePoint &) {};
     EXPECT_EQ(key(s), key(base));
     for (Protection p : {Protection::Parity, Protection::Ecc}) {
         s.protection = p;

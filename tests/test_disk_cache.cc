@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <dirent.h>
 #include <fstream>
 #include <map>
@@ -507,6 +508,7 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
         workloads::buildBenchmark("gzip", 5000));
     harness::ExperimentConfig cfg = smallConfig();
     cfg.campaign.samples = 200;  // exercise the campaign section too
+    cfg.intervalCycles = 500;    // and the interval and epoch columns
 
     auto r1 = harness::runProgram(program, cfg, "gzip");
     EXPECT_EQ(r1.cacheSim, harness::CacheOutcome::Miss);
@@ -538,6 +540,15 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
     EXPECT_EQ(r1.statsDump, r2.statsDump);
     EXPECT_EQ(r1.cyclesSkipped, r2.cyclesSkipped);
     EXPECT_EQ(r1.poolHighWater, r2.poolHighWater);
+    // IntervalSample has no padding (the codec asserts it), so byte
+    // equality is member equality.
+    ASSERT_FALSE(r1.intervals.empty());
+    ASSERT_EQ(r1.intervals.size(), r2.intervals.size());
+    EXPECT_EQ(std::memcmp(r1.intervals.data(), r2.intervals.data(),
+                          r1.intervals.size() *
+                              sizeof(cpu::IntervalSample)),
+              0);
+    ASSERT_FALSE(r1.avf->epochs.empty());
     EXPECT_EQ(
         harness::codec::encodeDeadness(*r1.deadness),
         harness::codec::encodeDeadness(*r2.deadness));

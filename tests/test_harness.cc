@@ -2,7 +2,7 @@
  * @file
  * Tests for the harness layer's parallel machinery: parallelFor, the
  * SuiteRunner's determinism and shared-program guarantees, the
- * BenchOptions --jobs / debug_flags wiring, and concurrent
+ * BenchOptions --jobs / --debug wiring, and concurrent
  * SER_DPRINTF capture (the test that makes a TSan build of ctest
  * exercise the sim-layer locking).
  */
@@ -147,10 +147,10 @@ TEST(ParseJobsDeathTest, SerJobsRejectsNegativeValues)
                 testing::ExitedWithCode(1), "SER_JOBS");
 }
 
-TEST(BenchOptions, LegacyDebugFlagsKeySelectsFlags)
+TEST(BenchOptions, DebugOptionSelectsFlags)
 {
     unsigned saved = debug::printMask.load();
-    parseArgs({"debug_flags=Trigger,PET"});
+    parseArgs({"--debug", "Trigger,PET"});
     EXPECT_TRUE(debug::enabled(debug::Flag::Trigger));
     EXPECT_TRUE(debug::enabled(debug::Flag::PET));
     EXPECT_FALSE(debug::enabled(debug::Flag::Cache));
@@ -159,10 +159,18 @@ TEST(BenchOptions, LegacyDebugFlagsKeySelectsFlags)
 
 TEST(BenchOptionsDeathTest, UnknownDebugFlagIsFatal)
 {
-    // The documented Config key must fail loudly, exactly like
-    // --debug does, rather than being silently ignored.
-    EXPECT_EXIT(parseArgs({"debug_flags=NoSuchFlag"}),
+    // A misspelt flag must fail loudly rather than trace nothing.
+    EXPECT_EXIT(parseArgs({"--debug=NoSuchFlag"}),
                 testing::ExitedWithCode(1), "NoSuchFlag");
+}
+
+TEST(BenchOptionsDeathTest, UnknownOptionsAreFatal)
+{
+    // A removed option (--progress) must fail like any other unknown
+    // --name, not be silently ignored.
+    for (const char *flag : {"--no-such-flag", "--progress"})
+        EXPECT_EXIT(parseArgs({flag}), testing::ExitedWithCode(1),
+                    std::string("unknown option '") + flag + "'");
 }
 
 TEST(SuiteRunner, ResultsIndexedBySubmissionOrder)
