@@ -9,89 +9,19 @@ namespace ser
 namespace branch
 {
 
-namespace
-{
-
-/** 2-bit saturating counter helpers; >= 2 means predict taken. */
-std::uint8_t
-bump(std::uint8_t counter, bool taken)
-{
-    if (taken)
-        return counter < 3 ? counter + 1 : 3;
-    return counter > 0 ? counter - 1 : 0;
-}
-
-void
-checkPow2(std::size_t entries, const std::string &name)
-{
-    if (entries == 0 || !std::has_single_bit(entries))
-        SER_FATAL("predictor {}: table size {} not a power of two",
-                  name, entries);
-}
-
-} // namespace
-
-DirectionPredictor::DirectionPredictor(const std::string &name,
-                                       statistics::StatGroup *parent)
-    : StatGroup(name, parent),
+GsharePredictor::GsharePredictor(std::size_t entries,
+                                 unsigned history_bits,
+                                 statistics::StatGroup *parent)
+    : StatGroup("gshare", parent),
       statLookups(this, "lookups", "direction predictions made"),
       statCorrect(this, "correct", "predictions resolved correct"),
       statIncorrect(this, "incorrect", "predictions resolved wrong")
 {
-}
-
-void
-DirectionPredictor::recordResolution(bool correct)
-{
-    if (correct)
-        ++statCorrect;
-    else
-        ++statIncorrect;
-}
-
-double
-DirectionPredictor::accuracy() const
-{
-    double total = statCorrect.value() + statIncorrect.value();
-    return total > 0.0 ? statCorrect.value() / total : 1.0;
-}
-
-BimodalPredictor::BimodalPredictor(std::size_t entries,
-                                   statistics::StatGroup *parent,
-                                   const std::string &name)
-    : DirectionPredictor(name, parent)
-{
-    checkPow2(entries, name);
-    _table.assign(entries, 1);  // weakly not-taken
-}
-
-Lookup
-BimodalPredictor::predict(std::uint64_t pc)
-{
-    ++statLookups;
-    Lookup lookup;
-    lookup.taken = _table[index(pc)] >= 2;
-    return lookup;
-}
-
-void
-BimodalPredictor::update(std::uint64_t pc, bool taken, const Lookup &)
-{
-    std::uint8_t &ctr = _table[index(pc)];
-    ctr = bump(ctr, taken);
-}
-
-GsharePredictor::GsharePredictor(std::size_t entries,
-                                 unsigned history_bits,
-                                 statistics::StatGroup *parent,
-                                 const std::string &name)
-    : DirectionPredictor(name, parent)
-{
-    checkPow2(entries, name);
+    if (entries == 0 || !std::has_single_bit(entries))
+        SER_FATAL("gshare: table size {} not a power of two", entries);
     if (history_bits == 0 || history_bits > 63)
-        SER_FATAL("predictor {}: bad history width {}", name,
-                  history_bits);
-    _table.assign(entries, 1);
+        SER_FATAL("gshare: bad history width {}", history_bits);
+    _table.assign(entries, 1);  // weakly not-taken
     _historyMask = (1ULL << history_bits) - 1;
 }
 
@@ -111,8 +41,12 @@ void
 GsharePredictor::update(std::uint64_t pc, bool taken,
                         const Lookup &lookup)
 {
+    // 2-bit saturating counter; >= 2 means predict taken.
     std::uint8_t &ctr = _table[index(pc, lookup.ghr)];
-    ctr = bump(ctr, taken);
+    if (taken)
+        ctr = ctr < 3 ? ctr + 1 : 3;
+    else
+        ctr = ctr > 0 ? ctr - 1 : 0;
 }
 
 void
@@ -121,73 +55,20 @@ GsharePredictor::restoreHistory(const Lookup &lookup, bool taken)
     _ghr = ((lookup.ghr << 1) | (taken ? 1 : 0)) & _historyMask;
 }
 
-TournamentPredictor::TournamentPredictor(std::size_t entries,
-                                         unsigned history_bits,
-                                         statistics::StatGroup *parent,
-                                         const std::string &name)
-    : DirectionPredictor(name, parent),
-      _bimodal(entries, this, "bimodal"),
-      _gshare(entries, history_bits, this, "gshare")
-{
-    checkPow2(entries, name);
-    _chooser.assign(entries, 2);  // weakly prefer gshare
-}
-
-Lookup
-TournamentPredictor::predict(std::uint64_t pc)
-{
-    ++statLookups;
-    Lookup b = _bimodal.predict(pc);
-    Lookup g = _gshare.predict(pc);
-    Lookup lookup;
-    lookup.ghr = g.ghr;
-    lookup.meta = (b.taken ? metaBimodal : 0) |
-                  (g.taken ? metaGshare : 0);
-    lookup.taken = _chooser[index(pc)] >= 2 ? g.taken : b.taken;
-    return lookup;
-}
-
 void
-TournamentPredictor::update(std::uint64_t pc, bool taken,
-                            const Lookup &lookup)
+GsharePredictor::recordResolution(bool correct)
 {
-    bool b = lookup.meta & metaBimodal;
-    bool g = lookup.meta & metaGshare;
-    // Train the chooser only when the components disagreed.
-    if (b != g) {
-        std::uint8_t &ctr = _chooser[index(pc)];
-        ctr = bump(ctr, g == taken);
-    }
-    _bimodal.update(pc, taken, lookup);
-    _gshare.update(pc, taken, lookup);
+    if (correct)
+        ++statCorrect;
+    else
+        ++statIncorrect;
 }
 
-void
-TournamentPredictor::restoreHistory(const Lookup &lookup, bool taken)
+double
+GsharePredictor::accuracy() const
 {
-    _gshare.restoreHistory(lookup, taken);
-}
-
-void
-TournamentPredictor::rewindHistory(const Lookup &lookup)
-{
-    _gshare.rewindHistory(lookup);
-}
-
-std::unique_ptr<DirectionPredictor>
-makeDirectionPredictor(const std::string &kind, std::size_t entries,
-                       unsigned history_bits,
-                       statistics::StatGroup *parent)
-{
-    if (kind == "bimodal")
-        return std::make_unique<BimodalPredictor>(entries, parent);
-    if (kind == "gshare")
-        return std::make_unique<GsharePredictor>(entries, history_bits,
-                                                 parent);
-    if (kind == "tournament")
-        return std::make_unique<TournamentPredictor>(
-            entries, history_bits, parent);
-    SER_FATAL("unknown direction predictor kind '{}'", kind);
+    double total = statCorrect.value() + statIncorrect.value();
+    return total > 0.0 ? statCorrect.value() / total : 1.0;
 }
 
 } // namespace branch

@@ -1,27 +1,24 @@
 /**
  * @file
- * Branch direction predictors.
+ * The branch direction predictor.
  *
  * In TIA64 the only conditional branch is a predicated `br`, so the
  * direction predictor predicts whether the qualifying predicate will
- * be true. Three predictors are provided — bimodal, gshare, and a
- * tournament chooser over both — behind a common interface.
+ * be true. The pipeline uses one predictor, gshare: 2-bit counters
+ * indexed by the branch's pc XOR the global history.
  *
  * Because many predictions are in flight between lookup and
  * resolution, predict() returns a Lookup token holding the global
- * history (and any component metadata) used for the lookup; the CPU
- * carries the token with the branch and hands it back to update().
- * Global history is updated speculatively at predict time and
- * repaired with restoreHistory() when a misprediction squashes the
- * younger speculative updates.
+ * history used for the lookup; the CPU carries the token with the
+ * branch and hands it back to update(). Global history is updated
+ * speculatively at predict time and repaired with restoreHistory()
+ * when a misprediction squashes the younger speculative updates.
  */
 
 #ifndef SER_BRANCH_PREDICTOR_HH
 #define SER_BRANCH_PREDICTOR_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -36,40 +33,39 @@ struct Lookup
 {
     bool taken = false;       ///< the prediction
     std::uint64_t ghr = 0;    ///< global history *before* this lookup
-    std::uint8_t meta = 0;    ///< component predictions (tournament)
 };
 
-/** Interface for direction predictors. */
-class DirectionPredictor : public statistics::StatGroup
+/** Global-history predictor: counters indexed by pc ^ ghr. */
+class GsharePredictor : public statistics::StatGroup
 {
   public:
-    DirectionPredictor(const std::string &name,
-                       statistics::StatGroup *parent);
-    virtual ~DirectionPredictor() = default;
+    GsharePredictor(std::size_t entries, unsigned history_bits,
+                    statistics::StatGroup *parent = nullptr);
 
     /**
      * Predict the direction of the branch at instruction index 'pc',
-     * speculatively updating any global history.
+     * speculatively updating the global history.
      */
-    virtual Lookup predict(std::uint64_t pc) = 0;
+    Lookup predict(std::uint64_t pc);
 
     /** Train with the resolved outcome of a prior lookup. */
-    virtual void update(std::uint64_t pc, bool taken,
-                        const Lookup &lookup) = 0;
+    void update(std::uint64_t pc, bool taken, const Lookup &lookup);
 
     /**
      * Repair speculative history after a misprediction: the history
      * becomes the branch's pre-lookup history extended with its
      * actual direction.
      */
-    virtual void restoreHistory(const Lookup &, bool) {}
+    void restoreHistory(const Lookup &lookup, bool taken);
 
     /**
      * Rewind speculative history to just *before* a lookup — used
      * when the branch itself is squashed un-issued and will be
      * re-fetched and re-predicted.
      */
-    virtual void rewindHistory(const Lookup &) {}
+    void rewindHistory(const Lookup &lookup) { _ghr = lookup.ghr; }
+
+    std::uint64_t currentHistory() const { return _ghr; }
 
     /** Count the resolution of a prediction (for stats). */
     void recordResolution(bool correct);
@@ -80,51 +76,6 @@ class DirectionPredictor : public statistics::StatGroup
         return static_cast<std::uint64_t>(statIncorrect.value());
     }
 
-  protected:
-    statistics::Scalar statLookups;
-    statistics::Scalar statCorrect;
-    statistics::Scalar statIncorrect;
-};
-
-/** A table of 2-bit saturating counters indexed by pc. */
-class BimodalPredictor : public DirectionPredictor
-{
-  public:
-    BimodalPredictor(std::size_t entries,
-                     statistics::StatGroup *parent = nullptr,
-                     const std::string &name = "bimodal");
-
-    Lookup predict(std::uint64_t pc) override;
-    void update(std::uint64_t pc, bool taken,
-                const Lookup &lookup) override;
-
-  private:
-    std::size_t index(std::uint64_t pc) const
-    {
-        return pc & (_table.size() - 1);
-    }
-    std::vector<std::uint8_t> _table;
-};
-
-/** Global-history predictor: counters indexed by pc ^ ghr. */
-class GsharePredictor : public DirectionPredictor
-{
-  public:
-    GsharePredictor(std::size_t entries, unsigned history_bits,
-                    statistics::StatGroup *parent = nullptr,
-                    const std::string &name = "gshare");
-
-    Lookup predict(std::uint64_t pc) override;
-    void update(std::uint64_t pc, bool taken,
-                const Lookup &lookup) override;
-    void restoreHistory(const Lookup &lookup, bool taken) override;
-    void rewindHistory(const Lookup &lookup) override
-    {
-        _ghr = lookup.ghr;
-    }
-
-    std::uint64_t currentHistory() const { return _ghr; }
-
   private:
     std::size_t index(std::uint64_t pc, std::uint64_t ghr) const
     {
@@ -132,41 +83,12 @@ class GsharePredictor : public DirectionPredictor
     }
     std::vector<std::uint8_t> _table;
     std::uint64_t _ghr = 0;
-    std::uint64_t _historyMask;
+    std::uint64_t _historyMask = 0;
+
+    statistics::Scalar statLookups;
+    statistics::Scalar statCorrect;
+    statistics::Scalar statIncorrect;
 };
-
-/** Per-branch chooser between a bimodal and a gshare component. */
-class TournamentPredictor : public DirectionPredictor
-{
-  public:
-    TournamentPredictor(std::size_t entries, unsigned history_bits,
-                        statistics::StatGroup *parent = nullptr,
-                        const std::string &name = "tournament");
-
-    Lookup predict(std::uint64_t pc) override;
-    void update(std::uint64_t pc, bool taken,
-                const Lookup &lookup) override;
-    void restoreHistory(const Lookup &lookup, bool taken) override;
-    void rewindHistory(const Lookup &lookup) override;
-
-  private:
-    static constexpr std::uint8_t metaBimodal = 1;
-    static constexpr std::uint8_t metaGshare = 2;
-
-    BimodalPredictor _bimodal;
-    GsharePredictor _gshare;
-    std::vector<std::uint8_t> _chooser;
-    std::size_t index(std::uint64_t pc) const
-    {
-        return pc & (_chooser.size() - 1);
-    }
-};
-
-/** Factory: "bimodal", "gshare", or "tournament". */
-std::unique_ptr<DirectionPredictor>
-makeDirectionPredictor(const std::string &kind, std::size_t entries,
-                       unsigned history_bits,
-                       statistics::StatGroup *parent);
 
 } // namespace branch
 } // namespace ser

@@ -1,6 +1,5 @@
 #include "pet_buffer.hh"
 
-#include "sim/debug.hh"
 #include "sim/trace_event.hh"
 
 namespace ser
@@ -115,9 +114,6 @@ PetBuffer::evict()
                      {{"seq", ev.seq},
                       {"proven_dead", ev.provenDead ? 1 : 0},
                       {"signalled", ev.signalled ? 1 : 0}});
-    SER_DPRINTF(PET, "evict seq {}: {}", ev.seq,
-                ev.provenDead ? "proven dead, suppressed"
-                              : "machine check");
     return ev;
 }
 

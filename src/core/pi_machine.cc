@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "core/pet_buffer.hh"
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 
 namespace ser
@@ -304,13 +303,7 @@ PiMachine::run(std::uint64_t poisoned_seq, int dst_override) const
         SER_PANIC("PiMachine: seq {} out of range ({})", poisoned_seq,
                   commits.size());
 
-    PiOutcome out = runLevel(poisoned_seq, dst_override);
-    SER_DPRINTF(Pi, "seq {} at {}: {} (seq {})", poisoned_seq,
-                trackingLevelName(_level),
-                out.signalled ? piSignalPointName(out.point)
-                              : "suppressed",
-                out.signalSeq);
-    return out;
+    return runLevel(poisoned_seq, dst_override);
 }
 
 PiOutcome

@@ -1,35 +1,11 @@
 #include "trigger.hh"
 
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 
 namespace ser
 {
 namespace core
 {
-
-const char *
-triggerLevelName(TriggerLevel level)
-{
-    switch (level) {
-      case TriggerLevel::None: return "none";
-      case TriggerLevel::L0Miss: return "l0-miss";
-      case TriggerLevel::L1Miss: return "l1-miss";
-      case TriggerLevel::L2Miss: return "l2-miss";
-    }
-    return "?";
-}
-
-const char *
-triggerActionName(TriggerAction action)
-{
-    switch (action) {
-      case TriggerAction::Squash: return "squash";
-      case TriggerAction::Throttle: return "throttle";
-      case TriggerAction::SquashThrottle: return "squash+throttle";
-    }
-    return "?";
-}
 
 MissTriggerPolicy::MissTriggerPolicy(TriggerLevel level,
                                      TriggerAction action,
@@ -67,20 +43,9 @@ MissTriggerPolicy::onLoadServiced(memory::HitLevel level,
     // back — e.g. a secondary miss caught late in its fill.
     if (!fires(level) || fill_cycle <= detect_cycle) {
         ++statIgnored;
-        SER_DPRINTF(Trigger,
-                    "cycle {}: load served at {} ignored "
-                    "(below {} or fill imminent at {})",
-                    detect_cycle, memory::hitLevelName(level),
-                    triggerLevelName(_level), fill_cycle);
         return d;
     }
     ++statFired;
-    SER_DPRINTF(Trigger,
-                "cycle {}: {} fired on {} hit, action {}, "
-                "fill at {}",
-                detect_cycle, triggerLevelName(_level),
-                memory::hitLevelName(level),
-                triggerActionName(_action), fill_cycle);
     if (_action == TriggerAction::Squash ||
         _action == TriggerAction::SquashThrottle)
         d.squash = true;

@@ -35,8 +35,6 @@ enum class TriggerLevel : std::uint8_t
     L2Miss,  ///< any load serviced by main memory
 };
 
-const char *triggerLevelName(TriggerLevel level);
-
 /** What to do when the trigger fires. */
 enum class TriggerAction : std::uint8_t
 {
@@ -44,8 +42,6 @@ enum class TriggerAction : std::uint8_t
     Throttle,       ///< stall fetch until the fill returns
     SquashThrottle, ///< both
 };
-
-const char *triggerActionName(TriggerAction action);
 
 /** Squash and/or throttle when a load misses past the given level. */
 class MissTriggerPolicy : public cpu::ExposurePolicy,

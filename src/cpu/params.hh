@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "isa/isa.hh"
 #include "memory/hierarchy.hh"
@@ -74,8 +73,7 @@ struct PipelineParams
      * cycles redirecting even on correct predictions). */
     unsigned takenBranchBubble = 2;
 
-    /** Direction predictor: "bimodal", "gshare" or "tournament". */
-    std::string predictor = "gshare";
+    /** Gshare direction predictor: table entries, history bits. */
     std::size_t predictorEntries = 16384;
     unsigned historyBits = 12;
     std::size_t btbEntries = 4096;

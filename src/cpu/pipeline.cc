@@ -4,7 +4,6 @@
 
 #include "cpu/sampler.hh"
 #include "sim/compiler.hh"
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 #include "sim/prof.hh"
 #include "sim/trace_event.hh"
@@ -50,9 +49,8 @@ InOrderPipeline::InOrderPipeline(const isa::Program &program,
       _oracle(std::make_unique<isa::Executor>(program)),
       _dcache(std::make_unique<memory::CacheHierarchy>(
           params.hierarchy, this)),
-      _dirPred(branch::makeDirectionPredictor(
-          params.predictor, params.predictorEntries,
-          params.historyBits, this)),
+      _dirPred(std::make_unique<branch::GsharePredictor>(
+          params.predictorEntries, params.historyBits, this)),
       _btb(std::make_unique<branch::Btb>(params.btbEntries, this)),
       _ras(std::make_unique<branch::Ras>(params.rasEntries, this)),
       statCycles(this, "cycles", "simulated cycles in the window"),
@@ -170,9 +168,6 @@ InOrderPipeline::run()
             _tw->instant(trace::tracks::pipeline, "window_open", 0,
                          {{"warmup_commits", std::uint64_t{0}}});
     }
-    SER_DPRINTF(Pipeline,
-                "run: start, warmup {} insts, max {} cycles",
-                _warmupInsts, max_cycles);
 
     while (!drained()) {
         if (_cycle >= max_cycles)
@@ -272,9 +267,6 @@ InOrderPipeline::run()
     }
     if (_sampler)
         _sampler->finish(_cycle, snapshotCounters());
-    SER_DPRINTF(Pipeline,
-                "run: drained at cycle {}, {} committed, {} cycles "
-                "skipped", _cycle, _committedTotal, _cyclesSkipped);
 
     // Flush the run's totals to the prof layer in one batch — a
     // local accumulator in the loop, one Counter::add here, so the
@@ -514,9 +506,6 @@ InOrderPipeline::evictAndCommit()
         if (_arena.flags[front] & diWrongPath)
             SER_PANIC("pipeline: wrong-path instruction reached "
                       "commit (seq {})", _arena.seq[front]);
-        SER_DPRINTF(IQ, "cycle {}: commit seq {} pc {} entry {}",
-                    _cycle, _arena.seq[front], _arena.pc[front],
-                    _arena.iqEntry[front]);
         finalizeIncarnation(front, _cycle, incCommitted);
         _freeEntries.push_back(_arena.iqEntry[front]);
         _iq.pop_front();
@@ -537,9 +526,6 @@ InOrderPipeline::evictAndCommit()
                 _tw->instant(trace::tracks::pipeline, "window_open",
                              _cycle,
                              {{"warmup_commits", _committedTotal}});
-            SER_DPRINTF(Pipeline,
-                        "cycle {}: window opens after {} warmup "
-                        "commits", _cycle, _committedTotal);
         }
     }
 }
@@ -567,10 +553,6 @@ InOrderPipeline::resolveBranches()
 
         if (f & diMispredicted) {
             ++statMispredicts;
-            SER_DPRINTF(Pipeline,
-                        "cycle {}: mispredict resolved, branch seq "
-                        "{} pc {}", _cycle, _arena.seq[branch],
-                        _arena.pc[branch]);
             if (_tw)
                 _tw->instant(
                     trace::tracks::pipeline, "mispredict_squash",
@@ -697,10 +679,6 @@ InOrderPipeline::doTriggerSquash()
             {{"iq_victims", static_cast<std::uint64_t>(iq_victims)},
              {"fe_victims", static_cast<std::uint64_t>(
                                 victims.size() - iq_victims)}});
-    SER_DPRINTF(Trigger,
-                "cycle {}: trigger squash, {} IQ victims, {} "
-                "front-end victims", _cycle, iq_victims,
-                victims.size() - iq_victims);
 
     for (std::size_t i = 0; i < iq_victims; ++i) {
         finalizeIncarnation(victims[i], _cycle, incSquashTrigger);
@@ -775,9 +753,6 @@ InOrderPipeline::issueOne(InstId id)
     _arena.issueCycle[id] = _cycle;
     _arena.completeCycle[id] = _cycle + _params.evictDelay;
     const std::uint8_t f = _arena.flags[id];
-    SER_DPRINTF(IQ, "cycle {}: issue seq {} pc {}{}", _cycle,
-                _arena.seq[id], _arena.pc[id],
-                (f & diWrongPath) ? " (wrong path)" : "");
 
     const isa::StaticInst &inst = _arena.cold[id].inst;
     bool executes = !(f & diWrongPath) && (f & diQpTrue);
@@ -918,9 +893,6 @@ InOrderPipeline::enqueue()
         _arena.iqEntry[di] = _freeEntries.back();
         _freeEntries.pop_back();
         _arena.enqueueCycle[di] = _cycle;
-        SER_DPRINTF(IQ, "cycle {}: enqueue seq {} pc {} entry {}",
-                    _cycle, _arena.seq[di], _arena.pc[di],
-                    _arena.iqEntry[di]);
         _iq.push_back(di);
         --budget;
     }

@@ -124,10 +124,6 @@ class InOrderPipeline : public statistics::StatGroup
     std::size_t poolCapacity() const { return _arena.capacity(); }
 
     const memory::CacheHierarchy &dcache() const { return *_dcache; }
-    const branch::DirectionPredictor &predictor() const
-    {
-        return *_dirPred;
-    }
     const isa::ArchState &archState() const
     {
         return _oracle->state();
@@ -207,7 +203,7 @@ class InOrderPipeline : public statistics::StatGroup
 
     std::unique_ptr<isa::Executor> _oracle;
     std::unique_ptr<memory::CacheHierarchy> _dcache;
-    std::unique_ptr<branch::DirectionPredictor> _dirPred;
+    std::unique_ptr<branch::GsharePredictor> _dirPred;
     std::unique_ptr<branch::Btb> _btb;
     std::unique_ptr<branch::Ras> _ras;
 

@@ -8,7 +8,6 @@
 #include "harness/metrics.hh"
 #include "harness/run_cache.hh"
 #include "harness/suite_runner.hh"
-#include "sim/debug.hh"
 #include "sim/logging.hh"
 
 namespace ser
@@ -70,8 +69,6 @@ printUsage(const char *argv0, const std::string &usage)
                  "                   stream per-batch campaign "
                  "convergence as JSONL to F\n"
                  "                   (benches with campaigns only)\n"
-              << "  --debug FLAGS    debug trace flags (Pipeline, "
-                 "IQ, Trigger, Pi, PET, Cache, All)\n"
               << "  --help           this message\n"
               << "  key=value        simulator parameter overrides\n";
 }
@@ -191,10 +188,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             if (opts.convergenceOutPath.empty())
                 SER_FATAL("{}: --convergence-out needs a path",
                           argv[0]);
-        } else if (token == "--debug" ||
-                   token.rfind("--debug=", 0) == 0) {
-            debug::setFlags(
-                optionValue(argc, argv, i, "--debug", token));
         } else if (token.rfind("--", 0) == 0) {
             SER_FATAL("{}: unknown option '{}' (--help lists them)",
                       argv[0], token);

@@ -4,7 +4,7 @@
  *
  * Each binary used to hand-roll the same Config/csv parsing; this
  * factors it into one parser so the observability flags (--json,
- * --intervals, --debug) arrive everywhere at once:
+ * --intervals, --trace-events) arrive everywhere at once:
  *
  *   --csv            print tables as CSV instead of aligned text
  *   --json PATH      write a JSON run manifest (and, when intervals
@@ -41,8 +41,6 @@
  *                    stream the per-batch campaign convergence
  *                    time-series as JSONL to F (campaign benches
  *                    only)
- *   --debug FLAGS    select debug trace flags (same as
- *                    SER_DEBUG_FLAGS), e.g. --debug Trigger,IQ
  *   --help           print usage and exit
  *   key=value        simulator parameter overrides, collected into
  *                    the Config (Config::parseAssignment)

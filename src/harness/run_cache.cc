@@ -317,8 +317,8 @@ RunCache::simKey(const isa::Program &program,
        << p.issueWidth << "|iq=" << p.iqEntries
        << "|fe=" << p.frontEndDepth << "|evict=" << p.evictDelay
        << "|br=" << p.branchResolveDelay << ',' << p.redirectDelay
-       << ',' << p.takenBranchBubble << "|pred=" << p.predictor
-       << ',' << p.predictorEntries << ',' << p.historyBits << ','
+       << ',' << p.takenBranchBubble << "|pred=gshare,"
+       << p.predictorEntries << ',' << p.historyBits << ','
        << p.btbEntries << ',' << p.rasEntries
        << "|lat=" << p.latIntAlu << ',' << p.latIntMul << ','
        << p.latIntDiv << ',' << p.latFpAdd << ',' << p.latFpMul

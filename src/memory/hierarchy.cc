@@ -1,23 +1,9 @@
 #include "hierarchy.hh"
 
-#include "sim/debug.hh"
-
 namespace ser
 {
 namespace memory
 {
-
-const char *
-hitLevelName(HitLevel level)
-{
-    switch (level) {
-      case HitLevel::L0: return "L0";
-      case HitLevel::L1: return "L1";
-      case HitLevel::L2: return "L2";
-      case HitLevel::Memory: return "memory";
-    }
-    return "?";
-}
 
 CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
                                statistics::StatGroup *parent)
@@ -92,10 +78,6 @@ CacheHierarchy::access(std::uint64_t addr, std::uint64_t cycle)
             ++statServedInflight;
             unsigned remaining =
                 static_cast<unsigned>(f->ready - cycle);
-            SER_DPRINTF(Cache,
-                        "cycle {}: addr {} secondary miss on "
-                        "in-flight line, {} cycles remaining",
-                        cycle, addr, remaining);
             lookupAndFill(addr);  // keep replacement state warm
             return {f->level,
                     std::max(remaining, _params.l0.hitLatency),
@@ -114,8 +96,6 @@ CacheHierarchy::access(std::uint64_t addr, std::uint64_t cycle)
     }
     if (level != HitLevel::L0)
         _inflight[line] = {cycle + latency, level};
-    SER_DPRINTF(Cache, "cycle {}: addr {} served at {}, {} cycles",
-                cycle, addr, hitLevelName(level), latency);
     return {level, latency};
 }
 

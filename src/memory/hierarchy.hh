@@ -35,8 +35,6 @@ enum class HitLevel : std::uint8_t
     Memory,
 };
 
-const char *hitLevelName(HitLevel level);
-
 /** The result of one hierarchy access. */
 struct AccessResult
 {

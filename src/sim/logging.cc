@@ -1,6 +1,6 @@
 #include "logging.hh"
 
-#include "debug.hh"
+#include <mutex>
 
 namespace ser
 {
@@ -8,6 +8,12 @@ namespace ser
 namespace logging_detail
 {
 
+namespace
+{
+
+/** The process-wide stderr line lock. panic, fatal and warn hold
+ * it for their whole message so concurrent SuiteRunner workers
+ * never interleave characters. */
 std::mutex &
 stderrLock()
 {
@@ -15,15 +21,14 @@ stderrLock()
     return lock;
 }
 
+} // namespace
+
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
-    // Failures come with context: dump the tail of the debug trace
-    // ring (populated by SER_DPRINTF under SER_DEBUG_FLAGS /
-    // SER_DEBUG_RING) before aborting. Hold the line lock so a
-    // panicking worker's report stays contiguous.
+    // Hold the line lock so a panicking worker's report stays
+    // contiguous.
     std::lock_guard<std::mutex> guard(stderrLock());
-    debug::dumpRingTail(std::cerr);
     std::cerr << "panic: " << msg << "\n  @ " << file << ":" << line
               << std::endl;
     std::abort();

@@ -12,7 +12,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -59,11 +58,6 @@ format(std::string_view fmt, const Args &...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-
-/** The process-wide stderr line lock. Writers that emit a whole
- * line (warn, debug trace prints) hold it for the line so
- * concurrent SuiteRunner workers never interleave characters. */
-std::mutex &stderrLock();
 
 } // namespace logging_detail
 

@@ -4,7 +4,8 @@
  * --trace-events, used by the trace_events_validate ctest case (and
  * handy interactively):
  *
- *     check_trace_events TRACE.json [MIN_SQUASH_INSTANTS]
+ *     check_trace_events TRACE.json [MIN_SQUASH_INSTANTS
+ *                        [INSTANT,INSTANT,...]]
  *
  * Verifies the invariants the writer promises:
  *
@@ -18,7 +19,9 @@
  *  - counter events sit on the dedicated counters track (tid 0);
  *  - at least MIN_SQUASH_INSTANTS (default 1) squash instants
  *    (trigger_squash or mispredict_squash) are present, so a trace
- *    from a squashing run demonstrably captures the squash bursts.
+ *    from a squashing run demonstrably captures the squash bursts;
+ *  - each instant named in the optional comma list (trigger_fire,
+ *    pet_evict, ...) occurs at least once.
  *
  * Exits 0 when the trace is valid, 1 with a message otherwise.
  */
@@ -31,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/json.hh"
 
@@ -60,13 +64,20 @@ struct TrackState
 int
 main(int argc, char **argv)
 {
-    if (argc != 2 && argc != 3) {
+    if (argc < 2 || argc > 4) {
         std::cerr << "usage: check_trace_events TRACE.json "
-                     "[MIN_SQUASH_INSTANTS]\n";
+                     "[MIN_SQUASH_INSTANTS [INSTANT,INSTANT,...]]\n";
         return 2;
     }
     std::uint64_t min_squashes =
-        argc == 3 ? std::strtoull(argv[2], nullptr, 10) : 1;
+        argc >= 3 ? std::strtoull(argv[2], nullptr, 10) : 1;
+    std::vector<std::string> required;
+    if (argc == 4) {
+        std::istringstream names(argv[3]);
+        for (std::string n; std::getline(names, n, ',');)
+            if (!n.empty())
+                required.push_back(n);
+    }
 
     std::ifstream in(argv[1], std::ios::binary);
     if (!in) {
@@ -94,6 +105,7 @@ main(int argc, char **argv)
 
     std::map<std::pair<double, double>, TrackState> tracks;
     std::uint64_t squash_instants = 0;
+    std::map<std::string, std::uint64_t> instants;
     std::uint64_t begins = 0, ends = 0, counters = 0;
 
     for (std::size_t i = 0; i < events->array.size(); ++i) {
@@ -144,6 +156,7 @@ main(int argc, char **argv)
             if (tid->number != 0.0)
                 fail(where + ": counter off the counters track");
         } else if (ph->string == "i") {
+            ++instants[name->string];
             if (name->string == "trigger_squash" ||
                 name->string == "mispredict_squash")
                 ++squash_instants;
@@ -168,6 +181,9 @@ main(int argc, char **argv)
         fail("only " + std::to_string(squash_instants) +
              " squash instant(s), expected at least " +
              std::to_string(min_squashes));
+    for (const std::string &n : required)
+        if (!instants.count(n))
+            fail("no '" + n + "' instant");
 
     if (failures) {
         std::cerr << "check_trace_events: " << failures
@@ -178,6 +194,9 @@ main(int argc, char **argv)
               << events->array.size() << " events, " << begins
               << " slices, " << squash_instants
               << " squash instants, " << counters << " counter "
-              << "samples)\n";
+              << "samples)";
+    for (const std::string &n : required)
+        std::cout << " " << n << "=" << instants[n];
+    std::cout << "\n";
     return 0;
 }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the branch predictors, BTB and return-address stack,
- * including speculative-history repair and checkpoint restore.
+ * Tests for the gshare direction predictor, BTB and return-address
+ * stack, including speculative-history repair and checkpoint
+ * restore.
  */
 
 #include <gtest/gtest.h>
@@ -14,25 +15,10 @@
 using namespace ser;
 using namespace ser::branch;
 
-TEST(Bimodal, LearnsABiasedBranch)
-{
-    BimodalPredictor pred(256);
-    for (int i = 0; i < 8; ++i) {
-        Lookup l = pred.predict(10);
-        pred.update(10, true, l);
-    }
-    EXPECT_TRUE(pred.predict(10).taken);
-    for (int i = 0; i < 8; ++i) {
-        Lookup l = pred.predict(10);
-        pred.update(10, false, l);
-    }
-    EXPECT_FALSE(pred.predict(10).taken);
-}
-
 TEST(Gshare, LearnsAHistoryPattern)
 {
-    // Alternating taken/not-taken is invisible to bimodal but easy
-    // for a history predictor.
+    // Alternating taken/not-taken defeats a per-pc counter but is
+    // easy for a history predictor.
     GsharePredictor pred(4096, 8);
     bool outcome = false;
     int correct = 0;
@@ -63,36 +49,9 @@ TEST(Gshare, HistoryRepairAfterSquash)
     EXPECT_EQ(pred.currentHistory(), a.ghr);
 }
 
-TEST(Tournament, TracksTheBetterComponent)
-{
-    TournamentPredictor pred(4096, 8);
-    // Alternating pattern again: gshare wins, chooser should follow.
-    bool outcome = false;
-    int correct = 0;
-    for (int i = 0; i < 600; ++i) {
-        outcome = !outcome;
-        Lookup l = pred.predict(99);
-        if (i >= 300)
-            correct += l.taken == outcome;
-        pred.update(99, outcome, l);
-        if (l.taken != outcome)
-            pred.restoreHistory(l, outcome);
-    }
-    EXPECT_GT(correct, 280);
-}
-
-TEST(Predictor, FactoryMakesAllKinds)
-{
-    for (const char *kind : {"bimodal", "gshare", "tournament"}) {
-        auto p = makeDirectionPredictor(kind, 1024, 8, nullptr);
-        ASSERT_NE(p, nullptr) << kind;
-        (void)p->predict(5);
-    }
-}
-
 TEST(Predictor, AccuracyAccounting)
 {
-    BimodalPredictor pred(64);
+    GsharePredictor pred(64, 4);
     pred.recordResolution(true);
     pred.recordResolution(true);
     pred.recordResolution(false);

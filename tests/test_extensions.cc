@@ -369,23 +369,6 @@ TEST(PipelineMore, MaxInstsTruncatesWithoutHalt)
     EXPECT_FALSE(trace.programHalted);
 }
 
-TEST(PipelineMore, DifferentPredictorsAllWork)
-{
-    isa::Program program = workloads::randomProgram(7);
-    isa::Executor golden(program);
-    ASSERT_EQ(golden.run(2000000), isa::Termination::Halted);
-    for (const char *kind : {"bimodal", "gshare", "tournament"}) {
-        cpu::PipelineParams params;
-        params.maxInsts = 2000000;
-        params.predictor = kind;
-        cpu::InOrderPipeline pipe(program, params);
-        cpu::SimTrace trace = pipe.run();
-        EXPECT_EQ(pipe.archState().output(),
-                  golden.state().output())
-            << kind;
-    }
-}
-
 // ---------------------------------------------------------------
 
 namespace

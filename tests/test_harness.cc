@@ -1,17 +1,14 @@
 /**
  * @file
  * Tests for the harness layer's parallel machinery: parallelFor, the
- * SuiteRunner's determinism and shared-program guarantees, the
- * BenchOptions --jobs / --debug wiring, and concurrent
- * SER_DPRINTF capture (the test that makes a TSan build of ctest
- * exercise the sim-layer locking).
+ * SuiteRunner's determinism and shared-program guarantees (the
+ * concurrent sweeps that make a TSan build of ctest exercise the
+ * sim-layer locking), and the BenchOptions parser.
  */
 
 #include <atomic>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +16,6 @@
 #include "harness/bench_options.hh"
 #include "harness/experiment.hh"
 #include "harness/suite_runner.hh"
-#include "sim/debug.hh"
 #include "sim/prof.hh"
 #include "workloads/profile.hh"
 
@@ -147,28 +143,11 @@ TEST(ParseJobsDeathTest, SerJobsRejectsNegativeValues)
                 testing::ExitedWithCode(1), "SER_JOBS");
 }
 
-TEST(BenchOptions, DebugOptionSelectsFlags)
-{
-    unsigned saved = debug::printMask.load();
-    parseArgs({"--debug", "Trigger,PET"});
-    EXPECT_TRUE(debug::enabled(debug::Flag::Trigger));
-    EXPECT_TRUE(debug::enabled(debug::Flag::PET));
-    EXPECT_FALSE(debug::enabled(debug::Flag::Cache));
-    debug::printMask.store(saved);
-}
-
-TEST(BenchOptionsDeathTest, UnknownDebugFlagIsFatal)
-{
-    // A misspelt flag must fail loudly rather than trace nothing.
-    EXPECT_EXIT(parseArgs({"--debug=NoSuchFlag"}),
-                testing::ExitedWithCode(1), "NoSuchFlag");
-}
-
 TEST(BenchOptionsDeathTest, UnknownOptionsAreFatal)
 {
-    // A removed option (--progress) must fail like any other unknown
-    // --name, not be silently ignored.
-    for (const char *flag : {"--no-such-flag", "--progress"})
+    // A removed option (--progress, --debug) must fail like any other
+    // unknown --name, not be silently ignored.
+    for (const char *flag : {"--no-such-flag", "--progress", "--debug"})
         EXPECT_EXIT(parseArgs({flag}), testing::ExitedWithCode(1),
                     std::string("unknown option '") + flag + "'");
 }
@@ -272,43 +251,6 @@ TEST(SuiteRunner, MatchesRunBenchmarkAndBuildsOnce)
     EXPECT_EQ(builds, 1u);
     EXPECT_EQ(phaseNames(runs[0]), phaseNames(runs[1]));
     EXPECT_EQ(phaseNames(runs[0]), phaseNames(reference));
-}
-
-TEST(ConcurrentDebug, RingCapturesEveryMessage)
-{
-    unsigned saved_capture = debug::captureMask.load();
-    debug::setCaptureFlags("Pipeline");
-    debug::setRingCapacity(4096);
-    debug::clearRing();
-
-    constexpr int threads = 4, per_thread = 200;
-    harness::parallelFor(threads, threads, [&](std::size_t t) {
-        for (int i = 0; i < per_thread; ++i)
-            SER_DPRINTF(Pipeline, "worker {} message {}", t, i);
-    });
-
-    auto captured = debug::ringContents();
-    EXPECT_EQ(captured.size(),
-              static_cast<std::size_t>(threads * per_thread));
-    // Per-thread message order is preserved even under contention.
-    std::vector<int> last(threads, -1);
-    int in_order = 0;
-    for (const auto &msg : captured) {
-        unsigned long t = 0, i = 0;
-        if (std::sscanf(msg.c_str(),
-                        "[Pipeline] worker %lu message %lu", &t,
-                        &i) == 2) {
-            ASSERT_LT(t, static_cast<unsigned long>(threads));
-            if (static_cast<int>(i) > last[t])
-                ++in_order;
-            last[t] = static_cast<int>(i);
-        }
-    }
-    EXPECT_EQ(in_order, threads * per_thread);
-
-    debug::clearRing();
-    debug::setRingCapacity(64);
-    debug::captureMask.store(saved_capture);
 }
 
 } // namespace

@@ -145,9 +145,3 @@ TEST(Hierarchy, InclusiveFillsServeFromCloserLevelNextTime)
     EXPECT_EQ(again.level, HitLevel::L1);
     EXPECT_EQ(again.latency, h.params().l1.hitLatency);
 }
-
-TEST(Hierarchy, HitLevelNames)
-{
-    EXPECT_STREQ(hitLevelName(HitLevel::L0), "L0");
-    EXPECT_STREQ(hitLevelName(HitLevel::Memory), "memory");
-}

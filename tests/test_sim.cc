@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the simulation substrate: logging format helper,
- * RNG, statistics package, the config store, the JSON layer, debug
- * trace flags, the interval sampler, and the shared bench options.
+ * RNG, statistics package, the config store, the JSON layer, the
+ * interval sampler, and the shared bench options.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "harness/bench_options.hh"
 #include "harness/reporting.hh"
 #include "sim/config.hh"
-#include "sim/debug.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -500,55 +499,6 @@ TEST(Stats, FindStatEdgeCases)
     EXPECT_EQ(child.findStat("x"), &s);
     EXPECT_EQ(child.findStat("X"), nullptr);
     EXPECT_EQ(child.findStat(""), nullptr);
-}
-
-TEST(Debug, ParseFlagsNamesAndAll)
-{
-    unsigned mask = 0;
-    EXPECT_TRUE(debug::parseFlags("Trigger", &mask));
-    EXPECT_EQ(mask,
-              1u << static_cast<unsigned>(debug::Flag::Trigger));
-    EXPECT_TRUE(debug::parseFlags("trigger,iq", &mask));
-    EXPECT_EQ(mask,
-              (1u << static_cast<unsigned>(debug::Flag::Trigger)) |
-                  (1u << static_cast<unsigned>(debug::Flag::IQ)));
-    EXPECT_TRUE(debug::parseFlags("all", &mask));
-    EXPECT_EQ(mask, (1u << debug::numFlags) - 1);
-    EXPECT_TRUE(debug::parseFlags("", &mask));
-    EXPECT_EQ(mask, 0u);
-    unsigned untouched = 99;
-    EXPECT_FALSE(debug::parseFlags("bogus", &untouched));
-    EXPECT_EQ(untouched, 99u);
-}
-
-TEST(Debug, DisabledFlagsRecordNothing)
-{
-    debug::printMask = 0;
-    debug::captureMask = 0;
-    debug::clearRing();
-    SER_DPRINTF(Trigger, "should not appear {}", 1);
-    EXPECT_TRUE(debug::ringContents().empty());
-}
-
-TEST(Debug, RingBufferWrapsKeepingNewest)
-{
-    debug::setRingCapacity(4);
-    debug::setCaptureFlags("Trigger");
-    for (int i = 0; i < 6; ++i)
-        SER_DPRINTF(Trigger, "msg {}", i);
-    auto contents = debug::ringContents();
-    ASSERT_EQ(contents.size(), 4u);
-    EXPECT_EQ(contents.front(), "[Trigger] msg 2");
-    EXPECT_EQ(contents.back(), "[Trigger] msg 5");
-
-    // Capture-only selection must not print: flag enabled, print
-    // mask clear.
-    EXPECT_EQ(debug::printMask, 0u);
-    EXPECT_TRUE(debug::enabled(debug::Flag::Trigger));
-
-    debug::setCaptureFlags("");
-    debug::setRingCapacity(256);
-    debug::clearRing();
 }
 
 namespace
