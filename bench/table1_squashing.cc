@@ -10,10 +10,10 @@
  * Prints per-benchmark rows plus the suite averages the paper
  * reports (IPC, SDC AVF, DUE AVF, IPC/SDC-AVF, IPC/DUE-AVF).
  *
- * The 26 x 3 runs execute on the SuiteRunner worker pool (--jobs N
- * or SER_JOBS); each surrogate is built once and shared read-only
- * across its three design points, and output is byte-identical for
- * any job count (timings aside).
+ * The 26 x 3 runs execute on the SuiteRunner worker pool (--jobs N);
+ * each surrogate is built once and shared read-only across its three
+ * design points, and output is byte-identical for any job count
+ * (timings aside).
  *
  * Usage: table1_squashing [insts=N] [benchmarks=a,b,c] [--csv]
  *                         [action=squash|throttle|both]

@@ -1,9 +1,6 @@
 #include "attribution.hh"
 
 #include <algorithm>
-#include <iomanip>
-#include <sstream>
-#include <string>
 
 #include "isa/encoding.hh"
 #include "sim/stats.hh"
@@ -120,68 +117,6 @@ attributeAvf(const cpu::SimTrace &trace,
     r.preRead = summarize(pre_read);
     r.postRead = summarize(post_read);
     return r;
-}
-
-void
-printHotspots(std::ostream &os, const AttributionResult &attr,
-              const isa::Program &program, std::size_t topn)
-{
-    std::size_t n = std::min(topn, attr.pcs.size());
-    os << "AVF hotspots (top " << n << " of " << attr.pcs.size()
-       << " PCs by ACE bit-cycles; run ACE total " << attr.totalAce
-       << ")\n";
-    os << std::setw(4) << "#" << "  " << std::setw(10) << "pc"
-       << "  " << std::setw(12) << "ace" << "  " << std::setw(7)
-       << "share%" << "  " << std::setw(7) << "cum%" << "  "
-       << std::setw(6) << "incs" << "  " << std::setw(8) << "cycles"
-       << "  disassembly\n";
-
-    double cum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const PcAttribution &pc = attr.pcs[i];
-        double share = attr.aceShare(pc) * 100.0;
-        cum += share;
-        std::ostringstream addr;
-        addr << "0x" << std::hex
-             << isa::Program::indexToAddr(pc.staticIdx);
-        os << std::setw(4) << i + 1 << "  " << std::setw(10)
-           << addr.str() << "  " << std::setw(12) << pc.ace << "  "
-           << std::setw(7) << std::fixed << std::setprecision(2)
-           << share << "  " << std::setw(7) << cum << "  "
-           << std::setw(6) << pc.incarnations << "  " << std::setw(8)
-           << pc.residencyCycles << "  "
-           << program.inst(pc.staticIdx).toString() << "\n";
-        os.unsetf(std::ios::fixed);
-        os << std::setprecision(6);
-    }
-    os << "residency lifetime (cycles): p50 " << attr.lifetime.p50
-       << "  p90 " << attr.lifetime.p90 << "  p99 "
-       << attr.lifetime.p99 << "  over " << attr.lifetime.count
-       << " residencies\n";
-}
-
-void
-writeHotspotCsv(std::ostream &os, const AttributionResult &attr,
-                const isa::Program &program, std::size_t topn)
-{
-    os << "rank,pc,static_idx,ace_bit_cycles,ace_share,"
-          "cum_ace_share,un_ace_read,ex_ace,squashed_unread,"
-          "incarnations,committed,residency_cycles,disassembly\n";
-    std::size_t n = std::min(topn, attr.pcs.size());
-    double cum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const PcAttribution &pc = attr.pcs[i];
-        double share = attr.aceShare(pc);
-        cum += share;
-        os << i + 1 << ",0x" << std::hex
-           << isa::Program::indexToAddr(pc.staticIdx) << std::dec
-           << "," << pc.staticIdx << "," << pc.ace << "," << share
-           << "," << cum << "," << pc.unAceRead << "," << pc.exAce
-           << "," << pc.squashedUnread << "," << pc.incarnations
-           << "," << pc.committedIncs << "," << pc.residencyCycles
-           << ",\"" << program.inst(pc.staticIdx).toString()
-           << "\"\n";
-    }
 }
 
 } // namespace avf

@@ -26,7 +26,6 @@
 #define SER_AVF_ATTRIBUTION_HH
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "avf/avf.hh"
@@ -99,18 +98,6 @@ struct AttributionResult
 /** Fold a run's trace + deadness labels into per-PC attribution. */
 AttributionResult attributeAvf(const cpu::SimTrace &trace,
                                const DeadnessResult &deadness);
-
-/**
- * Print the top-N AVF hotspot table: rank, PC, disassembly, ACE
- * bit-cycles, share of the run's ACE total and cumulative share.
- * The program must be the one the trace ran.
- */
-void printHotspots(std::ostream &os, const AttributionResult &attr,
-                   const isa::Program &program, std::size_t topn);
-
-/** The same table as CSV (one header line, then one row per PC). */
-void writeHotspotCsv(std::ostream &os, const AttributionResult &attr,
-                     const isa::Program &program, std::size_t topn);
 
 } // namespace avf
 } // namespace ser

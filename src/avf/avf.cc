@@ -44,15 +44,6 @@ AvfResult::unAceReadTotal() const
     return total;
 }
 
-double
-AvfResult::unreadUnAceFraction() const
-{
-    std::uint64_t total = 0;
-    for (int i = 0; i < numUnAceSources; ++i)
-        total += unAceUnread[i];
-    return frac(total);
-}
-
 std::string
 AvfResult::summary() const
 {
@@ -675,6 +666,55 @@ foldAvx2(const ColumnView &v, std::size_t total, std::uint64_t wlo,
 
 #endif // x86-64 SIMD fold
 
+/**
+ * Fill r.epochs: the occupied, ACE and read un-ACE bit-cycles of
+ * every incarnation spread over the epoch grid, each interval in
+ * proportion to the cycles it spends in each epoch. Only interval-
+ * telemetry runs ask for it, so it walks the records one at a time
+ * through classifyIncarnation; the totals come from the fold.
+ */
+void
+binEpochs(const cpu::SimTrace &trace, const DeadnessResult &deadness,
+          const StaticClassTable &table, std::uint64_t epoch_cycles,
+          AvfResult &r)
+{
+    const std::uint64_t wlo = trace.startCycle;
+    const std::uint64_t whi = trace.endCycle;
+    const std::uint64_t n = (r.windowCycles + epoch_cycles - 1) /
+                            epoch_cycles;
+    r.epochs.resize(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        r.epochs[i].startCycle = wlo + i * epoch_cycles;
+        r.epochs[i].cycles =
+            std::min(epoch_cycles, whi - r.epochs[i].startCycle);
+    }
+
+    auto spread = [&](std::uint64_t lo, std::uint64_t hi,
+                      std::uint64_t bits_per_cycle,
+                      std::uint64_t EpochAce::*field) {
+        if (!bits_per_cycle || hi <= lo)
+            return;
+        for (auto e = static_cast<std::size_t>((lo - wlo) / epoch_cycles);
+             e < r.epochs.size(); ++e) {
+            EpochAce &ep = r.epochs[e];
+            if (ep.startCycle >= hi)
+                break;
+            ep.*field += (std::min(hi, ep.startCycle + ep.cycles) -
+                          std::max(lo, ep.startCycle)) *
+                         bits_per_cycle;
+        }
+    };
+
+    for (const auto &inc : trace.incarnations) {
+        const IncarnationClass c =
+            classifyIncarnation(trace, deadness, inc, table);
+        spread(c.preLo, c.preHi, payloadBits, &EpochAce::occupied);
+        spread(c.postLo, c.postHi, payloadBits, &EpochAce::occupied);
+        spread(c.preLo, c.preHi, c.aceRate, &EpochAce::ace);
+        spread(c.preLo, c.preHi, c.unAceReadRate, &EpochAce::unAceRead);
+    }
+}
+
 } // namespace
 
 AvfResult
@@ -696,92 +736,17 @@ computeAvf(const cpu::SimTrace &trace, const DeadnessResult &deadness,
         static_cast<std::uint64_t>(trace.iqEntries) * payloadBits *
         r.windowCycles;
 
-    if (epoch_cycles && r.windowCycles) {
-        std::uint64_t n =
-            (r.windowCycles + epoch_cycles - 1) / epoch_cycles;
-        r.epochs.resize(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            r.epochs[i].startCycle = wlo + i * epoch_cycles;
-            r.epochs[i].cycles =
-                std::min(epoch_cycles, whi - r.epochs[i].startCycle);
-        }
-    }
-
-    // Spread an interval's per-cycle bit rate across the epochs it
-    // overlaps (no-op when epoch binning is off).
-    auto spread = [&](const Interval &iv,
-                      std::uint64_t bits_per_cycle,
-                      std::uint64_t EpochAce::*field) {
-        if (r.epochs.empty() || !bits_per_cycle || iv.hi <= iv.lo)
-            return;
-        std::size_t first =
-            static_cast<std::size_t>((iv.lo - wlo) / epoch_cycles);
-        for (std::size_t e = first; e < r.epochs.size(); ++e) {
-            EpochAce &ep = r.epochs[e];
-            if (ep.startCycle >= iv.hi)
-                break;
-            std::uint64_t ov =
-                std::min(iv.hi, ep.startCycle + ep.cycles) -
-                std::max(iv.lo, ep.startCycle);
-            ep.*field += ov * bits_per_cycle;
-        }
-    };
-
     const StaticClassTable table =
         buildStaticClassTable(*trace.program);
 
-    if (!r.epochs.empty()) {
-        // Epoch-binned fold (cold path: only interval-telemetry runs
-        // bin): the straightforward per-incarnation walk, unchanged.
-        std::uint64_t occupied = 0;
-        for (const auto &inc : trace.incarnations) {
-            IncarnationClass c =
-                classifyIncarnation(trace, deadness, inc, table);
-            Interval pre_iv{c.preLo, c.preHi};
-            Interval post_iv{c.postLo, c.postHi};
-            const std::uint64_t pre = c.preCycles();
-            const std::uint64_t post = c.postCycles();
-
-            occupied += (pre + post) * payloadBits;
-            spread(pre_iv, payloadBits, &EpochAce::occupied);
-            spread(post_iv, payloadBits, &EpochAce::occupied);
-
-            if (!c.issued) {
-                r.squashedUnread += pre * payloadBits;
-                continue;
-            }
-
-            r.exAce += post * payloadBits;
-            if (pre == 0)
-                continue;
-
-            r.ace += pre * c.aceRate;
-            r.aceRefined += pre * c.aceRefinedRate;
-            if (c.unAceReadRate)
-                r.unAceRead[static_cast<int>(c.source)] +=
-                    pre * c.unAceReadRate;
-            if (c.fddRegExposure)
-                r.fddRegExposures.push_back(
-                    {pre * c.unAceReadRate, c.overwriteDist});
-
-            spread(pre_iv, c.aceRate, &EpochAce::ace);
-            spread(pre_iv, c.unAceReadRate, &EpochAce::unAceRead);
-        }
-        if (occupied > r.totalBitCycles)
-            SER_PANIC("avf: occupied bit-cycles {} exceed total {}",
-                      occupied, r.totalBitCycles);
-        r.idle = r.totalBitCycles - occupied;
-        return r;
-    }
-
-    // Hot fold. Every per-cycle bit rate is a per-class constant
+    // The fold. Every per-cycle bit rate is a per-class constant
     // (the one exception, a Live def's refined rate, rides along as
     // its own multiply-accumulate), so instead of multiplying rates
     // into every incarnation the loop accumulates per-class resident
     // cycle sums and multiplies the rates in exactly once at the
     // end. u64 multiplication distributes over addition, so the
     // totals are bit-identical to the per-incarnation fold — the
-    // avf_reference_fold property test pins this equivalence. The
+    // ReferenceFold property test pins this equivalence. The
     // loop is unrolled four-wide with independent accumulator banks
     // to break the store-to-load dependence through preSum[].
     const ColumnView view(trace.incarnations);
@@ -882,6 +847,9 @@ computeAvf(const cpu::SimTrace &trace, const DeadnessResult &deadness,
         SER_PANIC("avf: occupied bit-cycles {} exceed total {}",
                   occupied, r.totalBitCycles);
     r.idle = r.totalBitCycles - occupied;
+
+    if (epoch_cycles && r.windowCycles)
+        binEpochs(trace, deadness, table, epoch_cycles, r);
     return r;
 }
 

@@ -111,8 +111,6 @@ struct AvfResult
 
     /** Read (parity-detectable) un-ACE bit-cycles by source. */
     std::uint64_t unAceRead[numUnAceSources] = {};
-    /** Never-read un-ACE bit-cycles by source (no DUE, no SDC). */
-    std::uint64_t unAceUnread[numUnAceSources] = {};
 
     /** Exposure records of read FDD-via-register bits (PET study). */
     std::vector<FddExposure> fddRegExposures;
@@ -161,10 +159,8 @@ struct AvfResult
     /** Valid-but-un-ACE fraction (the paper's "valid un-ACE"). */
     double validUnAceFraction() const
     {
-        return frac(unAceReadTotal()) + frac(squashedUnread) +
-               unreadUnAceFraction();
+        return frac(unAceReadTotal()) + frac(squashedUnread);
     }
-    double unreadUnAceFraction() const;
 
     /** Human-readable summary block. */
     std::string summary() const;

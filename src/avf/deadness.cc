@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "avf/range_min.hh"
+#include "sim/flat_hash.hh"
 #include "sim/logging.hh"
 #include "sim/prof.hh"
 
@@ -39,98 +40,6 @@ struct FutureUse
     /** Some dead reader funnels the value toward memory, so the
      * deadness is only establishable with memory tracking. */
     bool viaMemory = false;
-};
-
-/**
- * Open-addressing map from 8-aligned word address to FutureUse for
- * the backward pass. The pass is the hot loop of analyzeDeadness and
- * std::unordered_map's per-node allocation and pointer chasing
- * dominated it; this table is two flat arrays with tombstone-free
- * linear probing (the pass never erases), a power-of-two capacity,
- * and growth at 0.7 load. Every key is a word address (a multiple of
- * 8 — misaligned accesses are split onto their two covering words
- * before lookup), so the all-ones sentinel can never collide with a
- * real key. Iteration order never matters: the map is only ever
- * probed point-wise, which is what makes the DeadnessResult
- * bit-identical to the unordered_map version.
- */
-class MemState
-{
-  public:
-    /** Reserve for the expected number of distinct touched words.
-     * One word per four commits is generous for the suite
-     * surrogates; the table grows if a trace beats it. */
-    explicit MemState(std::size_t commits)
-    {
-        std::size_t want = commits / 4 + 16;
-        // Clamp the reservation (the table still grows on demand) so
-        // a pathological maxInsts hint cannot balloon the arrays.
-        want = std::min<std::size_t>(want, std::size_t{1} << 22);
-        std::size_t cap = 64;
-        while (cap < want * 2)
-            cap <<= 1;
-        _keys.assign(cap, emptyKey);
-        _vals.assign(cap, FutureUse{});
-        _mask = cap - 1;
-    }
-
-    FutureUse &
-    operator[](std::uint64_t word)
-    {
-        std::size_t i = probe(word);
-        if (_keys[i] != word) {
-            if ((_size + 1) * 10 > (_mask + 1) * 7) {
-                grow();
-                i = probe(word);
-            }
-            _keys[i] = word;
-            ++_size;
-        }
-        return _vals[i];
-    }
-
-  private:
-    static constexpr std::uint64_t emptyKey = ~std::uint64_t{0};
-
-    /** Slot holding 'word', or the empty slot where it belongs. */
-    std::size_t
-    probe(std::uint64_t word) const
-    {
-        // Finalizer-style mix: word addresses share their low zero
-        // bits and cluster by stack/heap region, so a plain mask
-        // would probe long runs.
-        std::uint64_t h = word;
-        h ^= h >> 33;
-        h *= 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-        std::size_t i = static_cast<std::size_t>(h) & _mask;
-        while (_keys[i] != word && _keys[i] != emptyKey)
-            i = (i + 1) & _mask;
-        return i;
-    }
-
-    void
-    grow()
-    {
-        std::vector<std::uint64_t> old_keys = std::move(_keys);
-        std::vector<FutureUse> old_vals = std::move(_vals);
-        std::size_t cap = (_mask + 1) * 2;
-        _keys.assign(cap, emptyKey);
-        _vals.assign(cap, FutureUse{});
-        _mask = cap - 1;
-        for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (old_keys[i] == emptyKey)
-                continue;
-            std::size_t j = probe(old_keys[i]);
-            _keys[j] = old_keys[i];
-            _vals[j] = old_vals[i];
-        }
-    }
-
-    std::vector<std::uint64_t> _keys;
-    std::vector<FutureUse> _vals;
-    std::size_t _mask = 0;
-    std::size_t _size = 0;
 };
 
 bool
@@ -194,7 +103,15 @@ analyzeDeadness(const cpu::SimTrace &trace)
     std::vector<FutureUse> int_state(isa::numIntRegs);
     std::vector<FutureUse> fp_state(isa::numFpRegs);
     std::vector<FutureUse> pred_state(isa::numPredRegs);
-    MemState mem_state(trace.commits.size());
+    // Word address -> FutureUse. Every key is a multiple of 8
+    // (misaligned accesses split onto their two covering words), so
+    // it never meets the map's all-ones sentinel, and the map is only
+    // probed point-wise, so its layout cannot reach the result. One
+    // word per four commits is generous for the suite surrogates (the
+    // map grows past it); the clamp keeps a huge maxInsts hint from
+    // ballooning the table.
+    sim::FlatHashMap<FutureUse> mem_state(std::min<std::size_t>(
+        n / 4 + 16, std::size_t{1} << 22));
 
     const bool complete = trace.programHalted;
 

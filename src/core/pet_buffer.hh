@@ -66,9 +66,6 @@ class PetBuffer : public statistics::StatGroup
      * @param size buffer capacity in retired instructions
      * @param track_memory also prove dead stores (Figure 3's
      *        FDD-via-memory series); base design covers registers
-     * @param include_returns kept for symmetry with the analytical
-     *        study: the operational scan naturally covers
-     *        return-established FDDs if the overwrite is in window
      */
     explicit PetBuffer(std::size_t size, bool track_memory = false,
                        statistics::StatGroup *parent = nullptr);

@@ -90,9 +90,6 @@ struct PipelineParams
     unsigned latFpDiv = 16;
     unsigned latFpCvt = 4;
 
-    /** Nominal clock (GHz), used only for MTTF <-> MITF scaling. */
-    double frequencyGhz = 2.5;
-
     /** Stop fetching new (oracle) instructions after this many. */
     std::uint64_t maxInsts = 1'000'000;
 

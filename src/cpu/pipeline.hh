@@ -105,9 +105,6 @@ class InOrderPipeline : public statistics::StatGroup
     /** Run to completion and return the analysis trace. */
     SimTrace run();
 
-    std::uint64_t cycle() const { return _cycle; }
-    std::uint64_t committed() const { return _committedTotal; }
-
     /** Most arena ids simultaneously live (must stay within the
      * reserved front-end + queue bound; reported in the manifest). */
     std::size_t poolHighWater() const { return _arena.highWater(); }
@@ -123,7 +120,6 @@ class InOrderPipeline : public statistics::StatGroup
      * exceeded, which would indicate a leak). */
     std::size_t poolCapacity() const { return _arena.capacity(); }
 
-    const memory::CacheHierarchy &dcache() const { return *_dcache; }
     const isa::ArchState &archState() const
     {
         return _oracle->state();

@@ -40,14 +40,13 @@ printUsage(const char *argv0, const std::string &usage)
               << "  --topn N         per-PC AVF attribution: print "
                  "the top-N hotspot table\n"
               << "  --jobs N         suite-sweep worker threads "
-                 "(default: SER_JOBS or 1; output is identical "
-                 "for any N)\n"
+                 "(default 1; output is identical for any N)\n"
               << "  --no-run-cache   disable the memoized run cache "
                  "(re-simulate every sweep point;\n"
                  "                   output is byte-identical either "
                  "way)\n"
               << "  --cache-dir DIR  persistent disk tier for the "
-                 "run cache (or SER_CACHE_DIR):\n"
+                 "run cache:\n"
                  "                   artifact blobs under DIR survive "
                  "the process, so repeated\n"
                  "                   sweeps skip simulation; output "
@@ -114,7 +113,6 @@ BenchOptions
 BenchOptions::parse(int argc, char **argv, const std::string &usage)
 {
     BenchOptions opts;
-    bool jobs_given = false;
     std::string cache_dir;
     std::string metrics_out;
     for (int i = 1; i < argc; ++i) {
@@ -159,7 +157,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             opts.jobs = parseJobs(
                 std::string(argv[0]) + ": --jobs",
                 optionValue(argc, argv, i, "--jobs", token));
-            jobs_given = true;
         } else if (token == "--no-run-cache") {
             RunCache::instance().setEnabled(false);
         } else if (token == "--cache-dir" ||
@@ -195,17 +192,6 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             // key=value override.
             opts.config.parseAssignment(token);
         }
-    }
-    // Without an explicit --jobs, the SER_JOBS environment variable
-    // decides (default: serial).
-    if (!jobs_given)
-        opts.jobs = defaultJobs();
-    // Without an explicit --cache-dir, SER_CACHE_DIR decides
-    // (default: no disk tier).
-    if (cache_dir.empty()) {
-        const char *env = std::getenv("SER_CACHE_DIR");
-        if (env && *env)
-            cache_dir = env;
     }
     if (!cache_dir.empty())
         DiskCache::instance().setDirectory(cache_dir,

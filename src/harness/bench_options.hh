@@ -16,17 +16,17 @@
  *                    run of the sweep
  *   --topn N         compute per-PC AVF attribution and print the
  *                    top-N hotspot table per run
- *   --jobs N         run suite sweeps on N worker threads (same as
- *                    SER_JOBS; default 1 = serial). Output is
- *                    byte-identical for any N.
+ *   --jobs N         run suite sweeps on N worker threads (default
+ *                    1 = serial). Output is byte-identical for any
+ *                    N.
  *   --no-run-cache   disable the memoized run cache (sweep points
  *                    re-simulate instead of sharing artifacts;
  *                    output is byte-identical either way)
- *   --cache-dir DIR  persistent disk tier for the run cache (same
- *                    as SER_CACHE_DIR): content-addressed artifact
- *                    blobs under DIR survive the process, so a
- *                    repeated sweep skips simulation entirely;
- *                    output is byte-identical cold or warm
+ *   --cache-dir DIR  persistent disk tier for the run cache:
+ *                    content-addressed artifact blobs under DIR
+ *                    survive the process, so a repeated sweep skips
+ *                    simulation entirely; output is byte-identical
+ *                    cold or warm
  *   --no-cycle-skip  disable event-driven idle-cycle fast-forward
  *                    in the timing pipeline (tick every cycle;
  *                    output is byte-identical either way)
@@ -74,8 +74,8 @@ struct BenchOptions
     std::string traceEventsPath; ///< --trace-events F; empty = off
     std::uint32_t topn = 0;      ///< --topn N; 0 = off
 
-    /** Suite-sweep worker threads: --jobs N, else SER_JOBS, else 1
-     * (serial). Always >= 1 after parse(). */
+    /** Suite-sweep worker threads: --jobs N, else 1 (serial).
+     * Always >= 1 after parse(). */
     unsigned jobs = 1;
 
     /** --convergence-out F; empty = off. BenchOutput::finish writes
@@ -94,7 +94,7 @@ struct BenchOptions
      * unknown --option or a malformed value. 'usage' is the one-line
      * binary description shown by --help. The process-wide options
      * set their singleton here and have no field: --no-run-cache
-     * (RunCache), --cache-dir or SER_CACHE_DIR (DiskCache),
+     * (RunCache), --cache-dir (DiskCache),
      * --no-cycle-skip (the PipelineParams default) and --metrics-out
      * (armMetricsOut: sim::prof, an atexit and a SIGINT/SIGTERM
      * snapshot).

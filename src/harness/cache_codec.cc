@@ -425,8 +425,6 @@ encodeAvf(const avf::AvfResult &result)
     e.u64(result.aceRefined);
     for (int s = 0; s < avf::numUnAceSources; ++s)
         e.u64(result.unAceRead[s]);
-    for (int s = 0; s < avf::numUnAceSources; ++s)
-        e.u64(result.unAceUnread[s]);
     e.u64(result.fddRegExposures.size());
     for (const auto &exp : result.fddRegExposures) {
         e.u64(exp.bitCycles);
@@ -451,8 +449,6 @@ decodeAvf(const void *data, std::size_t len, avf::AvfResult *out)
     out->aceRefined = d.u64();
     for (int s = 0; s < avf::numUnAceSources; ++s)
         out->unAceRead[s] = d.u64();
-    for (int s = 0; s < avf::numUnAceSources; ++s)
-        out->unAceUnread[s] = d.u64();
     std::uint64_t exposures = d.count(12);
     out->fddRegExposures.reserve(
         static_cast<std::size_t>(d.ok() ? exposures : 0));

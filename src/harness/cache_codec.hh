@@ -46,7 +46,7 @@ namespace codec
 {
 
 /** Bump on any change to the serialized shape of the types below. */
-constexpr std::uint32_t kSchemaVersion = 3;
+constexpr std::uint32_t kSchemaVersion = 4;
 
 std::string encodeSimProducts(const SimProducts &products);
 std::string encodeDeadness(const avf::DeadnessResult &result);

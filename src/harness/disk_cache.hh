@@ -1,7 +1,7 @@
 /**
  * @file
  * The persistent tier of the RunCache: a content-addressed blob
- * store under --cache-dir / SER_CACHE_DIR.
+ * store under --cache-dir.
  *
  * Each cached artifact is one file,
  *
@@ -39,8 +39,8 @@
  *    is preserved for inspection.
  *
  * The singleton is disabled until setDirectory() is called with a
- * non-empty path (BenchOptions wires --cache-dir / SER_CACHE_DIR to
- * it). All methods are thread-safe.
+ * non-empty path (BenchOptions wires --cache-dir to it). All methods
+ * are thread-safe.
  */
 
 #ifndef SER_HARNESS_DISK_CACHE_HH

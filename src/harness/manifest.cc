@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "avf/attribution.hh"
 #include "core/tracking.hh"
@@ -380,6 +381,37 @@ writeTraceEventsFile(const std::string &path,
 
 } // namespace
 
+Table
+hotspotTable(const RunArtifacts &run, std::size_t topn)
+{
+    const avf::AttributionResult &attr = run.attribution;
+    Table table({"rank", "pc", "static_idx", "ace_bit_cycles",
+                 "ace_share", "cum_ace_share", "un_ace_read", "ex_ace",
+                 "squashed_unread", "incarnations", "committed",
+                 "residency_cycles", "disassembly"});
+    const std::size_t n = std::min(topn, attr.pcs.size());
+    double cum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const avf::PcAttribution &pc = attr.pcs[i];
+        const double share = attr.aceShare(pc);
+        cum += share;
+        std::ostringstream addr;
+        addr << "0x" << std::hex
+             << isa::Program::indexToAddr(pc.staticIdx);
+        table.addRow({std::to_string(i + 1), addr.str(),
+                      std::to_string(pc.staticIdx),
+                      std::to_string(pc.ace), Table::fmt(share, 4),
+                      Table::fmt(cum, 4), std::to_string(pc.unAceRead),
+                      std::to_string(pc.exAce),
+                      std::to_string(pc.squashedUnread),
+                      std::to_string(pc.incarnations),
+                      std::to_string(pc.committedIncs),
+                      std::to_string(pc.residencyCycles),
+                      run.program->inst(pc.staticIdx).toString()});
+    }
+    return table;
+}
+
 ExperimentConfig &
 BenchOutput::stamp(ExperimentConfig &config)
 {
@@ -415,12 +447,20 @@ BenchOutput::finish(const std::vector<RunArtifacts> &runs)
     if (_opts.topn) {
         for (const RunArtifacts &run : runs) {
             printHeading(os, "AVF hotspots: " + run.benchmark);
-            if (_opts.csv)
-                avf::writeHotspotCsv(os, run.attribution,
-                                     *run.program, _opts.topn);
-            else
-                avf::printHotspots(os, run.attribution, *run.program,
-                                   _opts.topn);
+            const Table table = hotspotTable(run, _opts.topn);
+            if (_opts.csv) {
+                table.printCsv(os);
+                continue;
+            }
+            const avf::AttributionResult &attr = run.attribution;
+            os << "top " << table.rows().size() << " of "
+               << attr.pcs.size() << " PCs by ACE bit-cycles; run ACE "
+               << "total " << attr.totalAce << "\n";
+            table.print(os);
+            os << "residency lifetime (cycles): p50 " << attr.lifetime.p50
+               << "  p90 " << attr.lifetime.p90 << "  p99 "
+               << attr.lifetime.p99 << "  over " << attr.lifetime.count
+               << " residencies\n";
         }
     }
     if (!_opts.convergenceOutPath.empty()) {

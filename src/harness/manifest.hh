@@ -43,6 +43,14 @@ namespace harness
 {
 
 /**
+ * The --topn hotspot table of one run: its top-N static PCs by ACE
+ * bit-cycles, in AttributionResult::pcs order, with rank, PC, static
+ * index, every PcAttribution bit-cycle and residency count, the ACE
+ * share and its running sum, and the disassembly.
+ */
+Table hotspotTable(const RunArtifacts &run, std::size_t topn);
+
+/**
  * The one output object of a bench or example main, built from its
  * parsed options (which it reads until finish(), so they must
  * outlive it):
@@ -73,11 +81,13 @@ class BenchOutput
 
     /**
      * The last step of a main, given every run in submission order:
-     * write the merged --trace-events file, print the --topn hotspot
-     * tables, write the --convergence-out series and the --json
-     * manifest. Then warn on stderr about every key=value the main
-     * never read, and about --trace-events / --topn when no run went
-     * through the experiment harness.
+     * write the merged --trace-events file, print each run's --topn
+     * hotspotTable (not recorded in the manifest's tables: its
+     * per-run attribution block holds the same rows), write the
+     * --convergence-out series and the --json manifest. Then warn on
+     * stderr about every key=value the main never read, and about
+     * --trace-events / --topn when no run went through the
+     * experiment harness.
      */
     void finish(const std::vector<RunArtifacts> &runs = {});
 

@@ -36,9 +36,9 @@
  * when two workers race to it. Entries live until clear() or
  * process exit; nothing is evicted.
  *
- * Persistent tier: with `--cache-dir DIR` (or SER_CACHE_DIR), a miss
- * in the process-local map falls through to the content-addressed
- * blob store (harness/disk_cache.hh) before computing, and every
+ * Persistent tier: with `--cache-dir DIR`, a miss in the
+ * process-local map falls through to the content-addressed blob
+ * store (harness/disk_cache.hh) before computing, and every
  * computed value is published back. Warm re-runs of an identical
  * sweep then skip simulation entirely across *processes*. Outputs
  * are byte-identical with the tier cold, warm, or absent.

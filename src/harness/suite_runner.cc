@@ -1,11 +1,9 @@
 #include "suite_runner.hh"
 
-#include <cstdlib>
 #include <limits>
 
 #include "sim/config.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/prof.hh"
 #include "workloads/suite.hh"
 
@@ -22,30 +20,6 @@ parseJobs(const std::string &source, const std::string &text)
         SER_FATAL("{}: bad value '{}' (want a positive integer)",
                   source, text);
     return static_cast<unsigned>(*v);
-}
-
-unsigned
-defaultJobs()
-{
-    static const unsigned jobs = [] {
-        const char *env = std::getenv("SER_JOBS");
-        return env ? parseJobs("SER_JOBS", env) : 1u;
-    }();
-    return jobs;
-}
-
-void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)> &fn)
-{
-    // The worker pool itself lives in sim/parallel (shared with the
-    // campaign engine); this wrapper only adds the SER_JOBS default.
-    ser::parallelFor(n, jobs == 0 ? defaultJobs() : jobs, fn);
-}
-
-SuiteRunner::SuiteRunner(unsigned jobs)
-    : _jobs(jobs == 0 ? defaultJobs() : jobs)
-{
 }
 
 std::size_t

@@ -21,8 +21,7 @@
  *    run's manifest timings include it.
  *
  * The default is serial (`--jobs 1`), overridable per invocation
- * with `--jobs N` or process-wide with the SER_JOBS environment
- * variable.
+ * with `--jobs N`.
  */
 
 #ifndef SER_HARNESS_SUITE_RUNNER_HH
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "sim/parallel.hh"
 #include "workloads/profile.hh"
 
 namespace ser
@@ -43,32 +43,19 @@ namespace ser
 namespace harness
 {
 
-/** A worker count as --jobs and SER_JOBS spell it: a positive
- * decimal integer. Fatal, naming `source`, on anything else. */
+/** A worker count as --jobs spells it: a positive decimal integer.
+ * Fatal, naming `source`, on anything else. */
 unsigned parseJobs(const std::string &source, const std::string &text);
 
-/** The worker count used when a bench is not told otherwise:
- * parseJobs of SER_JOBS from the environment, else 1 (serial — the
- * legacy behaviour). */
-unsigned defaultJobs();
-
-/**
- * Run fn(i) for every i in [0, n) on up to 'jobs' workers (the
- * calling thread is one of them; jobs == 0 means defaultJobs()).
- * fn must be safe to call concurrently for distinct indices. An
- * exception thrown by fn is re-thrown on the calling thread after
- * all workers drain.
- */
-void parallelFor(std::size_t n, unsigned jobs,
-                 const std::function<void(std::size_t)> &fn);
+using ser::parallelFor;
 
 /** Executes queued (benchmark x config) experiments on a worker
  * pool; see the file comment for the determinism guarantees. */
 class SuiteRunner
 {
   public:
-    /** jobs == 0 selects defaultJobs(); 1 runs serially inline. */
-    explicit SuiteRunner(unsigned jobs = 0);
+    /** 0 or 1 runs serially inline. */
+    explicit SuiteRunner(unsigned jobs = 1) : _jobs(jobs) {}
 
     /**
      * Register a surrogate to be built (at most once) when the
@@ -95,8 +82,6 @@ class SuiteRunner
     /** Execute every queued job; results are indexed by submission
      * order. May be called once per runner. */
     std::vector<RunArtifacts> run();
-
-    unsigned jobs() const { return _jobs; }
 
   private:
     /** One surrogate program, built lazily by the first worker that

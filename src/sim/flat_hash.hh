@@ -1,14 +1,14 @@
 /**
  * @file
- * A small open-addressing hash map for the simulator's hot paths.
+ * A small open-addressing hash map for the simulator's hot paths:
+ * the deadness pass's per-word state (avf/deadness.cc), the
+ * architectural page table and the hierarchy's in-flight miss index.
  *
- * Generalizes the flat-table idiom proven out by the deadness pass
- * (avf/deadness.cc MemState): parallel key/value arrays, a
- * murmur-finalizer bit mix, linear probing, and growth at 0.7 load.
- * Keys are 64-bit integers and the all-ones value is reserved as the
- * empty sentinel, which every current user can guarantee by
- * construction (page indices, cache line addresses and word
- * addresses never reach 2^64-1).
+ * Parallel key/value arrays, a murmur-finalizer bit mix, linear
+ * probing, and growth at 0.7 load. Keys are 64-bit integers and the
+ * all-ones value is reserved as the empty sentinel, which every
+ * current user can guarantee by construction (page indices, cache
+ * line addresses and word addresses never reach 2^64-1).
  *
  * Unlike the node-based std::unordered_map this replaces, a probe
  * touches one or two contiguous cache lines and a miss costs no

@@ -6,8 +6,8 @@
  * threads (the calling thread is one of them). It lives in sim/ so
  * layers below the harness (the fault-injection campaign engine
  * shards its Monte-Carlo batches with it) can fan out without a
- * dependency cycle; harness::parallelFor is a thin wrapper that adds
- * the SER_JOBS default resolution.
+ * dependency cycle; the harness re-exports it as
+ * harness::parallelFor.
  *
  * The workers are a fixed thread set for the call; each claims its
  * next index from one shared atomic counter until the range is

@@ -205,8 +205,6 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    const std::string &statName() const { return _name; }
-
     /** Register a statistic (called by StatBase's constructor). */
     void addStat(StatBase *stat);
 

@@ -88,13 +88,6 @@ TEST(ParallelFor, RethrowsWorkerException)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(DefaultJobs, IsAtLeastOne)
-{
-    // SER_JOBS is unset in the test environment, so the compiled-in
-    // serial default applies (the value is cached process-wide).
-    EXPECT_GE(harness::defaultJobs(), 1u);
-}
-
 TEST(BenchOptions, JobsFlagBothSpellings)
 {
     EXPECT_EQ(parseArgs({"--jobs", "3"}).jobs, 3u);
@@ -126,21 +119,21 @@ TEST(BenchOptionsDeathTest, CiTargetMustBeFinite)
                 "bad value 'nan' for --ci-target");
 }
 
-TEST(ParseJobs, SerJobsAndJobsShareOneParser)
+TEST(ParseJobs, AcceptsAPositiveCount)
 {
-    EXPECT_EQ(harness::parseJobs("SER_JOBS", "4"), 4u);
+    EXPECT_EQ(harness::parseJobs("--jobs", "4"), 4u);
 }
 
-TEST(ParseJobsDeathTest, SerJobsRejectsNegativeValues)
+TEST(ParseJobsDeathTest, RejectsNegativeAndOversizedValues)
 {
-    // Read as 4294967295 by strtoul, SER_JOBS=-1 would ask every
+    // Read as 4294967295 by strtoul, --jobs=-1 would ask every
     // campaign batch for thousands of threads.
-    EXPECT_EXIT(harness::parseJobs("SER_JOBS", "-1"),
+    EXPECT_EXIT(harness::parseJobs("--jobs", "-1"),
                 testing::ExitedWithCode(1),
-                "SER_JOBS: bad value '-1' \\(want a positive "
+                "--jobs: bad value '-1' \\(want a positive "
                 "integer\\)");
-    EXPECT_EXIT(harness::parseJobs("SER_JOBS", "4294967296"),
-                testing::ExitedWithCode(1), "SER_JOBS");
+    EXPECT_EXIT(harness::parseJobs("--jobs", "4294967296"),
+                testing::ExitedWithCode(1), "--jobs");
 }
 
 TEST(BenchOptionsDeathTest, UnknownOptionsAreFatal)

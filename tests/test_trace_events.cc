@@ -5,11 +5,13 @@
  * in-tree parser, matched B/E pairs, per-track monotonic timestamps,
  * fragment merging), and the attribution fold — both on a hand-built
  * trace with known answers and against the AVF fold's totals on a
- * real pipeline run.
+ * real pipeline run — and the --topn hotspot table it prints.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "avf/avf.hh"
 #include "avf/deadness.hh"
 #include "cpu/pipeline.hh"
+#include "harness/manifest.hh"
 #include "isa/assembler.hh"
 #include "sim/json.hh"
 #include "sim/trace_event.hh"
@@ -283,13 +286,48 @@ TEST(Attribution, TotalsMatchAvfFoldOnRealRun)
     }
     EXPECT_NEAR(share_sum, 1.0, 1e-9);
 
-    // The hotspot table renders every requested row.
-    std::ostringstream os;
-    avf::printHotspots(os, attr, a.program, 5);
-    EXPECT_NE(os.str().find("#"), std::string::npos);
-    EXPECT_NE(os.str().find("p99"), std::string::npos);
-    std::ostringstream csv;
-    avf::writeHotspotCsv(csv, attr, a.program, 5);
-    EXPECT_NE(csv.str().find("rank,pc,static_idx"),
-              std::string::npos);
+    // The --topn hotspot table: one row per requested PC, in
+    // ranking order, under its 13 columns.
+    harness::RunArtifacts run;
+    run.benchmark = "loop";
+    run.program = std::make_shared<const isa::Program>(a.program);
+    run.attribution = attr;
+    const harness::Table table = harness::hotspotTable(run, 5);
+    EXPECT_EQ(table.headers(),
+              (std::vector<std::string>{
+                  "rank", "pc", "static_idx", "ace_bit_cycles",
+                  "ace_share", "cum_ace_share", "un_ace_read",
+                  "ex_ace", "squashed_unread", "incarnations",
+                  "committed", "residency_cycles", "disassembly"}));
+    ASSERT_EQ(table.rows().size(),
+              std::min<std::size_t>(5, attr.pcs.size()));
+    for (std::size_t i = 0; i < table.rows().size(); ++i) {
+        EXPECT_EQ(table.rows()[i][0], std::to_string(i + 1));
+        EXPECT_EQ(table.rows()[i][3], std::to_string(attr.pcs[i].ace));
+    }
+
+    // BenchOutput::finish prints it under a per-run heading; in
+    // aligned mode only, between a summary line and a footer of
+    // residency-lifetime percentiles.
+    for (bool csv : {false, true}) {
+        harness::BenchOptions opts;
+        opts.topn = 5;
+        opts.csv = csv;
+        harness::BenchOutput out(opts);
+        testing::internal::CaptureStdout();
+        out.finish({run});
+        const std::string text = testing::internal::GetCapturedStdout();
+        EXPECT_NE(text.find("==== AVF hotspots: loop ===="),
+                  std::string::npos);
+        EXPECT_EQ(text.find("rank,pc,static_idx,ace_bit_cycles,") !=
+                      std::string::npos,
+                  csv);
+        EXPECT_EQ(text.find(" PCs by ACE bit-cycles; run ACE total ") !=
+                      std::string::npos,
+                  !csv);
+        EXPECT_EQ(text.find("residency lifetime (cycles): p50 ") !=
+                      std::string::npos,
+                  !csv);
+        EXPECT_EQ(text.find(" p99 ") != std::string::npos, !csv);
+    }
 }
