@@ -414,11 +414,13 @@ void
 BM_RunCacheDiskHit(benchmark::State &state)
 {
     // End-to-end harness::runProgram when the in-process map is
-    // empty but every section is on disk: mmap + CRC-64 verify +
-    // codec decode for all four sections, per iteration (the warm
-    // path a second sweep process takes). The
-    // gap to BM_RunProgramCacheHit is the disk tier's decode cost;
-    // the gap to a cold run is what the blob store saves.
+    // empty but every section is on disk, per iteration (the warm
+    // path a second sweep process takes): for each section, mmap +
+    // CRC-64 verify + decode. The sim and deadness decoders check
+    // their columns and view them in the mapping; only the program,
+    // the strings and the small AVF blob are copied. The gap to
+    // BM_RunProgramCacheHit is the disk tier's map, verify and
+    // decode; the gap to a cold run is what the blob store saves.
     char dirTemplate[] = "/tmp/ser_bench_disk_XXXXXX";
     if (!::mkdtemp(dirTemplate)) {
         state.SkipWithError("mkdtemp failed");

@@ -1,6 +1,7 @@
 #include "deadness.hh"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "avf/range_min.hh"
@@ -77,8 +78,8 @@ analyzeDeadness(const cpu::SimTrace &trace)
     scanned.add(n);
 
     DeadnessResult result;
-    result.kind.assign(n, DeadKind::Live);
-    result.overwriteDist.assign(n, noOverwrite);
+    std::vector<DeadKind> kinds(n, DeadKind::Live);
+    std::vector<std::uint32_t> overwrite_dist(n, noOverwrite);
     result.returnFdd.assign(n, false);
     result.numInsts = n;
 
@@ -206,7 +207,7 @@ analyzeDeadness(const cpu::SimTrace &trace)
                     st->allReadersDead = true;
                     st->viaMemory = false;
                 }
-                result.overwriteDist[idx] = dist;
+                overwrite_dist[idx] = dist;
             } else if (inst.isStore()) {
                 ++result.numDefs;
                 std::uint32_t dist = noOverwrite;
@@ -226,12 +227,12 @@ analyzeDeadness(const cpu::SimTrace &trace)
                     ms.hasReader = false;
                     ms.allReadersDead = true;
                     ms.viaMemory = false;
-                    result.overwriteDist[idx] = dist;
+                    overwrite_dist[idx] = dist;
                 }
             }
         }
 
-        result.kind[idx] = kind;
+        kinds[idx] = kind;
         switch (kind) {
           case DeadKind::FddReg: ++result.numFddReg; break;
           case DeadKind::TddReg: ++result.numTddReg; break;
@@ -312,6 +313,8 @@ analyzeDeadness(const cpu::SimTrace &trace)
         }
     }
 
+    result.kind = std::move(kinds);
+    result.overwriteDist = std::move(overwrite_dist);
     return result;
 }
 

@@ -36,6 +36,7 @@
 
 #include "cpu/trace.hh"
 #include "isa/program.hh"
+#include "sim/column.hh"
 
 namespace ser
 {
@@ -57,16 +58,17 @@ const char *deadKindName(DeadKind kind);
 /** No overwrite in the trace (dead-at-end defs). */
 constexpr std::uint32_t noOverwrite = ~0u;
 
-/** Per-commit-index classification. */
+/** Per-commit-index classification. The two bulk columns are
+ * immutable sim::Columns, like the trace's (cpu/trace.hh). */
 struct DeadnessResult
 {
-    std::vector<DeadKind> kind;
+    sim::Column<DeadKind> kind;
 
     /** For dead register defs: distance (in committed instructions)
      * to the overwriting write, for PET-buffer coverage; noOverwrite
      * if the def simply dies at program end. Same for dead stores
      * (distance to the overwriting store). */
-    std::vector<std::uint32_t> overwriteDist;
+    sim::Column<std::uint32_t> overwriteDist;
 
     /** FDD-via-register defs whose death crosses a procedure return
      * (the defining frame is exited before the overwrite). */

@@ -123,8 +123,8 @@ InOrderPipeline::InOrderPipeline(const isa::Program &program,
     // headroom for replays and wrong-path fetches.
     const std::uint64_t hint =
         std::min<std::uint64_t>(_params.maxInsts, 4'000'000);
-    _trace.commits.reserve(hint);
-    _trace.incarnations.reserve(2 * hint);
+    _commits.reserve(hint);
+    _incarnations.reserve(2 * hint);
 }
 
 InOrderPipeline::~InOrderPipeline() = default;
@@ -298,6 +298,8 @@ InOrderPipeline::run()
 
     _trace.startCycle = _windowStart;
     _trace.endCycle = _cycle;
+    _trace.commits = std::move(_commits);
+    _trace.incarnations = std::move(_incarnations);
     return std::move(_trace);
 }
 
@@ -450,7 +452,7 @@ InOrderPipeline::finalizeIncarnation(InstId id,
     else if (!(f & diQpTrue))
         flags |= incPredFalse;
     rec.flags = flags;
-    _trace.incarnations.push_back(rec);
+    _incarnations.push_back(rec);
 
     if (SER_UNLIKELY(_tw != nullptr))
         traceIncarnation(id, rec, extra_flags, evict_cycle);
@@ -990,7 +992,7 @@ InOrderPipeline::fetchOracle(bool &taken_break)
                   !si.inst.isPrefetch())
                      ? si.memAddr
                      : 0;
-    _trace.commits.push_back(cr);
+    _commits.push_back(cr);
 
     if (term == isa::Termination::Halted) {
         _doneFetching = true;
@@ -1073,7 +1075,7 @@ InOrderPipeline::fetch()
             di = fetchReplay(taken_break);
         } else {
             if (_doneFetching ||
-                _trace.commits.size() >= _params.maxInsts) {
+                _commits.size() >= _params.maxInsts) {
                 _doneFetching = true;
                 break;
             }

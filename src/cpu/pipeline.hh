@@ -245,7 +245,11 @@ class InOrderPipeline : public statistics::StatGroup
     std::array<const std::uint64_t *, 4> _readyByClass{};
 
     // --- results ---
+    /** The scalars of the trace run() returns; its columns grow in
+     * the two plain vectors below and are handed over at the end. */
     SimTrace _trace;
+    std::vector<CommitRecord> _commits;
+    IncarnationLog _incarnations;
     std::uint64_t _cyclesSkipped = 0;
     std::uint64_t _committedTotal = 0;
     std::uint64_t _windowStart = 0;

@@ -10,7 +10,9 @@
  * reference [18].
  *
  * Records are packed structs: a multi-million-instruction run keeps
- * tens of MB of trace, so every byte matters.
+ * tens of MB of trace, so every byte matters. A finished trace is
+ * immutable: its bulk columns are sim::Columns, adopted from the
+ * vectors the pipeline appended to, or viewed in a disk-tier blob.
  */
 
 #ifndef SER_CPU_TRACE_HH
@@ -19,9 +21,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "isa/program.hh"
+#include "sim/column.hh"
 
 namespace ser
 {
@@ -58,24 +63,12 @@ static constexpr std::uint32_t noCycle32 = ~0u;
 static constexpr std::uint32_t noSeq32 = ~0u;
 
 /**
- * Structure-of-arrays storage of the incarnation records.
- *
- * The AVF fold streams every record and touches almost every field;
- * keeping each field in its own contiguous column lets that fold run
- * as wide batch passes (SIMD where available) instead of a per-struct
- * walk, and analyses that need only a field or two (residency
- * indexing by entry, per-PC attribution) stop dragging the rest of
- * the struct through the cache.
- *
- * The row type is still IncarnationRecord: push_back() scatters one
- * into the columns and operator[] / the iterator gather one back out,
- * so record-at-a-time consumers read exactly as before — they just
- * receive rows by value. Columns are public on purpose: batch passes
- * bind raw pointers to them.
+ * The growable form of IncarnationColumns: the pipeline (and any
+ * test that hand-builds a trace) appends rows here, one push_back
+ * per row, then moves the whole log into a trace's columns.
  */
-class IncarnationColumns
+struct IncarnationLog
 {
-  public:
     std::vector<std::uint32_t> staticIdx;
     std::vector<std::uint32_t> oracleSeq;
     std::vector<std::uint32_t> enqueueCycle;
@@ -83,9 +76,6 @@ class IncarnationColumns
     std::vector<std::uint32_t> evictCycle;
     std::vector<std::uint16_t> iqEntry;
     std::vector<std::uint8_t> flags;
-
-    std::size_t size() const { return flags.size(); }
-    bool empty() const { return flags.empty(); }
 
     void reserve(std::size_t n)
     {
@@ -98,17 +88,6 @@ class IncarnationColumns
         flags.reserve(n);
     }
 
-    void clear()
-    {
-        staticIdx.clear();
-        oracleSeq.clear();
-        enqueueCycle.clear();
-        issueCycle.clear();
-        evictCycle.clear();
-        iqEntry.clear();
-        flags.clear();
-    }
-
     void push_back(const IncarnationRecord &r)
     {
         staticIdx.push_back(r.staticIdx);
@@ -119,6 +98,51 @@ class IncarnationColumns
         iqEntry.push_back(r.iqEntry);
         flags.push_back(r.flags);
     }
+};
+
+/**
+ * Structure-of-arrays storage of the incarnation records.
+ *
+ * The AVF fold streams every record and touches almost every field;
+ * keeping each field in its own contiguous column lets that fold run
+ * as wide batch passes (SIMD where available) instead of a per-struct
+ * walk, and analyses that need only a field or two (residency
+ * indexing by entry, per-PC attribution) stop dragging the rest of
+ * the struct through the cache.
+ *
+ * The columns are immutable sim::Columns: adopted from an
+ * IncarnationLog, or viewed in place in a disk-tier blob. The row
+ * type is still IncarnationRecord: operator[] / the iterator gather
+ * one row back out, so record-at-a-time consumers receive rows by
+ * value. Columns are public on purpose: batch passes bind raw
+ * pointers to them.
+ */
+class IncarnationColumns
+{
+  public:
+    sim::Column<std::uint32_t> staticIdx;
+    sim::Column<std::uint32_t> oracleSeq;
+    sim::Column<std::uint32_t> enqueueCycle;
+    sim::Column<std::uint32_t> issueCycle;
+    sim::Column<std::uint32_t> evictCycle;
+    sim::Column<std::uint16_t> iqEntry;
+    sim::Column<std::uint8_t> flags;
+
+    IncarnationColumns() = default;
+
+    /** Adopt a finished log's vectors. */
+    IncarnationColumns(IncarnationLog &&log)
+        : staticIdx(std::move(log.staticIdx)),
+          oracleSeq(std::move(log.oracleSeq)),
+          enqueueCycle(std::move(log.enqueueCycle)),
+          issueCycle(std::move(log.issueCycle)),
+          evictCycle(std::move(log.evictCycle)),
+          iqEntry(std::move(log.iqEntry)), flags(std::move(log.flags))
+    {
+    }
+
+    std::size_t size() const { return flags.size(); }
+    bool empty() const { return flags.empty(); }
 
     /** Gather row i back into a record (by value). */
     IncarnationRecord operator[](std::size_t i) const
@@ -174,20 +198,38 @@ class IncarnationColumns
     const_iterator end() const { return {this, size()}; }
 };
 
-/** One committed (oracle-order) instruction. */
+/**
+ * One committed (oracle-order) instruction. The three pad bytes are
+ * explicit and always zero, so a record has no indeterminate bytes
+ * and a commit stream is stored and viewed as one flat column
+ * (harness/cache_codec.hh). The constructor keeps `{idx, qp, addr}`
+ * from brace-eliding the address into the pad.
+ */
 struct CommitRecord
 {
-    std::uint32_t staticIdx;
-    std::uint8_t qpTrue;
-    std::uint64_t memAddr;  ///< loads/stores with qpTrue; else 0
+    CommitRecord() = default;
+    CommitRecord(std::uint32_t static_idx, std::uint8_t qp_true,
+                 std::uint64_t mem_addr)
+        : staticIdx(static_idx), qpTrue(qp_true), memAddr(mem_addr)
+    {
+    }
+
+    std::uint32_t staticIdx = 0;
+    std::uint8_t qpTrue = 0;
+    std::uint8_t pad[3] = {};
+    std::uint64_t memAddr = 0;  ///< loads/stores with qpTrue; else 0
 };
+static_assert(sizeof(CommitRecord) == 16 &&
+                  std::has_unique_object_representations_v<
+                      CommitRecord>,
+              "CommitRecord must stay a padding-free 16-byte record");
 
 /** Everything a run leaves behind for analysis. */
 struct SimTrace
 {
     const isa::Program *program = nullptr;
 
-    std::vector<CommitRecord> commits;
+    sim::Column<CommitRecord> commits;
     IncarnationColumns incarnations;
 
     /** AVF measurement window [startCycle, endCycle). */

@@ -35,6 +35,14 @@ static_assert(std::numeric_limits<double>::is_iec559,
  * allocation before the CRC/truncation checks can reject it. */
 constexpr std::uint64_t kMaxElements = 1ull << 33;
 
+/** Zero bytes from payload offset 'pos' to the next column start. */
+constexpr std::size_t
+columnPad(std::size_t pos)
+{
+    return (kColumnAlignment - pos % kColumnAlignment) %
+           kColumnAlignment;
+}
+
 class Encoder
 {
   public:
@@ -61,14 +69,18 @@ class Encoder
         _buf.append(s);
     }
 
-    /** Bulk column of a padding-free type: a scalar, or a record
+    /** Bulk column of a padding-free type (a scalar, or a record
      * whose bytes are all value bytes, so the blob never holds
-     * indeterminate padding. */
-    template <typename T>
-    void column(const std::vector<T> &v)
+     * indeterminate padding): the count, zero bytes up to the next
+     * kColumnAlignment offset, then the elements. Takes a vector or
+     * a sim::Column. */
+    template <typename C>
+    void column(const C &v)
     {
+        using T = typename C::value_type;
         static_assert(std::has_unique_object_representations_v<T>);
         u64(v.size());
+        _buf.append(columnPad(_buf.size()), '\0');
         if (!v.empty())
             _buf.append(reinterpret_cast<const char *>(v.data()),
                         v.size() * sizeof(T));
@@ -99,8 +111,12 @@ class Encoder
 class Decoder
 {
   public:
-    Decoder(const void *data, std::size_t len)
-        : _p(static_cast<const unsigned char *>(data)), _len(len)
+    /** 'owner' keeps [data, data+len) alive for the views view()
+     * hands out. */
+    Decoder(const void *data, std::size_t len,
+            std::shared_ptr<const void> owner = nullptr)
+        : _p(static_cast<const unsigned char *>(data)), _len(len),
+          _owner(std::move(owner))
     {
     }
 
@@ -147,17 +163,25 @@ class Decoder
             static_cast<std::size_t>(n));
     }
 
+    /** A bulk column copied out (the small ones). */
     template <typename T>
     void column(std::vector<T> *v)
     {
-        static_assert(std::has_unique_object_representations_v<T>);
-        std::uint64_t n = count(sizeof(T));
-        if (!take(n * sizeof(T)))
-            return;
-        v->resize(static_cast<std::size_t>(n));
-        if (n)
-            std::memcpy(v->data(), _p + _pos - n * sizeof(T),
-                        static_cast<std::size_t>(n) * sizeof(T));
+        const T *elems = nullptr;
+        std::size_t n = columnBytes(&elems);
+        if (_ok)
+            v->assign(elems, elems + n);
+    }
+
+    /** A bulk column viewed where it lies, kept alive by the owner.
+     * A column that would land misaligned for T fails the decode. */
+    template <typename T>
+    void view(sim::Column<T> *c)
+    {
+        const T *elems = nullptr;
+        std::size_t n = columnBytes(&elems);
+        if (_ok)
+            *c = sim::Column<T>(elems, n, _owner);
     }
 
     void bits(std::vector<bool> *v)
@@ -191,6 +215,27 @@ class Decoder
     }
 
   private:
+    /** Frame one column: its count, the zero padding up to the next
+     * kColumnAlignment offset, then n elements, which must sit at an
+     * address aligned for T. */
+    template <typename T>
+    std::size_t columnBytes(const T **elems)
+    {
+        static_assert(std::has_unique_object_representations_v<T>);
+        std::uint64_t n = count(sizeof(T));
+        if (!take(columnPad(_pos)))
+            return 0;
+        const unsigned char *at = _p + _pos;
+        if (!take(n * sizeof(T)))
+            return 0;
+        if (reinterpret_cast<std::uintptr_t>(at) % alignof(T) != 0) {
+            _ok = false;
+            return 0;
+        }
+        *elems = reinterpret_cast<const T *>(at);
+        return static_cast<std::size_t>(n);
+    }
+
     bool take(std::uint64_t n)
     {
         if (!_ok || n > _len - _pos) {
@@ -203,6 +248,7 @@ class Decoder
 
     const unsigned char *_p;
     std::size_t _len;
+    std::shared_ptr<const void> _owner;
     std::size_t _pos = 0;
     bool _ok = true;
 };
@@ -262,12 +308,7 @@ getProgram(Decoder &d, isa::Program *program)
 void
 putTrace(Encoder &e, const cpu::SimTrace &trace)
 {
-    e.u64(trace.commits.size());
-    for (const auto &c : trace.commits) {
-        e.u32(c.staticIdx);
-        e.u8(c.qpTrue);
-        e.u64(c.memAddr);
-    }
+    e.column(trace.commits);
     const cpu::IncarnationColumns &inc = trace.incarnations;
     e.column(inc.staticIdx);
     e.column(inc.oracleSeq);
@@ -289,26 +330,15 @@ putTrace(Encoder &e, const cpu::SimTrace &trace)
 bool
 getTrace(Decoder &d, std::size_t num_insts, cpu::SimTrace *trace)
 {
-    std::uint64_t commits = d.count(13);
-    trace->commits.reserve(static_cast<std::size_t>(
-        d.ok() ? commits : 0));
-    for (std::uint64_t i = 0; d.ok() && i < commits; ++i) {
-        cpu::CommitRecord c;
-        c.staticIdx = d.u32();
-        c.qpTrue = d.u8();
-        c.memAddr = d.u64();
-        if (c.staticIdx >= num_insts)
-            return false;
-        trace->commits.push_back(c);
-    }
+    d.view(&trace->commits);
     cpu::IncarnationColumns &inc = trace->incarnations;
-    d.column(&inc.staticIdx);
-    d.column(&inc.oracleSeq);
-    d.column(&inc.enqueueCycle);
-    d.column(&inc.issueCycle);
-    d.column(&inc.evictCycle);
-    d.column(&inc.iqEntry);
-    d.column(&inc.flags);
+    d.view(&inc.staticIdx);
+    d.view(&inc.oracleSeq);
+    d.view(&inc.enqueueCycle);
+    d.view(&inc.issueCycle);
+    d.view(&inc.evictCycle);
+    d.view(&inc.iqEntry);
+    d.view(&inc.flags);
     trace->startCycle = d.u64();
     trace->endCycle = d.u64();
     trace->committedInsts = d.u64();
@@ -325,6 +355,8 @@ getTrace(Decoder &d, std::size_t num_insts, cpu::SimTrace *trace)
         return false;
     }
     bool inRange = true;
+    for (const cpu::CommitRecord &c : trace->commits)
+        inRange &= c.staticIdx < num_insts;
     for (std::uint32_t idx : inc.staticIdx)
         inRange &= idx < num_insts;
     return inRange && d.ok();
@@ -351,9 +383,10 @@ encodeSimProducts(const SimProducts &products)
 
 bool
 decodeSimProducts(const void *data, std::size_t len,
+                  const std::shared_ptr<const void> &owner,
                   SimProducts *out)
 {
-    Decoder d(data, len);
+    Decoder d(data, len, owner);
     auto program = std::make_shared<isa::Program>();
     if (!getProgram(d, program.get()))
         return false;
@@ -389,11 +422,12 @@ encodeDeadness(const avf::DeadnessResult &result)
 
 bool
 decodeDeadness(const void *data, std::size_t len,
+               const std::shared_ptr<const void> &owner,
                avf::DeadnessResult *out)
 {
-    Decoder d(data, len);
-    d.column(&out->kind);
-    d.column(&out->overwriteDist);
+    Decoder d(data, len, owner);
+    d.view(&out->kind);
+    d.view(&out->overwriteDist);
     d.bits(&out->returnFdd);
     out->numInsts = d.u64();
     out->numDefs = d.u64();
@@ -402,6 +436,12 @@ decodeDeadness(const void *data, std::size_t len,
     out->numFddMem = d.u64();
     out->numTddMem = d.u64();
     out->numReturnFdd = d.u64();
+    // Readers index all three by commit.
+    if (out->overwriteDist.size() != out->kind.size() ||
+        out->returnFdd.size() != out->kind.size())
+    {
+        return false;
+    }
     for (auto kind : out->kind) {
         if (static_cast<std::uint8_t>(kind) >
             static_cast<std::uint8_t>(avf::DeadKind::TddMem))

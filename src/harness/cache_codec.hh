@@ -6,11 +6,25 @@
  * The format is a flat little-endian byte stream: scalar fields in
  * declaration order, doubles as their IEEE-754 bit patterns,
  * containers as a u64 count followed by elements, vector<bool>
- * bit-packed into u64 words. Vectors of padding-free elements (the
- * SoA incarnation columns, interval samples, AVF epochs) are
- * bulk-copied; structs with internal padding are written
+ * bit-packed into u64 words. Bulk columns of padding-free elements
+ * (the commit records, the SoA incarnation columns, the deadness
+ * columns, interval samples, AVF epochs) are a u64 count, zero bytes
+ * up to the next kColumnAlignment offset of the payload, and the
+ * raw elements; structs with internal padding are written
  * field-by-field so the encoded bytes — and therefore the blob CRC —
  * never depend on indeterminate padding.
+ *
+ * Zero-copy decode: decodeSimProducts and decodeDeadness do not copy
+ * their bulk columns. Each becomes a sim::Column viewing the payload
+ * in place, kept alive by the 'owner' the caller passes (the disk
+ * tier passes its blob mapping, so a served trace holds the mapping
+ * until its last view goes). Every check runs before the decoder
+ * returns, so no caller sees a view of bytes that failed one. The
+ * payload must start at a kColumnAlignment-aligned address (the disk
+ * tier's blobs put it there); a column that would land misaligned
+ * for its element type fails the decode. The AVF and campaign
+ * decoders, the program, the strings and the small columns still
+ * copy.
  *
  * Programs round-trip through StaticInst::encode()/decode(): the
  * canonical 64-bit encoding word is the only per-instruction state,
@@ -31,6 +45,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "avf/avf.hh"
@@ -46,7 +61,10 @@ namespace codec
 {
 
 /** Bump on any change to the serialized shape of the types below. */
-constexpr std::uint32_t kSchemaVersion = 4;
+constexpr std::uint32_t kSchemaVersion = 5;
+
+/** Every bulk column starts at a multiple of this payload offset. */
+constexpr std::size_t kColumnAlignment = 64;
 
 std::string encodeSimProducts(const SimProducts &products);
 std::string encodeDeadness(const avf::DeadnessResult &result);
@@ -55,10 +73,14 @@ std::string encodeCampaign(const faults::CampaignSample &sample);
 
 /** Decoders require the whole buffer to be consumed exactly. After a
  * successful decodeSimProducts, out->trace.program points at
- * out->program (the bundle owns it, as on the compute path). */
+ * out->program (the bundle owns it, as on the compute path). The
+ * sim and deadness columns view [data, data+len), which 'owner'
+ * must keep alive and unchanged. */
 bool decodeSimProducts(const void *data, std::size_t len,
+                       const std::shared_ptr<const void> &owner,
                        SimProducts *out);
 bool decodeDeadness(const void *data, std::size_t len,
+                    const std::shared_ptr<const void> &owner,
                     avf::DeadnessResult *out);
 bool decodeAvf(const void *data, std::size_t len,
                avf::AvfResult *out);

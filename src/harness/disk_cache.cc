@@ -12,6 +12,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "harness/cache_codec.hh"
 #include "sim/crc64.hh"
 #include "sim/prof.hh"
 
@@ -24,6 +25,14 @@ namespace
 
 constexpr char kMagic[4] = {'S', 'E', 'R', 'B'};
 constexpr std::size_t kHeaderBytes = 32;
+/** The payload's file offset for a key of 'key_len' bytes: aligned
+ * like the codec's columns, so they land aligned in the mapping. */
+std::uint64_t
+payloadOffset(std::uint64_t key_len)
+{
+    constexpr std::uint64_t a = codec::kColumnAlignment;
+    return (kHeaderBytes + key_len + a - 1) / a * a;
+}
 
 struct BlobHeader
 {
@@ -129,9 +138,8 @@ DiskCache::blobPath(const std::string &section,
 }
 
 DiskCache::LoadResult
-DiskCache::load(
-    const std::string &section, const std::string &key,
-    const std::function<bool(const void *, std::size_t)> &decode)
+DiskCache::load(const std::string &section, const std::string &key,
+                const Decode &decode)
 {
     State &s = state();
     std::string dir;
@@ -159,10 +167,18 @@ DiskCache::load(
         return {LoadStatus::Corrupt, 0};
     }
     std::size_t size = static_cast<std::size_t>(st.st_size);
-    void *map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+    // The CRC reads every byte, so map the whole file's pages in this
+    // one call rather than fault them in one by one.
+    void *map = ::mmap(nullptr, size, PROT_READ,
+                       MAP_PRIVATE | MAP_POPULATE, fd, 0);
     ::close(fd);
     if (map == MAP_FAILED)
         return {LoadStatus::NoEntry, 0};
+    // The decoder's views share this owner; the last one unmaps.
+    std::shared_ptr<const void> mapping(
+        map, [size](const void *p) {
+            ::munmap(const_cast<void *>(p), size);
+        });
 
     const unsigned char *bytes =
         static_cast<const unsigned char *>(map);
@@ -170,16 +186,15 @@ DiskCache::load(
     std::memcpy(&header, bytes, kHeaderBytes);
 
     LoadResult result{LoadStatus::Corrupt, 0};
+    const std::uint64_t payloadAt = payloadOffset(header.keyLen);
     if (std::memcmp(header.magic, kMagic, 4) != 0) {
         // Not one of ours at all: corrupt.
     } else if (header.formatVersion != kFormatVersion ||
                header.schemaVersion != schemaVersion)
     {
         result.status = LoadStatus::Stale;
-    } else if (header.keyLen != key.size() ||
-               header.keyLen > size - kHeaderBytes ||
-               header.payloadLen !=
-                   size - kHeaderBytes - header.keyLen)
+    } else if (header.keyLen != key.size() || payloadAt > size ||
+               header.payloadLen != size - payloadAt)
     {
         // Framing disagrees with the file size: truncated or
         // garbled. (keyLen mismatch with intact framing would be a
@@ -191,23 +206,20 @@ DiskCache::load(
     {
         result.status = LoadStatus::NoEntry;  // bucket collision
     } else {
-        const unsigned char *payload =
-            bytes + kHeaderBytes + header.keyLen;
         std::uint64_t crc = 0;
         {
             SER_PROF_SCOPE("disk_verify");
-            crc = crc64(0, bytes + kHeaderBytes, header.keyLen);
-            crc = crc64(crc, payload, header.payloadLen);
+            crc = crc64(0, bytes + kHeaderBytes, size - kHeaderBytes);
         }
         if (crc == header.crc) {
             SER_PROF_SCOPE("disk_decode");
-            if (decode(payload,
-                       static_cast<std::size_t>(header.payloadLen)))
+            if (decode(bytes + payloadAt,
+                       static_cast<std::size_t>(header.payloadLen),
+                       mapping))
                 result = {LoadStatus::Ok, header.payloadLen};
         }
     }
 
-    ::munmap(map, size);
     if (result.status == LoadStatus::Corrupt)
         quarantine(path);
     return result;
@@ -238,7 +250,10 @@ DiskCache::store(const std::string &section, const std::string &key,
     header.schemaVersion = schemaVersion;
     header.keyLen = static_cast<std::uint32_t>(key.size());
     header.payloadLen = payload.size();
+    const std::string padding(
+        payloadOffset(key.size()) - kHeaderBytes - key.size(), '\0');
     std::uint64_t crc = crc64(0, key.data(), key.size());
+    crc = crc64(crc, padding.data(), padding.size());
     header.crc = crc64(crc, payload.data(), payload.size());
 
     // Temp name unique across processes (pid) and threads (seq);
@@ -271,6 +286,7 @@ DiskCache::store(const std::string &section, const std::string &key,
 
     bool ok = writeAll(&header, kHeaderBytes) &&
               writeAll(key.data(), key.size()) &&
+              writeAll(padding.data(), padding.size()) &&
               writeAll(payload.data(), payload.size());
     ok = (::close(fd) == 0) && ok;
     std::string path =
@@ -279,7 +295,7 @@ DiskCache::store(const std::string &section, const std::string &key,
         ::unlink(tempPath.c_str());
         return 0;
     }
-    return kHeaderBytes + key.size() + payload.size();
+    return payloadOffset(key.size()) + payload.size();
 }
 
 } // namespace harness

@@ -15,9 +15,16 @@
  *     8       4     payload schema version (codec::kSchemaVersion)
  *     12      4     key length (u32)
  *     16      8     payload length (u64)
- *     24      8     CRC-64/XZ over key bytes ++ payload bytes
+ *     24      8     CRC-64/XZ over every byte from offset 32 on:
+ *                   key, padding and payload
  *     32      -     key bytes (the full RunCache section key)
- *     ...     -     payload bytes (cache_codec encoding)
+ *     ...     -     zero bytes up to the next multiple of
+ *                   codec::kColumnAlignment (64)
+ *     P       -     payload bytes (cache_codec encoding), P a
+ *                   multiple of codec::kColumnAlignment
+ *
+ * The aligned payload offset lets the codec view the payload's
+ * columns in the page-aligned mapping instead of copying them.
  *
  * The file name is only a bucket: load() compares the stored key
  * byte-for-byte against the requested one, so a (astronomically
@@ -37,6 +44,11 @@
  *    truncation, bit flips, a decoder rejection — quarantines the
  *    file (rename to *.quarantine) so it cannot mis-hit again and
  *    is preserved for inspection.
+ *  - The decoder may keep views of the payload: it receives a
+ *    shared owner of the mapping, which is unmapped when the last
+ *    view goes. A blob is therefore never rewritten in place: store()
+ *    and quarantine both rename, so a live view keeps reading the
+ *    bytes it verified (the old inode) whatever happens to the path.
  *
  * The singleton is disabled until setDirectory() is called with a
  * non-empty path (BenchOptions wires --cache-dir to it). All methods
@@ -49,6 +61,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 namespace ser
@@ -59,7 +72,7 @@ namespace harness
 class DiskCache
 {
   public:
-    static constexpr std::uint32_t kFormatVersion = 1;
+    static constexpr std::uint32_t kFormatVersion = 2;
 
     static DiskCache &instance();
 
@@ -91,15 +104,19 @@ class DiskCache
         std::uint64_t payloadBytes = 0;  ///< valid when status == Ok
     };
 
+    /** The decoder a load() runs on a verified payload: (payload,
+     * length, owner of the mapping). The payload stays mapped while
+     * any copy of the owner lives; returning false rejects it. */
+    using Decode = std::function<bool(
+        const void *, std::size_t, const std::shared_ptr<const void> &)>;
+
     /**
      * Look up (section, key). On an integrity-clean hit, 'decode' is
      * invoked once with the mmapped payload; if it returns false the
-     * blob is treated as corrupt (quarantined, status Corrupt). The
-     * payload pointer is only valid during the callback.
+     * blob is treated as corrupt (quarantined, status Corrupt).
      */
-    LoadResult load(
-        const std::string &section, const std::string &key,
-        const std::function<bool(const void *, std::size_t)> &decode);
+    LoadResult load(const std::string &section, const std::string &key,
+                    const Decode &decode);
 
     /**
      * Publish a blob for (section, key); atomic and last-write-wins.

@@ -58,12 +58,18 @@ Table::print(std::ostream &os) const
             widths[c] = std::max(widths[c], row[c].size());
     }
 
+    // Cells are padded to their column's width, but a row ends at
+    // its last visible character: no trailing spaces.
     auto print_row = [&](const std::vector<std::string> &cells) {
+        std::string line;
         for (std::size_t c = 0; c < cells.size(); ++c) {
-            os << (c == 0 ? "" : "  ") << std::left
-               << std::setw(static_cast<int>(widths[c])) << cells[c];
+            if (c)
+                line += "  ";
+            line += cells[c];
+            line.append(widths[c] - cells[c].size(), ' ');
         }
-        os << "\n";
+        line.erase(line.find_last_not_of(' ') + 1);
+        os << line << "\n";
     };
 
     print_row(_headers);

@@ -37,24 +37,30 @@ encodeValue(const faults::CampaignSample &v)
     return codec::encodeCampaign(v);
 }
 
+// 'owner' keeps the payload mapped for the sim and deadness
+// decoders' column views; the AVF and campaign decoders copy.
 bool
-decodeValue(const void *data, std::size_t len, SimProducts *out)
+decodeValue(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &owner, SimProducts *out)
 {
-    return codec::decodeSimProducts(data, len, out);
+    return codec::decodeSimProducts(data, len, owner, out);
 }
 bool
 decodeValue(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &owner,
             avf::DeadnessResult *out)
 {
-    return codec::decodeDeadness(data, len, out);
+    return codec::decodeDeadness(data, len, owner, out);
 }
 bool
-decodeValue(const void *data, std::size_t len, avf::AvfResult *out)
+decodeValue(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &, avf::AvfResult *out)
 {
     return codec::decodeAvf(data, len, out);
 }
 bool
 decodeValue(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &,
             faults::CampaignSample *out)
 {
     return codec::decodeCampaign(data, len, out);
@@ -137,8 +143,10 @@ RunCache::get(Section &section, const std::string &key,
             auto candidate = std::make_shared<T>();
             DiskCache::LoadResult loaded = disk.load(
                 section.name, key,
-                [&](const void *data, std::size_t len) {
-                    return decodeValue(data, len, candidate.get());
+                [&](const void *data, std::size_t len,
+                    const std::shared_ptr<const void> &owner) {
+                    return decodeValue(data, len, owner,
+                                       candidate.get());
                 });
             if (loaded.status == DiskCache::LoadStatus::Ok) {
                 value = std::move(candidate);

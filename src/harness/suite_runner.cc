@@ -1,6 +1,8 @@
 #include "suite_runner.hh"
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "sim/config.hh"
 #include "sim/logging.hh"
@@ -61,6 +63,23 @@ SuiteRunner::submit(std::function<RunArtifacts()> job)
     return _queue.size() - 1;
 }
 
+std::vector<std::size_t>
+SuiteRunner::claimOrder() const
+{
+    std::vector<std::size_t> rank(_queue.size(), 0);
+    std::vector<std::size_t> seen(_programs.size(), 0);
+    for (std::size_t i = 0; i < _queue.size(); ++i)
+        if (_queue[i].programId != kNone)
+            rank[i] = seen[_queue[i].programId]++;
+    std::vector<std::size_t> order(_queue.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return rank[a] < rank[b];
+                     });
+    return order;
+}
+
 std::vector<RunArtifacts>
 SuiteRunner::run()
 {
@@ -68,8 +87,10 @@ SuiteRunner::run()
         SER_PANIC("SuiteRunner: run() called twice");
     _ran = true;
 
+    const std::vector<std::size_t> order = claimOrder();
     std::vector<RunArtifacts> results(_queue.size());
-    parallelFor(_queue.size(), _jobs, [&](std::size_t i) {
+    parallelFor(order.size(), _jobs, [&](std::size_t k) {
+        const std::size_t i = order[k];
         Job &job = _queue[i];
         if (job.fn) {
             results[i] = job.fn();

@@ -13,6 +13,11 @@
  *  - results are collected into a vector indexed by submission
  *    order, so tables, suite averages and JSON manifests do not
  *    depend on scheduling;
+ *  - workers claim jobs in claimOrder(): the k-th point of every
+ *    program before any program's (k+1)-th, so a sweep that submits
+ *    each benchmark's points back to back (fig3's ten PET sizes)
+ *    does not start all workers on one program, where all but one
+ *    would wait on the run-cache entry the first is computing;
  *  - each surrogate program is built at most once (by whichever
  *    worker first needs it) and shared read-only across that
  *    benchmark's design points via the shared_ptr overload of
@@ -78,6 +83,12 @@ class SuiteRunner
     /** Queue an arbitrary job (for benches whose per-benchmark work
      * is not a plain runProgram call). */
     std::size_t submit(std::function<RunArtifacts()> job);
+
+    /** The order workers claim the queued jobs in, as submission
+     * indices: a stable sort of the program jobs by their rank among
+     * their program's jobs. Generic jobs rank 0, so a queue of only
+     * generic jobs keeps submission order. */
+    std::vector<std::size_t> claimOrder() const;
 
     /** Execute every queued job; results are indexed by submission
      * order. May be called once per runner. */

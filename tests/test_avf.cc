@@ -265,9 +265,10 @@ TEST(Avf, SyntheticTraceHandComputed)
     trace.startCycle = 0;
     trace.endCycle = 100;
     trace.programHalted = true;
-    trace.commits.push_back({0, 1, 0});
-    trace.incarnations.push_back(
-        {0, 0, 10, 20, 24, 0, cpu::incCommitted});
+    trace.commits = std::vector<cpu::CommitRecord>{{0, 1, 0}};
+    cpu::IncarnationLog incs;
+    incs.push_back({0, 0, 10, 20, 24, 0, cpu::incCommitted});
+    trace.incarnations = std::move(incs);
 
     DeadnessResult dead = analyzeDeadness(trace);
     // r4 never read again but the trace halts... actually this
@@ -297,12 +298,13 @@ TEST(Avf, SquashedResidencyIsUnreadAndUndetectable)
     trace.iqEntries = 1;
     trace.endCycle = 50;
     trace.programHalted = true;
-    trace.commits.push_back({0, 1, 0});
+    trace.commits = std::vector<cpu::CommitRecord>{{0, 1, 0}};
     // A squashed (never-read) residency plus the committed one.
-    trace.incarnations.push_back(
+    cpu::IncarnationLog incs;
+    incs.push_back(
         {0, 0, 5, cpu::noCycle32, 15, 0, cpu::incSquashTrigger});
-    trace.incarnations.push_back(
-        {0, 0, 30, 35, 40, 0, cpu::incCommitted});
+    incs.push_back({0, 0, 30, 35, 40, 0, cpu::incCommitted});
+    trace.incarnations = std::move(incs);
 
     DeadnessResult dead = analyzeDeadness(trace);
     AvfResult avf = computeAvf(trace, dead);
@@ -320,15 +322,16 @@ TEST(Avf, WrongPathAndNeutralClassification)
     trace.iqEntries = 4;
     trace.endCycle = 100;
     trace.programHalted = true;
-    trace.commits.push_back({0, 1, 0});  // the nop commits
+    // The nop commits.
+    trace.commits = std::vector<cpu::CommitRecord>{{0, 1, 0}};
+    cpu::IncarnationLog incs;
     // Wrong-path residency of the add (read then squashed).
-    trace.incarnations.push_back(
-        {1, cpu::noSeq32, 10, 18, 20, 0,
-         static_cast<std::uint8_t>(cpu::incWrongPath |
-                                   cpu::incSquashMispredict)});
+    incs.push_back({1, cpu::noSeq32, 10, 18, 20, 0,
+                    static_cast<std::uint8_t>(cpu::incWrongPath |
+                                              cpu::incSquashMispredict)});
     // The neutral nop, committed.
-    trace.incarnations.push_back(
-        {0, 0, 10, 16, 20, 1, cpu::incCommitted});
+    incs.push_back({0, 0, 10, 16, 20, 1, cpu::incCommitted});
+    trace.incarnations = std::move(incs);
 
     DeadnessResult dead = analyzeDeadness(trace);
     AvfResult avf = computeAvf(trace, dead);
@@ -347,9 +350,10 @@ TEST(Avf, DecodeAtRetireAddsExAce)
     trace.iqEntries = 1;
     trace.endCycle = 100;
     trace.programHalted = true;
-    trace.commits.push_back({0, 1, 0});
-    trace.incarnations.push_back(
-        {0, 0, 0, 10, 30, 0, cpu::incCommitted});
+    trace.commits = std::vector<cpu::CommitRecord>{{0, 1, 0}};
+    cpu::IncarnationLog incs;
+    incs.push_back({0, 0, 0, 10, 30, 0, cpu::incCommitted});
+    trace.incarnations = std::move(incs);
     DeadnessResult dead = analyzeDeadness(trace);
     AvfResult avf = computeAvf(trace, dead);
     EXPECT_GT(avf.falseDueAvfDecodeAtRetire(), avf.falseDueAvf());
@@ -366,10 +370,11 @@ TEST(Avf, WindowClippingIgnoresOutOfWindowExposure)
     trace.startCycle = 100;
     trace.endCycle = 200;
     trace.programHalted = true;
-    trace.commits.push_back({0, 1, 0});
+    trace.commits = std::vector<cpu::CommitRecord>{{0, 1, 0}};
     // Residency entirely before the window.
-    trace.incarnations.push_back(
-        {0, 0, 10, 50, 60, 0, cpu::incCommitted});
+    cpu::IncarnationLog incs;
+    incs.push_back({0, 0, 10, 50, 60, 0, cpu::incCommitted});
+    trace.incarnations = std::move(incs);
     DeadnessResult dead = analyzeDeadness(trace);
     AvfResult avf = computeAvf(trace, dead);
     EXPECT_EQ(avf.ace, 0u);

@@ -217,14 +217,18 @@ TEST(PetCoverage, GrowsWithBufferSize)
 {
     avf::DeadnessResult d;
     // Five FDD-reg defs with overwrite distances 10..50.
+    std::vector<avf::DeadKind> kind;
+    std::vector<std::uint32_t> dist;
     for (std::uint32_t i = 0; i < 5; ++i) {
-        d.kind.push_back(avf::DeadKind::FddReg);
-        d.overwriteDist.push_back((i + 1) * 10);
+        kind.push_back(avf::DeadKind::FddReg);
+        dist.push_back((i + 1) * 10);
         d.returnFdd.push_back(i >= 3);
     }
-    d.kind.push_back(avf::DeadKind::FddMem);
-    d.overwriteDist.push_back(25);
+    kind.push_back(avf::DeadKind::FddMem);
+    dist.push_back(25);
     d.returnFdd.push_back(false);
+    d.kind = std::move(kind);
+    d.overwriteDist = std::move(dist);
 
     PetCoverage small = petCoverage(d, 15);
     EXPECT_EQ(small.coveredNonReturn, 1u);

@@ -5,11 +5,18 @@
  * reference), the raw DiskCache blob store (roundtrip,
  * atomicity-adjacent framing checks, quarantine of corrupted and
  * truncated blobs, stale-schema clean misses, filename-bucket key
- * comparison), the cache codec (byte-canonical encodings of every
- * section's artifact type, proven by end-to-end equality; out-of-range
- * enum bytes and static indices rejected), and the RunCache
- * integration (disk_hit outcome, per-tier counters and profiling
- * scopes across a simulated process restart).
+ * comparison, every integrity check on a crafted blob), the cache
+ * codec (byte-canonical encodings of every section's artifact type,
+ * proven by end-to-end equality; out-of-range enum bytes and static
+ * indices rejected; sim and deadness columns decoded as aligned views
+ * into the buffer), and the RunCache integration (disk_hit outcome,
+ * per-tier counters and profiling scopes across a simulated process
+ * restart, and served traces outliving the blob they were read from).
+ *
+ * A disk hit's trace and deadness columns view the blob's mapping,
+ * and a MAP_PRIVATE mapping can see writes to its file, so a test
+ * that corrupts a blob in place first drops every artifact it served
+ * (the disk tier itself never rewrites a blob in place).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +29,7 @@
 #include <dirent.h>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +37,7 @@
 #include "harness/disk_cache.hh"
 #include "harness/experiment.hh"
 #include "harness/run_cache.hh"
+#include "sim/column.hh"
 #include "sim/crc64.hh"
 #include "sim/prof.hh"
 #include "workloads/suite.hh"
@@ -77,6 +86,54 @@ splitmixBytes(std::size_t len, std::uint64_t seed)
         out[i] = static_cast<unsigned char>(word >> (8 * (i % 8)));
     }
     return out;
+}
+
+harness::ExperimentConfig
+smallConfig()
+{
+    harness::ExperimentConfig cfg;
+    cfg.dynamicTarget = 5000;
+    cfg.warmupInsts = 500;
+    return cfg;
+}
+
+/** 'blob' in a fresh 64-byte-aligned buffer, after 'shift' bytes of
+ * slack; the owner frees the buffer. */
+std::shared_ptr<const void>
+alignedCopy(const std::string &blob, std::size_t shift = 0)
+{
+    const std::size_t bytes = (blob.size() + shift + 64) / 64 * 64;
+    void *buf = std::aligned_alloc(64, bytes);
+    std::memcpy(static_cast<char *>(buf) + shift, blob.data(),
+                blob.size());
+    return std::shared_ptr<const void>(buf, std::free);
+}
+
+/** A small gzip run, computed with the run cache off (so every
+ * column is an adopted vector), as the bundle the sim section
+ * caches. */
+harness::SimProducts
+computedProducts()
+{
+    harness::RunCache &cache = harness::RunCache::instance();
+    const bool enabled = cache.enabled();
+    cache.setEnabled(false);
+    auto program = std::make_shared<const isa::Program>(
+        workloads::buildBenchmark("gzip", 5000));
+    harness::RunArtifacts r =
+        harness::runProgram(program, smallConfig(), "gzip");
+    cache.setEnabled(enabled);
+
+    harness::SimProducts p;
+    p.program = r.program;
+    p.trace = *r.trace;
+    p.ipc = r.ipc;
+    p.statsDump = r.statsDump;
+    p.statsJson = r.statsJson;
+    p.intervals = r.intervals;
+    p.poolHighWater = r.poolHighWater;
+    p.cyclesSkipped = r.cyclesSkipped;
+    return p;
 }
 
 } // namespace
@@ -164,7 +221,7 @@ TEST(Crc64, SingleBitFlipChangesEveryPrefix)
 }
 
 // ---------------------------------------------------------------
-// Cache codec: structurally impossible campaign blobs
+// Cache codec: structurally impossible blobs, zero-copy columns
 
 TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
 {
@@ -208,6 +265,79 @@ TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
     }));
 }
 
+namespace
+{
+
+/** Decode a sim blob from an aligned copy of its bytes. */
+bool
+decodesSim(const harness::SimProducts &products)
+{
+    std::string blob = harness::codec::encodeSimProducts(products);
+    auto buf = alignedCopy(blob);
+    harness::SimProducts back;
+    return harness::codec::decodeSimProducts(buf.get(), blob.size(),
+                                             buf, &back);
+}
+
+/** 'view' reads back element for element as 'computed'. Each element
+ * is read by a typed load, which UBSan's alignment check sees. */
+template <typename T>
+void
+expectSameElements(const sim::Column<T> &view,
+                   const sim::Column<T> &computed, const char *name)
+{
+    ASSERT_EQ(view.size(), computed.size()) << name;
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        const T got = view[i];
+        const T want = computed[i];
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(T)), 0)
+            << name << " element " << i;
+    }
+}
+
+/** Every bulk column of a served trace and deadness result against
+ * the computed ones. */
+void
+expectSameColumns(const cpu::SimTrace &served,
+                  const avf::DeadnessResult *served_dead,
+                  const cpu::SimTrace &computed,
+                  const avf::DeadnessResult *computed_dead)
+{
+    const cpu::IncarnationColumns &a = served.incarnations;
+    const cpu::IncarnationColumns &b = computed.incarnations;
+    expectSameElements(served.commits, computed.commits, "commits");
+    expectSameElements(a.staticIdx, b.staticIdx, "staticIdx");
+    expectSameElements(a.oracleSeq, b.oracleSeq, "oracleSeq");
+    expectSameElements(a.enqueueCycle, b.enqueueCycle, "enqueueCycle");
+    expectSameElements(a.issueCycle, b.issueCycle, "issueCycle");
+    expectSameElements(a.evictCycle, b.evictCycle, "evictCycle");
+    expectSameElements(a.iqEntry, b.iqEntry, "iqEntry");
+    expectSameElements(a.flags, b.flags, "flags");
+    if (served_dead) {
+        expectSameElements(served_dead->kind, computed_dead->kind,
+                           "kind");
+        expectSameElements(served_dead->overwriteDist,
+                           computed_dead->overwriteDist,
+                           "overwriteDist");
+    }
+}
+
+/** 'view' lies in [buf, buf+len), at an address aligned for T. */
+template <typename T>
+void
+expectViewInside(const sim::Column<T> &view, const void *buf,
+                 std::size_t len, const char *name)
+{
+    ASSERT_FALSE(view.empty()) << name;
+    const auto lo = reinterpret_cast<std::uintptr_t>(buf);
+    const auto at = reinterpret_cast<std::uintptr_t>(view.data());
+    EXPECT_GE(at, lo) << name;
+    EXPECT_LE(at + view.size() * sizeof(T), lo + len) << name;
+    EXPECT_EQ(at % alignof(T), 0u) << name;
+}
+
+} // namespace
+
 TEST(SimCodec, OutOfRangeStaticIndexFailsDecode)
 {
     // One commit and one incarnation, both naming the program's
@@ -217,31 +347,80 @@ TEST(SimCodec, OutOfRangeStaticIndexFailsDecode)
         workloads::buildBenchmark("gzip", 1000));
     const std::uint32_t last =
         static_cast<std::uint32_t>(good.program->size() - 1);
-    good.trace.commits.push_back({last, 1, 0});
-    good.trace.incarnations.push_back({last, 0, 1, 2, 3, 0, 0});
-
-    auto decodes = [](const harness::SimProducts &products) {
-        std::string blob = harness::codec::encodeSimProducts(products);
-        harness::SimProducts back;
-        return harness::codec::decodeSimProducts(blob.data(),
-                                                 blob.size(), &back);
+    auto withIndices = [&](std::uint32_t commit_idx,
+                           std::uint32_t inc_idx) {
+        harness::SimProducts p = good;
+        p.trace.commits =
+            std::vector<cpu::CommitRecord>{{commit_idx, 1, 0}};
+        cpu::IncarnationLog incs;
+        incs.push_back({inc_idx, 0, 1, 2, 3, 0, 0});
+        p.trace.incarnations = std::move(incs);
+        return p;
     };
-    ASSERT_TRUE(decodes(good));
+    ASSERT_TRUE(decodesSim(withIndices(last, last)));
 
     // Each index column in turn names one past the last instruction,
     // which the AVF fold, the classifier and attribution would read
     // (or write) past their per-instruction tables.
-    auto rejects = [&](auto corrupt) {
-        harness::SimProducts products = good;
-        corrupt(products);
-        return !decodes(products);
-    };
-    EXPECT_TRUE(rejects([&](harness::SimProducts &p) {
-        p.trace.commits[0].staticIdx = last + 1;
-    }));
-    EXPECT_TRUE(rejects([&](harness::SimProducts &p) {
-        p.trace.incarnations.staticIdx[0] = last + 1;
-    }));
+    EXPECT_FALSE(decodesSim(withIndices(last + 1, last)));
+    EXPECT_FALSE(decodesSim(withIndices(last, last + 1)));
+}
+
+TEST(SimCodec, ColumnsViewTheAlignedBuffer)
+{
+    const harness::SimProducts computed = computedProducts();
+    const std::string blob = harness::codec::encodeSimProducts(computed);
+    auto buf = alignedCopy(blob);
+    const void *lo = buf.get();
+
+    harness::SimProducts back;
+    ASSERT_TRUE(harness::codec::decodeSimProducts(lo, blob.size(), buf,
+                                                  &back));
+    const cpu::IncarnationColumns &inc = back.trace.incarnations;
+    const std::size_t n = blob.size();
+    expectViewInside(back.trace.commits, lo, n, "commits");
+    expectViewInside(inc.staticIdx, lo, n, "staticIdx");
+    expectViewInside(inc.oracleSeq, lo, n, "oracleSeq");
+    expectViewInside(inc.enqueueCycle, lo, n, "enqueueCycle");
+    expectViewInside(inc.issueCycle, lo, n, "issueCycle");
+    expectViewInside(inc.evictCycle, lo, n, "evictCycle");
+    expectViewInside(inc.iqEntry, lo, n, "iqEntry");
+    expectViewInside(inc.flags, lo, n, "flags");
+
+    // The views hold the buffer: they outlive the test's handle.
+    buf.reset();
+    expectSameColumns(back.trace, nullptr, computed.trace, nullptr);
+    EXPECT_EQ(harness::codec::encodeSimProducts(back), blob);
+
+    // A buffer one byte off alignment fails the decode rather than
+    // handing out misaligned views.
+    auto skewed = alignedCopy(blob, 1);
+    harness::SimProducts rejected;
+    EXPECT_FALSE(harness::codec::decodeSimProducts(
+        static_cast<const char *>(skewed.get()) + 1, blob.size(),
+        skewed, &rejected));
+}
+
+TEST(DeadnessCodec, ColumnsViewTheAlignedBuffer)
+{
+    const harness::SimProducts computed = computedProducts();
+    const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
+    ASSERT_GT(dead.numDead(), 0u);
+    const std::string blob = harness::codec::encodeDeadness(dead);
+    auto buf = alignedCopy(blob);
+    const void *lo = buf.get();
+
+    avf::DeadnessResult back;
+    ASSERT_TRUE(harness::codec::decodeDeadness(lo, blob.size(), buf,
+                                               &back));
+    expectViewInside(back.kind, lo, blob.size(), "kind");
+    expectViewInside(back.overwriteDist, lo, blob.size(),
+                     "overwriteDist");
+    buf.reset();
+    expectSameElements(back.kind, dead.kind, "kind");
+    expectSameElements(back.overwriteDist, dead.overwriteDist,
+                       "overwriteDist");
+    EXPECT_EQ(harness::codec::encodeDeadness(back), blob);
 }
 
 // ---------------------------------------------------------------
@@ -329,7 +508,9 @@ loadPayload(const std::string &section, const std::string &key,
             std::string *payload)
 {
     return harness::DiskCache::instance().load(
-        section, key, [&](const void *data, std::size_t len) {
+        section, key,
+        [&](const void *data, std::size_t len,
+            const std::shared_ptr<const void> &) {
             payload->assign(static_cast<const char *>(data), len);
             return true;
         });
@@ -445,7 +626,8 @@ TEST_F(DiskCacheTest, RejectedDecodeQuarantines)
     // (e.g. an out-of-range enum) looks like.
     auto result = disk().load(
         "test", "key-A",
-        [](const void *, std::size_t) { return false; });
+        [](const void *, std::size_t,
+           const std::shared_ptr<const void> &) { return false; });
     EXPECT_EQ(result.status,
               harness::DiskCache::LoadStatus::Corrupt);
     EXPECT_EQ(countEntries(_dir + "/test", ".quarantine"), 1);
@@ -483,24 +665,162 @@ TEST_F(DiskCacheTest, LastWriteWinsOnOverwrite)
     EXPECT_EQ(countEntries(_dir + "/test", ".blob"), 1);
 }
 
+namespace
+{
+
+/** Load (section, key) through that section's real decoder. */
+harness::DiskCache::LoadStatus
+loadThroughCodec(const std::string &section, const std::string &key)
+{
+    harness::SimProducts sim;
+    avf::DeadnessResult dead;
+    return harness::DiskCache::instance()
+        .load(section, key,
+              [&](const void *data, std::size_t len,
+                  const std::shared_ptr<const void> &owner) {
+                  return section == "sim"
+                             ? harness::codec::decodeSimProducts(
+                                   data, len, owner, &sim)
+                             : harness::codec::decodeDeadness(
+                                   data, len, owner, &dead);
+              })
+        .status;
+}
+
+/** XOR one byte of a file, in place. */
+void
+flipByte(const std::string &path, std::streamoff offset)
+{
+    std::fstream f(path,
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << path;
+    char c;
+    f.seekg(offset);
+    f.get(c);
+    f.seekp(offset);
+    f.put(static_cast<char>(c ^ 0x20));
+}
+
+/** A copy of a column's elements, to edit before re-adopting. */
+template <typename T>
+std::vector<T>
+copyOf(const sim::Column<T> &column)
+{
+    return std::vector<T>(column.begin(), column.end());
+}
+
+} // namespace
+
+TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
+{
+    using Status = harness::DiskCache::LoadStatus;
+    const harness::SimProducts good = computedProducts();
+    const avf::DeadnessResult goodDead =
+        avf::analyzeDeadness(good.trace);
+    const std::string goodSim = harness::codec::encodeSimProducts(good);
+
+    auto quarantined = [&](const std::string &section,
+                           const std::string &key) {
+        std::string path = disk().blobPath(section, key);
+        struct stat st;
+        return ::stat(path.c_str(), &st) != 0 &&
+               ::stat((path + ".quarantine").c_str(), &st) == 0;
+    };
+
+    // Container checks: each case edits one byte of a good blob's
+    // file. No view of these blobs exists yet.
+    auto edited = [&](const std::string &key, std::streamoff offset) {
+        EXPECT_GT(disk().store("sim", key, goodSim), 0u);
+        if (offset >= 0)
+            flipByte(disk().blobPath("sim", key), offset);
+        return loadThroughCodec("sim", key);
+    };
+    ASSERT_EQ(edited("intact", -1), Status::Ok);
+    EXPECT_EQ(edited("magic", 0), Status::Corrupt);
+    EXPECT_TRUE(quarantined("sim", "magic"));
+    // A version mismatch is a clean miss: the blob is not damaged,
+    // only from another build, so it stays where it is.
+    EXPECT_EQ(edited("format", 4), Status::Stale);
+    EXPECT_EQ(edited("schema", 8), Status::Stale);
+    EXPECT_FALSE(quarantined("sim", "format"));
+    EXPECT_FALSE(quarantined("sim", "schema"));
+    // Framing: a payload length the file size disagrees with.
+    EXPECT_EQ(edited("length", 16), Status::Corrupt);
+    EXPECT_TRUE(quarantined("sim", "length"));
+    // The CRC covers every byte after the header: the zero padding
+    // between the key and the aligned payload (the key "pad" ends at
+    // offset 35) and the payload itself.
+    EXPECT_EQ(edited("pad", 40), Status::Corrupt);
+    EXPECT_TRUE(quarantined("sim", "pad"));
+    EXPECT_EQ(edited("payload", 64 + 8), Status::Corrupt);
+    EXPECT_TRUE(quarantined("sim", "payload"));
+
+    // Codec checks: crafted payloads under a valid CRC.
+    auto crafted = [&](const std::string &section,
+                       const std::string &key,
+                       const std::string &payload) {
+        EXPECT_GT(disk().store(section, key, payload), 0u);
+        Status status = loadThroughCodec(section, key);
+        EXPECT_TRUE(status == Status::Ok || quarantined(section, key))
+            << key;
+        return status;
+    };
+    const std::uint32_t past =
+        static_cast<std::uint32_t>(good.program->size());
+    auto simWith = [&](auto edit) {
+        harness::SimProducts p = good;
+        edit(p.trace);
+        return harness::codec::encodeSimProducts(p);
+    };
+    EXPECT_EQ(crafted("sim", "commit-index", simWith([&](auto &t) {
+                  auto commits = copyOf(t.commits);
+                  commits.back().staticIdx = past;
+                  t.commits = std::move(commits);
+              })),
+              Status::Corrupt);
+    EXPECT_EQ(crafted("sim", "inc-index", simWith([&](auto &t) {
+                  auto idx = copyOf(t.incarnations.staticIdx);
+                  idx.back() = past;
+                  t.incarnations.staticIdx = std::move(idx);
+              })),
+              Status::Corrupt);
+    EXPECT_EQ(crafted("sim", "inc-lengths", simWith([&](auto &t) {
+                  auto entries = copyOf(t.incarnations.iqEntry);
+                  entries.pop_back();
+                  t.incarnations.iqEntry = std::move(entries);
+              })),
+              Status::Corrupt);
+
+    auto deadWith = [&](auto edit) {
+        avf::DeadnessResult d = goodDead;
+        edit(d);
+        return harness::codec::encodeDeadness(d);
+    };
+    ASSERT_EQ(crafted("deadness", "intact",
+                      deadWith([](avf::DeadnessResult &) {})),
+              Status::Ok);
+    EXPECT_EQ(crafted("deadness", "kind-range",
+                      deadWith([](avf::DeadnessResult &d) {
+                          auto kind = copyOf(d.kind);
+                          kind.back() = static_cast<avf::DeadKind>(
+                              static_cast<int>(avf::DeadKind::TddMem) +
+                              1);
+                          d.kind = std::move(kind);
+                      })),
+              Status::Corrupt);
+    EXPECT_EQ(crafted("deadness", "dead-lengths",
+                      deadWith([](avf::DeadnessResult &d) {
+                          auto dist = copyOf(d.overwriteDist);
+                          dist.pop_back();
+                          d.overwriteDist = std::move(dist);
+                      })),
+              Status::Corrupt);
+}
+
 // ---------------------------------------------------------------
 // RunCache integration: the disk tier across a simulated process
 // restart (clear() empties the in-process map exactly like a new
 // process, while the blob directory persists).
-
-namespace
-{
-
-harness::ExperimentConfig
-smallConfig()
-{
-    harness::ExperimentConfig cfg;
-    cfg.dynamicTarget = 5000;
-    cfg.warmupInsts = 500;
-    return cfg;
-}
-
-} // namespace
 
 TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
 {
@@ -573,6 +893,60 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
     auto r3 = harness::runProgram(program, cfg, "gzip");
     EXPECT_EQ(r3.cacheSim, harness::CacheOutcome::Hit);
     EXPECT_EQ(r3.trace.get(), r2.trace.get());
+}
+
+TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
+{
+    const harness::SimProducts computed = computedProducts();
+    const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
+    const std::string simBlob =
+        harness::codec::encodeSimProducts(computed);
+    const std::string deadBlob = harness::codec::encodeDeadness(dead);
+    const std::string deadKey = "served|deadness=";
+
+    // Publish both, "restart", and take both back from disk.
+    cache().getSim("served", [&] { return computed; });
+    cache().getDeadness(deadKey, [&] { return dead; });
+    cache().clear();
+    harness::CacheOutcome simOut{}, deadOut{};
+    auto sim = cache().getSim(
+        "served",
+        [&] {
+            ADD_FAILURE() << "sim recomputed";
+            return computed;
+        },
+        &simOut);
+    auto served = cache().getDeadness(
+        deadKey,
+        [&] {
+            ADD_FAILURE() << "deadness recomputed";
+            return dead;
+        },
+        &deadOut);
+    ASSERT_EQ(simOut, harness::CacheOutcome::DiskHit);
+    ASSERT_EQ(deadOut, harness::CacheOutcome::DiskHit);
+    cache().clear();  // only this test's handles hold the views now
+
+    // Re-encoding reads every byte of every view, and the column
+    // compare reads every element as its type.
+    auto unchanged = [&](const char *when) {
+        SCOPED_TRACE(when);
+        EXPECT_EQ(harness::codec::encodeSimProducts(*sim), simBlob);
+        EXPECT_EQ(harness::codec::encodeDeadness(*served), deadBlob);
+        expectSameColumns(sim->trace, served.get(), computed.trace,
+                          &dead);
+    };
+    unchanged("as served");
+
+    // store() replaces a blob by rename, never in place, so the
+    // views keep reading the bytes they were verified from.
+    ASSERT_GT(disk().store("sim", "served", "replacement"), 0u);
+    ASSERT_GT(disk().store("deadness", deadKey, "replacement"), 0u);
+    unchanged("after store() replaced the blobs");
+
+    std::string cmd = "rm -rf '" + _dir + "'";
+    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    unchanged("after the cache directory was removed");
 }
 
 TEST_F(DiskCacheTest, DiskTierTimeHasItsOwnScopes)

@@ -166,6 +166,33 @@ TEST(SuiteRunner, ResultsIndexedBySubmissionOrder)
     }
 }
 
+TEST(SuiteRunner, ClaimsEachProgramsKthPointBeforeAnyKPlusFirst)
+{
+    // fig3's shape: each program's points submitted back to back,
+    // plus one generic job. Nothing runs; only the order is read.
+    harness::SuiteRunner runner(4);
+    std::size_t gzip = runner.addProgram("gzip", 1000);
+    std::size_t mcf = runner.addProgram("mcf", 1000);
+    std::size_t swim = runner.addProgram("swim", 1000);
+    harness::ExperimentConfig cfg;
+    runner.submit(gzip, cfg);                           // 0: gzip #0
+    runner.submit(gzip, cfg);                           // 1: gzip #1
+    runner.submit(gzip, cfg);                           // 2: gzip #2
+    runner.submit(mcf, cfg);                            // 3: mcf #0
+    runner.submit(mcf, cfg);                            // 4: mcf #1
+    runner.submit([] { return harness::RunArtifacts{}; });  // 5
+    runner.submit(swim, cfg);                           // 6: swim #0
+    EXPECT_EQ(runner.claimOrder(),
+              (std::vector<std::size_t>{0, 3, 5, 6, 1, 4, 2}));
+
+    // Generic jobs alone keep submission order.
+    harness::SuiteRunner generic(4);
+    for (int i = 0; i < 5; ++i)
+        generic.submit([] { return harness::RunArtifacts{}; });
+    EXPECT_EQ(generic.claimOrder(),
+              (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
 TEST(SuiteRunner, ParallelMatchesSerial)
 {
     harness::ExperimentConfig base;

@@ -187,9 +187,10 @@ TEST(Attribution, FoldOnHandBuiltTrace)
     trace.endCycle = 100;
     trace.iqEntries = 4;
     trace.committedInsts = 2;
-    trace.commits.push_back({0, true, 0});
-    trace.commits.push_back({0, true, 0});
+    trace.commits =
+        std::vector<cpu::CommitRecord>{{0, true, 0}, {0, true, 0}};
 
+    cpu::IncarnationLog incs;
     cpu::IncarnationRecord inc{};
     inc.staticIdx = 0;
     inc.oracleSeq = 0;
@@ -198,23 +199,26 @@ TEST(Attribution, FoldOnHandBuiltTrace)
     inc.evictCycle = 20;  // pre 4, post 6
     inc.iqEntry = 0;
     inc.flags = cpu::incCommitted;
-    trace.incarnations.push_back(inc);
+    incs.push_back(inc);
     inc.oracleSeq = 1;
     inc.enqueueCycle = 30;
     inc.issueCycle = 31;
     inc.evictCycle = 40;  // pre 1, post 9
-    trace.incarnations.push_back(inc);
+    incs.push_back(inc);
     inc.staticIdx = 1;
     inc.oracleSeq = cpu::noSeq32;
     inc.enqueueCycle = 50;
     inc.issueCycle = cpu::noCycle32;
     inc.evictCycle = 55;  // never issued: 5 squashed cycles
     inc.flags = cpu::incSquashMispredict;
-    trace.incarnations.push_back(inc);
+    incs.push_back(inc);
+    trace.incarnations = std::move(incs);
 
     avf::DeadnessResult deadness;
-    deadness.kind = {avf::DeadKind::Live, avf::DeadKind::Live};
-    deadness.overwriteDist = {avf::noOverwrite, avf::noOverwrite};
+    deadness.kind =
+        std::vector<avf::DeadKind>{avf::DeadKind::Live, avf::DeadKind::Live};
+    deadness.overwriteDist =
+        std::vector<std::uint32_t>{avf::noOverwrite, avf::noOverwrite};
     deadness.returnFdd = {false, false};
     deadness.numInsts = 2;
 
