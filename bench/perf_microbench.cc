@@ -417,8 +417,9 @@ BM_RunCacheDiskHit(benchmark::State &state)
     // empty but every section is on disk, per iteration (the warm
     // path a second sweep process takes): for each section, mmap +
     // CRC-64 verify + decode. The sim and deadness decoders check
-    // their columns and view them in the mapping; only the program,
-    // the strings and the small AVF blob are copied. The gap to
+    // their columns and the program's data words and view them in
+    // the mapping; only the program's instructions and labels, the
+    // strings and the small AVF blob are copied. The gap to
     // BM_RunProgramCacheHit is the disk tier's map, verify and
     // decode; the gap to a cold run is what the blob store saves.
     char dirTemplate[] = "/tmp/ser_bench_disk_XXXXXX";

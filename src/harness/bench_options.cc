@@ -185,12 +185,11 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             if (opts.convergenceOutPath.empty())
                 SER_FATAL("{}: --convergence-out needs a path",
                           argv[0]);
-        } else if (token.rfind("--", 0) == 0) {
+        } else if (token.rfind("--", 0) == 0 ||
+                   !opts.config.parseAssignment(token)) {
+            // Neither a known --option nor a key=value override.
             SER_FATAL("{}: unknown option '{}' (--help lists them)",
                       argv[0], token);
-        } else {
-            // key=value override.
-            opts.config.parseAssignment(token);
         }
     }
     if (!cache_dir.empty())

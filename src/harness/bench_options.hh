@@ -48,6 +48,7 @@
  * Each option has one spelling: a key=value token is always a
  * Config override, never an option, so a key the binary does not
  * read (csv=1, say) draws BenchOutput::finish's unused-key warning.
+ * Any other token (a bare word, or "=5" with no key) is fatal.
  */
 
 #ifndef SER_HARNESS_BENCH_OPTIONS_HH
@@ -91,8 +92,9 @@ struct BenchOptions
 
     /**
      * Parse argv. Prints usage and exits on --help; fatal on an
-     * unknown --option or a malformed value. 'usage' is the one-line
-     * binary description shown by --help. The process-wide options
+     * unknown --option, a token that is no key=value override, or a
+     * malformed value. 'usage' is the one-line binary description
+     * shown by --help. The process-wide options
      * set their singleton here and have no field: --no-run-cache
      * (RunCache), --cache-dir (DiskCache),
      * --no-cycle-skip (the PipelineParams default) and --metrics-out

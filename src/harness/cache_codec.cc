@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -262,11 +263,7 @@ putProgram(Encoder &e, const isa::Program &program)
     for (const auto &inst : program.instructions())
         e.u64(inst.encode());
     e.u64(program.entry());
-    e.u64(program.dataInits().size());
-    for (const auto &init : program.dataInits()) {
-        e.u64(init.addr);
-        e.u64(init.value);
-    }
+    e.column(program.dataInits());
     e.u64(program.labels().size());
     for (const auto &[name, index] : program.labels()) {
         e.str(name);
@@ -274,33 +271,35 @@ putProgram(Encoder &e, const isa::Program &program)
     }
 }
 
+/** The parts first, then the program: its data words view the
+ * buffer. A duplicate label name fails the decode. */
 bool
-getProgram(Decoder &d, isa::Program *program)
+getProgram(Decoder &d, std::shared_ptr<const isa::Program> *program)
 {
-    std::uint64_t insts = d.count(8);
-    for (std::uint64_t i = 0; d.ok() && i < insts; ++i) {
+    std::vector<isa::StaticInst> insts;
+    std::uint64_t count = d.count(8);
+    for (std::uint64_t i = 0; d.ok() && i < count; ++i) {
         isa::StaticInst inst;
         if (!isa::StaticInst::decode(d.u64(), inst))
             return false;
-        program->append(inst);
+        insts.push_back(inst);
     }
-    program->setEntry(static_cast<std::size_t>(d.u64()));
-    std::uint64_t data = d.count(16);
-    for (std::uint64_t i = 0; d.ok() && i < data; ++i) {
-        std::uint64_t addr = d.u64();
-        std::uint64_t value = d.u64();
-        program->addData(addr, value);
-    }
-    std::uint64_t labels = d.count(8);
-    for (std::uint64_t i = 0; d.ok() && i < labels; ++i) {
+    const auto entry = static_cast<std::size_t>(d.u64());
+    sim::Column<isa::DataInit> data;
+    d.view(&data);
+    std::map<std::string, std::size_t> labels;
+    count = d.count(8);
+    for (std::uint64_t i = 0; d.ok() && i < count; ++i) {
         std::string name = d.str();
-        std::uint64_t index = d.u64();
-        if (!d.ok())
-            break;
-        program->defineLabel(name,
-                             static_cast<std::size_t>(index));
+        const auto index = static_cast<std::size_t>(d.u64());
+        if (d.ok() && !labels.emplace(std::move(name), index).second)
+            return false;
     }
-    return d.ok();
+    if (!d.ok())
+        return false;
+    *program = std::make_shared<const isa::Program>(
+        std::move(insts), std::move(labels), entry, std::move(data));
+    return true;
 }
 
 // --- SimTrace (program pointer excluded; fixed up by the caller) ---
@@ -387,11 +386,8 @@ decodeSimProducts(const void *data, std::size_t len,
                   SimProducts *out)
 {
     Decoder d(data, len, owner);
-    auto program = std::make_shared<isa::Program>();
-    if (!getProgram(d, program.get()))
-        return false;
-    out->program = program;
-    if (!getTrace(d, program->size(), &out->trace))
+    if (!getProgram(d, &out->program) ||
+        !getTrace(d, out->program->size(), &out->trace))
         return false;
     out->trace.program = out->program.get();
     out->ipc = d.f64();

@@ -8,28 +8,29 @@
  * containers as a u64 count followed by elements, vector<bool>
  * bit-packed into u64 words. Bulk columns of padding-free elements
  * (the commit records, the SoA incarnation columns, the deadness
- * columns, interval samples, AVF epochs) are a u64 count, zero bytes
- * up to the next kColumnAlignment offset of the payload, and the
- * raw elements; structs with internal padding are written
- * field-by-field so the encoded bytes — and therefore the blob CRC —
- * never depend on indeterminate padding.
+ * columns, the program's data words, interval samples, AVF epochs)
+ * are a u64 count, zero bytes up to the next kColumnAlignment offset
+ * of the payload, and the raw elements; structs with internal
+ * padding are written field-by-field so the encoded bytes — and
+ * therefore the blob CRC — never depend on indeterminate padding.
  *
  * Zero-copy decode: decodeSimProducts and decodeDeadness do not copy
  * their bulk columns. Each becomes a sim::Column viewing the payload
  * in place, kept alive by the 'owner' the caller passes (the disk
- * tier passes its blob mapping, so a served trace holds the mapping
- * until its last view goes). Every check runs before the decoder
- * returns, so no caller sees a view of bytes that failed one. The
- * payload must start at a kColumnAlignment-aligned address (the disk
- * tier's blobs put it there); a column that would land misaligned
- * for its element type fails the decode. The AVF and campaign
- * decoders, the program, the strings and the small columns still
- * copy.
+ * tier passes its blob mapping, so a served trace and its program
+ * hold the mapping until the last view goes). Every check runs
+ * before the decoder returns, so no caller sees a view of bytes that
+ * failed one. The payload must start at a kColumnAlignment-aligned
+ * address (the disk tier's blobs put it there); a column that would
+ * land misaligned for its element type fails the decode. The AVF and
+ * campaign decoders, the program's instructions and labels, the
+ * strings and the small columns still copy.
  *
  * Programs round-trip through StaticInst::encode()/decode(): the
  * canonical 64-bit encoding word is the only per-instruction state,
  * so equal-content programs encode to equal bytes (matching
- * isa::Program::contentHash's content addressing).
+ * isa::Program::contentHash's content addressing). The decoder
+ * collects the parts, then constructs the program once.
  *
  * kSchemaVersion must be bumped whenever any serialized struct
  * changes shape; the disk cache folds it into the blob header so a
@@ -61,7 +62,7 @@ namespace codec
 {
 
 /** Bump on any change to the serialized shape of the types below. */
-constexpr std::uint32_t kSchemaVersion = 5;
+constexpr std::uint32_t kSchemaVersion = 6;
 
 /** Every bulk column starts at a multiple of this payload offset. */
 constexpr std::size_t kColumnAlignment = 64;

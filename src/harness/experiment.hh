@@ -153,8 +153,9 @@ struct RunArtifacts
     avf::AttributionResult attribution;
 };
 
-/** Run one program under one configuration (deep-copies the
- * program into the artifacts). */
+/** Run one program under one configuration. The artifacts hold a
+ * copy of the program, which copies its instructions and labels and
+ * shares its data words. */
 RunArtifacts runProgram(const isa::Program &program,
                         const ExperimentConfig &config,
                         const std::string &name = "program");

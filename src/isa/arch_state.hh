@@ -37,12 +37,13 @@ namespace isa
  * Pages are shared copy-on-write: copying a SparseMemory copies the
  * page table and one pointer per page, and a write clones its page
  * first only while another copy still holds it. Every run starts as
- * such a copy of its program's data image (Program::dataImage), so
- * even the timing model's oracle clones each data page on its first
- * store to it; a page the run materializes itself is owned outright,
- * and a store to an owned page pays one reference-count load. Copies
- * that share pages may live on different threads: a shared page is
- * only ever read, since every writer clones it first.
+ * such a copy of its program's data image (Program::dataImage, built
+ * once per program and shared by the program's copies), so even the
+ * timing model's oracle clones each data page on its first store to
+ * it; a page the run materializes itself is owned outright, and a
+ * store to an owned page pays one reference-count load. Copies that
+ * share pages may live on different threads: a shared page is only
+ * ever read, since every writer clones it first.
  */
 class SparseMemory
 {

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -61,7 +63,8 @@ class Parser
   public:
     explicit Parser(std::string_view source) : _source(source) {}
 
-    AsmResult run();
+    /** 'data' words follow the source's own .word data. */
+    AsmResult run(std::vector<DataInit> data);
 
   private:
     // --- token-stream helpers over the current line ---
@@ -84,7 +87,9 @@ class Parser
 
     // --- accumulated output ---
     std::string_view _source;
-    Program _program;
+    std::vector<StaticInst> _insts;
+    std::map<std::string, std::size_t> _labels;
+    std::vector<DataInit> _data;
     std::vector<Fixup> _fixups;
     std::optional<AsmError> _error;
     std::string _entryLabel;
@@ -217,7 +222,7 @@ Parser::parseDirective()
             fail(".word requires a numeric value, got '" + tok + "'");
             return false;
         }
-        _program.addData(_dataCursor, static_cast<std::uint64_t>(n));
+        _data.push_back({_dataCursor, static_cast<std::uint64_t>(n)});
         _dataCursor += 8;
         return true;
     }
@@ -298,10 +303,9 @@ Parser::parseOperands(Opcode op, std::uint8_t qp)
         return false;
     }
 
-    std::size_t index =
-        _program.append(StaticInst(op, qp, dst, src1, src2, imm));
     if (is_label)
-        _fixups.push_back({index, label, wants_index, _line});
+        _fixups.push_back({_insts.size(), label, wants_index, _line});
+    _insts.push_back(StaticInst(op, qp, dst, src1, src2, imm));
     return true;
 }
 
@@ -338,11 +342,10 @@ Parser::parseLine()
             fail("bad label name '" + name + "'");
             return false;
         }
-        if (_program.hasLabel(name)) {
+        if (!_labels.emplace(name, _insts.size()).second) {
             fail("duplicate label '" + name + "'");
             return false;
         }
-        _program.defineLabel(name, _program.size());
         _pos += 2;
     }
     if (atEnd())
@@ -353,7 +356,7 @@ Parser::parseLine()
 }
 
 AsmResult
-Parser::run()
+Parser::run(std::vector<DataInit> data)
 {
     std::size_t start = 0;
     while (start <= _source.size() && !_error) {
@@ -375,13 +378,14 @@ Parser::run()
     for (const auto &fixup : _fixups) {
         if (_error)
             break;
-        if (!_program.hasLabel(fixup.label)) {
+        auto it = _labels.find(fixup.label);
+        if (it == _labels.end()) {
             _error = AsmError{fixup.line,
                               "undefined label '" + fixup.label + "'"};
             break;
         }
-        std::size_t target = _program.labelIndex(fixup.label);
-        StaticInst &inst = _program.inst(fixup.instIndex);
+        std::size_t target = it->second;
+        StaticInst &inst = _insts[fixup.instIndex];
         std::int64_t value =
             fixup.wantsIndex
                 ? static_cast<std::int64_t>(target)
@@ -392,34 +396,39 @@ Parser::run()
                           static_cast<std::int32_t>(value));
     }
 
+    std::size_t entry = 0;
     if (!_error && !_entryLabel.empty()) {
-        if (!_program.hasLabel(_entryLabel)) {
+        auto it = _labels.find(_entryLabel);
+        if (it == _labels.end()) {
             _error = AsmError{0, "undefined entry label '" +
                                      _entryLabel + "'"};
         } else {
-            _program.setEntry(_program.labelIndex(_entryLabel));
+            entry = it->second;
         }
     }
 
     AsmResult result;
     result.error = _error;
-    if (!_error)
-        result.program = std::move(_program);
+    if (!_error) {
+        data.insert(data.begin(), _data.begin(), _data.end());
+        result.program = Program(std::move(_insts), std::move(_labels),
+                                 entry, std::move(data));
+    }
     return result;
 }
 
 } // namespace
 
 AsmResult
-assemble(std::string_view source)
+assemble(std::string_view source, std::vector<DataInit> data)
 {
-    return Parser(source).run();
+    return Parser(source).run(std::move(data));
 }
 
 Program
-assembleOrDie(std::string_view source)
+assembleOrDie(std::string_view source, std::vector<DataInit> data)
 {
-    AsmResult result = assemble(source);
+    AsmResult result = assemble(source, std::move(data));
     if (!result.ok()) {
         SER_FATAL("assembler error at line {}: {}",
                   result.error->line, result.error->message);

@@ -34,6 +34,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "isa/program.hh"
 
@@ -58,11 +59,16 @@ struct AsmResult
     bool ok() const { return !error.has_value(); }
 };
 
-/** Assemble TIA64 source text into a Program. */
-AsmResult assemble(std::string_view source);
+/** Assemble TIA64 source text into a Program. The program adopts
+ * 'data' as its data words after the source's own .word words (the
+ * workload builder's multi-megabyte images, which never pass through
+ * text). */
+AsmResult assemble(std::string_view source,
+                   std::vector<DataInit> data = {});
 
 /** Assemble, treating any error as fatal (for trusted inputs). */
-Program assembleOrDie(std::string_view source);
+Program assembleOrDie(std::string_view source,
+                      std::vector<DataInit> data = {});
 
 } // namespace isa
 } // namespace ser

@@ -1,7 +1,8 @@
 #include "program.hh"
 
-#include <memory>
+#include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "isa/arch_state.hh"
 #include "sim/logging.hh"
@@ -11,20 +12,23 @@ namespace ser
 namespace isa
 {
 
-std::size_t
-Program::append(const StaticInst &inst)
+struct Program::Memo
 {
-    _insts.push_back(inst);
-    _hash.clear();
-    return _insts.size() - 1;
-}
+    std::once_flag hashOnce;
+    std::uint64_t hash = 0;
+    std::once_flag imageOnce;
+    SparseMemory image;
+};
 
-void
-Program::defineLabel(const std::string &name, std::size_t index)
+Program::Program() : Program({}, {}, 0, {}) {}
+
+Program::Program(std::vector<StaticInst> insts,
+                 std::map<std::string, std::size_t> labels,
+                 std::size_t entry, sim::Column<DataInit> data)
+    : _insts(std::move(insts)), _labels(std::move(labels)),
+      _entry(entry), _data(std::move(data)),
+      _memo(std::make_shared<Memo>())
 {
-    auto [it, inserted] = _labels.emplace(name, index);
-    if (!inserted)
-        SER_FATAL("program: duplicate label '{}'", name);
 }
 
 std::size_t
@@ -42,64 +46,39 @@ Program::hasLabel(const std::string &name) const
     return _labels.count(name) > 0;
 }
 
-void
-Program::addData(std::uint64_t addr, std::uint64_t value)
-{
-    _data.push_back({addr, value});
-    _hash.clear();
-    _image.clear();
-}
-
 std::uint64_t
 Program::contentHash() const
 {
-    std::uint64_t h = _hash.value.load(std::memory_order_relaxed);
-    if (h)
-        return h;
-    h = 14695981039346656037ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
+    std::call_once(_memo->hashOnce, [this] {
+        std::uint64_t h = 14695981039346656037ull;
+        auto mix = [&h](std::uint64_t v) {
+            for (int i = 0; i < 8; ++i) {
+                h ^= (v >> (i * 8)) & 0xff;
+                h *= 1099511628211ull;
+            }
+        };
+        mix(_insts.size());
+        for (const StaticInst &inst : _insts)
+            mix(inst.encode());
+        mix(_data.size());
+        for (const DataInit &init : _data) {
+            mix(init.addr);
+            mix(init.value);
         }
-    };
-    mix(_insts.size());
-    for (const StaticInst &inst : _insts)
-        mix(inst.encode());
-    mix(_data.size());
-    for (const DataInit &init : _data) {
-        mix(init.addr);
-        mix(init.value);
-    }
-    mix(_entry);
-    _hash.value.store(h, std::memory_order_relaxed);
-    return h;
+        mix(_entry);
+        _memo->hash = h;
+    });
+    return _memo->hash;
 }
 
 const SparseMemory &
 Program::dataImage() const
 {
-    if (const SparseMemory *image =
-            _image.value.load(std::memory_order_acquire))
-        return *image;
-    auto built = std::make_unique<SparseMemory>();
-    for (const DataInit &init : _data)
-        built->writeWord(init.addr, init.value);
-    // Publish with release so a thread that loads the pointer sees
-    // the finished pages; a racing builder that lost keeps the
-    // winner's image and frees its own.
-    const SparseMemory *expected = nullptr;
-    if (_image.value.compare_exchange_strong(
-            expected, built.get(), std::memory_order_acq_rel,
-            std::memory_order_acquire))
-        return *built.release();
-    return *expected;
-}
-
-void
-Program::ImageMemo::destroy(const SparseMemory *image)
-{
-    delete image;
+    std::call_once(_memo->imageOnce, [this] {
+        for (const DataInit &init : _data)
+            _memo->image.writeWord(init.addr, init.value);
+    });
+    return _memo->image;
 }
 
 void

@@ -1,5 +1,7 @@
 #include "suite.hh"
 
+#include <utility>
+
 #include "isa/assembler.hh"
 #include "sim/logging.hh"
 #include "workloads/kernels.hh"
@@ -87,10 +89,7 @@ buildBenchmark(const BenchmarkProfile &profile,
                std::uint64_t dynamic_target)
 {
     Generated g = generate(profile, dynamic_target);
-    isa::Program program = isa::assembleOrDie(g.text);
-    for (const auto &init : g.data)
-        program.addData(init.addr, init.value);
-    return program;
+    return isa::assembleOrDie(g.text, std::move(g.data));
 }
 
 isa::Program

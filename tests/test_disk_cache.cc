@@ -8,15 +8,17 @@
  * comparison, every integrity check on a crafted blob), the cache
  * codec (byte-canonical encodings of every section's artifact type,
  * proven by end-to-end equality; out-of-range enum bytes and static
- * indices rejected; sim and deadness columns decoded as aligned views
- * into the buffer), and the RunCache integration (disk_hit outcome,
- * per-tier counters and profiling scopes across a simulated process
- * restart, and served traces outliving the blob they were read from).
+ * indices and duplicate labels rejected; sim and deadness columns and
+ * program data words decoded as aligned views into the buffer), and
+ * the RunCache integration (disk_hit outcome, per-tier counters and
+ * profiling scopes across a simulated process restart, and served
+ * traces outliving the blob they were read from).
  *
- * A disk hit's trace and deadness columns view the blob's mapping,
- * and a MAP_PRIVATE mapping can see writes to its file, so a test
- * that corrupts a blob in place first drops every artifact it served
- * (the disk tier itself never rewrites a blob in place).
+ * A disk hit's trace and deadness columns and its program's data
+ * words view the blob's mapping, and a MAP_PRIVATE mapping can see
+ * writes to its file, so a test that corrupts a blob in place first
+ * drops every artifact it served (the disk tier itself never rewrites
+ * a blob in place).
  */
 
 #include <gtest/gtest.h>
@@ -386,6 +388,7 @@ TEST(SimCodec, ColumnsViewTheAlignedBuffer)
     expectViewInside(inc.evictCycle, lo, n, "evictCycle");
     expectViewInside(inc.iqEntry, lo, n, "iqEntry");
     expectViewInside(inc.flags, lo, n, "flags");
+    expectViewInside(back.program->dataInits(), lo, n, "dataInits");
 
     // The views hold the buffer: they outlive the test's handle.
     buf.reset();
@@ -791,6 +794,34 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
               })),
               Status::Corrupt);
 
+    // The program: a label named twice (a map cannot hold one, so
+    // rename "dup1" to "dup0" in the bytes) and a data column whose
+    // count runs past the payload's end.
+    harness::SimProducts dup = good;
+    auto labels = good.program->labels();
+    labels.emplace("dup0", 0);
+    labels.emplace("dup1", 0);
+    dup.program = std::make_shared<const isa::Program>(
+        good.program->instructions(), std::move(labels),
+        good.program->entry(), good.program->dataInits());
+    std::string dupSim = harness::codec::encodeSimProducts(dup);
+    const std::size_t dupAt = dupSim.find("dup1");
+    ASSERT_NE(dupAt, std::string::npos);
+    ASSERT_EQ(dupSim.rfind("dup1"), dupAt);
+    dupSim[dupAt + 3] = '0';
+    EXPECT_EQ(crafted("sim", "dup-label", dupSim), Status::Corrupt);
+
+    // The data count follows the instruction count, the instruction
+    // words and the entry.
+    std::string shortData = goodSim;
+    const std::size_t countAt = 16 + 8 * good.program->size();
+    std::uint64_t words = 0;
+    std::memcpy(&words, shortData.data() + countAt, 8);
+    ASSERT_EQ(words, good.program->dataInits().size());
+    words = shortData.size() / sizeof(isa::DataInit) + 1;
+    std::memcpy(shortData.data() + countAt, &words, 8);
+    EXPECT_EQ(crafted("sim", "data-short", shortData), Status::Corrupt);
+
     auto deadWith = [&](auto edit) {
         avf::DeadnessResult d = goodDead;
         edit(d);
@@ -935,6 +966,8 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
         EXPECT_EQ(harness::codec::encodeDeadness(*served), deadBlob);
         expectSameColumns(sim->trace, served.get(), computed.trace,
                           &dead);
+        expectSameElements(sim->program->dataInits(),
+                           computed.program->dataInits(), "dataInits");
     };
     unchanged("as served");
 
@@ -947,6 +980,10 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
     std::string cmd = "rm -rf '" + _dir + "'";
     ASSERT_EQ(std::system(cmd.c_str()), 0);
     unchanged("after the cache directory was removed");
+    // The served program's data image is first built now, from the
+    // viewed words.
+    EXPECT_TRUE(sim->program->dataImage().equals(
+        computed.program->dataImage()));
 }
 
 TEST_F(DiskCacheTest, DiskTierTimeHasItsOwnScopes)

@@ -139,8 +139,10 @@ TEST(ParseJobsDeathTest, RejectsNegativeAndOversizedValues)
 TEST(BenchOptionsDeathTest, UnknownOptionsAreFatal)
 {
     // A removed option (--progress, --debug) must fail like any other
-    // unknown --name, not be silently ignored.
-    for (const char *flag : {"--no-such-flag", "--progress", "--debug"})
+    // unknown --name, and so must a token that is no key=value
+    // override; none may be silently ignored.
+    for (const char *flag :
+         {"--no-such-flag", "--progress", "--debug", "gzip", "=5"})
         EXPECT_EXIT(parseArgs({flag}), testing::ExitedWithCode(1),
                     std::string("unknown option '") + flag + "'");
 }
