@@ -32,7 +32,8 @@ namespace
  * One full pipeline simulation: the miss path of the run cache's sim
  * section, and the direct path when the cache is bypassed. The
  * returned bundle owns the program it ran, so its trace.program
- * pointer stays valid for as long as any cache hit shares it.
+ * pointer stays valid for as long as any cache hit shares it. Each
+ * step besides the tick loop (which times itself) has its own scope.
  */
 SimProducts
 simulate(std::shared_ptr<const isa::Program> program,
@@ -42,42 +43,57 @@ simulate(std::shared_ptr<const isa::Program> program,
     SimProducts products;
     products.program = std::move(program);
 
-    cpu::InOrderPipeline pipeline(*products.program, params);
-    auto policy = core::makeTriggerPolicy(config.triggerLevel,
-                                          config.triggerAction);
-    pipeline.setExposurePolicy(policy.get());
-    pipeline.setWarmupInsts(config.warmupInsts);
-
+    std::unique_ptr<cpu::InOrderPipeline> pipeline;
+    std::unique_ptr<core::MissTriggerPolicy> policy;
     std::unique_ptr<cpu::IntervalSampler> sampler;
-    if (config.intervalCycles) {
-        sampler = std::make_unique<cpu::IntervalSampler>(
-            config.intervalCycles);
-        pipeline.setIntervalSampler(sampler.get());
-    }
-    if (tw)
-        pipeline.setTraceWriter(tw);
-
-    products.trace = pipeline.run();
-    products.ipc = products.trace.ipc();
-    products.poolHighWater = pipeline.poolHighWater();
-    products.cyclesSkipped = pipeline.cyclesSkipped();
-    if (sampler)
-        products.intervals = sampler->samples();
-
-    std::ostringstream stats;
-    pipeline.dumpStats(stats);
-    policy->dumpStats(stats);
-    products.statsDump = stats.str();
-
-    std::ostringstream stats_json;
     {
-        json::JsonWriter jw(stats_json);
-        jw.beginObject();
-        pipeline.dumpJson(jw);
-        policy->dumpJson(jw);
-        jw.endObject();
+        SER_PROF_SCOPE("construct");
+        pipeline = std::make_unique<cpu::InOrderPipeline>(
+            *products.program, params);
+        policy = core::makeTriggerPolicy(config.triggerLevel,
+                                         config.triggerAction);
+        pipeline->setExposurePolicy(policy.get());
+        pipeline->setWarmupInsts(config.warmupInsts);
+        if (config.intervalCycles) {
+            sampler = std::make_unique<cpu::IntervalSampler>(
+                config.intervalCycles);
+            pipeline->setIntervalSampler(sampler.get());
+        }
+        if (tw)
+            pipeline->setTraceWriter(tw);
     }
-    products.statsJson = stats_json.str();
+
+    products.trace = pipeline->run();
+    products.ipc = products.trace.ipc();
+    products.poolHighWater = pipeline->poolHighWater();
+    products.cyclesSkipped = pipeline->cyclesSkipped();
+
+    {
+        SER_PROF_SCOPE("stats_render");
+        if (sampler)
+            products.intervals = sampler->samples();
+
+        std::ostringstream stats;
+        pipeline->dumpStats(stats);
+        policy->dumpStats(stats);
+        products.statsDump = stats.str();
+
+        std::ostringstream stats_json;
+        {
+            json::JsonWriter jw(stats_json);
+            jw.beginObject();
+            pipeline->dumpJson(jw);
+            policy->dumpJson(jw);
+            jw.endObject();
+        }
+        products.statsJson = stats_json.str();
+    }
+    {
+        SER_PROF_SCOPE("teardown");
+        sampler.reset();
+        policy.reset();
+        pipeline.reset();
+    }
     return products;
 }
 
@@ -92,7 +108,10 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
     RunArtifacts out;
     out.benchmark = name;
     out.config = config;
-    out.program = std::move(program);
+    // 'program' stays the submitted one, whose hash simKey memoizes,
+    // for the stream-layer keys of the miss paths below; out.program
+    // adopts the cached bundle's program.
+    out.program = program;
 
     cpu::PipelineParams params = config.pipeline;
     if (params.maxInsts < config.dynamicTarget * 2)
@@ -119,17 +138,25 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
     {
         SER_PROF_SCOPE("pipeline", &out.timings);
         if (cacheable) {
-            sim_key = RunCache::simKey(*out.program, config, params);
+            {
+                SER_PROF_SCOPE("cache_key");
+                sim_key = RunCache::simKey(*program, config, params);
+            }
             sim = cache.getSim(
                 sim_key,
                 [&] {
-                    return simulate(out.program, config, params,
-                                    nullptr);
+                    SimProducts products =
+                        simulate(program, config, params, nullptr);
+                    SER_PROF_SCOPE("stream_share");
+                    cache.shareCommits(
+                        RunCache::streamKey(*program, params.maxInsts),
+                        products.trace);
+                    return products;
                 },
                 &out.cacheSim);
         } else {
-            sim = std::make_shared<const SimProducts>(simulate(
-                out.program, config, params, tw.get()));
+            sim = std::make_shared<const SimProducts>(
+                simulate(program, config, params, tw.get()));
         }
     }
     // Adopt the bundle's (possibly cached, content-identical)
@@ -147,15 +174,20 @@ runProgramImpl(std::shared_ptr<const isa::Program> program,
 
     {
         SER_PROF_SCOPE("deadness", &out.timings);
-        auto compute = [&] { return avf::analyzeDeadness(*out.trace); };
         if (cacheable)
             out.deadness = cache.getDeadness(
-                RunCache::deadnessKey(sim_key), compute,
+                RunCache::deadnessKey(sim_key),
+                [&] {
+                    // A copy shares the stream's columns.
+                    return *cache.streamDeadness(
+                        RunCache::streamKey(*program, params.maxInsts),
+                        *out.trace);
+                },
                 &out.cacheDeadness);
         else
             out.deadness =
                 std::make_shared<const avf::DeadnessResult>(
-                    compute());
+                    avf::analyzeDeadness(*out.trace));
     }
     {
         SER_PROF_SCOPE("avf", &out.timings);

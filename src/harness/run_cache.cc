@@ -1,10 +1,12 @@
 #include "run_cache.hh"
 
+#include <cstring>
 #include <sstream>
 
 #include "harness/cache_codec.hh"
 #include "harness/disk_cache.hh"
 #include "harness/experiment.hh"
+#include "sim/logging.hh"
 #include "sim/prof.hh"
 
 namespace ser
@@ -13,6 +15,21 @@ namespace harness
 {
 namespace
 {
+
+/** One program's committed stream up to a maxInsts bound: the
+ * stream layer's unit of sharing (see the file comment). */
+struct CommitStream
+{
+    sim::Column<cpu::CommitRecord> commits;
+    bool programHalted = false;
+};
+
+std::uint64_t
+approxBytes(const CommitStream &stream)
+{
+    return sizeof(CommitStream) +
+           stream.commits.size() * sizeof(cpu::CommitRecord);
+}
 
 // Per-type dispatch into the cache codec, so the one get<T> template
 // can serve the disk tier for every section.
@@ -35,6 +52,13 @@ std::string
 encodeValue(const faults::CampaignSample &v)
 {
     return codec::encodeCampaign(v);
+}
+// The stream sections are memory-only, so a commit stream never
+// reaches the codec.
+std::string
+encodeValue(const CommitStream &)
+{
+    SER_PANIC("run cache: commit streams are memory-only");
 }
 
 // 'owner' keeps the payload mapped for the sim and deadness
@@ -65,6 +89,12 @@ decodeValue(const void *data, std::size_t len,
 {
     return codec::decodeCampaign(data, len, out);
 }
+bool
+decodeValue(const void *, std::size_t,
+            const std::shared_ptr<const void> &, CommitStream *)
+{
+    SER_PANIC("run cache: commit streams are memory-only");
+}
 
 } // namespace
 
@@ -86,6 +116,8 @@ RunCache::RunCache()
     _deadness.name = "deadness";
     _avf.name = "avf";
     _campaign.name = "campaign";
+    _stream.memoryOnly = true;
+    _streamDeadness.memoryOnly = true;
 }
 
 RunCache &
@@ -102,7 +134,8 @@ RunCache::instance()
 void
 RunCache::clear()
 {
-    for (Section *section : {&_sim, &_deadness, &_avf, &_campaign}) {
+    for (Section *section : {&_sim, &_deadness, &_avf, &_campaign,
+                             &_stream, &_streamDeadness}) {
         std::lock_guard<std::mutex> guard(section->lock);
         section->map.clear();
         section->counters = Counters{};
@@ -137,9 +170,10 @@ RunCache::get(Section &section, const std::string &key,
     // and share the first thread's result.
     std::call_once(entry->once, [&] {
         DiskCache &disk = DiskCache::instance();
+        const bool on_disk = !section.memoryOnly && disk.enabled();
         std::shared_ptr<T> value;
         CacheOutcome source = CacheOutcome::Miss;
-        if (disk.enabled()) {
+        if (on_disk) {
             auto candidate = std::make_shared<T>();
             DiskCache::LoadResult loaded = disk.load(
                 section.name, key,
@@ -168,7 +202,7 @@ RunCache::get(Section &section, const std::string &key,
                 std::lock_guard<std::mutex> guard(section.lock);
                 ++section.counters.misses;
             }
-            if (disk.enabled()) {
+            if (on_disk) {
                 SER_PROF_SCOPE("disk_store");
                 std::uint64_t written = disk.store(
                     section.name, key, encodeValue(*value));
@@ -221,6 +255,40 @@ RunCache::getCampaign(
 {
     return get<faults::CampaignSample>(_campaign, key, compute,
                                        outcome);
+}
+
+void
+RunCache::shareCommits(const std::string &stream_key,
+                       cpu::SimTrace &trace)
+{
+    bool first = false;
+    auto stream = get<CommitStream>(
+        _stream, stream_key,
+        [&] {
+            first = true;
+            return CommitStream{trace.commits, trace.programHalted};
+        },
+        nullptr);
+    if (first)
+        return;  // the trace's own column is the stored one
+    const sim::Column<cpu::CommitRecord> &mine = trace.commits;
+    if (stream->commits.size() != mine.size() ||
+        stream->programHalted != trace.programHalted ||
+        (!mine.empty() &&
+         std::memcmp(stream->commits.data(), mine.data(),
+                     mine.size() * sizeof(cpu::CommitRecord)) != 0))
+        SER_PANIC("run cache: a trace's commits differ from the "
+                  "stream stored under '{}'", stream_key);
+    trace.commits = stream->commits;
+}
+
+std::shared_ptr<const avf::DeadnessResult>
+RunCache::streamDeadness(const std::string &stream_key,
+                         const cpu::SimTrace &trace)
+{
+    return get<avf::DeadnessResult>(
+        _streamDeadness, stream_key,
+        [&] { return avf::analyzeDeadness(trace); }, nullptr);
 }
 
 RunCache::Counters
@@ -342,6 +410,16 @@ RunCache::simKey(const isa::Program &program,
     os << "|l2=";
     cache(os, m.l2);
     os << "|mem=" << m.memLatency;
+    return os.str();
+}
+
+std::string
+RunCache::streamKey(const isa::Program &program,
+                    std::uint64_t max_insts)
+{
+    std::ostringstream os;
+    os << std::hex << program.contentHash() << std::dec
+       << "|max=" << max_insts;
     return os.str();
 }
 

@@ -13,7 +13,7 @@
  * process, and merely share `shared_ptr<const ...>` artifacts
  * afterwards.
  *
- * Three sections, each keyed by an exact (collision-free modulo the
+ * Four sections, each keyed by an exact (collision-free modulo the
  * 64-bit program hash) string:
  *
  *   sim       (program content, effective PipelineParams, trigger
@@ -28,6 +28,28 @@
  * outcome: runProgram labels every request from it, on hits and
  * misses alike, so a none/parity/ECC sweep runs one golden run and
  * one set of forks per benchmark.
+ *
+ * Stream layer: beneath the four sections, a memory-only layer keyed
+ * by what a committed stream depends on, "<program content
+ * hash>|max=<maxInsts>" (streamKey). The pipeline executes at fetch
+ * with a functional oracle, so no trigger, IQ size or latency
+ * changes which instructions commit, only when. The layer holds one
+ * commit column (with its programHalted flag) and one DeadnessResult
+ * per stream:
+ *
+ *   - a sim miss checks its fresh trace against the stored stream
+ *     (size, halted flag, every byte; SER_PANIC naming the key on any
+ *     difference) and adopts the stored column, freeing its own;
+ *   - a deadness miss takes its columns from the stream's result,
+ *     which analyzeDeadness computes at most once per stream.
+ *
+ * So a Table 1 sweep's none/l1/l0 points hold one commit column and
+ * analyse deadness once per program. The four section keys, their
+ * counters, blobs and outcomes stay as they were: a sim or deadness
+ * entry still stands for one design point, so disk tiers, the
+ * manifest's run_cache block and its count checks see no difference.
+ * Only the compute lambdas of a sim or deadness miss touch the layer,
+ * so hits of either tier pay nothing for it.
  *
  * Thread-safety: lookups run concurrently under --jobs. The first
  * thread to miss computes the value under a per-entry once_flag;
@@ -44,8 +66,8 @@
  * are byte-identical with the tier cold, warm, or absent.
  *
  * Escape hatch: `--no-run-cache` (BenchOptions) disables the cache
- * process-wide; outputs are byte-identical either way, which
- * tests/check_determinism.cc enforces.
+ * process-wide, stream layer included; outputs are byte-identical
+ * either way, which tests/check_determinism.cc enforces.
  */
 
 #ifndef SER_HARNESS_RUN_CACHE_HH
@@ -136,7 +158,10 @@ class RunCache
         /** Full misses: computed fresh (neither tier answered). */
         std::uint64_t misses = 0;
         /** Approximate bytes retained by the entries currently in
-         * the section (summed at query time). */
+         * the section (summed at query time). A column that several
+         * entries share (a program's data words, a stream's commits
+         * and deadness) counts once per entry, so this does not
+         * fall when sharing lowers the process's RSS. */
         std::uint64_t bytes = 0;
         /** Disk-tier traffic: blob payload bytes deserialized on
          * disk hits / full blob bytes published on misses. */
@@ -187,8 +212,11 @@ class RunCache
                               const cpu::PipelineParams &
                                   effective_params);
 
-    /** Deadness is a pure function of the trace. The key keeps the
-     * form "<sim key>|deadness=" so existing disk blobs still hit. */
+    /** One deadness entry per design point, like the sim and avf
+     * sections, so a disk tier answers a point's three lookups from
+     * three blobs. Deadness depends only on the committed stream, so
+     * entries of one stream share one analysis in memory (the stream
+     * layer); the blobs stay per point. */
     static std::string deadnessKey(const std::string &sim_key);
 
     /** The AVF fold's epoch grid rides in the sim key already. */
@@ -200,6 +228,26 @@ class RunCache
      * verdict never share an entry. */
     static std::string campaignKey(const std::string &sim_key,
                                    const faults::CampaignSpec &spec);
+
+    /** The stream-layer key: "<program content hash>|max=<maxInsts>",
+     * everything a committed stream depends on. */
+    static std::string streamKey(const isa::Program &program,
+                                 std::uint64_t max_insts);
+
+    /**
+     * Make a fresh trace share the commit column stored under
+     * 'stream_key', storing the trace's own column if the key is
+     * new. Panics, naming the key, if the stored stream differs from
+     * the trace's in size, halted flag or any byte.
+     */
+    void shareCommits(const std::string &stream_key,
+                      cpu::SimTrace &trace);
+
+    /** The deadness of the stream under 'stream_key', analysed from
+     * 'trace' by the first caller only. */
+    std::shared_ptr<const avf::DeadnessResult>
+    streamDeadness(const std::string &stream_key,
+                   const cpu::SimTrace &trace);
 
   private:
     struct Entry
@@ -220,6 +268,8 @@ class RunCache
     {
         /** Disk-tier subdirectory name ("sim", "deadness", ...). */
         const char *name = "";
+        /** The stream layer's sections skip the disk tier. */
+        bool memoryOnly = false;
         mutable std::mutex lock;
         std::unordered_map<std::string, std::shared_ptr<Entry>> map;
         Counters counters;
@@ -240,6 +290,8 @@ class RunCache
     Section _deadness;
     Section _avf;
     Section _campaign;
+    Section _stream;
+    Section _streamDeadness;
 };
 
 /** Approximate retained footprint of a cached value: sizeof the

@@ -50,12 +50,15 @@ std::uint64_t
 Program::contentHash() const
 {
     std::call_once(_memo->hashOnce, [this] {
+        // One 64-bit word per step: xor it in, multiply by an odd
+        // constant, fold the high half down. Each step is a
+        // bijection of the state for a fixed word, so changing any
+        // one word always changes the hash.
         std::uint64_t h = 14695981039346656037ull;
         auto mix = [&h](std::uint64_t v) {
-            for (int i = 0; i < 8; ++i) {
-                h ^= (v >> (i * 8)) & 0xff;
-                h *= 1099511628211ull;
-            }
+            h ^= v;
+            h *= 0x9e3779b97f4a7c15ull;
+            h ^= h >> 32;
         };
         mix(_insts.size());
         for (const StaticInst &inst : _insts)

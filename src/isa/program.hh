@@ -85,10 +85,11 @@ class Program
     std::size_t entry() const { return _entry; }
 
     /**
-     * FNV-1a over the canonical encoding of every instruction, the
-     * data initialisers and the entry point: equal-content programs
-     * hash equal regardless of object identity (the run cache's
-     * content address). The walk reads every data word — millions on
+     * A multiply-xorshift hash, one 64-bit word per step, over the
+     * canonical encoding of every instruction, the data initialisers
+     * and the entry point: equal-content programs hash equal
+     * regardless of object identity (the run cache's content
+     * address). The walk reads every data word — millions on
      * the large-working-set surrogates — so it runs at most once per
      * program, on first call, and a program's copies share the
      * result. Concurrent first callers on one shared program are

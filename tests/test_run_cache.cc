@@ -14,18 +14,31 @@
  * hit, miss/hit/off outcome reporting, the per-section bytes
  * gauge, and equality of results between cache-enabled and disabled
  * runs.
+ *
+ * Stream layer: the squash-trigger points of one program share one
+ * commit column and one deadness analysis, serially, racing on a
+ * worker pool and behind a disk tier; a trace that contradicts its
+ * stored stream panics; a disabled cache shares nothing.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/trigger.hh"
 #include "cpu/inst_arena.hh"
 #include "cpu/pipeline.hh"
+#include "harness/cache_codec.hh"
+#include "harness/disk_cache.hh"
 #include "harness/experiment.hh"
 #include "harness/run_cache.hh"
+#include "harness/suite_runner.hh"
 #include "isa/assembler.hh"
+#include "sim/prof.hh"
 #include "workloads/suite.hh"
 
 using namespace ser;
@@ -172,6 +185,72 @@ class RunCacheTest : public ::testing::Test
         cfg.dynamicTarget = 5000;
         cfg.warmupInsts = 500;
         return cfg;
+    }
+
+    /** Table 1's three points: one committed stream each. */
+    static std::vector<harness::ExperimentConfig> triggerPoints()
+    {
+        std::vector<harness::ExperimentConfig> points;
+        for (const char *level : {"none", "l1", "l0"}) {
+            harness::ExperimentConfig cfg = smallConfig();
+            cfg.triggerLevel = level;
+            points.push_back(cfg);
+        }
+        return points;
+    }
+
+    static std::uint64_t commitsScanned()
+    {
+        for (const prof::CounterSample &c : prof::snapshot().counters)
+            if (c.name == "deadness.commits_scanned")
+                return c.value;
+        return 0;
+    }
+
+    /** Every run's commits and deadness columns are the first
+     * run's, and the analysis scanned one stream's commits. */
+    static void
+    expectOneStream(const std::vector<harness::RunArtifacts> &runs,
+                    std::uint64_t scanned)
+    {
+        ASSERT_FALSE(runs.empty());
+        const harness::RunArtifacts &first = runs.front();
+        ASSERT_FALSE(first.trace->commits.empty());
+        for (const harness::RunArtifacts &r : runs) {
+            EXPECT_EQ(r.trace->commits.data(),
+                      first.trace->commits.data());
+            EXPECT_EQ(r.deadness->kind.data(),
+                      first.deadness->kind.data());
+            EXPECT_EQ(r.deadness->overwriteDist.data(),
+                      first.deadness->overwriteDist.data());
+        }
+        EXPECT_EQ(scanned, first.trace->commits.size());
+    }
+
+    template <typename T>
+    static bool sameBytes(const sim::Column<T> &a,
+                          const sim::Column<T> &b)
+    {
+        return a.size() == b.size() &&
+               (a.empty() ||
+                std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) ==
+                    0);
+    }
+};
+
+/** Profiling armed and zeroed for one test. */
+class ProfArmed
+{
+  public:
+    ProfArmed()
+    {
+        prof::reset();
+        prof::setEnabled(true);
+    }
+    ~ProfArmed()
+    {
+        prof::setEnabled(false);
+        prof::reset();
     }
 };
 
@@ -338,4 +417,154 @@ TEST_F(RunCacheTest, CachedAndUncachedResultsAgree)
         EXPECT_EQ(r->statsJson, direct.statsJson);
         EXPECT_EQ(r->poolHighWater, direct.poolHighWater);
     }
+}
+
+TEST_F(RunCacheTest, TriggerPointsShareOneCommitStream)
+{
+    // The squash trigger changes when instructions commit, never
+    // which: the three points are three simulations of one stream.
+    auto program = buildShared("mcf", 5000);
+    ProfArmed armed;
+    std::vector<harness::RunArtifacts> runs;
+    for (const harness::ExperimentConfig &cfg : triggerPoints())
+        runs.push_back(harness::runProgram(program, cfg, "mcf"));
+
+    EXPECT_EQ(cache().simCounters().misses, 3u);
+    EXPECT_EQ(cache().deadnessCounters().misses, 3u);
+    EXPECT_NE(runs[0].trace.get(), runs[1].trace.get());
+    EXPECT_NE(runs[1].trace.get(), runs[2].trace.get());
+    EXPECT_NE(runs[0].deadness.get(), runs[2].deadness.get());
+    expectOneStream(runs, commitsScanned());
+}
+
+TEST_F(RunCacheTest, RacingTriggerPointsShareOneCommitStream)
+{
+    // Each point twice, on four workers: the points race on one
+    // stream and the duplicates on their own sim entries.
+    ProfArmed armed;
+    std::vector<harness::RunArtifacts> runs;
+    {
+        harness::SuiteRunner runner(4);
+        std::size_t mcf = runner.addProgram("mcf", 5000);
+        for (int copy = 0; copy < 2; ++copy)
+            for (const harness::ExperimentConfig &cfg : triggerPoints())
+                runner.submit(mcf, cfg);
+        runs = runner.run();
+    }
+    EXPECT_EQ(cache().simCounters().misses, 3u);
+    expectOneStream(runs, commitsScanned());
+}
+
+TEST_F(RunCacheTest, DisabledCacheSharesNoStream)
+{
+    auto program = buildShared("mcf", 5000);
+    std::vector<harness::RunArtifacts> shared;
+    for (const harness::ExperimentConfig &cfg : triggerPoints())
+        shared.push_back(harness::runProgram(program, cfg, "mcf"));
+
+    cache().setEnabled(false);
+    std::vector<harness::RunArtifacts> direct;
+    for (const harness::ExperimentConfig &cfg : triggerPoints())
+        direct.push_back(harness::runProgram(program, cfg, "mcf"));
+
+    const harness::RunArtifacts &ref = shared.front();
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+        const harness::RunArtifacts &d = direct[i];
+        for (std::size_t j = 0; j < i; ++j) {
+            EXPECT_NE(d.trace->commits.data(),
+                      direct[j].trace->commits.data());
+            EXPECT_NE(d.deadness->kind.data(),
+                      direct[j].deadness->kind.data());
+        }
+        EXPECT_NE(d.trace->commits.data(), ref.trace->commits.data());
+        EXPECT_TRUE(sameBytes(d.trace->commits, ref.trace->commits));
+        EXPECT_EQ(d.trace->programHalted, ref.trace->programHalted);
+        EXPECT_TRUE(sameBytes(d.deadness->kind, ref.deadness->kind));
+        EXPECT_TRUE(sameBytes(d.deadness->overwriteDist,
+                              ref.deadness->overwriteDist));
+        EXPECT_EQ(d.deadness->returnFdd, ref.deadness->returnFdd);
+        EXPECT_EQ(d.deadness->numDead(), ref.deadness->numDead());
+        EXPECT_DOUBLE_EQ(d.avf->sdcAvf(), shared[i].avf->sdcAvf());
+    }
+}
+
+using RunCacheDeathTest = RunCacheTest;
+
+TEST_F(RunCacheDeathTest, SharedStreamMustMatchByteForByte)
+{
+    const isa::Program program =
+        isa::assembleOrDie("movi r4 = 1\nout r4\nhalt\n");
+    const std::string key = harness::RunCache::streamKey(program, 10);
+    auto trace = [&program] {
+        cpu::SimTrace t;
+        t.program = &program;
+        t.commits = std::vector<cpu::CommitRecord>{
+            {0, 1, 0}, {1, 1, 0}, {2, 1, 0}};
+        t.programHalted = true;
+        return t;
+    };
+    cpu::SimTrace stored = trace();
+    cache().shareCommits(key, stored);
+
+    // An equal trace adopts the stored column; another bound is
+    // another stream.
+    cpu::SimTrace equal = trace();
+    cache().shareCommits(key, equal);
+    EXPECT_EQ(equal.commits.data(), stored.commits.data());
+    cpu::SimTrace longer = trace();
+    cache().shareCommits(harness::RunCache::streamKey(program, 11),
+                         longer);
+    EXPECT_NE(longer.commits.data(), stored.commits.data());
+
+    // One byte, the length, or the halted flag differs.
+    cpu::SimTrace byte = trace();
+    byte.commits = std::vector<cpu::CommitRecord>{
+        {0, 1, 0}, {1, 0, 0}, {2, 1, 0}};
+    cpu::SimTrace shorter = trace();
+    shorter.commits =
+        std::vector<cpu::CommitRecord>{{0, 1, 0}, {1, 1, 0}};
+    cpu::SimTrace running = trace();
+    running.programHalted = false;
+    for (cpu::SimTrace *t : {&byte, &shorter, &running})
+        EXPECT_DEATH(cache().shareCommits(key, *t),
+                     "commits differ from the stream stored under '" +
+                         key + "'");
+}
+
+TEST_F(RunCacheTest, DiskHitSimsWithoutDeadnessBlobsAnalyseOnce)
+{
+    char tmpl[] = "/tmp/ser_stream_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    harness::DiskCache &disk = harness::DiskCache::instance();
+    disk.setDirectory(dir, harness::codec::kSchemaVersion);
+
+    auto program = buildShared("mcf", 5000);
+    for (const harness::ExperimentConfig &cfg : triggerPoints())
+        (void)harness::runProgram(program, cfg, "mcf");  // fills
+    const std::string rm_deadness = "rm -rf '" + dir + "/deadness'";
+    EXPECT_EQ(std::system(rm_deadness.c_str()), 0);
+    cache().clear();
+
+    std::vector<harness::RunArtifacts> runs;
+    {
+        ProfArmed armed;
+        for (const harness::ExperimentConfig &cfg : triggerPoints())
+            runs.push_back(harness::runProgram(program, cfg, "mcf"));
+        for (const harness::RunArtifacts &r : runs) {
+            EXPECT_EQ(r.cacheSim, harness::CacheOutcome::DiskHit);
+            EXPECT_EQ(r.cacheDeadness, harness::CacheOutcome::Miss);
+        }
+        // Each disk hit views its own blob, so only the deadness
+        // columns are shared.
+        const std::uint64_t scanned = commitsScanned();
+        EXPECT_EQ(scanned, runs.front().trace->commits.size());
+        for (const harness::RunArtifacts &r : runs)
+            EXPECT_EQ(r.deadness->kind.data(),
+                      runs.front().deadness->kind.data());
+    }
+
+    disk.setDirectory("", harness::codec::kSchemaVersion);
+    const std::string rm_dir = "rm -rf '" + dir + "'";
+    ASSERT_EQ(std::system(rm_dir.c_str()), 0);
 }
