@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "cpu/trace.hh"
 #include "isa/program.hh"
 #include "isa/static_inst.hh"
+#include "sim/prof.hh"
 
 namespace ser
 {
@@ -44,18 +46,18 @@ columnPad(std::size_t pos)
            kColumnAlignment;
 }
 
+/** Builds a Payload: small fields are copied into its owned buffer,
+ * bulk columns are borrowed where they lie. */
 class Encoder
 {
   public:
-    void u8(std::uint8_t v) { _buf.push_back(static_cast<char>(v)); }
+    void u8(std::uint8_t v) { copy(&v, 1); }
 
     template <typename T>
     void scalar(T v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        char raw[sizeof(T)];
-        std::memcpy(raw, &v, sizeof(T));
-        _buf.append(raw, sizeof(T));
+        copy(&v, sizeof(T));
     }
 
     void u16(std::uint16_t v) { scalar(v); }
@@ -67,24 +69,28 @@ class Encoder
     void str(const std::string &s)
     {
         u64(s.size());
-        _buf.append(s);
+        copy(s.data(), s.size());
     }
 
     /** Bulk column of a padding-free type (a scalar, or a record
      * whose bytes are all value bytes, so the blob never holds
      * indeterminate padding): the count, zero bytes up to the next
-     * kColumnAlignment offset, then the elements. Takes a vector or
-     * a sim::Column. */
+     * kColumnAlignment offset, then the elements, borrowed. Takes a
+     * vector or a sim::Column. */
     template <typename C>
     void column(const C &v)
     {
         using T = typename C::value_type;
         static_assert(std::has_unique_object_representations_v<T>);
+        static constexpr std::byte zeros[kColumnAlignment] = {};
         u64(v.size());
-        _buf.append(columnPad(_buf.size()), '\0');
-        if (!v.empty())
-            _buf.append(reinterpret_cast<const char *>(v.data()),
-                        v.size() * sizeof(T));
+        copy(zeros, columnPad(_size));
+        if (v.empty())
+            return;
+        closeRun();
+        _pieces.push_back({reinterpret_cast<const std::byte *>(v.data()),
+                           0, v.size() * sizeof(T)});
+        _size += v.size() * sizeof(T);
     }
 
     void bits(const std::vector<bool> &v)
@@ -103,10 +109,57 @@ class Encoder
             u64(word);
     }
 
-    std::string take() { return std::move(_buf); }
+    Payload take()
+    {
+        static prof::Counter copied(
+            "codec.encode_copied_bytes",
+            "payload bytes the disk-tier encoders copied into their "
+            "own buffer; bulk columns are borrowed, not copied");
+        closeRun();
+        copied += _owned.size();
+        Payload out;
+        out.owned = std::move(_owned);
+        out.ranges.reserve(_pieces.size());
+        for (const Piece &piece : _pieces) {
+            const std::byte *at =
+                piece.borrowed ? piece.borrowed
+                               : out.owned.data() + piece.offset;
+            out.ranges.emplace_back(at, piece.len);
+        }
+        return out;
+    }
 
   private:
-    std::string _buf;
+    /** A borrowed range, or (borrowed null) a run of the owned
+     * buffer, which may still move while it grows. */
+    struct Piece
+    {
+        const std::byte *borrowed;
+        std::size_t offset;
+        std::size_t len;
+    };
+
+    void copy(const void *data, std::size_t len)
+    {
+        const auto *bytes = static_cast<const std::byte *>(data);
+        _owned.insert(_owned.end(), bytes, bytes + len);
+        _size += len;
+    }
+
+    /** End the owned run since the last borrowed range. */
+    void closeRun()
+    {
+        if (_owned.size() > _runStart)
+            _pieces.push_back({nullptr, _runStart,
+                               _owned.size() - _runStart});
+        _runStart = _owned.size();
+    }
+
+    std::vector<std::byte> _owned;
+    std::vector<Piece> _pieces;
+    std::size_t _runStart = 0;
+    /** Payload bytes so far, owned and borrowed. */
+    std::size_t _size = 0;
 };
 
 class Decoder
@@ -363,7 +416,7 @@ getTrace(Decoder &d, std::size_t num_insts, cpu::SimTrace *trace)
 
 } // namespace
 
-std::string
+Payload
 encodeSimProducts(const SimProducts &products)
 {
     Encoder e;
@@ -399,7 +452,7 @@ decodeSimProducts(const void *data, std::size_t len,
     return d.done();
 }
 
-std::string
+Payload
 encodeDeadness(const avf::DeadnessResult &result)
 {
     Encoder e;
@@ -448,7 +501,7 @@ decodeDeadness(const void *data, std::size_t len,
     return d.done();
 }
 
-std::string
+Payload
 encodeAvf(const avf::AvfResult &result)
 {
     Encoder e;
@@ -498,7 +551,7 @@ decodeAvf(const void *data, std::size_t len, avf::AvfResult *out)
     return d.done();
 }
 
-std::string
+Payload
 encodeCampaign(const faults::CampaignSample &sample)
 {
     Encoder e;

@@ -26,6 +26,17 @@
  * campaign decoders, the program's instructions and labels, the
  * strings and the small columns still copy.
  *
+ * Zero-copy encode: an encoder returns a Payload, the payload's bytes
+ * as ranges in payload order. The small fields
+ * (scalars, counts, strings, instruction words, bit vectors and the
+ * column padding) are copied into one small buffer the Payload owns;
+ * each bulk column is a range borrowed from the value being encoded,
+ * which must stay alive and unchanged while the ranges are read. The
+ * disk tier checksums and writes the ranges where they lie, so
+ * storing a 20 MB trace copies tens of kilobytes. The ranges'
+ * concatenation is the byte stream described above, so how a payload
+ * is split into ranges never shows in a blob.
+ *
  * Programs round-trip through StaticInst::encode()/decode(): the
  * canonical 64-bit encoding word is the only per-instruction state,
  * so equal-content programs encode to equal bytes (matching
@@ -47,7 +58,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <span>
+#include <vector>
 
 #include "avf/avf.hh"
 #include "avf/deadness.hh"
@@ -67,10 +79,26 @@ constexpr std::uint32_t kSchemaVersion = 6;
 /** Every bulk column starts at a multiple of this payload offset. */
 constexpr std::size_t kColumnAlignment = 64;
 
-std::string encodeSimProducts(const SimProducts &products);
-std::string encodeDeadness(const avf::DeadnessResult &result);
-std::string encodeAvf(const avf::AvfResult &result);
-std::string encodeCampaign(const faults::CampaignSample &sample);
+/** An encoded payload: its bytes are the concatenation of 'ranges'.
+ * Some ranges point into 'owned' (the copied small fields), the rest
+ * into the encoded value. Move-only, since a copy's ranges would
+ * still point into the original's buffer. */
+struct Payload
+{
+    Payload() = default;
+    Payload(Payload &&) = default;
+    Payload &operator=(Payload &&) = default;
+    Payload(const Payload &) = delete;
+    Payload &operator=(const Payload &) = delete;
+
+    std::vector<std::span<const std::byte>> ranges;
+    std::vector<std::byte> owned;
+};
+
+Payload encodeSimProducts(const SimProducts &products);
+Payload encodeDeadness(const avf::DeadnessResult &result);
+Payload encodeAvf(const avf::AvfResult &result);
+Payload encodeCampaign(const faults::CampaignSample &sample);
 
 /** Decoders require the whole buffer to be consumed exactly. After a
  * successful decodeSimProducts, out->trace.program points at

@@ -4,13 +4,17 @@
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <vector>
 
 #include "harness/cache_codec.hh"
 #include "sim/crc64.hh"
@@ -227,7 +231,7 @@ DiskCache::load(const std::string &section, const std::string &key,
 
 std::uint64_t
 DiskCache::store(const std::string &section, const std::string &key,
-                 const std::string &payload)
+                 Ranges payload)
 {
     State &s = state();
     std::string dir;
@@ -249,12 +253,31 @@ DiskCache::store(const std::string &section, const std::string &key,
     header.formatVersion = kFormatVersion;
     header.schemaVersion = schemaVersion;
     header.keyLen = static_cast<std::uint32_t>(key.size());
-    header.payloadLen = payload.size();
-    const std::string padding(
-        payloadOffset(key.size()) - kHeaderBytes - key.size(), '\0');
+    static constexpr char zeros[codec::kColumnAlignment] = {};
+    const std::size_t padding =
+        payloadOffset(key.size()) - kHeaderBytes - key.size();
     std::uint64_t crc = crc64(0, key.data(), key.size());
-    crc = crc64(crc, padding.data(), padding.size());
-    header.crc = crc64(crc, payload.data(), payload.size());
+    crc = crc64(crc, zeros, padding);
+    header.payloadLen = 0;
+    for (std::span<const std::byte> range : payload) {
+        crc = crc64(crc, range.data(), range.size());
+        header.payloadLen += range.size();
+    }
+    header.crc = crc;
+
+    // The file's bytes in order; empty ranges are left out, so a
+    // writev that writes nothing has failed.
+    std::vector<iovec> iov;
+    iov.reserve(payload.size() + 3);
+    auto add = [&iov](const void *data, std::size_t len) {
+        if (len)
+            iov.push_back({const_cast<void *>(data), len});
+    };
+    add(&header, kHeaderBytes);
+    add(key.data(), key.size());
+    add(zeros, padding);
+    for (std::span<const std::byte> range : payload)
+        add(range.data(), range.size());
 
     // Temp name unique across processes (pid) and threads (seq);
     // same-directory so the rename is atomic on every filesystem.
@@ -269,25 +292,28 @@ DiskCache::store(const std::string &section, const std::string &key,
     if (fd < 0)
         return 0;
 
-    auto writeAll = [fd](const void *data, std::size_t len) {
-        const char *p = static_cast<const char *>(data);
-        while (len) {
-            ssize_t n = ::write(fd, p, len);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return false;
-            }
-            p += n;
-            len -= static_cast<std::size_t>(n);
+    // One writev for the whole blob, resumed after a signal or a
+    // short write and batched by IOV_MAX.
+    bool ok = true;
+    for (std::size_t next = 0; ok && next < iov.size();) {
+        const int batch = static_cast<int>(
+            std::min<std::size_t>(iov.size() - next, IOV_MAX));
+        ssize_t n = ::writev(fd, iov.data() + next, batch);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0) {
+            ok = false;
+            break;
         }
-        return true;
-    };
-
-    bool ok = writeAll(&header, kHeaderBytes) &&
-              writeAll(key.data(), key.size()) &&
-              writeAll(padding.data(), padding.size()) &&
-              writeAll(payload.data(), payload.size());
+        auto done = static_cast<std::size_t>(n);
+        while (next < iov.size() && done >= iov[next].iov_len)
+            done -= iov[next++].iov_len;
+        if (done) {
+            iov[next].iov_base =
+                static_cast<char *>(iov[next].iov_base) + done;
+            iov[next].iov_len -= done;
+        }
+    }
     ok = (::close(fd) == 0) && ok;
     std::string path =
         sectionDir + "/" + hexKeyHash(key) + ".blob";
@@ -295,7 +321,7 @@ DiskCache::store(const std::string &section, const std::string &key,
         ::unlink(tempPath.c_str());
         return 0;
     }
-    return payloadOffset(key.size()) + payload.size();
+    return payloadOffset(key.size()) + header.payloadLen;
 }
 
 } // namespace harness

@@ -37,6 +37,12 @@
  *    see complete blobs and concurrent writers of the same key
  *    last-write-win without mixing bytes. A crash mid-write leaves
  *    only a temp file, never a half-visible blob.
+ *  - store() takes the payload as byte ranges and copies none of
+ *    them: it chains the CRC over the ranges in order, then writes
+ *    the header, key, padding and ranges with one writev(2) loop
+ *    (resumed after EINTR and short writes, and in batches of at most
+ *    IOV_MAX ranges). The file holds the ranges' concatenation, as if
+ *    the payload had been one buffer.
  *  - load() mmaps the blob and verifies magic, versions, framing
  *    lengths against the file size, and the CRC before handing the
  *    payload to the decoder. Version mismatches are clean misses
@@ -62,6 +68,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 namespace ser
@@ -118,14 +125,18 @@ class DiskCache
     LoadResult load(const std::string &section, const std::string &key,
                     const Decode &decode);
 
+    /** A payload as byte ranges in order; the payload is their
+     * concatenation. */
+    using Ranges = std::span<const std::span<const std::byte>>;
+
     /**
      * Publish a blob for (section, key); atomic and last-write-wins.
-     * Returns the total file bytes written, 0 when disabled or on an
-     * I/O failure (which is non-fatal: the cache just stays cold).
+     * The ranges are only read, and only during the call. Returns the
+     * total file bytes written, 0 when disabled or on an I/O failure
+     * (which is non-fatal: the cache just stays cold).
      */
     std::uint64_t store(const std::string &section,
-                        const std::string &key,
-                        const std::string &payload);
+                        const std::string &key, Ranges payload);
 
     /** The blob path a key maps to (for tests that corrupt blobs). */
     std::string blobPath(const std::string &section,

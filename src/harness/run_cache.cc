@@ -32,30 +32,31 @@ approxBytes(const CommitStream &stream)
 }
 
 // Per-type dispatch into the cache codec, so the one get<T> template
-// can serve the disk tier for every section.
-std::string
+// can serve the disk tier for every section. The payload borrows the
+// value's bulk columns.
+codec::Payload
 encodeValue(const SimProducts &v)
 {
     return codec::encodeSimProducts(v);
 }
-std::string
+codec::Payload
 encodeValue(const avf::DeadnessResult &v)
 {
     return codec::encodeDeadness(v);
 }
-std::string
+codec::Payload
 encodeValue(const avf::AvfResult &v)
 {
     return codec::encodeAvf(v);
 }
-std::string
+codec::Payload
 encodeValue(const faults::CampaignSample &v)
 {
     return codec::encodeCampaign(v);
 }
 // The stream sections are memory-only, so a commit stream never
 // reaches the codec.
-std::string
+codec::Payload
 encodeValue(const CommitStream &)
 {
     SER_PANIC("run cache: commit streams are memory-only");
@@ -203,9 +204,11 @@ RunCache::get(Section &section, const std::string &key,
                 ++section.counters.misses;
             }
             if (on_disk) {
+                // The payload borrows from *value, which this entry
+                // keeps alive and no one changes.
                 SER_PROF_SCOPE("disk_store");
                 std::uint64_t written = disk.store(
-                    section.name, key, encodeValue(*value));
+                    section.name, key, encodeValue(*value).ranges);
                 std::lock_guard<std::mutex> guard(section.lock);
                 section.counters.diskBytesWritten += written;
             }

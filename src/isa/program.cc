@@ -6,6 +6,7 @@
 
 #include "isa/arch_state.hh"
 #include "sim/logging.hh"
+#include "sim/prof.hh"
 
 namespace ser
 {
@@ -78,6 +79,9 @@ const SparseMemory &
 Program::dataImage() const
 {
     std::call_once(_memo->imageOnce, [this] {
+        // Once per program, under whichever scope asked first (a
+        // run's pipeline construction, as a rule).
+        SER_PROF_SCOPE("data_image");
         for (const DataInit &init : _data)
             _memo->image.writeWord(init.addr, init.value);
     });

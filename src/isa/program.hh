@@ -101,7 +101,8 @@ class Program
      * The initial data segment as a memory image: every dataInits()
      * word written in order. ArchState::reset copies it, sharing its
      * pages copy-on-write, instead of replaying millions of words per
-     * run. Built at most once and shared like contentHash(). Read it
+     * run. Built at most once and shared like contentHash(); the
+     * build is the `data_image` profiling scope. Read it
      * through a copy: an in-place read warms the image's page memo,
      * which no two threads may do at once.
      */

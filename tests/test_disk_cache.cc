@@ -5,14 +5,17 @@
  * reference), the raw DiskCache blob store (roundtrip,
  * atomicity-adjacent framing checks, quarantine of corrupted and
  * truncated blobs, stale-schema clean misses, filename-bucket key
- * comparison, every integrity check on a crafted blob), the cache
- * codec (byte-canonical encodings of every section's artifact type,
- * proven by end-to-end equality; out-of-range enum bytes and static
+ * comparison, every integrity check on a crafted blob, payloads of
+ * more ranges than one writev takes, racing stores), the cache codec
+ * (byte-canonical encodings of every section's artifact type, proven
+ * by end-to-end equality and pinned by payload CRCs; bulk columns
+ * borrowed by the encoders; out-of-range enum bytes and static
  * indices and duplicate labels rejected; sim and deadness columns and
  * program data words decoded as aligned views into the buffer), and
  * the RunCache integration (disk_hit outcome, per-tier counters and
- * profiling scopes across a simulated process restart, and served
- * traces outliving the blob they were read from).
+ * profiling scopes across a simulated process restart, served traces
+ * outliving the blob they were read from, and a served value stored
+ * into a second tier).
  *
  * A disk hit's trace and deadness columns and its program's data
  * words view the blob's mapping, and a MAP_PRIVATE mapping can see
@@ -25,14 +28,20 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "harness/cache_codec.hh"
@@ -109,6 +118,29 @@ alignedCopy(const std::string &blob, std::size_t shift = 0)
     std::memcpy(static_cast<char *>(buf) + shift, blob.data(),
                 blob.size());
     return std::shared_ptr<const void>(buf, std::free);
+}
+
+/** A payload's bytes as one string: the one way these tests compare
+ * encodings. */
+std::string
+flatten(const harness::codec::Payload &payload)
+{
+    std::string out;
+    for (std::span<const std::byte> range : payload.ranges)
+        out.append(reinterpret_cast<const char *>(range.data()),
+                   range.size());
+    return out;
+}
+
+/** Store 'bytes' as a one-range payload. */
+std::uint64_t
+storeBytes(const std::string &section, const std::string &key,
+           const std::string &bytes)
+{
+    const std::span<const std::byte> range(
+        reinterpret_cast<const std::byte *>(bytes.data()), bytes.size());
+    return harness::DiskCache::instance().store(section, key,
+                                                {&range, 1});
 }
 
 /** A small gzip run, computed with the run cache off (so every
@@ -237,7 +269,7 @@ TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
     good.sites[0].verdict.role = faults::BitRole::Pi;
 
     auto decodes = [](const faults::CampaignSample &sample) {
-        std::string blob = harness::codec::encodeCampaign(sample);
+        std::string blob = flatten(harness::codec::encodeCampaign(sample));
         faults::CampaignSample back;
         return harness::codec::decodeCampaign(blob.data(), blob.size(),
                                               &back);
@@ -274,7 +306,7 @@ namespace
 bool
 decodesSim(const harness::SimProducts &products)
 {
-    std::string blob = harness::codec::encodeSimProducts(products);
+    std::string blob = flatten(harness::codec::encodeSimProducts(products));
     auto buf = alignedCopy(blob);
     harness::SimProducts back;
     return harness::codec::decodeSimProducts(buf.get(), blob.size(),
@@ -371,7 +403,8 @@ TEST(SimCodec, OutOfRangeStaticIndexFailsDecode)
 TEST(SimCodec, ColumnsViewTheAlignedBuffer)
 {
     const harness::SimProducts computed = computedProducts();
-    const std::string blob = harness::codec::encodeSimProducts(computed);
+    const std::string blob =
+        flatten(harness::codec::encodeSimProducts(computed));
     auto buf = alignedCopy(blob);
     const void *lo = buf.get();
 
@@ -393,7 +426,7 @@ TEST(SimCodec, ColumnsViewTheAlignedBuffer)
     // The views hold the buffer: they outlive the test's handle.
     buf.reset();
     expectSameColumns(back.trace, nullptr, computed.trace, nullptr);
-    EXPECT_EQ(harness::codec::encodeSimProducts(back), blob);
+    EXPECT_EQ(flatten(harness::codec::encodeSimProducts(back)), blob);
 
     // A buffer one byte off alignment fails the decode rather than
     // handing out misaligned views.
@@ -409,7 +442,7 @@ TEST(DeadnessCodec, ColumnsViewTheAlignedBuffer)
     const harness::SimProducts computed = computedProducts();
     const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
     ASSERT_GT(dead.numDead(), 0u);
-    const std::string blob = harness::codec::encodeDeadness(dead);
+    const std::string blob = flatten(harness::codec::encodeDeadness(dead));
     auto buf = alignedCopy(blob);
     const void *lo = buf.get();
 
@@ -423,7 +456,179 @@ TEST(DeadnessCodec, ColumnsViewTheAlignedBuffer)
     expectSameElements(back.kind, dead.kind, "kind");
     expectSameElements(back.overwriteDist, dead.overwriteDist,
                        "overwriteDist");
-    EXPECT_EQ(harness::codec::encodeDeadness(back), blob);
+    EXPECT_EQ(flatten(harness::codec::encodeDeadness(back)), blob);
+}
+
+namespace
+{
+
+/** A hand-built sim bundle: every field set, every column non-empty
+ * (three instructions, two labels, three data words). */
+harness::SimProducts
+handBuiltSim()
+{
+    harness::SimProducts p;
+    p.program = std::make_shared<const isa::Program>(
+        std::vector<isa::StaticInst>{
+            {isa::Opcode::Addi, 0, 1, 2, 0, 7},
+            {isa::Opcode::Out, 0, 0, 1, 0, 0},
+            {isa::Opcode::Halt, 0, 0, 0, 0, 0}},
+        std::map<std::string, std::size_t>{{"main", 0}, {"done", 2}},
+        0,
+        std::vector<isa::DataInit>{
+            {0x1000, 11}, {0x1008, 22}, {0x2000, 33}});
+    p.trace.program = p.program.get();
+    p.trace.commits = std::vector<cpu::CommitRecord>{
+        {0, 1, 0}, {1, 1, 0x1008}, {2, 0, 0}};
+    cpu::IncarnationLog incs;
+    incs.push_back({0, 0, 1, 2, 3, 4, 1});
+    incs.push_back({1, 1, 2, 5, 6, 7, 0});
+    p.trace.incarnations = std::move(incs);
+    p.trace.startCycle = 1;
+    p.trace.endCycle = 9;
+    p.trace.committedInsts = 3;
+    p.trace.programHalted = true;
+    p.trace.iqEntries = 32;
+    p.ipc = 0.375;
+    p.statsDump = "cycles 8\n";
+    p.statsJson = "{\"cycles\":8}";
+    cpu::IntervalSample sample;
+    sample.startCycle = 1;
+    sample.endCycle = 9;
+    sample.committed = 3;
+    sample.fetched = 4;
+    sample.mispredicts = 1;
+    sample.triggerSquashes = 2;
+    sample.triggerSquashedInsts = 5;
+    sample.iqValidEntryCycles = 12;
+    sample.iqWaitingEntryCycles = 6;
+    p.intervals = {sample};
+    p.poolHighWater = 5;
+    p.cyclesSkipped = 2;
+    return p;
+}
+
+/** 70 commits, so returnFdd spans two bit words. */
+avf::DeadnessResult
+handBuiltDeadness()
+{
+    std::vector<avf::DeadKind> kind;
+    std::vector<std::uint32_t> dist;
+    avf::DeadnessResult d;
+    for (std::uint32_t i = 0; i < 70; ++i) {
+        kind.push_back(static_cast<avf::DeadKind>(i % 5));
+        dist.push_back(i * 3);
+        d.returnFdd.push_back(i % 3 == 0);
+    }
+    d.kind = std::move(kind);
+    d.overwriteDist = std::move(dist);
+    d.numInsts = 70;
+    d.numDefs = 56;
+    d.numFddReg = 14;
+    d.numTddReg = 14;
+    d.numFddMem = 14;
+    d.numTddMem = 14;
+    d.numReturnFdd = 5;
+    return d;
+}
+
+avf::AvfResult
+handBuiltAvf()
+{
+    avf::AvfResult a;
+    a.windowCycles = 100;
+    a.totalBitCycles = 6400;
+    a.idle = 10;
+    a.exAce = 20;
+    a.squashedUnread = 30;
+    a.ace = 40;
+    a.aceRefined = 35;
+    for (int s = 0; s < avf::numUnAceSources; ++s)
+        a.unAceRead[s] = static_cast<std::uint64_t>(s + 1);
+    a.fddRegExposures = {{5, 2}, {7, 3}};
+    a.epochs = {{0, 50, 100, 60, 10}, {50, 50, 90, 50, 12}};
+    return a;
+}
+
+faults::CampaignSample
+handBuiltCampaign()
+{
+    faults::CampaignSample c;
+    c.structures = {{faults::Structure::Iq, 204800, 0.25, 0.5},
+                    {faults::Structure::IntRegFile, 4096, 0.125, 0.0625}};
+    c.goldenSteps = 1234;
+    c.checkpoints = 17;
+    faults::SampledSite iq;
+    iq.site = {3, 41, 77, faults::Structure::Iq};
+    iq.verdict.residency = 5;
+    iq.verdict.inst = 2;
+    iq.verdict.rerunSteps = 99;
+    iq.verdict.role = faults::BitRole::Pi;
+    iq.verdict.readAfter = true;
+    iq.verdict.committed = true;
+    iq.verdict.reRan = true;
+    iq.verdict.outputChanged = true;
+    faults::SampledSite reg;
+    reg.site = {9, 63, 80, faults::Structure::IntRegFile};
+    reg.verdict.wrongPath = true;
+    c.sites = {iq, reg};
+    c.aceShares = {{2, 0.75}, {7, 0.25}};
+    return c;
+}
+
+} // namespace
+
+TEST(CodecPins, PayloadCrcsMatchTheStringEncoder)
+{
+    // Printed by the encoder that built each payload as one string
+    // before the gather encoder replaced it: equal CRCs mean equal
+    // bytes, so tiers filled by either build serve the other.
+    auto crc = [](const harness::codec::Payload &payload) {
+        const std::string bytes = flatten(payload);
+        return crc64(0, bytes.data(), bytes.size());
+    };
+    EXPECT_EQ(crc(harness::codec::encodeSimProducts(handBuiltSim())),
+              0x4d883a0da0f96f06ull);
+    EXPECT_EQ(crc(harness::codec::encodeDeadness(handBuiltDeadness())),
+              0x20c38824211e7e2eull);
+    EXPECT_EQ(crc(harness::codec::encodeAvf(handBuiltAvf())),
+              0xabda573adf237f14ull);
+    EXPECT_EQ(crc(harness::codec::encodeCampaign(handBuiltCampaign())),
+              0x664cce1e7191f1d5ull);
+}
+
+TEST(CodecPins, BulkColumnsAreBorrowedNotCopied)
+{
+    // Every bulk column is a range over the value itself, and the
+    // owned buffer holds everything else.
+    const harness::SimProducts sim = handBuiltSim();
+    const harness::codec::Payload payload =
+        harness::codec::encodeSimProducts(sim);
+    std::size_t columnBytes = 0;
+    auto borrowed = [&](const auto &column) {
+        using T = typename std::decay_t<decltype(column)>::value_type;
+        columnBytes += column.size() * sizeof(T);
+        for (std::span<const std::byte> range : payload.ranges) {
+            if (range.data() ==
+                    reinterpret_cast<const std::byte *>(column.data()) &&
+                range.size() == column.size() * sizeof(T))
+                return true;
+        }
+        return false;
+    };
+    const cpu::IncarnationColumns &inc = sim.trace.incarnations;
+    EXPECT_TRUE(borrowed(sim.program->dataInits()));
+    EXPECT_TRUE(borrowed(sim.trace.commits));
+    EXPECT_TRUE(borrowed(inc.staticIdx));
+    EXPECT_TRUE(borrowed(inc.oracleSeq));
+    EXPECT_TRUE(borrowed(inc.enqueueCycle));
+    EXPECT_TRUE(borrowed(inc.issueCycle));
+    EXPECT_TRUE(borrowed(inc.evictCycle));
+    EXPECT_TRUE(borrowed(inc.iqEntry));
+    EXPECT_TRUE(borrowed(inc.flags));
+    EXPECT_TRUE(borrowed(sim.intervals));
+    EXPECT_EQ(payload.owned.size() + columnBytes,
+              flatten(payload).size());
 }
 
 // ---------------------------------------------------------------
@@ -525,7 +730,7 @@ TEST_F(DiskCacheTest, StoreLoadRoundtrip)
 {
     std::string payload = "the payload bytes \x01\x02\x00 end";
     payload.push_back('\0');
-    std::uint64_t written = disk().store("test", "key-A", payload);
+    std::uint64_t written = storeBytes("test", "key-A", payload);
     EXPECT_GT(written, payload.size());  // header + key + payload
 
     std::string got;
@@ -547,7 +752,7 @@ TEST_F(DiskCacheTest, DisabledTierAnswersDisabled)
 {
     disk().setDirectory("", harness::codec::kSchemaVersion);
     EXPECT_FALSE(disk().enabled());
-    EXPECT_EQ(disk().store("test", "k", "v"), 0u);
+    EXPECT_EQ(storeBytes("test", "k", "v"), 0u);
     std::string got;
     EXPECT_EQ(loadPayload("test", "k", &got).status,
               harness::DiskCache::LoadStatus::Disabled);
@@ -558,7 +763,7 @@ TEST_F(DiskCacheTest, BucketCollisionWithDifferentKeyIsCleanMiss)
     // Simulate a CRC64 filename collision: copy key-A's blob to the
     // path key-B hashes to. The stored key bytes say "key-A", so a
     // load for key-B must answer NoEntry — never key-A's payload.
-    ASSERT_GT(disk().store("test", "key-A", "payload-A"), 0u);
+    ASSERT_GT(storeBytes("test", "key-A", "payload-A"), 0u);
     std::string src = disk().blobPath("test", "key-A");
     std::string dst = disk().blobPath("test", "key-B");
     ASSERT_NE(src, dst);
@@ -575,8 +780,7 @@ TEST_F(DiskCacheTest, BucketCollisionWithDifferentKeyIsCleanMiss)
 
 TEST_F(DiskCacheTest, FlippedPayloadByteQuarantines)
 {
-    ASSERT_GT(disk().store("test", "key-A",
-                           std::string(1000, 'x')), 0u);
+    ASSERT_GT(storeBytes("test", "key-A", std::string(1000, 'x')), 0u);
     std::string path = disk().blobPath("test", "key-A");
 
     // Flip one byte near the end (inside the payload region).
@@ -610,8 +814,7 @@ TEST_F(DiskCacheTest, FlippedPayloadByteQuarantines)
 
 TEST_F(DiskCacheTest, TruncatedBlobQuarantines)
 {
-    ASSERT_GT(disk().store("test", "key-A",
-                           std::string(1000, 'y')), 0u);
+    ASSERT_GT(storeBytes("test", "key-A", std::string(1000, 'y')), 0u);
     std::string path = disk().blobPath("test", "key-A");
     ASSERT_EQ(::truncate(path.c_str(), 200), 0);
 
@@ -623,7 +826,7 @@ TEST_F(DiskCacheTest, TruncatedBlobQuarantines)
 
 TEST_F(DiskCacheTest, RejectedDecodeQuarantines)
 {
-    ASSERT_GT(disk().store("test", "key-A", "valid bytes"), 0u);
+    ASSERT_GT(storeBytes("test", "key-A", "valid bytes"), 0u);
     // The framing and CRC are intact; the decoder still rejects —
     // exactly what a schema-compatible but semantically bad payload
     // (e.g. an out-of-range enum) looks like.
@@ -638,7 +841,7 @@ TEST_F(DiskCacheTest, RejectedDecodeQuarantines)
 
 TEST_F(DiskCacheTest, StaleSchemaVersionIsCleanMiss)
 {
-    ASSERT_GT(disk().store("test", "key-A", "old payload"), 0u);
+    ASSERT_GT(storeBytes("test", "key-A", "old payload"), 0u);
     // A future build with a bumped payload schema must treat the old
     // blob as a miss (and not quarantine it: it is not damaged).
     disk().setDirectory(_dir,
@@ -650,7 +853,7 @@ TEST_F(DiskCacheTest, StaleSchemaVersionIsCleanMiss)
 
     // Re-publishing under the new schema overwrites atomically and
     // hits again.
-    ASSERT_GT(disk().store("test", "key-A", "new payload"), 0u);
+    ASSERT_GT(storeBytes("test", "key-A", "new payload"), 0u);
     EXPECT_EQ(loadPayload("test", "key-A", &got).status,
               harness::DiskCache::LoadStatus::Ok);
     EXPECT_EQ(got, "new payload");
@@ -658,14 +861,99 @@ TEST_F(DiskCacheTest, StaleSchemaVersionIsCleanMiss)
 
 TEST_F(DiskCacheTest, LastWriteWinsOnOverwrite)
 {
-    ASSERT_GT(disk().store("test", "k", "first"), 0u);
-    ASSERT_GT(disk().store("test", "k", "second"), 0u);
+    ASSERT_GT(storeBytes("test", "k", "first"), 0u);
+    ASSERT_GT(storeBytes("test", "k", "second"), 0u);
     std::string got;
     EXPECT_EQ(loadPayload("test", "k", &got).status,
               harness::DiskCache::LoadStatus::Ok);
     EXPECT_EQ(got, "second");
     // No temp files left behind.
     EXPECT_EQ(countEntries(_dir + "/test", ".blob"), 1);
+}
+
+TEST_F(DiskCacheTest, MoreRangesThanIovMaxStoreIntact)
+{
+    // Three full writev batches and a partial one, each range its own
+    // buffer of 1 to 7 bytes.
+    std::vector<std::string> pieces;
+    std::string whole;
+    for (int i = 0; i < 3 * IOV_MAX + 5; ++i) {
+        pieces.emplace_back(static_cast<std::size_t>(i % 7 + 1),
+                            static_cast<char>('a' + i % 26));
+        whole += pieces.back();
+    }
+    std::vector<std::span<const std::byte>> ranges;
+    for (const std::string &piece : pieces)
+        ranges.emplace_back(
+            reinterpret_cast<const std::byte *>(piece.data()),
+            piece.size());
+    const std::uint64_t written = disk().store("test", "many", ranges);
+    // 32-byte header, the 4-byte key and padding to offset 64.
+    EXPECT_EQ(written, 64 + whole.size());
+
+    std::string got;
+    auto result = loadPayload("test", "many", &got);
+    EXPECT_EQ(result.status, harness::DiskCache::LoadStatus::Ok);
+    EXPECT_EQ(got, whole);
+    struct stat st;
+    ASSERT_EQ(::stat(disk().blobPath("test", "many").c_str(), &st), 0);
+    EXPECT_EQ(static_cast<std::uint64_t>(st.st_size), written);
+}
+
+TEST_F(DiskCacheTest, RacingStoresKeepEveryBlobWhole)
+{
+    // Four threads at once, each storing its own key and one shared
+    // key, several times over: each own key holds its thread's bytes,
+    // the shared key one thread's bytes whole, and no temp file is
+    // left behind.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 8;
+    std::vector<std::string> payloads;
+    for (int t = 0; t < kThreads; ++t) {
+        std::vector<unsigned char> bytes = splitmixBytes(200000, t);
+        payloads.emplace_back(bytes.begin(), bytes.end());
+    }
+    // Three ranges per payload, split off its alignment.
+    auto rangesOf = [](const std::string &payload) {
+        const auto *p = reinterpret_cast<const std::byte *>(payload.data());
+        return std::vector<std::span<const std::byte>>{
+            {p, 1000}, {p + 1000, 99001}, {p + 100001, 99999}};
+    };
+    std::vector<std::uint64_t> written(kThreads * kRounds * 2);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const auto ranges = rangesOf(payloads[t]);
+            const std::string own = "own-" + std::to_string(t);
+            start.arrive_and_wait();
+            for (int r = 0; r < kRounds; ++r) {
+                written[(t * kRounds + r) * 2] =
+                    disk().store("race", own, ranges);
+                written[(t * kRounds + r) * 2 + 1] =
+                    disk().store("race", "shared", ranges);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (std::uint64_t bytes : written)
+        EXPECT_GT(bytes, 200000u);
+    std::string got;
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(loadPayload("race", "own-" + std::to_string(t), &got)
+                      .status,
+                  harness::DiskCache::LoadStatus::Ok);
+        EXPECT_EQ(got, payloads[t]) << "own-" << t;
+    }
+    ASSERT_EQ(loadPayload("race", "shared", &got).status,
+              harness::DiskCache::LoadStatus::Ok);
+    EXPECT_NE(std::find(payloads.begin(), payloads.end(), got),
+              payloads.end());
+    EXPECT_EQ(countEntries(_dir + "/race", ".blob"), kThreads + 1);
+    EXPECT_EQ(countEntries(_dir + "/race", ""), kThreads + 1 + 2)
+        << "a temp file is left (the 2 are . and ..)";
 }
 
 namespace
@@ -720,7 +1008,8 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     const harness::SimProducts good = computedProducts();
     const avf::DeadnessResult goodDead =
         avf::analyzeDeadness(good.trace);
-    const std::string goodSim = harness::codec::encodeSimProducts(good);
+    const std::string goodSim =
+        flatten(harness::codec::encodeSimProducts(good));
 
     auto quarantined = [&](const std::string &section,
                            const std::string &key) {
@@ -733,7 +1022,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     // Container checks: each case edits one byte of a good blob's
     // file. No view of these blobs exists yet.
     auto edited = [&](const std::string &key, std::streamoff offset) {
-        EXPECT_GT(disk().store("sim", key, goodSim), 0u);
+        EXPECT_GT(storeBytes("sim", key, goodSim), 0u);
         if (offset >= 0)
             flipByte(disk().blobPath("sim", key), offset);
         return loadThroughCodec("sim", key);
@@ -762,7 +1051,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     auto crafted = [&](const std::string &section,
                        const std::string &key,
                        const std::string &payload) {
-        EXPECT_GT(disk().store(section, key, payload), 0u);
+        EXPECT_GT(storeBytes(section, key, payload), 0u);
         Status status = loadThroughCodec(section, key);
         EXPECT_TRUE(status == Status::Ok || quarantined(section, key))
             << key;
@@ -773,7 +1062,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     auto simWith = [&](auto edit) {
         harness::SimProducts p = good;
         edit(p.trace);
-        return harness::codec::encodeSimProducts(p);
+        return flatten(harness::codec::encodeSimProducts(p));
     };
     EXPECT_EQ(crafted("sim", "commit-index", simWith([&](auto &t) {
                   auto commits = copyOf(t.commits);
@@ -804,7 +1093,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     dup.program = std::make_shared<const isa::Program>(
         good.program->instructions(), std::move(labels),
         good.program->entry(), good.program->dataInits());
-    std::string dupSim = harness::codec::encodeSimProducts(dup);
+    std::string dupSim = flatten(harness::codec::encodeSimProducts(dup));
     const std::size_t dupAt = dupSim.find("dup1");
     ASSERT_NE(dupAt, std::string::npos);
     ASSERT_EQ(dupSim.rfind("dup1"), dupAt);
@@ -825,7 +1114,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     auto deadWith = [&](auto edit) {
         avf::DeadnessResult d = goodDead;
         edit(d);
-        return harness::codec::encodeDeadness(d);
+        return flatten(harness::codec::encodeDeadness(d));
     };
     ASSERT_EQ(crafted("deadness", "intact",
                       deadWith([](avf::DeadnessResult &) {})),
@@ -900,11 +1189,10 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
                               sizeof(cpu::IntervalSample)),
               0);
     ASSERT_FALSE(r1.avf->epochs.empty());
-    EXPECT_EQ(
-        harness::codec::encodeDeadness(*r1.deadness),
-        harness::codec::encodeDeadness(*r2.deadness));
-    EXPECT_EQ(harness::codec::encodeAvf(*r1.avf),
-              harness::codec::encodeAvf(*r2.avf));
+    EXPECT_EQ(flatten(harness::codec::encodeDeadness(*r1.deadness)),
+              flatten(harness::codec::encodeDeadness(*r2.deadness)));
+    EXPECT_EQ(flatten(harness::codec::encodeAvf(*r1.avf)),
+              flatten(harness::codec::encodeAvf(*r2.avf)));
     // Both outcomes are labelled from the cached sample; the summary
     // covers every tally, band and re-run counter, and the per-site
     // records are compared directly.
@@ -931,8 +1219,9 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
     const harness::SimProducts computed = computedProducts();
     const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
     const std::string simBlob =
-        harness::codec::encodeSimProducts(computed);
-    const std::string deadBlob = harness::codec::encodeDeadness(dead);
+        flatten(harness::codec::encodeSimProducts(computed));
+    const std::string deadBlob =
+        flatten(harness::codec::encodeDeadness(dead));
     const std::string deadKey = "served|deadness=";
 
     // Publish both, "restart", and take both back from disk.
@@ -962,8 +1251,10 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
     // compare reads every element as its type.
     auto unchanged = [&](const char *when) {
         SCOPED_TRACE(when);
-        EXPECT_EQ(harness::codec::encodeSimProducts(*sim), simBlob);
-        EXPECT_EQ(harness::codec::encodeDeadness(*served), deadBlob);
+        EXPECT_EQ(flatten(harness::codec::encodeSimProducts(*sim)),
+                  simBlob);
+        EXPECT_EQ(flatten(harness::codec::encodeDeadness(*served)),
+                  deadBlob);
         expectSameColumns(sim->trace, served.get(), computed.trace,
                           &dead);
         expectSameElements(sim->program->dataInits(),
@@ -973,8 +1264,8 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
 
     // store() replaces a blob by rename, never in place, so the
     // views keep reading the bytes they were verified from.
-    ASSERT_GT(disk().store("sim", "served", "replacement"), 0u);
-    ASSERT_GT(disk().store("deadness", deadKey, "replacement"), 0u);
+    ASSERT_GT(storeBytes("sim", "served", "replacement"), 0u);
+    ASSERT_GT(storeBytes("deadness", deadKey, "replacement"), 0u);
     unchanged("after store() replaced the blobs");
 
     std::string cmd = "rm -rf '" + _dir + "'";
@@ -984,6 +1275,83 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
     // viewed words.
     EXPECT_TRUE(sim->program->dataImage().equals(
         computed.program->dataImage()));
+}
+
+TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
+{
+    const harness::SimProducts computed = computedProducts();
+    const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
+    ASSERT_GT(disk().store("sim", "k",
+                           harness::codec::encodeSimProducts(computed)
+                               .ranges),
+              0u);
+    ASSERT_GT(disk().store("deadness", "k",
+                           harness::codec::encodeDeadness(dead).ranges),
+              0u);
+
+    // Load both from the current tier; every column of the served
+    // values views that tier's mapping.
+    auto serve = [&](harness::SimProducts *sim,
+                     avf::DeadnessResult *served) {
+        const void *at = nullptr;
+        std::size_t len = 0;
+        auto status = disk()
+                          .load("sim", "k",
+                                [&](const void *data, std::size_t n,
+                                    const std::shared_ptr<const void> &
+                                        owner) {
+                                    at = data;
+                                    len = n;
+                                    return harness::codec::
+                                        decodeSimProducts(data, n, owner,
+                                                          sim);
+                                })
+                          .status;
+        ASSERT_EQ(status, harness::DiskCache::LoadStatus::Ok);
+        const cpu::IncarnationColumns &inc = sim->trace.incarnations;
+        expectViewInside(sim->trace.commits, at, len, "commits");
+        expectViewInside(inc.staticIdx, at, len, "staticIdx");
+        expectViewInside(inc.flags, at, len, "flags");
+        expectViewInside(sim->program->dataInits(), at, len, "dataInits");
+        status = disk()
+                     .load("deadness", "k",
+                           [&](const void *data, std::size_t n,
+                               const std::shared_ptr<const void> &owner) {
+                               at = data;
+                               len = n;
+                               return harness::codec::decodeDeadness(
+                                   data, n, owner, served);
+                           })
+                     .status;
+        ASSERT_EQ(status, harness::DiskCache::LoadStatus::Ok);
+        expectViewInside(served->kind, at, len, "kind");
+        expectViewInside(served->overwriteDist, at, len, "overwriteDist");
+    };
+    harness::SimProducts first;
+    avf::DeadnessResult firstDead;
+    serve(&first, &firstDead);
+
+    // Store the served values, whose borrowed columns lie in the first
+    // tier's mapping, into a second tier, and serve them from there.
+    disk().setDirectory(_dir + "/second", harness::codec::kSchemaVersion);
+    ASSERT_GT(disk().store("sim", "k",
+                           harness::codec::encodeSimProducts(first)
+                               .ranges),
+              0u);
+    ASSERT_GT(disk().store("deadness", "k",
+                           harness::codec::encodeDeadness(firstDead)
+                               .ranges),
+              0u);
+    harness::SimProducts second;
+    avf::DeadnessResult secondDead;
+    serve(&second, &secondDead);
+    EXPECT_NE(second.trace.commits.data(), first.trace.commits.data());
+
+    EXPECT_EQ(flatten(harness::codec::encodeSimProducts(second)),
+              flatten(harness::codec::encodeSimProducts(computed)));
+    EXPECT_EQ(flatten(harness::codec::encodeDeadness(secondDead)),
+              flatten(harness::codec::encodeDeadness(dead)));
+    expectSameColumns(second.trace, &secondDead, computed.trace, &dead);
 }
 
 TEST_F(DiskCacheTest, DiskTierTimeHasItsOwnScopes)
