@@ -4,6 +4,8 @@
 #include <array>
 #include <cstddef>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -397,6 +399,20 @@ struct FoldBank
     std::uint64_t ref = 0;   ///< sum of pre * liveRefinedRate
 };
 
+/** The fold's FDD-register exposures in record order: the two
+ * AvfResult columns, grown as vectors and moved in at the end. */
+struct Exposures
+{
+    std::vector<std::uint64_t> bitCycles;
+    std::vector<std::uint32_t> overwriteDist;
+
+    void push(std::uint64_t bit_cycles, std::uint32_t dist)
+    {
+        bitCycles.push_back(bit_cycles);
+        overwriteDist.push_back(dist);
+    }
+};
+
 /**
  * One incarnation's contribution to one accumulator bank. Force-
  * inlined so the bank stays in registers across the unroll;
@@ -419,7 +435,7 @@ foldOne(const ColumnView &v, std::size_t i, std::uint64_t wlo,
         std::uint64_t whi, const StaticClassInfo *stat,
         const DeadKind *dead, const std::uint32_t *odist,
         std::uint64_t dead_limit, FoldBank &bank,
-        std::vector<FddExposure> &exposures)
+        Exposures &exposures)
 {
     std::uint64_t pre, post, k;
     std::uint64_t live_ref = 0;
@@ -467,8 +483,8 @@ foldOne(const ColumnView &v, std::size_t i, std::uint64_t wlo,
     bank.preSum[k] += pre;
     if (SER_UNLIKELY(k == kFddReg)) {
         if (pre)
-            exposures.push_back(
-                {pre * classRates[kFddReg].unAceRead, odist[di]});
+            exposures.push(pre * classRates[kFddReg].unAceRead,
+                           odist[di]);
     }
 }
 
@@ -509,7 +525,7 @@ foldAvx2(const ColumnView &v, std::size_t total, std::uint64_t wlo,
          std::uint64_t whi, const StaticClassInfo *stat,
          const DeadKind *dead, const std::uint32_t *odist,
          std::uint64_t dead_limit, bool whole, FoldBank *banks,
-         std::vector<FddExposure> &exposures)
+         Exposures &exposures)
 {
     const __m256i sign = _mm256_set1_epi32(
         static_cast<int>(0x80000000u));
@@ -645,10 +661,9 @@ foldAvx2(const ColumnView &v, std::size_t total, std::uint64_t wlo,
                     static_cast<unsigned>(em));
                 em &= em - 1;
                 if (parr[j])
-                    exposures.push_back(
-                        {static_cast<std::uint64_t>(parr[j]) *
-                             classRates[kFddReg].unAceRead,
-                         odist[sarr[j]]});
+                    exposures.push(static_cast<std::uint64_t>(parr[j]) *
+                                       classRates[kFddReg].unAceRead,
+                                   odist[sarr[j]]);
             } while (em);
         }
     }
@@ -682,11 +697,11 @@ binEpochs(const cpu::SimTrace &trace, const DeadnessResult &deadness,
     const std::uint64_t whi = trace.endCycle;
     const std::uint64_t n = (r.windowCycles + epoch_cycles - 1) /
                             epoch_cycles;
-    r.epochs.resize(n);
+    std::vector<EpochAce> epochs(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-        r.epochs[i].startCycle = wlo + i * epoch_cycles;
-        r.epochs[i].cycles =
-            std::min(epoch_cycles, whi - r.epochs[i].startCycle);
+        epochs[i].startCycle = wlo + i * epoch_cycles;
+        epochs[i].cycles =
+            std::min(epoch_cycles, whi - epochs[i].startCycle);
     }
 
     auto spread = [&](std::uint64_t lo, std::uint64_t hi,
@@ -695,8 +710,8 @@ binEpochs(const cpu::SimTrace &trace, const DeadnessResult &deadness,
         if (!bits_per_cycle || hi <= lo)
             return;
         for (auto e = static_cast<std::size_t>((lo - wlo) / epoch_cycles);
-             e < r.epochs.size(); ++e) {
-            EpochAce &ep = r.epochs[e];
+             e < epochs.size(); ++e) {
+            EpochAce &ep = epochs[e];
             if (ep.startCycle >= hi)
                 break;
             ep.*field += (std::min(hi, ep.startCycle + ep.cycles) -
@@ -713,6 +728,7 @@ binEpochs(const cpu::SimTrace &trace, const DeadnessResult &deadness,
         spread(c.preLo, c.preHi, c.aceRate, &EpochAce::ace);
         spread(c.preLo, c.preHi, c.unAceReadRate, &EpochAce::unAceRead);
     }
+    r.epochs = std::move(epochs);
 }
 
 } // namespace
@@ -767,8 +783,11 @@ computeAvf(const cpu::SimTrace &trace, const DeadnessResult &deadness,
     // FDD-register exposures are pushed from the hot loop; on real
     // traces a few percent of incarnations qualify, so reserving a
     // slice of the total up front keeps the loop free of reallocation
-    // copies (the vector still grows if a trace is exposure-heavy).
-    r.fddRegExposures.reserve(total / 16 + 64);
+    // copies (the vectors still grow if a trace is exposure-heavy).
+    Exposures exposures;
+    const std::size_t expected_exposures = total / 16 + 64;
+    exposures.bitCycles.reserve(expected_exposures);
+    exposures.overwriteDist.reserve(expected_exposures);
 
     FoldBank banks[4];
 
@@ -786,17 +805,17 @@ computeAvf(const cpu::SimTrace &trace, const DeadnessResult &deadness,
         const std::size_t quad_end = total & ~std::size_t{3};
         for (; i != quad_end; i += 4) {
             foldOne<W>(view, i + 0, wlo, whi, stat, dead, odist,
-                       deadLimit, banks[0], r.fddRegExposures);
+                       deadLimit, banks[0], exposures);
             foldOne<W>(view, i + 1, wlo, whi, stat, dead, odist,
-                       deadLimit, banks[1], r.fddRegExposures);
+                       deadLimit, banks[1], exposures);
             foldOne<W>(view, i + 2, wlo, whi, stat, dead, odist,
-                       deadLimit, banks[2], r.fddRegExposures);
+                       deadLimit, banks[2], exposures);
             foldOne<W>(view, i + 3, wlo, whi, stat, dead, odist,
-                       deadLimit, banks[3], r.fddRegExposures);
+                       deadLimit, banks[3], exposures);
         }
         for (; i != total; ++i)
             foldOne<W>(view, i, wlo, whi, stat, dead, odist,
-                       deadLimit, banks[0], r.fddRegExposures);
+                       deadLimit, banks[0], exposures);
     };
 
 #if SER_AVF_SIMD
@@ -807,7 +826,7 @@ computeAvf(const cpu::SimTrace &trace, const DeadnessResult &deadness,
     if (__builtin_cpu_supports("avx2") && deadLimit >= 4 &&
         wlo <= 0xffffffffull && whi <= 0xffffffffull) {
         foldAvx2(view, total, wlo, whi, stat, dead, odist, deadLimit,
-                 whole, banks, r.fddRegExposures);
+                 whole, banks, exposures);
     } else
 #endif
     if (whole)
@@ -842,6 +861,9 @@ computeAvf(const cpu::SimTrace &trace, const DeadnessResult &deadness,
         r.unAceRead[classRates[k].source] +=
             classRates[k].unAceRead * pre_k;
     }
+
+    r.fddBitCycles = std::move(exposures.bitCycles);
+    r.fddOverwriteDist = std::move(exposures.overwriteDist);
 
     if (occupied > r.totalBitCycles)
         SER_PANIC("avf: occupied bit-cycles {} exceed total {}",

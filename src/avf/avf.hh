@@ -40,6 +40,7 @@
 
 #include "avf/deadness.hh"
 #include "cpu/trace.hh"
+#include "sim/column.hh"
 
 namespace ser
 {
@@ -63,13 +64,6 @@ constexpr int numUnAceSources =
     static_cast<int>(UnAceSource::NumSources);
 
 const char *unAceSourceName(UnAceSource src);
-
-/** One first-level-dead register def's exposure, for PET coverage. */
-struct FddExposure
-{
-    std::uint64_t bitCycles;      ///< read un-ACE bit-cycles
-    std::uint32_t overwriteDist;  ///< commits until the overwrite
-};
 
 /**
  * Per-epoch ACE accounting: the window's bit-cycle classes binned
@@ -112,11 +106,14 @@ struct AvfResult
     /** Read (parity-detectable) un-ACE bit-cycles by source. */
     std::uint64_t unAceRead[numUnAceSources] = {};
 
-    /** Exposure records of read FDD-via-register bits (PET study). */
-    std::vector<FddExposure> fddRegExposures;
+    /** Exposures of read FDD-via-register bits (PET study), one
+     * element per exposure in both columns: its read un-ACE
+     * bit-cycles, and the commits until the overwrite. */
+    sim::Column<std::uint64_t> fddBitCycles;
+    sim::Column<std::uint32_t> fddOverwriteDist;
 
     /** Per-epoch accounting; empty unless an epoch size was given. */
-    std::vector<EpochAce> epochs;
+    sim::Column<EpochAce> epochs;
 
     // --- derived metrics ---
     double frac(std::uint64_t x) const

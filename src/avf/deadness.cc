@@ -80,7 +80,7 @@ analyzeDeadness(const cpu::SimTrace &trace)
     DeadnessResult result;
     std::vector<DeadKind> kinds(n, DeadKind::Live);
     std::vector<std::uint32_t> overwrite_dist(n, noOverwrite);
-    result.returnFdd.assign(n, false);
+    std::vector<std::uint64_t> return_fdd((n + 63) / 64, 0);
     result.numInsts = n;
 
     // Forward pass: call depth after each committed instruction.
@@ -197,7 +197,7 @@ analyzeDeadness(const cpu::SimTrace &trace)
                     kind = decide(*st, idx, false, dist);
                     if (kind == DeadKind::FddReg &&
                         crosses_return(idx, st->nextWrite)) {
-                        result.returnFdd[idx] = true;
+                        return_fdd[idx / 64] |= 1ull << (idx % 64);
                         ++result.numReturnFdd;
                     }
                 }
@@ -315,6 +315,7 @@ analyzeDeadness(const cpu::SimTrace &trace)
 
     result.kind = std::move(kinds);
     result.overwriteDist = std::move(overwrite_dist);
+    result.returnFddWords = std::move(return_fdd);
     return result;
 }
 

@@ -31,8 +31,8 @@
 #ifndef SER_AVF_DEADNESS_HH
 #define SER_AVF_DEADNESS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "cpu/trace.hh"
 #include "isa/program.hh"
@@ -58,8 +58,8 @@ const char *deadKindName(DeadKind kind);
 /** No overwrite in the trace (dead-at-end defs). */
 constexpr std::uint32_t noOverwrite = ~0u;
 
-/** Per-commit-index classification. The two bulk columns are
- * immutable sim::Columns, like the trace's (cpu/trace.hh). */
+/** Per-commit-index classification. The bulk columns are immutable
+ * sim::Columns, like the trace's (cpu/trace.hh). */
 struct DeadnessResult
 {
     sim::Column<DeadKind> kind;
@@ -71,8 +71,9 @@ struct DeadnessResult
     sim::Column<std::uint32_t> overwriteDist;
 
     /** FDD-via-register defs whose death crosses a procedure return
-     * (the defining frame is exited before the overwrite). */
-    std::vector<bool> returnFdd;
+     * (the defining frame is exited before the overwrite), packed:
+     * commit i is bit i % 64 of word i / 64. Read via returnFdd(). */
+    sim::Column<std::uint64_t> returnFddWords;
 
     // Aggregate counts over qpTrue, committed instructions.
     std::uint64_t numInsts = 0;      ///< all committed (incl nullified)
@@ -86,6 +87,11 @@ struct DeadnessResult
     bool isDead(std::size_t i) const
     {
         return kind[i] != DeadKind::Live;
+    }
+
+    bool returnFdd(std::size_t i) const
+    {
+        return (returnFddWords[i / 64] >> (i % 64)) & 1;
     }
 
     std::uint64_t numDead() const

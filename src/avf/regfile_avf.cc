@@ -92,18 +92,14 @@ RegFileWindows::RegFileWindows(const cpu::SimTrace &trace,
             _commitCycle[inc.oracleSeq] = inc.evictCycle;
     }
 
-    // The last window of a register is open until the next def.
-    std::array<std::vector<bool>, 3> open{
-        std::vector<bool>(isa::numIntRegs),
-        std::vector<bool>(isa::numFpRegs),
-        std::vector<bool>(isa::numPredRegs)};
+    // A register's last window is open until its next def (or the
+    // end of the trace); before its first def it has none.
     auto close = [&](std::size_t file, std::size_t reg,
                      std::uint64_t cycle) {
-        if (!open[file][reg])
+        if (_files[file][reg].empty())
             return;
         RegWindow &w = _files[file][reg].back();
         w.closeCycle = std::max(cycle, w.defCycle);
-        open[file][reg] = false;
     };
     auto def = [&](isa::RegClass rc, std::size_t reg,
                    std::uint64_t cycle, std::uint32_t commit,
@@ -112,14 +108,13 @@ RegFileWindows::RegFileWindows(const cpu::SimTrace &trace,
         close(file, reg, cycle);
         _files[file][reg].push_back(
             RegWindow{cycle, cycle, cycle, commit, false, dead});
-        open[file][reg] = true;
     };
     auto read = [&](isa::RegClass rc, std::size_t reg,
                     std::uint64_t cycle) {
         if (rc == isa::RegClass::None)
             return;
         const std::size_t file = fileIndex(rc);
-        if (!open[file][reg])
+        if (_files[file][reg].empty())
             return;  // reading architectural init state
         RegWindow &w = _files[file][reg].back();
         w.read = true;

@@ -11,10 +11,10 @@ std::uint64_t
 petCoveredBitCycles(const avf::AvfResult &avf, std::uint32_t pet_size)
 {
     std::uint64_t covered = 0;
-    for (const auto &exposure : avf.fddRegExposures) {
-        if (exposure.overwriteDist != avf::noOverwrite &&
-            exposure.overwriteDist <= pet_size)
-            covered += exposure.bitCycles;
+    for (std::size_t i = 0; i < avf.fddBitCycles.size(); ++i) {
+        const std::uint32_t dist = avf.fddOverwriteDist[i];
+        if (dist != avf::noOverwrite && dist <= pet_size)
+            covered += avf.fddBitCycles[i];
     }
     return covered;
 }

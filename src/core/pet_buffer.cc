@@ -164,7 +164,7 @@ petCoverage(const avf::DeadnessResult &deadness, std::uint32_t size)
             dist != avf::noOverwrite && dist <= size;
         switch (deadness.kind[i]) {
           case avf::DeadKind::FddReg:
-            if (deadness.returnFdd[i]) {
+            if (deadness.returnFdd(i)) {
                 ++cov.fddRegReturn;
                 if (covered)
                     ++cov.coveredReturn;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 
 #include "harness/cache_codec.hh"
 #include "harness/disk_cache.hh"
@@ -151,6 +152,9 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
             std::uint64_t topn = parseCount(argv[0], "--topn", text);
             if (topn == 0)
                 SER_FATAL("{}: --topn must be positive", argv[0]);
+            if (topn > std::numeric_limits<std::uint32_t>::max())
+                SER_FATAL("{}: bad value '{}' for --topn", argv[0],
+                          text);
             opts.topn = static_cast<std::uint32_t>(topn);
         } else if (token == "--jobs" ||
                    token.rfind("--jobs=", 0) == 0) {

@@ -1,6 +1,5 @@
 #include "cache_codec.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -75,12 +74,10 @@ class Encoder
     /** Bulk column of a padding-free type (a scalar, or a record
      * whose bytes are all value bytes, so the blob never holds
      * indeterminate padding): the count, zero bytes up to the next
-     * kColumnAlignment offset, then the elements, borrowed. Takes a
-     * vector or a sim::Column. */
-    template <typename C>
-    void column(const C &v)
+     * kColumnAlignment offset, then the elements, borrowed. */
+    template <typename T>
+    void column(const sim::Column<T> &v)
     {
-        using T = typename C::value_type;
         static_assert(std::has_unique_object_representations_v<T>);
         static constexpr std::byte zeros[kColumnAlignment] = {};
         u64(v.size());
@@ -91,22 +88,6 @@ class Encoder
         _pieces.push_back({reinterpret_cast<const std::byte *>(v.data()),
                            0, v.size() * sizeof(T)});
         _size += v.size() * sizeof(T);
-    }
-
-    void bits(const std::vector<bool> &v)
-    {
-        u64(v.size());
-        std::uint64_t word = 0;
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            if (v[i])
-                word |= 1ull << (i & 63);
-            if ((i & 63) == 63) {
-                u64(word);
-                word = 0;
-            }
-        }
-        if (v.size() & 63)
-            u64(word);
     }
 
     Payload take()
@@ -175,7 +156,21 @@ class Decoder
     }
 
     bool ok() const { return _ok; }
-    bool done() const { return _ok && _pos == _len; }
+
+    /** Call once, last: true if the whole payload decoded, and then
+     * counts the bytes the decode copied out, every byte that no
+     * view covers. */
+    bool finish()
+    {
+        static prof::Counter copied(
+            "codec.decode_copied_bytes",
+            "payload bytes the disk-tier decoders copied out of "
+            "verified blobs; bulk columns are viewed, not copied");
+        if (!_ok || _pos != _len)
+            return false;
+        copied += _len - _viewed;
+        return true;
+    }
 
     template <typename T>
     T scalar()
@@ -217,43 +212,28 @@ class Decoder
             static_cast<std::size_t>(n));
     }
 
-    /** A bulk column copied out (the small ones). */
-    template <typename T>
-    void column(std::vector<T> *v)
-    {
-        const T *elems = nullptr;
-        std::size_t n = columnBytes(&elems);
-        if (_ok)
-            v->assign(elems, elems + n);
-    }
-
-    /** A bulk column viewed where it lies, kept alive by the owner.
-     * A column that would land misaligned for T fails the decode. */
+    /** A bulk column viewed where it lies, kept alive by the owner:
+     * its count, the zero padding up to the next kColumnAlignment
+     * offset, then n elements, which must sit at an address aligned
+     * for T or the decode fails. */
     template <typename T>
     void view(sim::Column<T> *c)
     {
-        const T *elems = nullptr;
-        std::size_t n = columnBytes(&elems);
-        if (_ok)
-            *c = sim::Column<T>(elems, n, _owner);
-    }
-
-    void bits(std::vector<bool> *v)
-    {
-        std::uint64_t n = count(1);
-        std::uint64_t words = (n + 63) / 64;
-        if (!take(words * 8))
+        static_assert(std::has_unique_object_representations_v<T>);
+        const std::uint64_t n = count(sizeof(T));
+        const std::size_t framed = _pos;
+        if (!take(columnPad(_pos)))
             return;
-        v->assign(static_cast<std::size_t>(n), false);
-        const unsigned char *base = _p + _pos - words * 8;
-        for (std::uint64_t w = 0; w < words; ++w) {
-            std::uint64_t word;
-            std::memcpy(&word, base + w * 8, 8);
-            std::uint64_t limit = std::min<std::uint64_t>(64, n - w * 64);
-            for (std::uint64_t b = 0; b < limit; ++b)
-                (*v)[static_cast<std::size_t>(w * 64 + b)] =
-                    (word >> b) & 1;
+        const unsigned char *at = _p + _pos;
+        if (!take(n * sizeof(T)))
+            return;
+        if (reinterpret_cast<std::uintptr_t>(at) % alignof(T) != 0) {
+            _ok = false;
+            return;
         }
+        _viewed += _pos - framed;
+        *c = sim::Column<T>(reinterpret_cast<const T *>(at),
+                            static_cast<std::size_t>(n), _owner);
     }
 
     /** An element count, sanity-bounded so corrupt lengths fail
@@ -269,27 +249,6 @@ class Decoder
     }
 
   private:
-    /** Frame one column: its count, the zero padding up to the next
-     * kColumnAlignment offset, then n elements, which must sit at an
-     * address aligned for T. */
-    template <typename T>
-    std::size_t columnBytes(const T **elems)
-    {
-        static_assert(std::has_unique_object_representations_v<T>);
-        std::uint64_t n = count(sizeof(T));
-        if (!take(columnPad(_pos)))
-            return 0;
-        const unsigned char *at = _p + _pos;
-        if (!take(n * sizeof(T)))
-            return 0;
-        if (reinterpret_cast<std::uintptr_t>(at) % alignof(T) != 0) {
-            _ok = false;
-            return 0;
-        }
-        *elems = reinterpret_cast<const T *>(at);
-        return static_cast<std::size_t>(n);
-    }
-
     bool take(std::uint64_t n)
     {
         if (!_ok || n > _len - _pos) {
@@ -304,6 +263,8 @@ class Decoder
     std::size_t _len;
     std::shared_ptr<const void> _owner;
     std::size_t _pos = 0;
+    /** Payload bytes the views cover, their padding included. */
+    std::size_t _viewed = 0;
     bool _ok = true;
 };
 
@@ -446,10 +407,10 @@ decodeSimProducts(const void *data, std::size_t len,
     out->ipc = d.f64();
     out->statsDump = d.str();
     out->statsJson = d.str();
-    d.column(&out->intervals);
+    d.view(&out->intervals);
     out->poolHighWater = d.u64();
     out->cyclesSkipped = d.u64();
-    return d.done();
+    return d.finish();
 }
 
 Payload
@@ -458,7 +419,7 @@ encodeDeadness(const avf::DeadnessResult &result)
     Encoder e;
     e.column(result.kind);
     e.column(result.overwriteDist);
-    e.bits(result.returnFdd);
+    e.column(result.returnFddWords);
     e.u64(result.numInsts);
     e.u64(result.numDefs);
     e.u64(result.numFddReg);
@@ -477,7 +438,7 @@ decodeDeadness(const void *data, std::size_t len,
     Decoder d(data, len, owner);
     d.view(&out->kind);
     d.view(&out->overwriteDist);
-    d.bits(&out->returnFdd);
+    d.view(&out->returnFddWords);
     out->numInsts = d.u64();
     out->numDefs = d.u64();
     out->numFddReg = d.u64();
@@ -485,9 +446,9 @@ decodeDeadness(const void *data, std::size_t len,
     out->numFddMem = d.u64();
     out->numTddMem = d.u64();
     out->numReturnFdd = d.u64();
-    // Readers index all three by commit.
+    // Readers index all three by commit, the packed bits by word.
     if (out->overwriteDist.size() != out->kind.size() ||
-        out->returnFdd.size() != out->kind.size())
+        out->returnFddWords.size() != (out->kind.size() + 63) / 64)
     {
         return false;
     }
@@ -498,7 +459,7 @@ decodeDeadness(const void *data, std::size_t len,
             return false;
         }
     }
-    return d.done();
+    return d.finish();
 }
 
 Payload
@@ -514,11 +475,8 @@ encodeAvf(const avf::AvfResult &result)
     e.u64(result.aceRefined);
     for (int s = 0; s < avf::numUnAceSources; ++s)
         e.u64(result.unAceRead[s]);
-    e.u64(result.fddRegExposures.size());
-    for (const auto &exp : result.fddRegExposures) {
-        e.u64(exp.bitCycles);
-        e.u32(exp.overwriteDist);
-    }
+    e.column(result.fddBitCycles);
+    e.column(result.fddOverwriteDist);
     static_assert(sizeof(avf::EpochAce) == 5 * 8,
                   "EpochAce gained fields; bump kSchemaVersion");
     e.column(result.epochs);
@@ -526,9 +484,10 @@ encodeAvf(const avf::AvfResult &result)
 }
 
 bool
-decodeAvf(const void *data, std::size_t len, avf::AvfResult *out)
+decodeAvf(const void *data, std::size_t len,
+          const std::shared_ptr<const void> &owner, avf::AvfResult *out)
 {
-    Decoder d(data, len);
+    Decoder d(data, len, owner);
     out->windowCycles = d.u64();
     out->totalBitCycles = d.u64();
     out->idle = d.u64();
@@ -538,17 +497,13 @@ decodeAvf(const void *data, std::size_t len, avf::AvfResult *out)
     out->aceRefined = d.u64();
     for (int s = 0; s < avf::numUnAceSources; ++s)
         out->unAceRead[s] = d.u64();
-    std::uint64_t exposures = d.count(12);
-    out->fddRegExposures.reserve(
-        static_cast<std::size_t>(d.ok() ? exposures : 0));
-    for (std::uint64_t i = 0; d.ok() && i < exposures; ++i) {
-        avf::FddExposure exp;
-        exp.bitCycles = d.u64();
-        exp.overwriteDist = d.u32();
-        out->fddRegExposures.push_back(exp);
-    }
-    d.column(&out->epochs);
-    return d.done();
+    d.view(&out->fddBitCycles);
+    d.view(&out->fddOverwriteDist);
+    d.view(&out->epochs);
+    // PET coverage reads the two exposure columns in step.
+    if (out->fddOverwriteDist.size() != out->fddBitCycles.size())
+        return false;
+    return d.finish();
 }
 
 Payload
@@ -640,7 +595,7 @@ decodeCampaign(const void *data, std::size_t len,
         std::uint32_t inst = d.u32();
         out->aceShares.emplace_back(inst, d.f64());
     }
-    return d.done();
+    return d.finish();
 }
 
 } // namespace codec

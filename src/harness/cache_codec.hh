@@ -5,30 +5,33 @@
  *
  * The format is a flat little-endian byte stream: scalar fields in
  * declaration order, doubles as their IEEE-754 bit patterns,
- * containers as a u64 count followed by elements, vector<bool>
- * bit-packed into u64 words. Bulk columns of padding-free elements
- * (the commit records, the SoA incarnation columns, the deadness
- * columns, the program's data words, interval samples, AVF epochs)
- * are a u64 count, zero bytes up to the next kColumnAlignment offset
- * of the payload, and the raw elements; structs with internal
- * padding are written field-by-field so the encoded bytes — and
- * therefore the blob CRC — never depend on indeterminate padding.
+ * containers as a u64 count followed by elements. Every bulk array is
+ * a column of padding-free elements (the commit records, the SoA
+ * incarnation columns, the deadness columns with the returnFdd bits
+ * packed into u64 words, the program's data words, interval samples,
+ * the AVF exposure and epoch columns): a u64 count, zero bytes up to
+ * the next kColumnAlignment offset of the payload, and the raw
+ * elements. Records whose fields each need a check (the campaign
+ * sample's enums and bools) are written field by field, so the
+ * encoded bytes — and therefore the blob CRC — never depend on
+ * indeterminate padding.
  *
- * Zero-copy decode: decodeSimProducts and decodeDeadness do not copy
- * their bulk columns. Each becomes a sim::Column viewing the payload
- * in place, kept alive by the 'owner' the caller passes (the disk
- * tier passes its blob mapping, so a served trace and its program
- * hold the mapping until the last view goes). Every check runs
- * before the decoder returns, so no caller sees a view of bytes that
- * failed one. The payload must start at a kColumnAlignment-aligned
- * address (the disk tier's blobs put it there); a column that would
- * land misaligned for its element type fails the decode. The AVF and
- * campaign decoders, the program's instructions and labels, the
- * strings and the small columns still copy.
+ * Zero-copy decode: the sim, deadness and AVF decoders do not copy
+ * their columns. Each becomes a sim::Column viewing the payload in
+ * place, kept alive by the 'owner' the caller passes (the disk tier
+ * passes its blob mapping, so a served value holds the mapping until
+ * the last view goes). Every check runs before the decoder returns,
+ * so no caller sees a view of bytes that failed one. The payload
+ * must start at a kColumnAlignment-aligned address (the disk tier's
+ * blobs put it there); a column that would land misaligned for its
+ * element type fails the decode. Only the campaign records, the
+ * program's instruction words and labels, the strings and the
+ * scalars are copied; the prof counter codec.decode_copied_bytes
+ * totals them over successful decodes.
  *
  * Zero-copy encode: an encoder returns a Payload, the payload's bytes
  * as ranges in payload order. The small fields
- * (scalars, counts, strings, instruction words, bit vectors and the
+ * (scalars, counts, strings, instruction words and the
  * column padding) are copied into one small buffer the Payload owns;
  * each bulk column is a range borrowed from the value being encoded,
  * which must stay alive and unchanged while the ranges are read. The
@@ -74,7 +77,7 @@ namespace codec
 {
 
 /** Bump on any change to the serialized shape of the types below. */
-constexpr std::uint32_t kSchemaVersion = 6;
+constexpr std::uint32_t kSchemaVersion = 7;
 
 /** Every bulk column starts at a multiple of this payload offset. */
 constexpr std::size_t kColumnAlignment = 64;
@@ -103,7 +106,7 @@ Payload encodeCampaign(const faults::CampaignSample &sample);
 /** Decoders require the whole buffer to be consumed exactly. After a
  * successful decodeSimProducts, out->trace.program points at
  * out->program (the bundle owns it, as on the compute path). The
- * sim and deadness columns view [data, data+len), which 'owner'
+ * sim, deadness and AVF columns view [data, data+len), which 'owner'
  * must keep alive and unchanged. */
 bool decodeSimProducts(const void *data, std::size_t len,
                        const std::shared_ptr<const void> &owner,
@@ -112,6 +115,7 @@ bool decodeDeadness(const void *data, std::size_t len,
                     const std::shared_ptr<const void> &owner,
                     avf::DeadnessResult *out);
 bool decodeAvf(const void *data, std::size_t len,
+               const std::shared_ptr<const void> &owner,
                avf::AvfResult *out);
 bool decodeCampaign(const void *data, std::size_t len,
                     faults::CampaignSample *out);

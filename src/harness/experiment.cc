@@ -71,7 +71,8 @@ simulate(std::shared_ptr<const isa::Program> program,
     {
         SER_PROF_SCOPE("stats_render");
         if (sampler)
-            products.intervals = sampler->samples();
+            products.intervals =
+                std::vector<cpu::IntervalSample>(sampler->samples());
 
         std::ostringstream stats;
         pipeline->dumpStats(stats);

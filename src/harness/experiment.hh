@@ -141,8 +141,9 @@ struct RunArtifacts
      * per-program cost, reported by the "build" scope alone. */
     prof::Phases timings;
 
-    /** Interval time series; empty unless intervalCycles was set. */
-    std::vector<cpu::IntervalSample> intervals;
+    /** Interval time series; empty unless intervalCycles was set.
+     * Shared with the sim bundle it came from. */
+    sim::Column<cpu::IntervalSample> intervals;
 
     /** This run's Chrome trace-event fragment; empty unless
      * traceEventsPid was set (see sim/trace_event.hh). */

@@ -87,12 +87,6 @@ writeRunManifest(json::JsonWriter &jw, const RunArtifacts &run)
         total += seconds;
     }
     jw.kv("total", total);
-    // Like the phase timings, cycles_skipped is a simulator-speed
-    // observation, not a simulated result: it is zero under
-    // --no-cycle-skip while everything else in the manifest stays
-    // byte-identical. Recording it inside this block keeps it under
-    // the determinism checker's existing timing mask.
-    jw.kv("cycles_skipped", run.cyclesSkipped);
     jw.endObject();
 
     const avf::AvfResult &avf = *run.avf;

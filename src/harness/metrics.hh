@@ -33,8 +33,7 @@
  *  - wall-clock metrics, suffix `_seconds` / `_seconds_total`;
  *  - simulator-speed observations, prefix `ser_speed_` (tick-loop
  *    iterations, skipped cycles): also not identical across
- *    --no-cycle-skip, exactly like cycles_skipped in the manifest
- *    timings block.
+ *    --no-cycle-skip, which changes no simulated result.
  */
 
 #ifndef SER_HARNESS_METRICS_HH

@@ -62,8 +62,8 @@ encodeValue(const CommitStream &)
     SER_PANIC("run cache: commit streams are memory-only");
 }
 
-// 'owner' keeps the payload mapped for the sim and deadness
-// decoders' column views; the AVF and campaign decoders copy.
+// 'owner' keeps the payload mapped for the sim, deadness and AVF
+// decoders' column views; the campaign decoder copies.
 bool
 decodeValue(const void *data, std::size_t len,
             const std::shared_ptr<const void> &owner, SimProducts *out)
@@ -79,9 +79,10 @@ decodeValue(const void *data, std::size_t len,
 }
 bool
 decodeValue(const void *data, std::size_t len,
-            const std::shared_ptr<const void> &, avf::AvfResult *out)
+            const std::shared_ptr<const void> &owner,
+            avf::AvfResult *out)
 {
-    return codec::decodeAvf(data, len, out);
+    return codec::decodeAvf(data, len, owner, out);
 }
 bool
 decodeValue(const void *data, std::size_t len,
@@ -353,14 +354,15 @@ approxBytes(const avf::DeadnessResult &result)
     return sizeof(avf::DeadnessResult) +
            result.kind.size() * sizeof(avf::DeadKind) +
            result.overwriteDist.size() * sizeof(std::uint32_t) +
-           result.returnFdd.size() / 8;
+           result.returnFddWords.size() * sizeof(std::uint64_t);
 }
 
 std::uint64_t
 approxBytes(const avf::AvfResult &result)
 {
     return sizeof(avf::AvfResult) +
-           result.fddRegExposures.size() * sizeof(avf::FddExposure) +
+           result.fddBitCycles.size() * sizeof(std::uint64_t) +
+           result.fddOverwriteDist.size() * sizeof(std::uint32_t) +
            result.epochs.size() * sizeof(avf::EpochAce);
 }
 
@@ -404,8 +406,8 @@ RunCache::simKey(const isa::Program &program,
        << ',' << p.latFpDiv << ',' << p.latFpCvt
        << "|max=" << p.maxInsts << ',' << p.maxCycles
        // cycleSkip changes no simulated result, but keying on it
-       // keeps the reported cycles_skipped truthful if one process
-       // ever mixes both settings.
+       // keeps each run's cyclesSkipped truthful if one process ever
+       // mixes both settings.
        << "|skip=" << p.cycleSkip << "|l0=";
     cache(os, m.l0);
     os << "|l1=";

@@ -125,7 +125,7 @@ struct SimProducts
     double ipc = 0.0;
     std::string statsDump;
     std::string statsJson;
-    std::vector<cpu::IntervalSample> intervals;
+    sim::Column<cpu::IntervalSample> intervals;
     std::uint64_t poolHighWater = 0;
 
     /** Cycles the event-driven scheduler fast-forwarded (0 under

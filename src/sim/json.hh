@@ -91,7 +91,7 @@ class JsonWriter
     int _indentStep;
     int _depth = 0;
     /** Per-depth: whether a value has already been written there. */
-    std::vector<bool> _hasValue{false};
+    std::vector<char> _hasValue{false};
     bool _pendingKey = false;
 };
 

@@ -198,7 +198,7 @@ TEST(Deadness, ReturnFddDetected)
     auto idx = commitsOf(a.trace, fn_add);
     ASSERT_GE(idx.size(), 2u);
     EXPECT_EQ(a.deadness.kind[idx[0]], DeadKind::FddReg);
-    EXPECT_TRUE(a.deadness.returnFdd[idx[0]]);
+    EXPECT_TRUE(a.deadness.returnFdd(idx[0]));
 }
 
 TEST(Deadness, NeutralInstructionsAreNotDefs)

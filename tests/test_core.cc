@@ -222,13 +222,13 @@ TEST(PetCoverage, GrowsWithBufferSize)
     for (std::uint32_t i = 0; i < 5; ++i) {
         kind.push_back(avf::DeadKind::FddReg);
         dist.push_back((i + 1) * 10);
-        d.returnFdd.push_back(i >= 3);
     }
     kind.push_back(avf::DeadKind::FddMem);
     dist.push_back(25);
-    d.returnFdd.push_back(false);
     d.kind = std::move(kind);
     d.overwriteDist = std::move(dist);
+    // Defs 3 and 4 die across a return.
+    d.returnFddWords = std::vector<std::uint64_t>{0b011000};
 
     PetCoverage small = petCoverage(d, 15);
     EXPECT_EQ(small.coveredNonReturn, 1u);
@@ -500,14 +500,11 @@ TEST(DueTracker, ResidualIsMonotoneAndReachesZero)
     avf.ace = 200000;
     for (int s = 0; s < avf::numUnAceSources; ++s)
         avf.unAceRead[s] = 30000 + 1000 * s;
-    avf.fddRegExposures.push_back(
-        {avf.unAceRead[static_cast<int>(avf::UnAceSource::FddReg)] /
-             2,
-         100});
-    avf.fddRegExposures.push_back(
-        {avf.unAceRead[static_cast<int>(avf::UnAceSource::FddReg)] -
-             avf.fddRegExposures[0].bitCycles,
-         100000});
+    const std::uint64_t fdd =
+        avf.unAceRead[static_cast<int>(avf::UnAceSource::FddReg)];
+    avf.fddBitCycles =
+        std::vector<std::uint64_t>{fdd / 2, fdd - fdd / 2};
+    avf.fddOverwriteDist = std::vector<std::uint32_t>{100, 100000};
 
     FalseDueAnalysis fda = analyzeFalseDue(avf, 512);
     double prev = fda.baseFalseDueAvf + 1;
@@ -537,7 +534,9 @@ TEST(DueTracker, PetCoverageWeightsByBitCycles)
 {
     avf::AvfResult avf;
     avf.totalBitCycles = 1000;
-    avf.fddRegExposures = {{100, 10}, {200, 1000}, {50, avf::noOverwrite}};
+    avf.fddBitCycles = std::vector<std::uint64_t>{100, 200, 50};
+    avf.fddOverwriteDist =
+        std::vector<std::uint32_t>{10, 1000, avf::noOverwrite};
     EXPECT_EQ(petCoveredBitCycles(avf, 512), 100u);
     EXPECT_EQ(petCoveredBitCycles(avf, 2000), 300u);
 }

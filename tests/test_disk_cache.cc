@@ -452,11 +452,48 @@ TEST(DeadnessCodec, ColumnsViewTheAlignedBuffer)
     expectViewInside(back.kind, lo, blob.size(), "kind");
     expectViewInside(back.overwriteDist, lo, blob.size(),
                      "overwriteDist");
+    expectViewInside(back.returnFddWords, lo, blob.size(),
+                     "returnFddWords");
     buf.reset();
     expectSameElements(back.kind, dead.kind, "kind");
     expectSameElements(back.overwriteDist, dead.overwriteDist,
                        "overwriteDist");
+    expectSameElements(back.returnFddWords, dead.returnFddWords,
+                       "returnFddWords");
     EXPECT_EQ(flatten(harness::codec::encodeDeadness(back)), blob);
+}
+
+TEST(AvfCodec, ColumnsViewTheAlignedBuffer)
+{
+    const harness::SimProducts computed = computedProducts();
+    const avf::AvfResult avf = avf::computeAvf(
+        computed.trace, avf::analyzeDeadness(computed.trace), 500);
+    const std::string blob = flatten(harness::codec::encodeAvf(avf));
+    auto buf = alignedCopy(blob);
+    const void *lo = buf.get();
+
+    avf::AvfResult back;
+    ASSERT_TRUE(harness::codec::decodeAvf(lo, blob.size(), buf, &back));
+    expectViewInside(back.fddBitCycles, lo, blob.size(),
+                     "fddBitCycles");
+    expectViewInside(back.fddOverwriteDist, lo, blob.size(),
+                     "fddOverwriteDist");
+    expectViewInside(back.epochs, lo, blob.size(), "epochs");
+    buf.reset();
+    expectSameElements(back.fddBitCycles, avf.fddBitCycles,
+                       "fddBitCycles");
+    expectSameElements(back.fddOverwriteDist, avf.fddOverwriteDist,
+                       "fddOverwriteDist");
+    expectSameElements(back.epochs, avf.epochs, "epochs");
+    EXPECT_EQ(flatten(harness::codec::encodeAvf(back)), blob);
+
+    // Four bytes off alignment still suits the u32 column, but not
+    // the u64 bit-cycles: the decode fails.
+    auto skewed = alignedCopy(blob, 4);
+    avf::AvfResult rejected;
+    EXPECT_FALSE(harness::codec::decodeAvf(
+        static_cast<const char *>(skewed.get()) + 4, blob.size(),
+        skewed, &rejected));
 }
 
 namespace
@@ -502,7 +539,7 @@ handBuiltSim()
     sample.triggerSquashedInsts = 5;
     sample.iqValidEntryCycles = 12;
     sample.iqWaitingEntryCycles = 6;
-    p.intervals = {sample};
+    p.intervals = std::vector<cpu::IntervalSample>{sample};
     p.poolHighWater = 5;
     p.cyclesSkipped = 2;
     return p;
@@ -514,14 +551,17 @@ handBuiltDeadness()
 {
     std::vector<avf::DeadKind> kind;
     std::vector<std::uint32_t> dist;
+    std::vector<std::uint64_t> returnFdd(2, 0);
     avf::DeadnessResult d;
     for (std::uint32_t i = 0; i < 70; ++i) {
         kind.push_back(static_cast<avf::DeadKind>(i % 5));
         dist.push_back(i * 3);
-        d.returnFdd.push_back(i % 3 == 0);
+        if (i % 3 == 0)
+            returnFdd[i / 64] |= 1ull << (i % 64);
     }
     d.kind = std::move(kind);
     d.overwriteDist = std::move(dist);
+    d.returnFddWords = std::move(returnFdd);
     d.numInsts = 70;
     d.numDefs = 56;
     d.numFddReg = 14;
@@ -545,8 +585,10 @@ handBuiltAvf()
     a.aceRefined = 35;
     for (int s = 0; s < avf::numUnAceSources; ++s)
         a.unAceRead[s] = static_cast<std::uint64_t>(s + 1);
-    a.fddRegExposures = {{5, 2}, {7, 3}};
-    a.epochs = {{0, 50, 100, 60, 10}, {50, 50, 90, 50, 12}};
+    a.fddBitCycles = std::vector<std::uint64_t>{5, 7};
+    a.fddOverwriteDist = std::vector<std::uint32_t>{2, 3};
+    a.epochs = std::vector<avf::EpochAce>{{0, 50, 100, 60, 10},
+                                          {50, 50, 90, 50, 12}};
     return a;
 }
 
@@ -578,11 +620,28 @@ handBuiltCampaign()
 
 } // namespace
 
+TEST(DeadnessCodec, ReturnFddBitsCrossAWordBoundary)
+{
+    // Every third of the 70 commits, so commits 66 and 69 sit in the
+    // second word.
+    const std::string blob =
+        flatten(harness::codec::encodeDeadness(handBuiltDeadness()));
+    auto buf = alignedCopy(blob);
+    avf::DeadnessResult back;
+    ASSERT_TRUE(harness::codec::decodeDeadness(buf.get(), blob.size(), buf,
+                                               &back));
+    ASSERT_EQ(back.returnFddWords.size(), 2u);
+    for (std::size_t i = 0; i < 70; ++i)
+        EXPECT_EQ(back.returnFdd(i), i % 3 == 0) << "commit " << i;
+}
+
 TEST(CodecPins, PayloadCrcsMatchTheStringEncoder)
 {
-    // Printed by the encoder that built each payload as one string
-    // before the gather encoder replaced it: equal CRCs mean equal
-    // bytes, so tiers filled by either build serve the other.
+    // The sim and campaign pins were printed by the encoder that
+    // built each payload as one string before the gather encoder
+    // replaced it: equal CRCs mean equal bytes, so tiers filled by
+    // either build serve the other. The deadness and AVF pins are
+    // cache schema 7's, which made every bulk array a column.
     auto crc = [](const harness::codec::Payload &payload) {
         const std::string bytes = flatten(payload);
         return crc64(0, bytes.data(), bytes.size());
@@ -590,20 +649,23 @@ TEST(CodecPins, PayloadCrcsMatchTheStringEncoder)
     EXPECT_EQ(crc(harness::codec::encodeSimProducts(handBuiltSim())),
               0x4d883a0da0f96f06ull);
     EXPECT_EQ(crc(harness::codec::encodeDeadness(handBuiltDeadness())),
-              0x20c38824211e7e2eull);
+              0xcecf50c37fce8a6dull);
     EXPECT_EQ(crc(harness::codec::encodeAvf(handBuiltAvf())),
-              0xabda573adf237f14ull);
+              0xa8a76b90a3c77f4eull);
     EXPECT_EQ(crc(harness::codec::encodeCampaign(handBuiltCampaign())),
               0x664cce1e7191f1d5ull);
 }
 
-TEST(CodecPins, BulkColumnsAreBorrowedNotCopied)
+namespace
 {
-    // Every bulk column is a range over the value itself, and the
-    // owned buffer holds everything else.
-    const harness::SimProducts sim = handBuiltSim();
-    const harness::codec::Payload payload =
-        harness::codec::encodeSimProducts(sim);
+
+/** Each column is a range of 'payload' over the value itself, and
+ * the owned buffer holds every other byte. */
+template <typename... Columns>
+void
+expectBorrowed(const harness::codec::Payload &payload,
+               const Columns &...columns)
+{
     std::size_t columnBytes = 0;
     auto borrowed = [&](const auto &column) {
         using T = typename std::decay_t<decltype(column)>::value_type;
@@ -616,19 +678,30 @@ TEST(CodecPins, BulkColumnsAreBorrowedNotCopied)
         }
         return false;
     };
-    const cpu::IncarnationColumns &inc = sim.trace.incarnations;
-    EXPECT_TRUE(borrowed(sim.program->dataInits()));
-    EXPECT_TRUE(borrowed(sim.trace.commits));
-    EXPECT_TRUE(borrowed(inc.staticIdx));
-    EXPECT_TRUE(borrowed(inc.oracleSeq));
-    EXPECT_TRUE(borrowed(inc.enqueueCycle));
-    EXPECT_TRUE(borrowed(inc.issueCycle));
-    EXPECT_TRUE(borrowed(inc.evictCycle));
-    EXPECT_TRUE(borrowed(inc.iqEntry));
-    EXPECT_TRUE(borrowed(inc.flags));
-    EXPECT_TRUE(borrowed(sim.intervals));
+    const bool found[] = {borrowed(columns)...};
+    for (std::size_t i = 0; i < sizeof...(columns); ++i)
+        EXPECT_TRUE(found[i]) << "column " << i;
     EXPECT_EQ(payload.owned.size() + columnBytes,
               flatten(payload).size());
+}
+
+} // namespace
+
+TEST(CodecPins, BulkColumnsAreBorrowedNotCopied)
+{
+    const harness::SimProducts sim = handBuiltSim();
+    const cpu::IncarnationColumns &inc = sim.trace.incarnations;
+    expectBorrowed(harness::codec::encodeSimProducts(sim),
+                   sim.program->dataInits(), sim.trace.commits,
+                   inc.staticIdx, inc.oracleSeq, inc.enqueueCycle,
+                   inc.issueCycle, inc.evictCycle, inc.iqEntry,
+                   inc.flags, sim.intervals);
+    const avf::DeadnessResult dead = handBuiltDeadness();
+    expectBorrowed(harness::codec::encodeDeadness(dead), dead.kind,
+                   dead.overwriteDist, dead.returnFddWords);
+    const avf::AvfResult avf = handBuiltAvf();
+    expectBorrowed(harness::codec::encodeAvf(avf), avf.fddBitCycles,
+                   avf.fddOverwriteDist, avf.epochs);
 }
 
 // ---------------------------------------------------------------
@@ -965,15 +1038,19 @@ loadThroughCodec(const std::string &section, const std::string &key)
 {
     harness::SimProducts sim;
     avf::DeadnessResult dead;
+    avf::AvfResult avf;
     return harness::DiskCache::instance()
         .load(section, key,
               [&](const void *data, std::size_t len,
                   const std::shared_ptr<const void> &owner) {
-                  return section == "sim"
-                             ? harness::codec::decodeSimProducts(
-                                   data, len, owner, &sim)
-                             : harness::codec::decodeDeadness(
-                                   data, len, owner, &dead);
+                  if (section == "sim")
+                      return harness::codec::decodeSimProducts(
+                          data, len, owner, &sim);
+                  if (section == "deadness")
+                      return harness::codec::decodeDeadness(
+                          data, len, owner, &dead);
+                  return harness::codec::decodeAvf(data, len, owner,
+                                                   &avf);
               })
         .status;
 }
@@ -1135,6 +1212,42 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
                           d.overwriteDist = std::move(dist);
                       })),
               Status::Corrupt);
+    // returnFdd holds ceil(commits / 64) words, no more.
+    EXPECT_EQ(crafted("deadness", "return-words",
+                      deadWith([](avf::DeadnessResult &d) {
+                          auto words = copyOf(d.returnFddWords);
+                          words.push_back(0);
+                          d.returnFddWords = std::move(words);
+                      })),
+              Status::Corrupt);
+
+    const avf::AvfResult goodAvf = avf::computeAvf(good.trace, goodDead);
+    ASSERT_FALSE(goodAvf.fddBitCycles.empty());
+    auto avfWith = [&](auto edit) {
+        avf::AvfResult a = goodAvf;
+        edit(a);
+        return flatten(harness::codec::encodeAvf(a));
+    };
+    ASSERT_EQ(crafted("avf", "intact", avfWith([](avf::AvfResult &) {})),
+              Status::Ok);
+    EXPECT_EQ(crafted("avf", "exposure-lengths",
+                      avfWith([](avf::AvfResult &a) {
+                          auto dist = copyOf(a.fddOverwriteDist);
+                          dist.pop_back();
+                          a.fddOverwriteDist = std::move(dist);
+                      })),
+              Status::Corrupt);
+    // The bit-cycles column written straight after its count, off
+    // the 64-byte grid: its count follows the 14 u64 totals, and 8
+    // zero bytes pad it to offset 128.
+    std::string unpadded = avfWith([](avf::AvfResult &) {});
+    std::uint64_t exposures = 0;
+    std::memcpy(&exposures, unpadded.data() + 14 * 8, 8);
+    ASSERT_EQ(exposures, goodAvf.fddBitCycles.size());
+    ASSERT_EQ(unpadded.substr(15 * 8, 8), std::string(8, '\0'));
+    unpadded.erase(15 * 8, 8);
+    EXPECT_EQ(crafted("avf", "misaligned-exposures", unpadded),
+              Status::Corrupt);
 }
 
 // ---------------------------------------------------------------
@@ -1218,17 +1331,21 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
 {
     const harness::SimProducts computed = computedProducts();
     const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
+    const avf::AvfResult avf = avf::computeAvf(computed.trace, dead, 500);
     const std::string simBlob =
         flatten(harness::codec::encodeSimProducts(computed));
     const std::string deadBlob =
         flatten(harness::codec::encodeDeadness(dead));
+    const std::string avfBlob = flatten(harness::codec::encodeAvf(avf));
     const std::string deadKey = "served|deadness=";
+    const std::string avfKey = "served|avf";
 
-    // Publish both, "restart", and take both back from disk.
+    // Publish all three, "restart", and take them back from disk.
     cache().getSim("served", [&] { return computed; });
     cache().getDeadness(deadKey, [&] { return dead; });
+    cache().getAvf(avfKey, [&] { return avf; });
     cache().clear();
-    harness::CacheOutcome simOut{}, deadOut{};
+    harness::CacheOutcome simOut{}, deadOut{}, avfOut{};
     auto sim = cache().getSim(
         "served",
         [&] {
@@ -1243,8 +1360,16 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
             return dead;
         },
         &deadOut);
+    auto servedAvf = cache().getAvf(
+        avfKey,
+        [&] {
+            ADD_FAILURE() << "avf recomputed";
+            return avf;
+        },
+        &avfOut);
     ASSERT_EQ(simOut, harness::CacheOutcome::DiskHit);
     ASSERT_EQ(deadOut, harness::CacheOutcome::DiskHit);
+    ASSERT_EQ(avfOut, harness::CacheOutcome::DiskHit);
     cache().clear();  // only this test's handles hold the views now
 
     // Re-encoding reads every byte of every view, and the column
@@ -1255,10 +1380,19 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
                   simBlob);
         EXPECT_EQ(flatten(harness::codec::encodeDeadness(*served)),
                   deadBlob);
+        EXPECT_EQ(flatten(harness::codec::encodeAvf(*servedAvf)),
+                  avfBlob);
         expectSameColumns(sim->trace, served.get(), computed.trace,
                           &dead);
+        expectSameElements(served->returnFddWords, dead.returnFddWords,
+                           "returnFddWords");
         expectSameElements(sim->program->dataInits(),
                            computed.program->dataInits(), "dataInits");
+        expectSameElements(servedAvf->fddBitCycles, avf.fddBitCycles,
+                           "fddBitCycles");
+        expectSameElements(servedAvf->fddOverwriteDist,
+                           avf.fddOverwriteDist, "fddOverwriteDist");
+        expectSameElements(servedAvf->epochs, avf.epochs, "epochs");
     };
     unchanged("as served");
 
@@ -1266,6 +1400,7 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
     // views keep reading the bytes they were verified from.
     ASSERT_GT(storeBytes("sim", "served", "replacement"), 0u);
     ASSERT_GT(storeBytes("deadness", deadKey, "replacement"), 0u);
+    ASSERT_GT(storeBytes("avf", avfKey, "replacement"), 0u);
     unchanged("after store() replaced the blobs");
 
     std::string cmd = "rm -rf '" + _dir + "'";
@@ -1288,48 +1423,62 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
     ASSERT_GT(disk().store("deadness", "k",
                            harness::codec::encodeDeadness(dead).ranges),
               0u);
+    const avf::AvfResult avf = avf::computeAvf(computed.trace, dead, 500);
+    ASSERT_GT(disk().store("avf", "k", harness::codec::encodeAvf(avf).ranges),
+              0u);
 
-    // Load both from the current tier; every column of the served
-    // values views that tier's mapping.
+    // Load all three from the current tier; every column of the
+    // served values views that tier's mapping.
     auto serve = [&](harness::SimProducts *sim,
-                     avf::DeadnessResult *served) {
+                     avf::DeadnessResult *served,
+                     avf::AvfResult *servedAvf) {
         const void *at = nullptr;
         std::size_t len = 0;
-        auto status = disk()
-                          .load("sim", "k",
-                                [&](const void *data, std::size_t n,
-                                    const std::shared_ptr<const void> &
-                                        owner) {
-                                    at = data;
-                                    len = n;
-                                    return harness::codec::
-                                        decodeSimProducts(data, n, owner,
-                                                          sim);
-                                })
-                          .status;
-        ASSERT_EQ(status, harness::DiskCache::LoadStatus::Ok);
+        // Load one section through 'decode', noting where it lies.
+        auto load = [&](const char *section, auto decode) {
+            auto status =
+                disk()
+                    .load(section, "k",
+                          [&](const void *data, std::size_t n,
+                              const std::shared_ptr<const void> &owner) {
+                              at = data;
+                              len = n;
+                              return decode(data, n, owner);
+                          })
+                    .status;
+            ASSERT_EQ(status, harness::DiskCache::LoadStatus::Ok)
+                << section;
+        };
+        load("sim", [&](const void *data, std::size_t n,
+                        const std::shared_ptr<const void> &owner) {
+            return harness::codec::decodeSimProducts(data, n, owner, sim);
+        });
         const cpu::IncarnationColumns &inc = sim->trace.incarnations;
         expectViewInside(sim->trace.commits, at, len, "commits");
         expectViewInside(inc.staticIdx, at, len, "staticIdx");
         expectViewInside(inc.flags, at, len, "flags");
         expectViewInside(sim->program->dataInits(), at, len, "dataInits");
-        status = disk()
-                     .load("deadness", "k",
-                           [&](const void *data, std::size_t n,
-                               const std::shared_ptr<const void> &owner) {
-                               at = data;
-                               len = n;
-                               return harness::codec::decodeDeadness(
-                                   data, n, owner, served);
-                           })
-                     .status;
-        ASSERT_EQ(status, harness::DiskCache::LoadStatus::Ok);
+        load("deadness", [&](const void *data, std::size_t n,
+                             const std::shared_ptr<const void> &owner) {
+            return harness::codec::decodeDeadness(data, n, owner, served);
+        });
         expectViewInside(served->kind, at, len, "kind");
         expectViewInside(served->overwriteDist, at, len, "overwriteDist");
+        expectViewInside(served->returnFddWords, at, len,
+                         "returnFddWords");
+        load("avf", [&](const void *data, std::size_t n,
+                        const std::shared_ptr<const void> &owner) {
+            return harness::codec::decodeAvf(data, n, owner, servedAvf);
+        });
+        expectViewInside(servedAvf->fddBitCycles, at, len, "fddBitCycles");
+        expectViewInside(servedAvf->fddOverwriteDist, at, len,
+                         "fddOverwriteDist");
+        expectViewInside(servedAvf->epochs, at, len, "epochs");
     };
     harness::SimProducts first;
     avf::DeadnessResult firstDead;
-    serve(&first, &firstDead);
+    avf::AvfResult firstAvf;
+    serve(&first, &firstDead, &firstAvf);
 
     // Store the served values, whose borrowed columns lie in the first
     // tier's mapping, into a second tier, and serve them from there.
@@ -1342,15 +1491,21 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
                            harness::codec::encodeDeadness(firstDead)
                                .ranges),
               0u);
+    ASSERT_GT(disk().store("avf", "k",
+                           harness::codec::encodeAvf(firstAvf).ranges),
+              0u);
     harness::SimProducts second;
     avf::DeadnessResult secondDead;
-    serve(&second, &secondDead);
+    avf::AvfResult secondAvf;
+    serve(&second, &secondDead, &secondAvf);
     EXPECT_NE(second.trace.commits.data(), first.trace.commits.data());
 
     EXPECT_EQ(flatten(harness::codec::encodeSimProducts(second)),
               flatten(harness::codec::encodeSimProducts(computed)));
     EXPECT_EQ(flatten(harness::codec::encodeDeadness(secondDead)),
               flatten(harness::codec::encodeDeadness(dead)));
+    EXPECT_EQ(flatten(harness::codec::encodeAvf(secondAvf)),
+              flatten(harness::codec::encodeAvf(avf)));
     expectSameColumns(second.trace, &secondDead, computed.trace, &dead);
 }
 

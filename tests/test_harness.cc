@@ -108,6 +108,12 @@ TEST(BenchOptionsDeathTest, CountsRejectNegativeValues)
                 testing::ExitedWithCode(1), "bad value '-3' for --intervals");
     EXPECT_EXIT(parseArgs({"--topn=-1"}), testing::ExitedWithCode(1),
                 "bad value '-1' for --topn");
+    // Nor may a count wrap when narrowed to 32 bits: 2^32 would
+    // read as 0 (no table), 2^32 + 1 as 1.
+    for (const char *topn : {"4294967296", "4294967297"})
+        EXPECT_EXIT(parseArgs({"--topn", topn}),
+                    testing::ExitedWithCode(1),
+                    std::string("bad value '") + topn + "' for --topn");
     EXPECT_EXIT(parseArgs({"--jobs", "-1"}),
                 testing::ExitedWithCode(1), "--jobs: bad value '-1'");
 }

@@ -270,6 +270,8 @@ referenceFold(const cpu::SimTrace &trace,
     r.totalBitCycles = static_cast<std::uint64_t>(trace.iqEntries) *
                        bits * r.windowCycles;
     std::uint64_t occupied = 0;
+    std::vector<std::uint64_t> exposed;
+    std::vector<std::uint32_t> dist;
     for (const auto &inc : trace.incarnations) {
         avf::IncarnationClass c =
             avf::classifyIncarnation(trace, deadness, inc);
@@ -288,11 +290,13 @@ referenceFold(const cpu::SimTrace &trace,
             occupied += bits;
             r.exAce += bits;
         }
-        if (c.issued && c.fddRegExposure && c.preCycles() > 0)
-            r.fddRegExposures.push_back(
-                {c.preCycles() * c.unAceReadRate,
-                 c.overwriteDist});
+        if (c.issued && c.fddRegExposure && c.preCycles() > 0) {
+            exposed.push_back(c.preCycles() * c.unAceReadRate);
+            dist.push_back(c.overwriteDist);
+        }
     }
+    r.fddBitCycles = std::move(exposed);
+    r.fddOverwriteDist = std::move(dist);
     r.idle = r.totalBitCycles - occupied;
     return r;
 }
@@ -310,15 +314,14 @@ expectFoldsEqual(const avf::AvfResult &got,
     EXPECT_EQ(got.aceRefined, ref.aceRefined) << tag;
     for (int s = 0; s < avf::numUnAceSources; ++s)
         EXPECT_EQ(got.unAceRead[s], ref.unAceRead[s]) << tag;
-    ASSERT_EQ(got.fddRegExposures.size(),
-              ref.fddRegExposures.size())
+    ASSERT_EQ(got.fddBitCycles.size(), ref.fddBitCycles.size())
         << tag;
-    for (std::size_t i = 0; i < got.fddRegExposures.size(); ++i) {
-        EXPECT_EQ(got.fddRegExposures[i].bitCycles,
-                  ref.fddRegExposures[i].bitCycles)
+    ASSERT_EQ(got.fddOverwriteDist.size(), ref.fddBitCycles.size())
+        << tag;
+    for (std::size_t i = 0; i < got.fddBitCycles.size(); ++i) {
+        EXPECT_EQ(got.fddBitCycles[i], ref.fddBitCycles[i])
             << tag << " exposure " << i;
-        EXPECT_EQ(got.fddRegExposures[i].overwriteDist,
-                  ref.fddRegExposures[i].overwriteDist)
+        EXPECT_EQ(got.fddOverwriteDist[i], ref.fddOverwriteDist[i])
             << tag << " exposure " << i;
     }
     // The derived AVFs ride on the integer totals; the issue's

@@ -207,8 +207,9 @@ class RunCacheTest : public ::testing::Test
         return 0;
     }
 
-    /** Every run's commits and deadness columns are the first
-     * run's, and the analysis scanned one stream's commits. */
+    /** Every run's commits and deadness columns (returnFdd's packed
+     * words too) are the first run's, and the analysis scanned one
+     * stream's commits. */
     static void
     expectOneStream(const std::vector<harness::RunArtifacts> &runs,
                     std::uint64_t scanned)
@@ -223,6 +224,8 @@ class RunCacheTest : public ::testing::Test
                       first.deadness->kind.data());
             EXPECT_EQ(r.deadness->overwriteDist.data(),
                       first.deadness->overwriteDist.data());
+            EXPECT_EQ(r.deadness->returnFddWords.data(),
+                      first.deadness->returnFddWords.data());
         }
         EXPECT_EQ(scanned, first.trace->commits.size());
     }
@@ -482,7 +485,8 @@ TEST_F(RunCacheTest, DisabledCacheSharesNoStream)
         EXPECT_TRUE(sameBytes(d.deadness->kind, ref.deadness->kind));
         EXPECT_TRUE(sameBytes(d.deadness->overwriteDist,
                               ref.deadness->overwriteDist));
-        EXPECT_EQ(d.deadness->returnFdd, ref.deadness->returnFdd);
+        EXPECT_TRUE(sameBytes(d.deadness->returnFddWords,
+                              ref.deadness->returnFddWords));
         EXPECT_EQ(d.deadness->numDead(), ref.deadness->numDead());
         EXPECT_DOUBLE_EQ(d.avf->sdcAvf(), shared[i].avf->sdcAvf());
     }

@@ -219,7 +219,7 @@ TEST(Attribution, FoldOnHandBuiltTrace)
         std::vector<avf::DeadKind>{avf::DeadKind::Live, avf::DeadKind::Live};
     deadness.overwriteDist =
         std::vector<std::uint32_t>{avf::noOverwrite, avf::noOverwrite};
-    deadness.returnFdd = {false, false};
+    deadness.returnFddWords = std::vector<std::uint64_t>{0};
     deadness.numInsts = 2;
 
     avf::AttributionResult attr =
