@@ -196,9 +196,11 @@ BenchOptions::parse(int argc, char **argv, const std::string &usage)
                       argv[0], token);
         }
     }
-    if (!cache_dir.empty())
-        DiskCache::instance().setDirectory(cache_dir,
-                                           codec::kSchemaVersion);
+    if (!cache_dir.empty() &&
+        !DiskCache::instance().setDirectory(cache_dir,
+                                            codec::kSchemaVersion))
+        SER_FATAL("{}: --cache-dir '{}' is not a directory and cannot "
+                  "be made one", argv[0], cache_dir);
     // The interval series is only ever written next to a manifest;
     // sampling without one silently produced nothing before.
     if (opts.intervalCycles && opts.jsonPath.empty())

@@ -31,12 +31,6 @@ static_assert(std::endian::native == std::endian::little,
 static_assert(std::numeric_limits<double>::is_iec559,
               "doubles are serialized as IEEE-754 bit patterns");
 
-/** Guard against absurd counts from corrupt blobs: no artifact in
- * this codebase holds anywhere near this many elements, and refusing
- * early keeps a flipped length byte from driving a multi-GB
- * allocation before the CRC/truncation checks can reject it. */
-constexpr std::uint64_t kMaxElements = 1ull << 33;
-
 /** Zero bytes from payload offset 'pos' to the next column start. */
 constexpr std::size_t
 columnPad(std::size_t pos)
@@ -45,30 +39,57 @@ columnPad(std::size_t pos)
            kColumnAlignment;
 }
 
-/** Builds a Payload: small fields are copied into its owned buffer,
- * bulk columns are borrowed where they lie. */
+/** A field's encoded type where it is not the field's own:
+ * `c.scalar(entry, wire<std::uint64_t>)`. */
+template <typename W>
+constexpr std::type_identity<W> wire{};
+
+/** Runs a walk (below) over a value and builds its Payload: small
+ * fields are copied into the payload's owned buffer, bulk columns are
+ * borrowed where they lie. */
 class Encoder
 {
   public:
-    void u8(std::uint8_t v) { copy(&v, 1); }
-
-    template <typename T>
-    void scalar(T v)
+    template <typename T, typename W = T>
+    void scalar(const T &v, std::type_identity<W> = {})
     {
-        static_assert(std::is_trivially_copyable_v<T>);
-        copy(&v, sizeof(T));
+        static_assert(std::is_trivially_copyable_v<W>);
+        const W w = static_cast<W>(v);
+        copy(&w, sizeof(W));
     }
 
-    void u16(std::uint16_t v) { scalar(v); }
-    void u32(std::uint32_t v) { scalar(v); }
-    void u64(std::uint64_t v) { scalar(v); }
-    void f64(double v) { scalar(std::bit_cast<std::uint64_t>(v)); }
-    void boolean(bool v) { u8(v ? 1 : 0); }
+    void f64(const double &v) { scalar(std::bit_cast<std::uint64_t>(v)); }
+    void boolean(const bool &v) { scalar(v, wire<std::uint8_t>); }
+
+    /** A one-byte enum; 'last' bounds only the decoder. */
+    template <typename E>
+    void enumeration(const E &v, E) { scalar(v, wire<std::uint8_t>); }
 
     void str(const std::string &s)
     {
-        u64(s.size());
+        scalar(s.size(), wire<std::uint64_t>);
         copy(s.data(), s.size());
+    }
+
+    /** An instruction as its canonical encoding word. */
+    void inst(const isa::StaticInst &i) { scalar(i.encode()); }
+
+    /** The count, then each element as 'each' walks it.
+     * 'min_bytes' bounds only the decoder. */
+    template <typename Seq, typename Each>
+    void seq(const Seq &v, std::size_t, Each each)
+    {
+        scalar(v.size(), wire<std::uint64_t>);
+        for (const auto &elem : v)
+            each(elem);
+    }
+
+    template <typename Map, typename Each>
+    void map(const Map &m, std::size_t, Each each)
+    {
+        scalar(m.size(), wire<std::uint64_t>);
+        for (const auto &[key, value] : m)
+            each(key, value);
     }
 
     /** Bulk column of a padding-free type (a scalar, or a record
@@ -80,7 +101,7 @@ class Encoder
     {
         static_assert(std::has_unique_object_representations_v<T>);
         static constexpr std::byte zeros[kColumnAlignment] = {};
-        u64(v.size());
+        scalar(v.size(), wire<std::uint64_t>);
         copy(zeros, columnPad(_size));
         if (v.empty())
             return;
@@ -143,19 +164,20 @@ class Encoder
     std::size_t _size = 0;
 };
 
+/** Runs a walk over a value and fills its fields from a payload: the
+ * Encoder's operations, reading back what they wrote. Any failure
+ * sticks, and every later read is a no-op. */
 class Decoder
 {
   public:
-    /** 'owner' keeps [data, data+len) alive for the views view()
+    /** 'owner' keeps [data, data+len) alive for the views column()
      * hands out. */
     Decoder(const void *data, std::size_t len,
-            std::shared_ptr<const void> owner = nullptr)
+            std::shared_ptr<const void> owner)
         : _p(static_cast<const unsigned char *>(data)), _len(len),
           _owner(std::move(owner))
     {
     }
-
-    bool ok() const { return _ok; }
 
     /** Call once, last: true if the whole payload decoded, and then
      * counts the bytes the decode copied out, every byte that no
@@ -172,44 +194,80 @@ class Decoder
         return true;
     }
 
-    template <typename T>
-    T scalar()
+    template <typename T, typename W = T>
+    void scalar(T &v, std::type_identity<W> = {})
     {
-        static_assert(std::is_trivially_copyable_v<T>);
-        T v{};
-        if (!take(sizeof(T)))
-            return v;
-        std::memcpy(&v, _p + _pos - sizeof(T), sizeof(T));
-        return v;
+        static_assert(std::is_trivially_copyable_v<W>);
+        W w{};
+        if (take(sizeof(W)))
+            std::memcpy(&w, _p + _pos - sizeof(W), sizeof(W));
+        v = static_cast<T>(w);
     }
 
-    std::uint8_t u8() { return scalar<std::uint8_t>(); }
-    std::uint16_t u16() { return scalar<std::uint16_t>(); }
-    std::uint32_t u32() { return scalar<std::uint32_t>(); }
-    std::uint64_t u64() { return scalar<std::uint64_t>(); }
-    double f64() { return std::bit_cast<double>(u64()); }
-    bool boolean() { return u8() != 0; }
+    void f64(double &v)
+    {
+        std::uint64_t bits = 0;
+        scalar(bits);
+        v = std::bit_cast<double>(bits);
+    }
 
-    /** A one-byte enum; a value past `last` fails the decode. */
+    void boolean(bool &v) { scalar(v, wire<std::uint8_t>); }
+
+    /** A one-byte enum; a value past 'last' fails the decode and
+     * leaves 'v' as it was. */
     template <typename E>
-    E enumeration(E last)
+    void enumeration(E &v, E last)
     {
-        std::uint8_t v = u8();
-        if (v > static_cast<std::uint8_t>(last)) {
-            _ok = false;
-            return E{};
-        }
-        return static_cast<E>(v);
+        std::uint8_t byte = 0;
+        scalar(byte);
+        if (byte > static_cast<std::uint8_t>(last))
+            fail();
+        else
+            v = static_cast<E>(byte);
     }
 
-    std::string str()
+    void str(std::string &s)
     {
-        std::uint64_t n = u64();
-        if (!take(n))
-            return {};
-        return std::string(
-            reinterpret_cast<const char *>(_p + _pos - n),
-            static_cast<std::size_t>(n));
+        const std::uint64_t n = count(1);
+        if (take(n))
+            s.assign(reinterpret_cast<const char *>(_p + _pos - n),
+                     static_cast<std::size_t>(n));
+    }
+
+    void inst(isa::StaticInst &i)
+    {
+        std::uint64_t word = 0;
+        scalar(word);
+        if (_ok && !isa::StaticInst::decode(word, i))
+            fail();
+    }
+
+    /** 'min_bytes' is one element's smallest encoding: see count(). */
+    template <typename T, typename Each>
+    void seq(std::vector<T> &v, std::size_t min_bytes, Each each)
+    {
+        const std::uint64_t n = count(min_bytes);
+        v.resize(static_cast<std::size_t>(n));
+        for (T &elem : v) {
+            if (!_ok)
+                return;
+            each(elem);
+        }
+    }
+
+    /** As seq(); a key read twice fails the decode, since no encoder
+     * writes one and the map could not hold it. */
+    template <typename K, typename V, typename Each>
+    void map(std::map<K, V> &m, std::size_t min_bytes, Each each)
+    {
+        const std::uint64_t n = count(min_bytes);
+        for (std::uint64_t i = 0; _ok && i < n; ++i) {
+            K key{};
+            V value{};
+            each(key, value);
+            if (_ok && !m.emplace(std::move(key), value).second)
+                fail();
+        }
     }
 
     /** A bulk column viewed where it lies, kept alive by the owner:
@@ -217,7 +275,7 @@ class Decoder
      * offset, then n elements, which must sit at an address aligned
      * for T or the decode fails. */
     template <typename T>
-    void view(sim::Column<T> *c)
+    void column(sim::Column<T> &c)
     {
         static_assert(std::has_unique_object_representations_v<T>);
         const std::uint64_t n = count(sizeof(T));
@@ -228,36 +286,41 @@ class Decoder
         if (!take(n * sizeof(T)))
             return;
         if (reinterpret_cast<std::uintptr_t>(at) % alignof(T) != 0) {
-            _ok = false;
+            fail();
             return;
         }
         _viewed += _pos - framed;
-        *c = sim::Column<T>(reinterpret_cast<const T *>(at),
-                            static_cast<std::size_t>(n), _owner);
+        c = sim::Column<T>(reinterpret_cast<const T *>(at),
+                           static_cast<std::size_t>(n), _owner);
     }
 
-    /** An element count, sanity-bounded so corrupt lengths fail
-     * instead of allocating. */
-    std::uint64_t count(std::size_t elem_size)
+  private:
+    /** An element count that the bytes left could hold at
+     * 'min_bytes' per element. A larger one fails the decode before
+     * anything is sized from it, so a corrupt count never drives an
+     * allocation. */
+    std::uint64_t count(std::size_t min_bytes)
     {
-        std::uint64_t n = u64();
-        if (n > kMaxElements / (elem_size ? elem_size : 1)) {
-            _ok = false;
+        std::uint64_t n = 0;
+        scalar(n);
+        if (n > (_len - _pos) / min_bytes) {
+            fail();
             return 0;
         }
         return n;
     }
 
-  private:
     bool take(std::uint64_t n)
     {
         if (!_ok || n > _len - _pos) {
-            _ok = false;
+            fail();
             return false;
         }
         _pos += static_cast<std::size_t>(n);
         return true;
     }
+
+    void fail() { _ok = false; }
 
     const unsigned char *_p;
     std::size_t _len;
@@ -268,96 +331,188 @@ class Decoder
     bool _ok = true;
 };
 
-// --- Program ---
+// --- The walks: each blob's fields in payload order, run by the
+// Encoder over a const value and by the Decoder over the value it
+// fills. The smallest element encodings bound the decoder's counts.
 
+/** The fields a walk visits: const for the Encoder. */
+template <typename Codec, typename T>
+using Fields =
+    std::conditional_t<std::is_same_v<Codec, Encoder>, const T, T>;
+
+/** A program's parts, which the decoder builds the program from. */
+template <typename Codec>
 void
-putProgram(Encoder &e, const isa::Program &program)
+walkProgram(Codec &c, Fields<Codec, std::vector<isa::StaticInst>> &insts,
+            Fields<Codec, std::size_t> &entry,
+            Fields<Codec, sim::Column<isa::DataInit>> &data,
+            Fields<Codec, std::map<std::string, std::size_t>> &labels)
 {
-    e.u64(program.size());
-    for (const auto &inst : program.instructions())
-        e.u64(inst.encode());
-    e.u64(program.entry());
-    e.column(program.dataInits());
-    e.u64(program.labels().size());
-    for (const auto &[name, index] : program.labels()) {
-        e.str(name);
-        e.u64(index);
-    }
+    c.seq(insts, 8, [&](auto &inst) { c.inst(inst); });
+    c.scalar(entry, wire<std::uint64_t>);
+    c.column(data);
+    c.map(labels, 16, [&](auto &name, auto &index) {
+        c.str(name);
+        c.scalar(index, wire<std::uint64_t>);
+    });
 }
 
-/** The parts first, then the program: its data words view the
- * buffer. A duplicate label name fails the decode. */
-bool
-getProgram(Decoder &d, std::shared_ptr<const isa::Program> *program)
+/** The sim bundle after its program; the trace's program pointer is
+ * not stored. */
+template <typename Codec>
+void
+walk(Codec &c, Fields<Codec, SimProducts> &products)
 {
+    auto &trace = products.trace;
+    auto &inc = trace.incarnations;
+    c.column(trace.commits);
+    c.column(inc.staticIdx);
+    c.column(inc.oracleSeq);
+    c.column(inc.enqueueCycle);
+    c.column(inc.issueCycle);
+    c.column(inc.evictCycle);
+    c.column(inc.iqEntry);
+    c.column(inc.flags);
+    c.scalar(trace.startCycle);
+    c.scalar(trace.endCycle);
+    c.scalar(trace.committedInsts);
+    c.boolean(trace.programHalted);
+    c.scalar(trace.iqEntries);
+    c.f64(products.ipc);
+    c.str(products.statsDump);
+    c.str(products.statsJson);
+    static_assert(sizeof(cpu::IntervalSample) == 9 * 8,
+                  "IntervalSample gained fields; bump kSchemaVersion");
+    c.column(products.intervals);
+    c.scalar(products.poolHighWater);
+    c.scalar(products.cyclesSkipped);
+}
+
+template <typename Codec>
+void
+walk(Codec &c, Fields<Codec, avf::DeadnessResult> &result)
+{
+    c.column(result.kind);
+    c.column(result.overwriteDist);
+    c.column(result.returnFddWords);
+    c.scalar(result.numInsts);
+    c.scalar(result.numDefs);
+    c.scalar(result.numFddReg);
+    c.scalar(result.numTddReg);
+    c.scalar(result.numFddMem);
+    c.scalar(result.numTddMem);
+    c.scalar(result.numReturnFdd);
+}
+
+template <typename Codec>
+void
+walk(Codec &c, Fields<Codec, avf::AvfResult> &result)
+{
+    c.scalar(result.windowCycles);
+    c.scalar(result.totalBitCycles);
+    c.scalar(result.idle);
+    c.scalar(result.exAce);
+    c.scalar(result.squashedUnread);
+    c.scalar(result.ace);
+    c.scalar(result.aceRefined);
+    for (auto &bitCycles : result.unAceRead)
+        c.scalar(bitCycles);
+    c.column(result.fddBitCycles);
+    c.column(result.fddOverwriteDist);
+    static_assert(sizeof(avf::EpochAce) == 5 * 8,
+                  "EpochAce gained fields; bump kSchemaVersion");
+    c.column(result.epochs);
+}
+
+template <typename Codec>
+void
+walk(Codec &c, Fields<Codec, faults::CampaignSample> &sample)
+{
+    c.seq(sample.structures, 25, [&](auto &space) {
+        c.enumeration(space.structure, faults::Structure::PredRegFile);
+        c.scalar(space.weight);
+        c.f64(space.sdcAvf);
+        c.f64(space.dueAvf);
+    });
+    c.scalar(sample.goldenSteps);
+    c.scalar(sample.checkpoints);
+    c.seq(sample.sites, 38, [&](auto &rec) {
+        auto &site = rec.site;
+        auto &verdict = rec.verdict;
+        c.enumeration(site.structure, faults::Structure::PredRegFile);
+        c.scalar(site.entry);
+        c.scalar(site.bit);
+        c.scalar(site.cycle);
+        c.scalar(verdict.residency, wire<std::uint64_t>);
+        c.scalar(verdict.inst);
+        c.scalar(verdict.rerunSteps);
+        c.enumeration(verdict.role, faults::BitRole::Pi);
+        c.boolean(verdict.readAfter);
+        c.boolean(verdict.wrongPath);
+        c.boolean(verdict.committed);
+        c.boolean(verdict.reRan);
+        c.boolean(verdict.outputChanged);
+    });
+    c.seq(sample.aceShares, 12, [&](auto &share) {
+        c.scalar(share.first);
+        c.f64(share.second);
+    });
+}
+
+} // namespace
+
+Payload
+encode(const SimProducts &products)
+{
+    Encoder e;
+    const isa::Program &program = *products.program;
+    const std::size_t entry = program.entry();
+    walkProgram(e, program.instructions(), entry, program.dataInits(),
+                program.labels());
+    walk(e, products);
+    return e.take();
+}
+
+Payload
+encode(const avf::DeadnessResult &result)
+{
+    Encoder e;
+    walk(e, result);
+    return e.take();
+}
+
+Payload
+encode(const avf::AvfResult &result)
+{
+    Encoder e;
+    walk(e, result);
+    return e.take();
+}
+
+Payload
+encode(const faults::CampaignSample &sample)
+{
+    Encoder e;
+    walk(e, sample);
+    return e.take();
+}
+
+bool
+decode(const void *data, std::size_t len,
+       const std::shared_ptr<const void> &owner, SimProducts *out)
+{
+    Decoder d(data, len, owner);
     std::vector<isa::StaticInst> insts;
-    std::uint64_t count = d.count(8);
-    for (std::uint64_t i = 0; d.ok() && i < count; ++i) {
-        isa::StaticInst inst;
-        if (!isa::StaticInst::decode(d.u64(), inst))
-            return false;
-        insts.push_back(inst);
-    }
-    const auto entry = static_cast<std::size_t>(d.u64());
-    sim::Column<isa::DataInit> data;
-    d.view(&data);
+    std::size_t entry = 0;
+    sim::Column<isa::DataInit> words;
     std::map<std::string, std::size_t> labels;
-    count = d.count(8);
-    for (std::uint64_t i = 0; d.ok() && i < count; ++i) {
-        std::string name = d.str();
-        const auto index = static_cast<std::size_t>(d.u64());
-        if (d.ok() && !labels.emplace(std::move(name), index).second)
-            return false;
-    }
-    if (!d.ok())
-        return false;
-    *program = std::make_shared<const isa::Program>(
-        std::move(insts), std::move(labels), entry, std::move(data));
-    return true;
-}
-
-// --- SimTrace (program pointer excluded; fixed up by the caller) ---
-
-void
-putTrace(Encoder &e, const cpu::SimTrace &trace)
-{
-    e.column(trace.commits);
-    const cpu::IncarnationColumns &inc = trace.incarnations;
-    e.column(inc.staticIdx);
-    e.column(inc.oracleSeq);
-    e.column(inc.enqueueCycle);
-    e.column(inc.issueCycle);
-    e.column(inc.evictCycle);
-    e.column(inc.iqEntry);
-    e.column(inc.flags);
-    e.u64(trace.startCycle);
-    e.u64(trace.endCycle);
-    e.u64(trace.committedInsts);
-    e.boolean(trace.programHalted);
-    e.u32(trace.iqEntries);
-}
-
-/** 'num_insts' is the decoded program's size: every static index
- * the trace holds must name one of its instructions, since the AVF
- * fold, the classifier and attribution index their tables by it. */
-bool
-getTrace(Decoder &d, std::size_t num_insts, cpu::SimTrace *trace)
-{
-    d.view(&trace->commits);
-    cpu::IncarnationColumns &inc = trace->incarnations;
-    d.view(&inc.staticIdx);
-    d.view(&inc.oracleSeq);
-    d.view(&inc.enqueueCycle);
-    d.view(&inc.issueCycle);
-    d.view(&inc.evictCycle);
-    d.view(&inc.iqEntry);
-    d.view(&inc.flags);
-    trace->startCycle = d.u64();
-    trace->endCycle = d.u64();
-    trace->committedInsts = d.u64();
-    trace->programHalted = d.boolean();
-    trace->iqEntries = d.u32();
-    // The columns must agree in length or the SoA gather is UB.
+    walkProgram(d, insts, entry, words, labels);
+    walk(d, *out);
+    // The columns must agree in length or the SoA gather is UB, and
+    // every static index must name one of the program's
+    // instructions: the AVF fold, the classifier and attribution
+    // index their tables by it.
+    const cpu::IncarnationColumns &inc = out->trace.incarnations;
     if (inc.staticIdx.size() != inc.flags.size() ||
         inc.oracleSeq.size() != inc.flags.size() ||
         inc.enqueueCycle.size() != inc.flags.size() ||
@@ -368,232 +523,62 @@ getTrace(Decoder &d, std::size_t num_insts, cpu::SimTrace *trace)
         return false;
     }
     bool inRange = true;
-    for (const cpu::CommitRecord &c : trace->commits)
-        inRange &= c.staticIdx < num_insts;
+    for (const cpu::CommitRecord &c : out->trace.commits)
+        inRange &= c.staticIdx < insts.size();
     for (std::uint32_t idx : inc.staticIdx)
-        inRange &= idx < num_insts;
-    return inRange && d.ok();
-}
-
-} // namespace
-
-Payload
-encodeSimProducts(const SimProducts &products)
-{
-    Encoder e;
-    putProgram(e, *products.program);
-    putTrace(e, products.trace);
-    e.f64(products.ipc);
-    e.str(products.statsDump);
-    e.str(products.statsJson);
-    static_assert(sizeof(cpu::IntervalSample) == 9 * 8,
-                  "IntervalSample gained fields; bump kSchemaVersion");
-    e.column(products.intervals);
-    e.u64(products.poolHighWater);
-    e.u64(products.cyclesSkipped);
-    return e.take();
-}
-
-bool
-decodeSimProducts(const void *data, std::size_t len,
-                  const std::shared_ptr<const void> &owner,
-                  SimProducts *out)
-{
-    Decoder d(data, len, owner);
-    if (!getProgram(d, &out->program) ||
-        !getTrace(d, out->program->size(), &out->trace))
+        inRange &= idx < insts.size();
+    if (!inRange || !d.finish())
         return false;
+    out->program = std::make_shared<const isa::Program>(
+        std::move(insts), std::move(labels), entry, std::move(words));
     out->trace.program = out->program.get();
-    out->ipc = d.f64();
-    out->statsDump = d.str();
-    out->statsJson = d.str();
-    d.view(&out->intervals);
-    out->poolHighWater = d.u64();
-    out->cyclesSkipped = d.u64();
-    return d.finish();
-}
-
-Payload
-encodeDeadness(const avf::DeadnessResult &result)
-{
-    Encoder e;
-    e.column(result.kind);
-    e.column(result.overwriteDist);
-    e.column(result.returnFddWords);
-    e.u64(result.numInsts);
-    e.u64(result.numDefs);
-    e.u64(result.numFddReg);
-    e.u64(result.numTddReg);
-    e.u64(result.numFddMem);
-    e.u64(result.numTddMem);
-    e.u64(result.numReturnFdd);
-    return e.take();
+    return true;
 }
 
 bool
-decodeDeadness(const void *data, std::size_t len,
-               const std::shared_ptr<const void> &owner,
-               avf::DeadnessResult *out)
+decode(const void *data, std::size_t len,
+       const std::shared_ptr<const void> &owner, avf::DeadnessResult *out)
 {
     Decoder d(data, len, owner);
-    d.view(&out->kind);
-    d.view(&out->overwriteDist);
-    d.view(&out->returnFddWords);
-    out->numInsts = d.u64();
-    out->numDefs = d.u64();
-    out->numFddReg = d.u64();
-    out->numTddReg = d.u64();
-    out->numFddMem = d.u64();
-    out->numTddMem = d.u64();
-    out->numReturnFdd = d.u64();
+    walk(d, *out);
     // Readers index all three by commit, the packed bits by word.
     if (out->overwriteDist.size() != out->kind.size() ||
         out->returnFddWords.size() != (out->kind.size() + 63) / 64)
     {
         return false;
     }
-    for (auto kind : out->kind) {
-        if (static_cast<std::uint8_t>(kind) >
-            static_cast<std::uint8_t>(avf::DeadKind::TddMem))
-        {
+    for (avf::DeadKind kind : out->kind) {
+        if (kind > avf::DeadKind::TddMem)
             return false;
-        }
     }
     return d.finish();
 }
 
-Payload
-encodeAvf(const avf::AvfResult &result)
-{
-    Encoder e;
-    e.u64(result.windowCycles);
-    e.u64(result.totalBitCycles);
-    e.u64(result.idle);
-    e.u64(result.exAce);
-    e.u64(result.squashedUnread);
-    e.u64(result.ace);
-    e.u64(result.aceRefined);
-    for (int s = 0; s < avf::numUnAceSources; ++s)
-        e.u64(result.unAceRead[s]);
-    e.column(result.fddBitCycles);
-    e.column(result.fddOverwriteDist);
-    static_assert(sizeof(avf::EpochAce) == 5 * 8,
-                  "EpochAce gained fields; bump kSchemaVersion");
-    e.column(result.epochs);
-    return e.take();
-}
-
 bool
-decodeAvf(const void *data, std::size_t len,
-          const std::shared_ptr<const void> &owner, avf::AvfResult *out)
+decode(const void *data, std::size_t len,
+       const std::shared_ptr<const void> &owner, avf::AvfResult *out)
 {
     Decoder d(data, len, owner);
-    out->windowCycles = d.u64();
-    out->totalBitCycles = d.u64();
-    out->idle = d.u64();
-    out->exAce = d.u64();
-    out->squashedUnread = d.u64();
-    out->ace = d.u64();
-    out->aceRefined = d.u64();
-    for (int s = 0; s < avf::numUnAceSources; ++s)
-        out->unAceRead[s] = d.u64();
-    d.view(&out->fddBitCycles);
-    d.view(&out->fddOverwriteDist);
-    d.view(&out->epochs);
+    walk(d, *out);
     // PET coverage reads the two exposure columns in step.
-    if (out->fddOverwriteDist.size() != out->fddBitCycles.size())
-        return false;
-    return d.finish();
-}
-
-Payload
-encodeCampaign(const faults::CampaignSample &sample)
-{
-    Encoder e;
-    e.u64(sample.structures.size());
-    for (const faults::CampaignSample::Space &s : sample.structures) {
-        e.u8(static_cast<std::uint8_t>(s.structure));
-        e.u64(s.weight);
-        e.f64(s.sdcAvf);
-        e.f64(s.dueAvf);
-    }
-    e.u64(sample.goldenSteps);
-    e.u64(sample.checkpoints);
-    e.u64(sample.sites.size());
-    for (const faults::SampledSite &rec : sample.sites) {
-        e.u8(static_cast<std::uint8_t>(rec.site.structure));
-        e.u16(rec.site.entry);
-        e.u8(rec.site.bit);
-        e.u64(rec.site.cycle);
-        const faults::Verdict &v = rec.verdict;
-        e.u64(static_cast<std::uint64_t>(v.residency));
-        e.u32(v.inst);
-        e.u64(v.rerunSteps);
-        e.u8(static_cast<std::uint8_t>(v.role));
-        e.boolean(v.readAfter);
-        e.boolean(v.wrongPath);
-        e.boolean(v.committed);
-        e.boolean(v.reRan);
-        e.boolean(v.outputChanged);
-    }
-    e.u64(sample.aceShares.size());
-    for (const auto &[inst, share] : sample.aceShares) {
-        e.u32(inst);
-        e.f64(share);
-    }
-    return e.take();
+    return out->fddOverwriteDist.size() == out->fddBitCycles.size() &&
+           d.finish();
 }
 
 bool
-decodeCampaign(const void *data, std::size_t len,
-               faults::CampaignSample *out)
+decode(const void *data, std::size_t len,
+       const std::shared_ptr<const void> &owner,
+       faults::CampaignSample *out)
 {
-    Decoder d(data, len);
-    std::uint64_t structures = d.count(25);
-    out->structures.reserve(
-        static_cast<std::size_t>(d.ok() ? structures : 0));
+    Decoder d(data, len, owner);
+    walk(d, *out);
+    // The label fold tallies a site under its structure's space.
     unsigned sampled = 0;  // bit per Structure value
-    for (std::uint64_t i = 0; d.ok() && i < structures; ++i) {
-        faults::CampaignSample::Space s;
-        s.structure = d.enumeration(faults::Structure::PredRegFile);
-        s.weight = d.u64();
-        s.sdcAvf = d.f64();
-        s.dueAvf = d.f64();
-        sampled |= 1u << static_cast<unsigned>(s.structure);
-        out->structures.push_back(s);
-    }
-    out->goldenSteps = d.u64();
-    out->checkpoints = d.u64();
-    std::uint64_t sites = d.count(38);
-    out->sites.reserve(static_cast<std::size_t>(d.ok() ? sites : 0));
-    for (std::uint64_t i = 0; d.ok() && i < sites; ++i) {
-        faults::SampledSite rec;
-        rec.site.structure =
-            d.enumeration(faults::Structure::PredRegFile);
-        rec.site.entry = d.u16();
-        rec.site.bit = d.u8();
-        rec.site.cycle = d.u64();
-        faults::Verdict &v = rec.verdict;
-        v.residency = static_cast<std::int64_t>(d.u64());
-        v.inst = d.u32();
-        v.rerunSteps = d.u64();
-        v.role = d.enumeration(faults::BitRole::Pi);
-        v.readAfter = d.boolean();
-        v.wrongPath = d.boolean();
-        v.committed = d.boolean();
-        v.reRan = d.boolean();
-        v.outputChanged = d.boolean();
-        // The label fold tallies a site under its structure's space.
+    for (const faults::CampaignSample::Space &space : out->structures)
+        sampled |= 1u << static_cast<unsigned>(space.structure);
+    for (const faults::SampledSite &rec : out->sites) {
         if (!(sampled & 1u << static_cast<unsigned>(rec.site.structure)))
             return false;
-        out->sites.push_back(rec);
-    }
-    std::uint64_t shares = d.count(12);
-    out->aceShares.reserve(
-        static_cast<std::size_t>(d.ok() ? shares : 0));
-    for (std::uint64_t i = 0; d.ok() && i < shares; ++i) {
-        std::uint32_t inst = d.u32();
-        out->aceShares.emplace_back(inst, d.f64());
     }
     return d.finish();
 }

@@ -3,10 +3,14 @@
  * Binary serialization of the RunCache artifact types, for the
  * persistent disk tier (harness/disk_cache.hh).
  *
- * The format is a flat little-endian byte stream: scalar fields in
- * declaration order, doubles as their IEEE-754 bit patterns,
- * containers as a u64 count followed by elements. Every bulk array is
- * a column of padding-free elements (the commit records, the SoA
+ * The format is a flat little-endian byte stream: scalar fields,
+ * doubles as their IEEE-754 bit patterns, bools and enums as one
+ * byte each, containers as a u64 count followed by elements. Each
+ * blob's field order is stated once, in cache_codec.cc: one walk per
+ * stored type (the program's parts, the sim bundle, deadness, AVF
+ * and the campaign sample), which the encoder runs over the value it
+ * stores and the decoder over the value it fills. Every bulk array
+ * is a column of padding-free elements (the commit records, the SoA
  * incarnation columns, the deadness columns with the returnFdd bits
  * packed into u64 words, the program's data words, interval samples,
  * the AVF exposure and epoch columns): a u64 count, zero bytes up to
@@ -52,7 +56,9 @@
  *
  * Decoders are total: any truncated or structurally impossible input
  * returns false and leaves *out unspecified (the disk cache then
- * treats the blob as corrupt). They never read past [data, data+len).
+ * treats the blob as corrupt). They never read past [data, data+len),
+ * and they size nothing from a count that the bytes left could not
+ * hold.
  */
 
 #ifndef SER_HARNESS_CACHE_CODEC_HH
@@ -98,27 +104,29 @@ struct Payload
     std::vector<std::byte> owned;
 };
 
-Payload encodeSimProducts(const SimProducts &products);
-Payload encodeDeadness(const avf::DeadnessResult &result);
-Payload encodeAvf(const avf::AvfResult &result);
-Payload encodeCampaign(const faults::CampaignSample &sample);
+/** One overload per stored type; RunCache stores exactly the types
+ * these accept. The payload borrows the value's bulk columns. */
+Payload encode(const SimProducts &products);
+Payload encode(const avf::DeadnessResult &result);
+Payload encode(const avf::AvfResult &result);
+Payload encode(const faults::CampaignSample &sample);
 
 /** Decoders require the whole buffer to be consumed exactly. After a
- * successful decodeSimProducts, out->trace.program points at
- * out->program (the bundle owns it, as on the compute path). The
- * sim, deadness and AVF columns view [data, data+len), which 'owner'
- * must keep alive and unchanged. */
-bool decodeSimProducts(const void *data, std::size_t len,
-                       const std::shared_ptr<const void> &owner,
-                       SimProducts *out);
-bool decodeDeadness(const void *data, std::size_t len,
-                    const std::shared_ptr<const void> &owner,
-                    avf::DeadnessResult *out);
-bool decodeAvf(const void *data, std::size_t len,
-               const std::shared_ptr<const void> &owner,
-               avf::AvfResult *out);
-bool decodeCampaign(const void *data, std::size_t len,
-                    faults::CampaignSample *out);
+ * successful sim decode, out->trace.program points at out->program
+ * (the bundle owns it, as on the compute path). The sim, deadness
+ * and AVF columns view [data, data+len), which 'owner' must keep
+ * alive and unchanged; the campaign sample copies every field. */
+bool decode(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &owner, SimProducts *out);
+bool decode(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &owner,
+            avf::DeadnessResult *out);
+bool decode(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &owner,
+            avf::AvfResult *out);
+bool decode(const void *data, std::size_t len,
+            const std::shared_ptr<const void> &owner,
+            faults::CampaignSample *out);
 
 } // namespace codec
 } // namespace harness

@@ -13,7 +13,9 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
+#include <system_error>
 #include <vector>
 
 #include "harness/cache_codec.hh"
@@ -100,16 +102,20 @@ DiskCache::instance()
     return *cache;
 }
 
-void
+bool
 DiskCache::setDirectory(const std::string &dir,
                         std::uint32_t schema_version)
 {
+    std::error_code error;
+    if (!dir.empty())
+        std::filesystem::create_directories(dir, error);
+    const bool usable =
+        dir.empty() || std::filesystem::is_directory(dir, error);
     State &s = state();
     std::lock_guard<std::mutex> guard(s.lock);
-    s.dir = dir;
+    s.dir = usable ? dir : "";
     s.schemaVersion = schema_version;
-    if (!dir.empty())
-        makeDir(dir);
+    return usable;
 }
 
 bool

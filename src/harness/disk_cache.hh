@@ -84,12 +84,14 @@ class DiskCache
     static DiskCache &instance();
 
     /**
-     * Point the store at a directory (created if missing, along with
-     * per-section subdirectories on first store). An empty path
-     * disables the disk tier. schema_version is stamped into every
-     * blob and checked on load; pass codec::kSchemaVersion.
+     * Point the store at a directory, created with any missing
+     * parents (per-section subdirectories follow on first store). An
+     * empty path disables the disk tier. schema_version is stamped
+     * into every blob and checked on load; pass codec::kSchemaVersion.
+     * Returns false, and leaves the tier disabled, when 'dir' is not
+     * and cannot be made a directory (a regular file, say).
      */
-    void setDirectory(const std::string &dir,
+    bool setDirectory(const std::string &dir,
                       std::uint32_t schema_version);
 
     bool enabled() const;

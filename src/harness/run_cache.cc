@@ -31,72 +31,11 @@ approxBytes(const CommitStream &stream)
            stream.commits.size() * sizeof(cpu::CommitRecord);
 }
 
-// Per-type dispatch into the cache codec, so the one get<T> template
-// can serve the disk tier for every section. The payload borrows the
-// value's bulk columns.
-codec::Payload
-encodeValue(const SimProducts &v)
-{
-    return codec::encodeSimProducts(v);
-}
-codec::Payload
-encodeValue(const avf::DeadnessResult &v)
-{
-    return codec::encodeDeadness(v);
-}
-codec::Payload
-encodeValue(const avf::AvfResult &v)
-{
-    return codec::encodeAvf(v);
-}
-codec::Payload
-encodeValue(const faults::CampaignSample &v)
-{
-    return codec::encodeCampaign(v);
-}
-// The stream sections are memory-only, so a commit stream never
-// reaches the codec.
-codec::Payload
-encodeValue(const CommitStream &)
-{
-    SER_PANIC("run cache: commit streams are memory-only");
-}
-
-// 'owner' keeps the payload mapped for the sim, deadness and AVF
-// decoders' column views; the campaign decoder copies.
-bool
-decodeValue(const void *data, std::size_t len,
-            const std::shared_ptr<const void> &owner, SimProducts *out)
-{
-    return codec::decodeSimProducts(data, len, owner, out);
-}
-bool
-decodeValue(const void *data, std::size_t len,
-            const std::shared_ptr<const void> &owner,
-            avf::DeadnessResult *out)
-{
-    return codec::decodeDeadness(data, len, owner, out);
-}
-bool
-decodeValue(const void *data, std::size_t len,
-            const std::shared_ptr<const void> &owner,
-            avf::AvfResult *out)
-{
-    return codec::decodeAvf(data, len, owner, out);
-}
-bool
-decodeValue(const void *data, std::size_t len,
-            const std::shared_ptr<const void> &,
-            faults::CampaignSample *out)
-{
-    return codec::decodeCampaign(data, len, out);
-}
-bool
-decodeValue(const void *, std::size_t,
-            const std::shared_ptr<const void> &, CommitStream *)
-{
-    SER_PANIC("run cache: commit streams are memory-only");
-}
+/** The types the disk tier stores: those the codec encodes. The
+ * commit streams are memory-only, so get<T> compiles no disk branch
+ * for them. */
+template <typename T>
+constexpr bool kStored = requires(const T &v) { codec::encode(v); };
 
 } // namespace
 
@@ -172,30 +111,35 @@ RunCache::get(Section &section, const std::string &key,
     // and share the first thread's result.
     std::call_once(entry->once, [&] {
         DiskCache &disk = DiskCache::instance();
-        const bool on_disk = !section.memoryOnly && disk.enabled();
+        const bool on_disk =
+            kStored<T> && !section.memoryOnly && disk.enabled();
         std::shared_ptr<T> value;
         CacheOutcome source = CacheOutcome::Miss;
-        if (on_disk) {
-            auto candidate = std::make_shared<T>();
-            DiskCache::LoadResult loaded = disk.load(
-                section.name, key,
-                [&](const void *data, std::size_t len,
-                    const std::shared_ptr<const void> &owner) {
-                    return decodeValue(data, len, owner,
-                                       candidate.get());
-                });
-            if (loaded.status == DiskCache::LoadStatus::Ok) {
-                value = std::move(candidate);
-                source = CacheOutcome::DiskHit;
-                std::lock_guard<std::mutex> guard(section.lock);
-                ++section.counters.diskHits;
-                section.counters.diskBytesRead +=
-                    loaded.payloadBytes;
-            } else if (loaded.status ==
-                       DiskCache::LoadStatus::Corrupt)
-            {
-                std::lock_guard<std::mutex> guard(section.lock);
-                ++section.counters.diskCorrupt;
+        if constexpr (kStored<T>) {
+            if (on_disk) {
+                // 'owner' keeps the payload mapped for the sim,
+                // deadness and AVF decoders' column views.
+                auto candidate = std::make_shared<T>();
+                DiskCache::LoadResult loaded = disk.load(
+                    section.name, key,
+                    [&](const void *data, std::size_t len,
+                        const std::shared_ptr<const void> &owner) {
+                        return codec::decode(data, len, owner,
+                                             candidate.get());
+                    });
+                if (loaded.status == DiskCache::LoadStatus::Ok) {
+                    value = std::move(candidate);
+                    source = CacheOutcome::DiskHit;
+                    std::lock_guard<std::mutex> guard(section.lock);
+                    ++section.counters.diskHits;
+                    section.counters.diskBytesRead +=
+                        loaded.payloadBytes;
+                } else if (loaded.status ==
+                           DiskCache::LoadStatus::Corrupt)
+                {
+                    std::lock_guard<std::mutex> guard(section.lock);
+                    ++section.counters.diskCorrupt;
+                }
             }
         }
         if (!value) {
@@ -204,14 +148,16 @@ RunCache::get(Section &section, const std::string &key,
                 std::lock_guard<std::mutex> guard(section.lock);
                 ++section.counters.misses;
             }
-            if (on_disk) {
-                // The payload borrows from *value, which this entry
-                // keeps alive and no one changes.
-                SER_PROF_SCOPE("disk_store");
-                std::uint64_t written = disk.store(
-                    section.name, key, encodeValue(*value).ranges);
-                std::lock_guard<std::mutex> guard(section.lock);
-                section.counters.diskBytesWritten += written;
+            if constexpr (kStored<T>) {
+                if (on_disk) {
+                    // The payload borrows from *value, which this
+                    // entry keeps alive and no one changes.
+                    SER_PROF_SCOPE("disk_store");
+                    std::uint64_t written = disk.store(
+                        section.name, key, codec::encode(*value).ranges);
+                    std::lock_guard<std::mutex> guard(section.lock);
+                    section.counters.diskBytesWritten += written;
+                }
             }
         }
         entry->bytes.store(approxBytes(*value));

@@ -2,16 +2,18 @@
  * @file
  * The persistent run-cache tier, bottom to top: the CRC-64/XZ
  * checksum (known-answer vectors, chaining, a bit-at-a-time
- * reference), the raw DiskCache blob store (roundtrip,
- * atomicity-adjacent framing checks, quarantine of corrupted and
- * truncated blobs, stale-schema clean misses, filename-bucket key
- * comparison, every integrity check on a crafted blob, payloads of
- * more ranges than one writev takes, racing stores), the cache codec
- * (byte-canonical encodings of every section's artifact type, proven
- * by end-to-end equality and pinned by payload CRCs; bulk columns
- * borrowed by the encoders; out-of-range enum bytes and static
- * indices and duplicate labels rejected; sim and deadness columns and
- * program data words decoded as aligned views into the buffer), and
+ * reference), the raw DiskCache blob store (roundtrip, a directory
+ * made with its parents, atomicity-adjacent framing checks,
+ * quarantine of corrupted and truncated blobs, stale-schema clean
+ * misses, filename-bucket key comparison, every integrity check on a
+ * crafted blob, payloads of more ranges than one writev takes, racing
+ * stores), the cache codec (byte-canonical encodings of every
+ * section's artifact type, proven by end-to-end equality and pinned
+ * by payload CRCs; bulk columns borrowed by the encoders;
+ * out-of-range enum bytes and static indices, duplicate labels and
+ * counts that the bytes left cannot hold rejected, the last before
+ * anything is sized; sim and deadness columns and program data words
+ * decoded as aligned views into the buffer), and
  * the RunCache integration (disk_hit outcome, per-tier counters and
  * profiling scopes across a simulated process restart, served traces
  * outliving the blob they were read from, and a served value stored
@@ -269,10 +271,10 @@ TEST(CampaignCodec, OutOfRangeEnumBytesFailDecode)
     good.sites[0].verdict.role = faults::BitRole::Pi;
 
     auto decodes = [](const faults::CampaignSample &sample) {
-        std::string blob = flatten(harness::codec::encodeCampaign(sample));
+        std::string blob = flatten(harness::codec::encode(sample));
         faults::CampaignSample back;
-        return harness::codec::decodeCampaign(blob.data(), blob.size(),
-                                              &back);
+        return harness::codec::decode(blob.data(), blob.size(), nullptr,
+                                      &back);
     };
     ASSERT_TRUE(decodes(good));
 
@@ -306,11 +308,10 @@ namespace
 bool
 decodesSim(const harness::SimProducts &products)
 {
-    std::string blob = flatten(harness::codec::encodeSimProducts(products));
+    std::string blob = flatten(harness::codec::encode(products));
     auto buf = alignedCopy(blob);
     harness::SimProducts back;
-    return harness::codec::decodeSimProducts(buf.get(), blob.size(),
-                                             buf, &back);
+    return harness::codec::decode(buf.get(), blob.size(), buf, &back);
 }
 
 /** 'view' reads back element for element as 'computed'. Each element
@@ -403,14 +404,12 @@ TEST(SimCodec, OutOfRangeStaticIndexFailsDecode)
 TEST(SimCodec, ColumnsViewTheAlignedBuffer)
 {
     const harness::SimProducts computed = computedProducts();
-    const std::string blob =
-        flatten(harness::codec::encodeSimProducts(computed));
+    const std::string blob = flatten(harness::codec::encode(computed));
     auto buf = alignedCopy(blob);
     const void *lo = buf.get();
 
     harness::SimProducts back;
-    ASSERT_TRUE(harness::codec::decodeSimProducts(lo, blob.size(), buf,
-                                                  &back));
+    ASSERT_TRUE(harness::codec::decode(lo, blob.size(), buf, &back));
     const cpu::IncarnationColumns &inc = back.trace.incarnations;
     const std::size_t n = blob.size();
     expectViewInside(back.trace.commits, lo, n, "commits");
@@ -426,13 +425,13 @@ TEST(SimCodec, ColumnsViewTheAlignedBuffer)
     // The views hold the buffer: they outlive the test's handle.
     buf.reset();
     expectSameColumns(back.trace, nullptr, computed.trace, nullptr);
-    EXPECT_EQ(flatten(harness::codec::encodeSimProducts(back)), blob);
+    EXPECT_EQ(flatten(harness::codec::encode(back)), blob);
 
     // A buffer one byte off alignment fails the decode rather than
     // handing out misaligned views.
     auto skewed = alignedCopy(blob, 1);
     harness::SimProducts rejected;
-    EXPECT_FALSE(harness::codec::decodeSimProducts(
+    EXPECT_FALSE(harness::codec::decode(
         static_cast<const char *>(skewed.get()) + 1, blob.size(),
         skewed, &rejected));
 }
@@ -442,13 +441,12 @@ TEST(DeadnessCodec, ColumnsViewTheAlignedBuffer)
     const harness::SimProducts computed = computedProducts();
     const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
     ASSERT_GT(dead.numDead(), 0u);
-    const std::string blob = flatten(harness::codec::encodeDeadness(dead));
+    const std::string blob = flatten(harness::codec::encode(dead));
     auto buf = alignedCopy(blob);
     const void *lo = buf.get();
 
     avf::DeadnessResult back;
-    ASSERT_TRUE(harness::codec::decodeDeadness(lo, blob.size(), buf,
-                                               &back));
+    ASSERT_TRUE(harness::codec::decode(lo, blob.size(), buf, &back));
     expectViewInside(back.kind, lo, blob.size(), "kind");
     expectViewInside(back.overwriteDist, lo, blob.size(),
                      "overwriteDist");
@@ -460,7 +458,7 @@ TEST(DeadnessCodec, ColumnsViewTheAlignedBuffer)
                        "overwriteDist");
     expectSameElements(back.returnFddWords, dead.returnFddWords,
                        "returnFddWords");
-    EXPECT_EQ(flatten(harness::codec::encodeDeadness(back)), blob);
+    EXPECT_EQ(flatten(harness::codec::encode(back)), blob);
 }
 
 TEST(AvfCodec, ColumnsViewTheAlignedBuffer)
@@ -468,12 +466,12 @@ TEST(AvfCodec, ColumnsViewTheAlignedBuffer)
     const harness::SimProducts computed = computedProducts();
     const avf::AvfResult avf = avf::computeAvf(
         computed.trace, avf::analyzeDeadness(computed.trace), 500);
-    const std::string blob = flatten(harness::codec::encodeAvf(avf));
+    const std::string blob = flatten(harness::codec::encode(avf));
     auto buf = alignedCopy(blob);
     const void *lo = buf.get();
 
     avf::AvfResult back;
-    ASSERT_TRUE(harness::codec::decodeAvf(lo, blob.size(), buf, &back));
+    ASSERT_TRUE(harness::codec::decode(lo, blob.size(), buf, &back));
     expectViewInside(back.fddBitCycles, lo, blob.size(),
                      "fddBitCycles");
     expectViewInside(back.fddOverwriteDist, lo, blob.size(),
@@ -485,13 +483,13 @@ TEST(AvfCodec, ColumnsViewTheAlignedBuffer)
     expectSameElements(back.fddOverwriteDist, avf.fddOverwriteDist,
                        "fddOverwriteDist");
     expectSameElements(back.epochs, avf.epochs, "epochs");
-    EXPECT_EQ(flatten(harness::codec::encodeAvf(back)), blob);
+    EXPECT_EQ(flatten(harness::codec::encode(back)), blob);
 
     // Four bytes off alignment still suits the u32 column, but not
     // the u64 bit-cycles: the decode fails.
     auto skewed = alignedCopy(blob, 4);
     avf::AvfResult rejected;
-    EXPECT_FALSE(harness::codec::decodeAvf(
+    EXPECT_FALSE(harness::codec::decode(
         static_cast<const char *>(skewed.get()) + 4, blob.size(),
         skewed, &rejected));
 }
@@ -625,14 +623,58 @@ TEST(DeadnessCodec, ReturnFddBitsCrossAWordBoundary)
     // Every third of the 70 commits, so commits 66 and 69 sit in the
     // second word.
     const std::string blob =
-        flatten(harness::codec::encodeDeadness(handBuiltDeadness()));
+        flatten(harness::codec::encode(handBuiltDeadness()));
     auto buf = alignedCopy(blob);
     avf::DeadnessResult back;
-    ASSERT_TRUE(harness::codec::decodeDeadness(buf.get(), blob.size(), buf,
-                                               &back));
+    ASSERT_TRUE(harness::codec::decode(buf.get(), blob.size(), buf,
+                                       &back));
     ASSERT_EQ(back.returnFddWords.size(), 2u);
     for (std::size_t i = 0; i < 70; ++i)
         EXPECT_EQ(back.returnFdd(i), i % 3 == 0) << "commit " << i;
+}
+
+TEST(SimCodec, CountsTheBytesLeftCannotHoldFailDecode)
+{
+    // The instruction count leads the payload, and the label count
+    // sits just before the first label's name length and name
+    // ("done"). Each in turn claims 100M elements: at 8 bytes per
+    // instruction word and 16 per label, far more than follow.
+    const std::string blob =
+        flatten(harness::codec::encode(handBuiltSim()));
+    const std::size_t labelsAt = blob.find("done") - 16;
+    std::uint64_t labels = 0;
+    std::memcpy(&labels, blob.data() + labelsAt, 8);
+    ASSERT_EQ(labels, 2u);
+    for (std::size_t at : {std::size_t{0}, labelsAt}) {
+        std::string bytes = blob;
+        const std::uint64_t huge = 100'000'000;
+        std::memcpy(bytes.data() + at, &huge, 8);
+        auto buf = alignedCopy(bytes);
+        harness::SimProducts back;
+        EXPECT_FALSE(harness::codec::decode(buf.get(), bytes.size(), buf,
+                                            &back))
+            << "count at " << at;
+    }
+}
+
+TEST(CampaignCodec, CountsTheBytesLeftCannotHoldFailUnallocated)
+{
+    // Each of the three counts in turn claims 100M elements of a
+    // payload that ends just after it: structures take 25 bytes at
+    // least, sites 38 and shares 12. The decode fails before it
+    // sizes any vector from the count.
+    constexpr std::uint64_t huge = 100'000'000;
+    // structures, golden steps, checkpoints, sites, shares
+    const std::vector<std::vector<std::uint64_t>> payloads = {
+        {huge, 0, 0, 0}, {0, 0, 0, huge}, {0, 0, 0, 0, huge}};
+    for (const std::vector<std::uint64_t> &words : payloads) {
+        faults::CampaignSample back;
+        EXPECT_FALSE(harness::codec::decode(
+            words.data(), words.size() * 8, nullptr, &back));
+        EXPECT_EQ(back.structures.capacity(), 0u);
+        EXPECT_EQ(back.sites.capacity(), 0u);
+        EXPECT_EQ(back.aceShares.capacity(), 0u);
+    }
 }
 
 TEST(CodecPins, PayloadCrcsMatchTheStringEncoder)
@@ -646,13 +688,13 @@ TEST(CodecPins, PayloadCrcsMatchTheStringEncoder)
         const std::string bytes = flatten(payload);
         return crc64(0, bytes.data(), bytes.size());
     };
-    EXPECT_EQ(crc(harness::codec::encodeSimProducts(handBuiltSim())),
+    EXPECT_EQ(crc(harness::codec::encode(handBuiltSim())),
               0x4d883a0da0f96f06ull);
-    EXPECT_EQ(crc(harness::codec::encodeDeadness(handBuiltDeadness())),
+    EXPECT_EQ(crc(harness::codec::encode(handBuiltDeadness())),
               0xcecf50c37fce8a6dull);
-    EXPECT_EQ(crc(harness::codec::encodeAvf(handBuiltAvf())),
+    EXPECT_EQ(crc(harness::codec::encode(handBuiltAvf())),
               0xa8a76b90a3c77f4eull);
-    EXPECT_EQ(crc(harness::codec::encodeCampaign(handBuiltCampaign())),
+    EXPECT_EQ(crc(harness::codec::encode(handBuiltCampaign())),
               0x664cce1e7191f1d5ull);
 }
 
@@ -691,16 +733,16 @@ TEST(CodecPins, BulkColumnsAreBorrowedNotCopied)
 {
     const harness::SimProducts sim = handBuiltSim();
     const cpu::IncarnationColumns &inc = sim.trace.incarnations;
-    expectBorrowed(harness::codec::encodeSimProducts(sim),
+    expectBorrowed(harness::codec::encode(sim),
                    sim.program->dataInits(), sim.trace.commits,
                    inc.staticIdx, inc.oracleSeq, inc.enqueueCycle,
                    inc.issueCycle, inc.evictCycle, inc.iqEntry,
                    inc.flags, sim.intervals);
     const avf::DeadnessResult dead = handBuiltDeadness();
-    expectBorrowed(harness::codec::encodeDeadness(dead), dead.kind,
+    expectBorrowed(harness::codec::encode(dead), dead.kind,
                    dead.overwriteDist, dead.returnFddWords);
     const avf::AvfResult avf = handBuiltAvf();
-    expectBorrowed(harness::codec::encodeAvf(avf), avf.fddBitCycles,
+    expectBorrowed(harness::codec::encode(avf), avf.fddBitCycles,
                    avf.fddOverwriteDist, avf.epochs);
 }
 
@@ -829,6 +871,23 @@ TEST_F(DiskCacheTest, DisabledTierAnswersDisabled)
     std::string got;
     EXPECT_EQ(loadPayload("test", "k", &got).status,
               harness::DiskCache::LoadStatus::Disabled);
+}
+
+TEST_F(DiskCacheTest, DirectoryIsMadeWithItsParents)
+{
+    const std::string nested = _dir + "/nest/a/b";
+    ASSERT_TRUE(disk().setDirectory(nested, harness::codec::kSchemaVersion));
+    ASSERT_GT(storeBytes("test", "k", "nested payload"), 0u);
+    std::string got;
+    EXPECT_EQ(loadPayload("test", "k", &got).status,
+              harness::DiskCache::LoadStatus::Ok);
+    EXPECT_EQ(got, "nested payload");
+
+    // A regular file can hold no blobs: refused, and the tier is off.
+    const std::string file = _dir + "/plain";
+    std::ofstream(file) << "not a directory";
+    EXPECT_FALSE(disk().setDirectory(file, harness::codec::kSchemaVersion));
+    EXPECT_FALSE(disk().enabled());
 }
 
 TEST_F(DiskCacheTest, BucketCollisionWithDifferentKeyIsCleanMiss)
@@ -1044,13 +1103,12 @@ loadThroughCodec(const std::string &section, const std::string &key)
               [&](const void *data, std::size_t len,
                   const std::shared_ptr<const void> &owner) {
                   if (section == "sim")
-                      return harness::codec::decodeSimProducts(
-                          data, len, owner, &sim);
+                      return harness::codec::decode(data, len, owner,
+                                                    &sim);
                   if (section == "deadness")
-                      return harness::codec::decodeDeadness(
-                          data, len, owner, &dead);
-                  return harness::codec::decodeAvf(data, len, owner,
-                                                   &avf);
+                      return harness::codec::decode(data, len, owner,
+                                                    &dead);
+                  return harness::codec::decode(data, len, owner, &avf);
               })
         .status;
 }
@@ -1085,8 +1143,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     const harness::SimProducts good = computedProducts();
     const avf::DeadnessResult goodDead =
         avf::analyzeDeadness(good.trace);
-    const std::string goodSim =
-        flatten(harness::codec::encodeSimProducts(good));
+    const std::string goodSim = flatten(harness::codec::encode(good));
 
     auto quarantined = [&](const std::string &section,
                            const std::string &key) {
@@ -1139,7 +1196,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     auto simWith = [&](auto edit) {
         harness::SimProducts p = good;
         edit(p.trace);
-        return flatten(harness::codec::encodeSimProducts(p));
+        return flatten(harness::codec::encode(p));
     };
     EXPECT_EQ(crafted("sim", "commit-index", simWith([&](auto &t) {
                   auto commits = copyOf(t.commits);
@@ -1170,7 +1227,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     dup.program = std::make_shared<const isa::Program>(
         good.program->instructions(), std::move(labels),
         good.program->entry(), good.program->dataInits());
-    std::string dupSim = flatten(harness::codec::encodeSimProducts(dup));
+    std::string dupSim = flatten(harness::codec::encode(dup));
     const std::size_t dupAt = dupSim.find("dup1");
     ASSERT_NE(dupAt, std::string::npos);
     ASSERT_EQ(dupSim.rfind("dup1"), dupAt);
@@ -1191,7 +1248,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     auto deadWith = [&](auto edit) {
         avf::DeadnessResult d = goodDead;
         edit(d);
-        return flatten(harness::codec::encodeDeadness(d));
+        return flatten(harness::codec::encode(d));
     };
     ASSERT_EQ(crafted("deadness", "intact",
                       deadWith([](avf::DeadnessResult &) {})),
@@ -1226,7 +1283,7 @@ TEST_F(DiskCacheTest, EveryCheckQuarantinesACraftedBlob)
     auto avfWith = [&](auto edit) {
         avf::AvfResult a = goodAvf;
         edit(a);
-        return flatten(harness::codec::encodeAvf(a));
+        return flatten(harness::codec::encode(a));
     };
     ASSERT_EQ(crafted("avf", "intact", avfWith([](avf::AvfResult &) {})),
               Status::Ok);
@@ -1302,10 +1359,10 @@ TEST_F(DiskCacheTest, DiskHitAfterRestartReproducesArtifacts)
                               sizeof(cpu::IntervalSample)),
               0);
     ASSERT_FALSE(r1.avf->epochs.empty());
-    EXPECT_EQ(flatten(harness::codec::encodeDeadness(*r1.deadness)),
-              flatten(harness::codec::encodeDeadness(*r2.deadness)));
-    EXPECT_EQ(flatten(harness::codec::encodeAvf(*r1.avf)),
-              flatten(harness::codec::encodeAvf(*r2.avf)));
+    EXPECT_EQ(flatten(harness::codec::encode(*r1.deadness)),
+              flatten(harness::codec::encode(*r2.deadness)));
+    EXPECT_EQ(flatten(harness::codec::encode(*r1.avf)),
+              flatten(harness::codec::encode(*r2.avf)));
     // Both outcomes are labelled from the cached sample; the summary
     // covers every tally, band and re-run counter, and the per-site
     // records are compared directly.
@@ -1332,11 +1389,9 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
     const harness::SimProducts computed = computedProducts();
     const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
     const avf::AvfResult avf = avf::computeAvf(computed.trace, dead, 500);
-    const std::string simBlob =
-        flatten(harness::codec::encodeSimProducts(computed));
-    const std::string deadBlob =
-        flatten(harness::codec::encodeDeadness(dead));
-    const std::string avfBlob = flatten(harness::codec::encodeAvf(avf));
+    const std::string simBlob = flatten(harness::codec::encode(computed));
+    const std::string deadBlob = flatten(harness::codec::encode(dead));
+    const std::string avfBlob = flatten(harness::codec::encode(avf));
     const std::string deadKey = "served|deadness=";
     const std::string avfKey = "served|avf";
 
@@ -1376,12 +1431,9 @@ TEST_F(DiskCacheTest, ServedArtifactsOutliveTheirBlob)
     // compare reads every element as its type.
     auto unchanged = [&](const char *when) {
         SCOPED_TRACE(when);
-        EXPECT_EQ(flatten(harness::codec::encodeSimProducts(*sim)),
-                  simBlob);
-        EXPECT_EQ(flatten(harness::codec::encodeDeadness(*served)),
-                  deadBlob);
-        EXPECT_EQ(flatten(harness::codec::encodeAvf(*servedAvf)),
-                  avfBlob);
+        EXPECT_EQ(flatten(harness::codec::encode(*sim)), simBlob);
+        EXPECT_EQ(flatten(harness::codec::encode(*served)), deadBlob);
+        EXPECT_EQ(flatten(harness::codec::encode(*servedAvf)), avfBlob);
         expectSameColumns(sim->trace, served.get(), computed.trace,
                           &dead);
         expectSameElements(served->returnFddWords, dead.returnFddWords,
@@ -1417,14 +1469,13 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
     const harness::SimProducts computed = computedProducts();
     const avf::DeadnessResult dead = avf::analyzeDeadness(computed.trace);
     ASSERT_GT(disk().store("sim", "k",
-                           harness::codec::encodeSimProducts(computed)
-                               .ranges),
+                           harness::codec::encode(computed).ranges),
               0u);
     ASSERT_GT(disk().store("deadness", "k",
-                           harness::codec::encodeDeadness(dead).ranges),
+                           harness::codec::encode(dead).ranges),
               0u);
     const avf::AvfResult avf = avf::computeAvf(computed.trace, dead, 500);
-    ASSERT_GT(disk().store("avf", "k", harness::codec::encodeAvf(avf).ranges),
+    ASSERT_GT(disk().store("avf", "k", harness::codec::encode(avf).ranges),
               0u);
 
     // Load all three from the current tier; every column of the
@@ -1451,7 +1502,7 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
         };
         load("sim", [&](const void *data, std::size_t n,
                         const std::shared_ptr<const void> &owner) {
-            return harness::codec::decodeSimProducts(data, n, owner, sim);
+            return harness::codec::decode(data, n, owner, sim);
         });
         const cpu::IncarnationColumns &inc = sim->trace.incarnations;
         expectViewInside(sim->trace.commits, at, len, "commits");
@@ -1460,7 +1511,7 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
         expectViewInside(sim->program->dataInits(), at, len, "dataInits");
         load("deadness", [&](const void *data, std::size_t n,
                              const std::shared_ptr<const void> &owner) {
-            return harness::codec::decodeDeadness(data, n, owner, served);
+            return harness::codec::decode(data, n, owner, served);
         });
         expectViewInside(served->kind, at, len, "kind");
         expectViewInside(served->overwriteDist, at, len, "overwriteDist");
@@ -1468,7 +1519,7 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
                          "returnFddWords");
         load("avf", [&](const void *data, std::size_t n,
                         const std::shared_ptr<const void> &owner) {
-            return harness::codec::decodeAvf(data, n, owner, servedAvf);
+            return harness::codec::decode(data, n, owner, servedAvf);
         });
         expectViewInside(servedAvf->fddBitCycles, at, len, "fddBitCycles");
         expectViewInside(servedAvf->fddOverwriteDist, at, len,
@@ -1484,15 +1535,13 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
     // tier's mapping, into a second tier, and serve them from there.
     disk().setDirectory(_dir + "/second", harness::codec::kSchemaVersion);
     ASSERT_GT(disk().store("sim", "k",
-                           harness::codec::encodeSimProducts(first)
-                               .ranges),
+                           harness::codec::encode(first).ranges),
               0u);
     ASSERT_GT(disk().store("deadness", "k",
-                           harness::codec::encodeDeadness(firstDead)
-                               .ranges),
+                           harness::codec::encode(firstDead).ranges),
               0u);
     ASSERT_GT(disk().store("avf", "k",
-                           harness::codec::encodeAvf(firstAvf).ranges),
+                           harness::codec::encode(firstAvf).ranges),
               0u);
     harness::SimProducts second;
     avf::DeadnessResult secondDead;
@@ -1500,12 +1549,12 @@ TEST_F(DiskCacheTest, ServedValueStoresIntoASecondTier)
     serve(&second, &secondDead, &secondAvf);
     EXPECT_NE(second.trace.commits.data(), first.trace.commits.data());
 
-    EXPECT_EQ(flatten(harness::codec::encodeSimProducts(second)),
-              flatten(harness::codec::encodeSimProducts(computed)));
-    EXPECT_EQ(flatten(harness::codec::encodeDeadness(secondDead)),
-              flatten(harness::codec::encodeDeadness(dead)));
-    EXPECT_EQ(flatten(harness::codec::encodeAvf(secondAvf)),
-              flatten(harness::codec::encodeAvf(avf)));
+    EXPECT_EQ(flatten(harness::codec::encode(second)),
+              flatten(harness::codec::encode(computed)));
+    EXPECT_EQ(flatten(harness::codec::encode(secondDead)),
+              flatten(harness::codec::encode(dead)));
+    EXPECT_EQ(flatten(harness::codec::encode(secondAvf)),
+              flatten(harness::codec::encode(avf)));
     expectSameColumns(second.trace, &secondDead, computed.trace, &dead);
 }
 

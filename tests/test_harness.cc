@@ -6,7 +6,11 @@
  * sim-layer locking), and the BenchOptions parser.
  */
 
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -123,6 +127,20 @@ TEST(BenchOptionsDeathTest, CiTargetMustBeFinite)
     EXPECT_EXIT(parseArgs({"--ci-target", "nan"}),
                 testing::ExitedWithCode(1),
                 "bad value 'nan' for --ci-target");
+}
+
+TEST(BenchOptionsDeathTest, CacheDirMustBeADirectory)
+{
+    // Every store under a regular file would fail, and the run would
+    // report an enabled tier that never wrote a byte.
+    char path[] = "/tmp/ser_cache_dir_file_XXXXXX";
+    const int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
+    ::close(fd);
+    EXPECT_EXIT(parseArgs({"--cache-dir", path}),
+                testing::ExitedWithCode(1),
+                std::string("--cache-dir '") + path + "'");
+    std::remove(path);
 }
 
 TEST(ParseJobs, AcceptsAPositiveCount)
